@@ -1,7 +1,7 @@
 """Chaos benchmark: goodput under injected serve-side faults.
 
-``bench_serve_chaos`` drives the same keep-alive load shape as
-``bench_http_serving`` (4 client threads x 150 requests) against an
+``bench_serve_chaos`` drives a keep-alive load (4 client threads x 150
+requests) against the async serving core over an
 :class:`OpinionService` with a :class:`ServeFaultInjector` active and a
 background reloader flipping the artefact under it:
 
@@ -32,12 +32,12 @@ import threading
 import time
 
 from _report import emit, emit_json, perf_counts, perf_values
+from bench_serving import _AsyncHarness
 
 from repro.serve import (
     AccessLog,
     OpinionService,
     ServeFaultInjector,
-    build_server,
     read_access_log,
 )
 from repro.serve.server import ServeError
@@ -98,11 +98,7 @@ def bench_serve_chaos(benchmark, interpreted, tmp_path_factory):
         fault_injector=injector,
         access_log=access_log,
     )
-    server = build_server(service)
-    server_thread = threading.Thread(
-        target=server.serve_forever, daemon=True
-    )
-    server_thread.start()
+    server = _AsyncHarness(service)
 
     stop_reloads = threading.Event()
     reload_outcomes = {"ok": 0, "rejected": 0}
@@ -216,12 +212,11 @@ def bench_serve_chaos(benchmark, interpreted, tmp_path_factory):
         recovered = service.health_state()
     finally:
         server.shutdown()
-        server.server_close()
 
     # Observability audit: every fault the clients saw must have an
     # access-log line with the same request id, status, and code.
-    # Handler threads write their log line after flushing the
-    # response to the client, so give stragglers a moment to land.
+    # A request writes its log line after its response is on the
+    # wire, so give stragglers a moment to land.
     wanted = {entry[0] for entry in faulted}
     logged = {}
     for _ in range(100):

@@ -15,14 +15,12 @@ Two figures for the query-serving subsystem (docs/serving.md):
   reported separately, so the figure measures the server, not TCP
   handshakes. Hard gates: QPS at least ``HTTP_SPEEDUP_FLOOR`` times
   the recorded thread-per-connection baseline, p99 at most
-  ``HTTP_P99_CEILING_SECONDS``. A thread-per-connection
-  :class:`ReproServer` reference runs under the same generator for
-  the live speedup figure.
+  ``HTTP_P99_CEILING_SECONDS``.
 * ``bench_observability_overhead`` — the same HTTP load against a
   bare service and a fully instrumented one (streaming histogram with
-  exemplars, SLO tracker, trace spans, JSONL access log); the
-  instrumented path must keep at least ``OVERHEAD_QPS_FLOOR`` of the
-  bare QPS (override with ``REPRO_SERVE_OVERHEAD_FLOOR``).
+  exemplars, SLO tracker, trace spans, JSONL access log), each on
+  its own async server; the instrumented path must keep at least
+  ``OVERHEAD_QPS_FLOOR`` of the bare QPS.
 
 Timings use min-over-rounds (equivalently best-of-rounds QPS), the
 stable estimator for same-machine comparisons; the overhead pair is
@@ -35,7 +33,6 @@ import asyncio
 import gc
 import http.client
 import json
-import os
 import socket
 import threading
 import time
@@ -49,16 +46,13 @@ from repro.serve import (
     AsyncReproServer,
     OpinionIndex,
     OpinionService,
-    build_server,
 )
 
 ROUNDS = 5
 #: The serving acceptance bar: warm cache vs. full-table scan.
 CACHE_SPEEDUP_FLOOR = 10.0
 #: PR-7 acceptance bar: instrumented serving keeps >= 95% of bare QPS.
-OVERHEAD_QPS_FLOOR = float(
-    os.environ.get("REPRO_SERVE_OVERHEAD_FLOOR", "0.95")
-)
+OVERHEAD_QPS_FLOOR = 0.95
 OVERHEAD_ROUNDS = 5
 CLIENT_THREADS = 4
 REQUESTS_PER_THREAD = 150
@@ -72,7 +66,7 @@ HTTP_QPS_FLOOR = HTTP_BASELINE_QPS * HTTP_SPEEDUP_FLOOR
 #: ...while holding tail latency under 2 ms.
 HTTP_P99_CEILING_SECONDS = 0.002
 #: Sustained window for the async figure (per client thread); the
-#: warm-up round and the thread-per-connection reference are shorter.
+#: warm-up round is shorter.
 HTTP_REQUESTS_PER_THREAD = 3000
 HTTP_WARMUP_PER_THREAD = 200
 
@@ -351,27 +345,8 @@ def bench_http_serving(benchmark, interpreted):
     finally:
         harness.shutdown()
 
-    # Thread-per-connection reference under the *same* generator: the
-    # live counterpart of the recorded HTTP_BASELINE_QPS figure.
-    reference = OpinionService(table)
-    server = build_server(reference)
-    thread = threading.Thread(
-        target=server.serve_forever, daemon=True
-    )
-    thread.start()
-    try:
-        _keepalive_load(server.port, 50)
-        _, threaded_wall, _ = _keepalive_load(
-            server.port, REQUESTS_PER_THREAD
-        )
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-
     total = CLIENT_THREADS * HTTP_REQUESTS_PER_THREAD
     qps = total / wall
-    threaded_qps = CLIENT_THREADS * REQUESTS_PER_THREAD / threaded_wall
     p50 = _quantile(latencies, 0.50)
     p99 = _quantile(latencies, 0.99)
     p999 = _quantile(latencies, 0.999)
@@ -380,7 +355,6 @@ def bench_http_serving(benchmark, interpreted):
         qps=qps,
         p50_seconds=p50,
         p99_seconds=p99,
-        threaded_qps=threaded_qps,
     )
     stats = service.cache.stats()
     lines = [
@@ -394,9 +368,6 @@ def bench_http_serving(benchmark, interpreted):
         f"p99 {p99 * 1e6:7.0f} us   p99.9 {p999 * 1e6:7.0f} us",
         f"connection setup (slowest client, untimed window): "
         f"{setup * 1e6:.0f} us",
-        f"threaded reference, same generator: "
-        f"{threaded_qps:9.0f} requests/s "
-        f"(async is {qps / threaded_qps:.1f}x faster)",
         f"cache: {stats['hits']} hits / {stats['misses']} misses",
     ]
     emit("serving_http", lines)
@@ -411,8 +382,6 @@ def bench_http_serving(benchmark, interpreted):
             "p50_seconds": p50,
             "p99_seconds": p99,
             "p999_seconds": p999,
-            "threaded_reference_qps": threaded_qps,
-            "speedup_vs_threaded": qps / threaded_qps,
             "baseline_qps": HTTP_BASELINE_QPS,
             "qps_floor": HTTP_QPS_FLOOR,
             "p99_ceiling_seconds": HTTP_P99_CEILING_SECONDS,
@@ -484,21 +453,15 @@ def bench_observability_overhead(
         access_log=access_log,
         trace_sample=1,
     )
-    arms = {}
-    for label, service in (
-        ("bare", bare), ("instrumented", instrumented)
-    ):
-        server = build_server(service)
-        thread = threading.Thread(
-            target=server.serve_forever, daemon=True
-        )
-        thread.start()
-        arms[label] = (service, server, thread)
+    arms = {
+        "bare": _AsyncHarness(bare),
+        "instrumented": _AsyncHarness(instrumented),
+    }
 
     def measure():
         best = {"bare": float("inf"), "instrumented": float("inf")}
         ratios = []
-        for label, (_, server, _) in arms.items():
+        for server in arms.values():
             _drive_load(server.port)  # warm caches and connections
         for _ in range(OVERHEAD_ROUNDS):
             # Interleave the arms so machine drift is shared, and
@@ -506,7 +469,7 @@ def bench_observability_overhead(
             # one arm's window (it traverses the whole interpreted
             # world) would swamp the per-request delta under test.
             wall = {}
-            for label, (_, server, _) in arms.items():
+            for label, server in arms.items():
                 gc.collect()
                 gc.disable()
                 try:
@@ -522,10 +485,8 @@ def bench_observability_overhead(
             measure, rounds=1, iterations=1
         )
     finally:
-        for _, server, thread in arms.values():
+        for server in arms.values():
             server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
         access_log.close()
 
     total = CLIENT_THREADS * REQUESTS_PER_THREAD

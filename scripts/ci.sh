@@ -439,45 +439,6 @@ finally:
 print("multi-worker lane OK")
 PYEOF
 
-echo "== legacy-threaded lane (thread-per-connection core still serves) =="
-python - "$SERVE_DIR/opinions.json" <<'PYEOF'
-import json, subprocess, sys, urllib.request
-
-opinions = sys.argv[1]
-proc = subprocess.Popen(
-    [sys.executable, "-m", "repro", "serve", opinions, "--port", "0",
-     "--legacy-threaded"],
-    stderr=subprocess.PIPE, text=True,
-)
-try:
-    for _ in range(5):
-        banner = proc.stderr.readline()
-        if "repro serve: serving" in banner:
-            break
-    assert "repro serve: serving" in banner, banner
-    port = int(banner.rsplit(":", 1)[1])
-    base = f"http://127.0.0.1:{port}"
-
-    def get(path):
-        with urllib.request.urlopen(base + path, timeout=10) as r:
-            return r.status, r.read()
-
-    assert get("/healthz")[0] == 200
-    status, body = get("/query?q=cute+animals")
-    assert status == 200 and json.loads(body)["hits"], body
-    assert b"repro_serve_requests_total" in get("/metrics")[1]
-
-    proc.terminate()
-    stderr = proc.communicate(timeout=15)[1]
-    assert proc.returncode == 0, (proc.returncode, stderr)
-    assert "shut down cleanly" in stderr, stderr
-finally:
-    if proc.poll() is None:
-        proc.kill()
-        proc.wait(timeout=10)
-print("legacy-threaded lane OK")
-PYEOF
-
 echo "== chaos lane (fault injection on the async core: corrupt reload -> degraded -> rollback -> healthy) =="
 # Boots the server with a fault injector that corrupts every reload,
 # then walks the incident lifecycle end to end: the bad artefact is

@@ -717,30 +717,19 @@ def _build_serve_components(
 def cmd_serve(args: argparse.Namespace) -> int:
     """Serve a mined opinion table over HTTP until SIGTERM/Ctrl-C.
 
-    Three run modes share every request/response contract:
+    Two run modes share every request/response contract:
 
     * default — the asyncio core (``repro.serve.aio``), one process;
     * ``--workers N`` — N forked asyncio workers on ``SO_REUSEPORT``
-      sockets under a supervisor (``repro.serve.workers``);
-    * ``--legacy-threaded`` — the thread-per-connection core kept
-      until the migration window closes.
+      sockets under a supervisor (``repro.serve.workers``).
     """
     if args.workers < 1:
         raise _fail(f"--workers must be >= 1, got {args.workers}")
-    if args.legacy_threaded and args.workers > 1:
-        raise _fail(
-            "--legacy-threaded serves from a single process; drop "
-            "--workers or use the async core"
-        )
     if args.workers > 1:
         return _serve_multiworker(args)
     service, table, tracer, access_log, ingest_factory = (
         _build_serve_components(args)
     )
-    if args.legacy_threaded:
-        return _serve_threaded(
-            args, service, table, tracer, access_log
-        )
     import asyncio
 
     from .serve.aio import serve_async
@@ -778,53 +767,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
             access_log.close()
         print("repro serve: shut down cleanly", file=sys.stderr)
     return code
-
-
-def _serve_threaded(
-    args: argparse.Namespace,
-    service,
-    table,
-    tracer,
-    access_log,
-) -> int:
-    """The legacy thread-per-connection core (``--legacy-threaded``)."""
-    from .serve import build_server, install_signal_handlers
-
-    server = build_server(service, host=args.host, port=args.port)
-    install_signal_handlers(service, server)
-    # Parsable by scripts (and tests): the bound port is authoritative
-    # when --port 0 asked for an ephemeral one.
-    print(
-        f"repro serve: serving {len(table)} opinions "
-        f"on http://{args.host}:{server.port}",
-        file=sys.stderr,
-        flush=True,
-    )
-    try:
-        server.serve_forever(poll_interval=0.1)
-        # SIGTERM stopped the accept loop via a graceful drain: give
-        # in-flight requests until --drain-timeout to finish.
-        if service.admission.draining:
-            if not service.wait_idle(args.drain_timeout):
-                print(
-                    "repro serve: drain timeout reached with "
-                    f"{service.admission.inflight} request(s) still "
-                    "in flight",
-                    file=sys.stderr,
-                    flush=True,
-                )
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        if tracer is not None and args.trace:
-            tracer.write_jsonl(args.trace)
-        if access_log is not None:
-            # After the drain: every in-flight request has logged its
-            # line, so closing here flushes a complete record.
-            access_log.close()
-        print("repro serve: shut down cleanly", file=sys.stderr)
-    return 0
 
 
 def _serve_multiworker(args: argparse.Namespace) -> int:
@@ -1270,10 +1212,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="forked asyncio worker processes sharing "
                             "the port via SO_REUSEPORT (default 1 = "
                             "single process, no supervisor)")
-    serve.add_argument("--legacy-threaded", action="store_true",
-                       help="serve with the legacy thread-per-"
-                            "connection core instead of the asyncio "
-                            "event loop (single worker only)")
     serve.add_argument("--cache-size", type=int, default=1024,
                        help="LRU result-cache entries (default 1024)")
     serve.add_argument("--max-inflight", type=int, default=32,

@@ -7,11 +7,10 @@ from pre-built posting structures (bit-identical to the one-shot
 repeated queries, and :class:`OpinionService` puts both behind a JSON
 HTTP API with admission control (per-client token buckets + bounded
 queue), per-request deadlines, safe hot-reload with one-step
-rollback, and a seeded chaos injector. The default front end is the
-asyncio event loop (:class:`AsyncReproServer` /
-:func:`serve_async`, with ``--workers N`` forking SO_REUSEPORT
-workers via :mod:`repro.serve.workers`); :class:`ReproServer` is the
-legacy thread-per-connection core behind ``--legacy-threaded``.
+rollback, and a seeded chaos injector. The front end is the asyncio
+event loop (:class:`AsyncReproServer` / :func:`serve_async`, with
+``--workers N`` forking SO_REUSEPORT workers via
+:mod:`repro.serve.workers`).
 Every request carries an ``X-Request-Id`` joining its access-log line
 (:class:`AccessLog`), histogram exemplar, and trace span; SLO burn
 rates surface in ``/healthz`` and ``/metrics``. See docs/serving.md,
@@ -26,7 +25,6 @@ from .access_log import (
 )
 from .admission import (
     DEFAULT_REQUEST_DEADLINE,
-    AdmissionController,
     AdmissionDecision,
     AsyncAdmissionController,
     CircuitBreaker,
@@ -55,11 +53,8 @@ from .server import (
     DEFAULT_MAX_INFLIGHT,
     HEALTH_STATES,
     OpinionService,
-    ReproServer,
     ServeError,
-    build_server,
     documents_from_payload,
-    install_signal_handlers,
     load_provenance_sidecar,
     new_request_id,
     resolve_opinion,
@@ -70,7 +65,6 @@ __all__ = [
     "ACCESS_LOG_FIELDS",
     "AGNOSTIC_PRIOR",
     "AccessLog",
-    "AdmissionController",
     "AdmissionDecision",
     "AsyncAdmissionController",
     "AsyncReproServer",
@@ -87,7 +81,6 @@ __all__ = [
     "OpinionIndex",
     "OpinionService",
     "QueryCache",
-    "ReproServer",
     "SERVE_SCHEMA_VERSION",
     "ServeError",
     "ServeFaultInjector",
@@ -95,11 +88,9 @@ __all__ = [
     "WorkerRuntime",
     "ask_response",
     "batch_response",
-    "build_server",
     "documents_from_payload",
     "error_response",
     "explain_response",
-    "install_signal_handlers",
     "listing_response",
     "load_provenance_sidecar",
     "make_reuseport_socket",

@@ -15,19 +15,14 @@ docs/robustness.md, "Serving resilience"):
 * :class:`TokenBucket` — the classic refill-over-time limiter, one per
   client, so a single chatty client exhausts *its* budget (429) before
   it can exhaust the server's (503).
-* :class:`AdmissionController` — per-client buckets (LRU-bounded, so an
-  adversarial client-id stream cannot grow memory), a bounded wait
-  queue in front of the in-flight slots, and the ``draining`` latch
-  used by graceful shutdown. Every rejection is a typed
-  :class:`AdmissionDecision` carrying the HTTP status, error code, and
-  ``Retry-After`` hint the response should surface.
-* :class:`AsyncAdmissionController` — the same decisions, re-expressed
-  for an event loop: plain counters and a deque of waiter futures
-  instead of a semaphore and condition variables, so the asyncio
-  server's hot path takes **no locks at all**. It shares
-  :class:`TokenBucket`, the LRU bucket map, and every rejection
-  message with the threaded controller, so ``/healthz`` admission
-  stats and error envelopes are byte-identical across both cores.
+* :class:`AsyncAdmissionController` — per-client buckets
+  (LRU-bounded, so an adversarial client-id stream cannot grow
+  memory), a bounded wait queue in front of the in-flight slots, and
+  the ``draining`` latch used by graceful shutdown. Every rejection is
+  a typed :class:`AdmissionDecision` carrying the HTTP status, error
+  code, and ``Retry-After`` hint the response should surface. It
+  lives on the event loop, so it uses plain counters and a deque of
+  waiter futures and the hot path takes **no locks at all**.
 * :class:`CircuitBreaker` — consecutive-failure breaker for the
   storage/reload path: once reloads keep failing, further attempts
   fail fast for a cooldown instead of hammering a broken artefact
@@ -105,7 +100,7 @@ class Deadline:
 
 class TokenBucket:
     """Refill-over-time rate limiter (not internally locked; the
-    :class:`AdmissionController` serialises access)."""
+    :class:`AsyncAdmissionController` touches it from one thread)."""
 
     __slots__ = ("rate", "burst", "_tokens", "_stamp", "_clock")
 
@@ -202,10 +197,8 @@ def _rate_limited_decision(
 class ClientBuckets:
     """LRU-bounded per-client :class:`TokenBucket` map.
 
-    Not internally locked: the threaded controller calls it under its
-    mutex, the async controller from the single event-loop thread.
-    Shared so both cores evict, refill, and hint ``Retry-After``
-    identically (and so one test suite covers both).
+    Not internally locked: the admission controller calls it from the
+    single event-loop thread.
     """
 
     __slots__ = ("rate", "burst", "max_clients", "_clock", "_buckets")
@@ -331,189 +324,24 @@ class CircuitBreaker:
         self.record_success()
 
 
-class AdmissionController:
-    """Per-client token buckets + bounded global admission queue.
-
-    Replaces the bare in-flight semaphore of PR 4: over-limit clients
-    are rejected with 429 before they can starve everyone else, a
-    short bounded queue absorbs micro-bursts, anything beyond it is
-    shed with 503, and :meth:`begin_drain` flips the controller into
-    the draining state used by graceful shutdown (new work rejected,
-    :meth:`wait_idle` waits for in-flight work to finish).
-    """
-
-    def __init__(
-        self,
-        max_inflight: int = 32,
-        *,
-        queue_depth: int = DEFAULT_QUEUE_DEPTH,
-        queue_timeout: float = DEFAULT_QUEUE_TIMEOUT,
-        client_rate: float = 0.0,
-        client_burst: float = DEFAULT_CLIENT_BURST,
-        max_clients: int = DEFAULT_MAX_CLIENTS,
-        clock=time.monotonic,
-    ) -> None:
-        if max_inflight < 1:
-            raise ValueError(
-                f"max_inflight must be at least 1, got {max_inflight}"
-            )
-        if queue_depth < 0:
-            raise ValueError(
-                f"queue_depth must be non-negative, got {queue_depth}"
-            )
-        if queue_timeout < 0:
-            raise ValueError(
-                f"queue_timeout must be non-negative, got {queue_timeout}"
-            )
-        if client_rate < 0:
-            raise ValueError(
-                f"client_rate must be non-negative, got {client_rate}"
-            )
-        if max_clients < 1:
-            raise ValueError(
-                f"max_clients must be at least 1, got {max_clients}"
-            )
-        self.max_inflight = int(max_inflight)
-        self.queue_depth = int(queue_depth)
-        self.queue_timeout = float(queue_timeout)
-        self.client_rate = float(client_rate)
-        self.client_burst = float(client_burst)
-        self.max_clients = int(max_clients)
-        self._clock = clock
-        self._slots = threading.Semaphore(self.max_inflight)
-        self._lock = threading.Lock()
-        self._idle = threading.Condition(self._lock)
-        self._buckets = ClientBuckets(
-            client_rate or 1.0, client_burst, max_clients, clock
-        )
-        self._inflight = 0
-        self._waiting = 0
-        self._draining = False
-        self.admitted_total = 0
-        self.rate_limited_total = 0
-        self.shed_total = 0
-
-    # ------------------------------------------------------------------
-    # Admission
-    # ------------------------------------------------------------------
-    def _client_allowed(self, client_id: str) -> float | None:
-        """None = allowed; else the client's Retry-After in seconds."""
-        with self._lock:
-            return self._buckets.check(client_id)
-
-    def admit(self, client_id: str | None = None) -> AdmissionDecision:
-        """One admission attempt; pair every success with :meth:`release`."""
-        if self._draining:
-            return _draining_decision()
-        if self.client_rate > 0 and client_id:
-            retry_after = self._client_allowed(client_id)
-            if retry_after is not None:
-                self.rate_limited_total += 1
-                return _rate_limited_decision(client_id, retry_after)
-        acquired = self._slots.acquire(blocking=False)
-        if not acquired:
-            with self._lock:
-                if self._waiting >= self.queue_depth:
-                    queue_full = True
-                else:
-                    queue_full = False
-                    self._waiting += 1
-            if queue_full:
-                self.shed_total += 1
-                return _overloaded_decision()
-            try:
-                acquired = self._slots.acquire(
-                    timeout=self.queue_timeout
-                )
-            finally:
-                with self._lock:
-                    self._waiting -= 1
-            if not acquired:
-                self.shed_total += 1
-                return _overloaded_decision()
-        if self._draining:
-            # Lost the race with begin_drain(): give the slot back.
-            self._slots.release()
-            return _draining_decision()
-        with self._lock:
-            self._inflight += 1
-            self.admitted_total += 1
-        return ADMITTED
-
-    def release(self) -> None:
-        self._slots.release()
-        with self._idle:
-            self._inflight -= 1
-            if self._inflight <= 0:
-                self._idle.notify_all()
-
-    # ------------------------------------------------------------------
-    # Drain
-    # ------------------------------------------------------------------
-    def begin_drain(self) -> None:
-        with self._lock:
-            self._draining = True
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
-
-    @property
-    def inflight(self) -> int:
-        with self._lock:
-            return self._inflight
-
-    def wait_idle(self, timeout: float | None = None) -> bool:
-        """Block until no request is in flight; False on timeout."""
-        with self._idle:
-            return self._idle.wait_for(
-                lambda: self._inflight <= 0, timeout=timeout
-            )
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    def stats(self) -> dict[str, float | int | bool]:
-        """Snapshot for ``/healthz``."""
-        with self._lock:
-            return {
-                "max_inflight": self.max_inflight,
-                "inflight": self._inflight,
-                "waiting": self._waiting,
-                "queue_depth": self.queue_depth,
-                "client_rate": self.client_rate,
-                "client_burst": self.client_burst,
-                "clients_tracked": len(self._buckets),
-                "admitted": self.admitted_total,
-                "rate_limited": self.rate_limited_total,
-                "shed": self.shed_total,
-                "draining": self._draining,
-            }
-
-
 class AsyncAdmissionController:
-    """Event-loop-native admission: same decisions, zero locks.
+    """Event-loop-native admission: budgets before work, zero locks.
 
-    The threaded :class:`AdmissionController` pays a semaphore and a
-    mutex per request; on an event loop every touch happens on the one
-    loop thread, so this variant uses plain integer slot accounting
-    and a deque of waiter futures instead. ``release`` hands a freed
-    slot directly to the oldest live waiter (FIFO, no wakeup storm).
-
-    The decision surface is identical to the sync controller: the same
-    :class:`AdmissionDecision` messages, the same :class:`TokenBucket`
-    refill maths through the shared :class:`ClientBuckets` LRU, and a
-    :meth:`stats` snapshot with the same keys, so ``/healthz`` and
-    error envelopes do not change between serving cores.
+    Over-limit clients are rejected with 429 before they can starve
+    everyone else, a short bounded queue absorbs micro-bursts, anything
+    beyond it is shed with 503, and :meth:`begin_drain` flips the
+    controller into the draining state used by graceful shutdown (new
+    work rejected, :meth:`wait_idle_async` waits for in-flight work to
+    finish). Every touch happens on the one loop thread, so slots are
+    plain integer accounting plus a deque of waiter futures;
+    ``release`` hands a freed slot directly to the oldest live waiter
+    (FIFO, no wakeup storm).
 
     Protocol: call :meth:`poll` first. A decision settles the request
     immediately; ``None`` means "the queue has room — ``await``
     :meth:`wait_for_slot`" (which resolves to a decision within
     ``queue_timeout``). Pair every admitted decision with
-    :meth:`release`. :meth:`admit` is the sync-compatible facade used
-    by shared tests and :class:`~repro.serve.server.OpinionService`
-    delegation; unable to block, it sheds where the threaded
-    controller would have queued.
+    :meth:`release`.
     """
 
     def __init__(
@@ -600,8 +428,8 @@ class AsyncAdmissionController:
         """Wait (bounded by ``queue_timeout``) for a freed slot.
 
         Resolves to ``ADMITTED`` when :meth:`release` hands this
-        waiter a slot in time, else the same ``overloaded`` 503 the
-        threaded controller sheds with.
+        waiter a slot in time, else the ``overloaded`` 503 that
+        :meth:`poll` sheds with when the queue is full.
         """
         fut = asyncio.get_running_loop().create_future()
         self._waiters.append(fut)
@@ -639,14 +467,6 @@ class AsyncAdmissionController:
                 return
         self._available += 1
 
-    def admit(self, client_id: str | None = None) -> AdmissionDecision:
-        """Sync-compatible attempt (never waits; sheds instead)."""
-        decision = self.poll(client_id)
-        if decision is None:
-            self.shed_total += 1
-            return _overloaded_decision()
-        return decision
-
     def release(self) -> None:
         self._inflight -= 1
         self._return_slot()
@@ -669,12 +489,6 @@ class AsyncAdmissionController:
     def inflight(self) -> int:
         return self._inflight
 
-    def wait_idle(self, timeout: float | None = None) -> bool:
-        """Sync facade: in-flight work can only finish while the loop
-        runs, so this cannot block — it reports the current state.
-        The async drain path awaits :meth:`wait_idle_async`."""
-        return self._inflight <= 0
-
     async def wait_idle_async(
         self, timeout: float | None = None
     ) -> bool:
@@ -695,8 +509,7 @@ class AsyncAdmissionController:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self) -> dict[str, float | int | bool]:
-        """Snapshot for ``/healthz`` (same keys as the threaded
-        controller)."""
+        """Snapshot for ``/healthz``."""
         return {
             "max_inflight": self.max_inflight,
             "inflight": self._inflight,

@@ -1,23 +1,23 @@
-"""Asyncio serving core: the event-loop front end of ``repro serve``.
+"""Asyncio serving core: the HTTP front end of ``repro serve``.
 
-The threaded :class:`~repro.serve.server.ReproServer` spends most of
-each request on thread handoff, socket teardown, and lock traffic —
-``bench_serving`` measured ~1.16k req/s against an index that answers
-~9k q/s. This module replaces thread-per-connection with one
-:class:`asyncio.Protocol` per *connection*, keep-alive reuse, and an
-inline fast path that answers a cached query without ever creating a
-task, so the hot path is: parse bytes → lock-free admission
+One :class:`asyncio.Protocol` per *connection*, keep-alive reuse, and
+an inline fast path that answers a cached query without ever creating
+a task, so the hot path is: parse bytes → lock-free admission
 (:class:`~repro.serve.admission.AsyncAdmissionController`) → service
 lookup → one ``transport.write``.
 
-Contracts are inherited, not reimplemented: requests are routed into
-the same :class:`~repro.serve.server.OpinionService` engine the
-threaded server uses, so the v2 JSON schema, snapshot-swap
-reload/rollback with validation, degraded-mode stamping, per-request
-deadlines, chaos fault hooks, access-log lines, exemplar histograms,
-and SLO burn gauges are byte-identical across both cores. The only
-new moving parts are:
+Requests are routed into the :class:`~repro.serve.server.OpinionService`
+engine, which owns the v2 JSON schema, snapshot-swap reload/rollback
+with validation, degraded-mode stamping, per-request deadlines, chaos
+fault hooks, access-log lines, exemplar histograms, and SLO burn
+gauges. This module adds the wire-level parts:
 
+* **A strict HTTP/1.1 reader** — bodies are framed by
+  ``Content-Length`` only, which must be plain ASCII digits and agree
+  across repeated headers; ``Transfer-Encoding`` is refused with 501.
+  Any framing the reader cannot trust is answered with an error
+  envelope and the connection is closed, so no byte of one request
+  can be parsed as another.
 * **Serialized-body cache** — ``json.dumps`` dominates a cached hit
   (~30µs vs ~2µs for the lookup), so rendered response *bytes* are
   LRU-cached keyed by the identity of the service's cached response
@@ -33,9 +33,6 @@ new moving parts are:
   snapshot, and successful reload/ingest swaps bump the shared epoch
   and nudge the supervisor to SIGHUP the sibling workers (see
   :mod:`repro.serve.workers`).
-
-``repro serve`` runs this core by default; ``--legacy-threaded``
-keeps the old server until the migration completes.
 """
 
 from __future__ import annotations
@@ -52,9 +49,7 @@ from typing import Any, Callable
 from urllib.parse import parse_qs
 
 from .admission import (
-    AdmissionController,
     AdmissionDecision,
-    AsyncAdmissionController,
     Deadline,
     DeadlineExceeded,
 )
@@ -64,16 +59,18 @@ from .server import (
     MAX_BODY_BYTES,
     OpinionService,
     ServeError,
-    ServeHandler,
     _REQUEST_ID_RE,
     documents_from_payload,
     new_request_id,
 )
 
-#: Paths that bypass admission control — same tuple as the threaded
-#: handler, so saturation can never gate health, telemetry, or the
-#: operator's way out of an incident.
-UNGATED = ServeHandler.UNGATED
+#: Paths that bypass admission control: health and telemetry must
+#: stay reachable exactly when the server is saturated, and the admin
+#: endpoints are the operator's way *out* of an incident — gating a
+#: rollback behind the overload it is meant to fix would be
+#: self-defeating.
+UNGATED = ("/healthz", "/metrics", "/admin/reload",
+           "/admin/rollback", "/admin/ingest")
 
 #: Admin routes whose handlers do blocking file IO; they run in a
 #: worker thread so the event loop keeps answering queries during a
@@ -119,20 +116,6 @@ def _status_line(status: int) -> bytes:
     return line
 
 
-def async_admission_from(
-    sync: AdmissionController,
-) -> AsyncAdmissionController:
-    """An event-loop controller with a sync controller's config."""
-    return AsyncAdmissionController(
-        sync.max_inflight,
-        queue_depth=sync.queue_depth,
-        queue_timeout=sync.queue_timeout,
-        client_rate=sync.client_rate,
-        client_burst=sync.client_burst,
-        max_clients=sync.max_clients,
-    )
-
-
 class _Request:
     """One parsed request in flight (cheap per-request state)."""
 
@@ -174,9 +157,9 @@ class HttpProtocol(asyncio.Protocol):
     """One keep-alive HTTP/1.1 connection on the event loop.
 
     Parsing is hand-rolled over a bytes buffer: requests this API
-    receives are a few hundred bytes with a handful of headers, and
-    ``http.server``'s file-object machinery is most of what made the
-    threaded core slow. A request whose handling never awaits is
+    receives are a few hundred bytes with a handful of headers, so
+    ``http.server``'s file-object machinery would cost more than the
+    lookup it fronts. A request whose handling never awaits is
     answered inline from ``data_received`` — no task, no scheduling
     round-trip; requests that must wait (admission queue, admin file
     IO) move to a task while the transport's reading is paused, so
@@ -266,19 +249,23 @@ class HttpProtocol(asyncio.Protocol):
                     key, sep, value = raw.partition(b":")
                     if sep:
                         headers[key.strip().lower()] = value.strip()
+            if b"transfer-encoding" in headers:
+                # Bodies are framed by Content-Length only; a chunked
+                # body left unread would be parsed as the next request.
+                self._protocol_error(
+                    501, "Transfer-Encoding is not supported",
+                    "not_implemented",
+                )
+                return
             length = 0
             raw_length = headers.get(b"content-length")
             if raw_length is not None:
-                try:
-                    length = int(raw_length)
-                except ValueError:
-                    self._protocol_error(
-                        400, "malformed Content-Length"
-                    )
+                length = self._content_length(head, line_end, raw_length)
+                if length < 0:
                     return
             if length > MAX_BODY_BYTES:
-                # Mirror the threaded 413 envelope; the unread body
-                # cannot be skipped safely, so the connection closes.
+                # The unread body cannot be skipped safely, so the
+                # connection closes after the 413.
                 self._oversized_body(parts, headers, length)
                 return
             body_start = head_end + 4
@@ -288,6 +275,32 @@ class HttpProtocol(asyncio.Protocol):
             self.buf = self.buf[body_start + length:]
             if not self._dispatch(parts, headers, body):
                 return  # a task owns the connection now
+
+    def _content_length(
+        self, head: bytes, line_end: int, raw_length: bytes
+    ) -> int:
+        """The body length, or -1 after answering a framing error.
+
+        ``int()`` would accept a sign and ``_`` separators, and a
+        negative length rewinds the parser into the request's own
+        head; only ASCII digits are a length. Repeated headers must
+        agree — the dict kept only the last one, so rescan the head.
+        """
+        if not raw_length.isdigit():
+            self._protocol_error(400, "malformed Content-Length")
+            return -1
+        for raw in head[line_end + 2:].split(_CRLF):
+            key, sep, value = raw.partition(b":")
+            if (
+                sep
+                and key.strip().lower() == b"content-length"
+                and value.strip() != raw_length
+            ):
+                self._protocol_error(
+                    400, "conflicting Content-Length headers"
+                )
+                return -1
+        return int(raw_length)
 
     # -- request dispatch ----------------------------------------------
     def _dispatch(
@@ -332,8 +345,7 @@ class HttpProtocol(asyncio.Protocol):
             started, close_after,
         )
         if method not in ("GET", "POST"):
-            # The threaded stdlib core answers 501 for unknown verbs;
-            # here it is the standard envelope.
+            # Unknown verbs get 501 in the standard envelope.
             self._send_error(
                 ctx, 501, "not_implemented",
                 f"unsupported method {method!r}",
@@ -357,7 +369,7 @@ class HttpProtocol(asyncio.Protocol):
             # Chaos mode: injected sleeps/disconnects must not stall
             # the event loop (they would serialise every connection
             # and defer signal delivery), so admitted requests run on
-            # worker threads, as the threaded core did.
+            # worker threads.
             self._start_task(self._offloaded(ctx))
             return False
         self._finish(ctx, gated)
@@ -474,9 +486,8 @@ class HttpProtocol(asyncio.Protocol):
                 self._resume()
 
     def _finish(self, ctx: _Request, gated: bool) -> None:
-        """The request state machine — a faithful port of the threaded
-        handler's ``_handle`` body (statuses, codes, metrics, and the
-        observe-in-finally ordering are contract)."""
+        """The request state machine (statuses, codes, metrics, and
+        the observe-in-finally ordering are contract)."""
         service = self.service
         status = 500
         cached: bool | None = None
@@ -518,8 +529,18 @@ class HttpProtocol(asyncio.Protocol):
                 pass
         finally:
             if gated:
-                self.server.admission.release()
+                self._release()
             self._observe(ctx, status, cached, code)
+
+    def _release(self) -> None:
+        """Free an admission slot on the loop thread: the controller
+        is lock-free, so an offloaded (chaos-mode) request hands its
+        release to the loop instead of racing it."""
+        admission = self.server.admission
+        if self._on_loop():
+            admission.release()
+        else:
+            self.server.loop.call_soon_threadsafe(admission.release)
 
     # -- routing --------------------------------------------------------
     def _route(
@@ -813,7 +834,9 @@ class HttpProtocol(asyncio.Protocol):
         else:
             self.server.loop.call_soon_threadsafe(transport.close)
 
-    def _protocol_error(self, status: int, message: str) -> None:
+    def _protocol_error(
+        self, status: int, message: str, code: str = "bad_request"
+    ) -> None:
         """Unparseable framing: answer an envelope and close (the
         byte stream cannot be trusted for another request)."""
         ctx = _Request(
@@ -821,7 +844,7 @@ class HttpProtocol(asyncio.Protocol):
             time.perf_counter(), True,
         )
         try:
-            self._send_error(ctx, status, "bad_request", message)
+            self._send_error(ctx, status, code, message)
         except (BrokenPipeError, OSError):
             pass
         self.closed = True
@@ -834,7 +857,7 @@ class HttpProtocol(asyncio.Protocol):
         headers: dict[bytes, bytes],
         length: int,
     ) -> None:
-        """Same 413 message as the threaded ``_read_json_body``."""
+        """413 for a declared body over ``MAX_BODY_BYTES``."""
         raw_id = headers.get(b"x-request-id", b"")
         supplied = raw_id.decode("latin-1") if raw_id else ""
         request_id = (
@@ -899,13 +922,7 @@ class AsyncReproServer:
         body_cache_size: int = DEFAULT_BODY_CACHE,
     ) -> None:
         self.service = service
-        if isinstance(service.admission, AsyncAdmissionController):
-            self.admission = service.admission
-        else:
-            # Adopt the configured limits; the service delegates
-            # admit/stats/drain to this controller from now on.
-            self.admission = async_admission_from(service.admission)
-            service.admission = self.admission
+        self.admission = service.admission
         self.runtime = runtime
         self.ingest_factory = ingest_factory
         self.body_cache: OrderedDict[int, tuple[dict, bytes]] = (
@@ -953,8 +970,8 @@ class AsyncReproServer:
 
     # -- admin bridges (run inside worker threads) ---------------------
     def run_reload(self, path: str | None) -> dict[str, Any]:
-        """``/admin/reload`` body: the threaded route's defensive
-        wrapper plus the multi-worker epoch bump on success."""
+        """``/admin/reload`` body: a defensive wrapper plus the
+        multi-worker epoch bump on success."""
         try:
             summary = self.service.reload(path)
         except ServeError:
@@ -1049,9 +1066,7 @@ async def serve_async(
 ) -> int:
     """Run the async core until SIGTERM/SIGINT, with graceful drain.
 
-    The event-loop twin of ``build_server`` +
-    ``install_signal_handlers`` + ``serve_forever``: SIGHUP hot-swaps
-    (via the shared epoch file when a worker ``runtime`` is attached,
+    SIGHUP hot-swaps (via the shared epoch file when a worker ``runtime`` is attached,
     so sibling workers converge on the same generation), SIGTERM
     flips the service to draining, stops the listener, and waits up
     to ``drain_timeout`` for in-flight requests. ``on_started``

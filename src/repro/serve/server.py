@@ -1,18 +1,12 @@
-"""Concurrent HTTP query server over a mined opinion table.
+"""The query engine behind ``repro serve``.
 
 The paper's motivating workload — search queries like ``safe cities``
 answered from structured data — is a *serving* workload: mine once,
-answer millions of low-latency lookups. This module is that serving
-layer, stdlib-only.
-
-:class:`OpinionService` is the engine for *both* serving cores: the
-asyncio event loop in :mod:`repro.serve.aio` (the ``repro serve``
-default, with ``--workers N`` multi-process mode) routes requests
-into the same service object this module's threaded
-:class:`ReproServer` does, so every response contract below is shared
-byte-for-byte. The thread-per-connection front end survives behind
-``--legacy-threaded`` until the migration window closes; new
-front-end behaviour belongs in :mod:`repro.serve.aio`.
+answer millions of low-latency lookups. This module is the engine of
+that serving layer, stdlib-only; the HTTP front end is the asyncio
+core in :mod:`repro.serve.aio` (with ``--workers N`` multi-process
+mode in :mod:`repro.serve.workers`), which routes every request into
+one :class:`OpinionService`.
 
 * :class:`OpinionService` — the engine: an immutable
   :class:`~repro.serve.index.OpinionIndex` snapshot, a generation-
@@ -26,18 +20,12 @@ front-end behaviour belongs in :mod:`repro.serve.aio`.
   the service *degraded* (still answering, from the last good
   snapshot, with ``degraded_mode`` stamped into responses), and feeds
   a circuit breaker that fails further reloads fast.
-* :class:`ReproServer` — a ``ThreadingHTTPServer`` exposing
-  ``GET /query`` (free-text or property+type), ``POST /batch``,
-  ``GET /healthz`` (health state machine: ``healthy`` / ``degraded``
-  / ``draining``), ``GET /metrics`` (Prometheus exposition from the
-  shared :class:`~repro.obs.metrics.MetricsRegistry`),
-  ``POST /admin/reload``, and ``POST /admin/rollback``. Every
-  4xx/5xx body is the one :func:`~repro.serve.schema.error_response`
+* :class:`ServeError` — a client-facing failure carrying the HTTP
+  status, stable error code, and ``Retry-After`` hint that the front
+  end renders into the one :func:`~repro.serve.schema.error_response`
   envelope.
-* :func:`install_signal_handlers` — SIGHUP triggers a reload of the
-  source artefact; SIGTERM begins a graceful drain (stop accepting,
-  finish in-flight, exit 0) when a server is supplied, else a clean
-  exit (used by ``repro serve``).
+* :func:`documents_from_payload` — the ``POST /admin/ingest`` body
+  parser.
 
 Every handled request is counted, latency-observed into a streaming
 histogram (with the request id attached as an exemplar), accounted
@@ -59,14 +47,11 @@ import json
 import math
 import re
 import secrets
-import signal
 import sys
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any
-from urllib.parse import parse_qs, urlsplit
 
 from ..core.query import QueryError, SubjectiveQuery
 from ..core.result import OpinionTable
@@ -90,11 +75,9 @@ from .admission import (
     DEFAULT_QUEUE_DEPTH,
     DEFAULT_QUEUE_TIMEOUT,
     DEFAULT_REQUEST_DEADLINE,
-    AdmissionController,
-    AdmissionDecision,
+    AsyncAdmissionController,
     CircuitBreaker,
     Deadline,
-    DeadlineExceeded,
 )
 from .cache import DEFAULT_MAX_ENTRIES, QueryCache
 from .faults import InjectedDisconnect, ServeFaultInjector
@@ -102,7 +85,6 @@ from .index import OpinionIndex
 from .schema import (
     ask_response,
     batch_response,
-    error_response,
     explain_response,
     listing_response,
 )
@@ -297,7 +279,7 @@ class OpinionService:
         self.max_inflight = int(max_inflight)
         self.request_deadline = float(request_deadline)
         self.cache = QueryCache(cache_size, self.registry)
-        self.admission = AdmissionController(
+        self.admission = AsyncAdmissionController(
             self.max_inflight,
             queue_depth=queue_depth,
             queue_timeout=queue_timeout,
@@ -827,24 +809,12 @@ class OpinionService:
         )
 
     # ------------------------------------------------------------------
-    # Admission control and drain
+    # Drain
     # ------------------------------------------------------------------
-    def admit(self, client_id: str | None = None) -> AdmissionDecision:
-        """One admission attempt (truthy = admitted); pair every
-        success with :meth:`release`."""
-        return self.admission.admit(client_id)
-
-    def release(self) -> None:
-        self.admission.release()
-
     def begin_drain(self) -> None:
         """Stop admitting work; ``/healthz`` flips to ``draining``."""
         self.admission.begin_drain()
         self._publish_gauges()
-
-    def wait_idle(self, timeout: float | None = None) -> bool:
-        """Block until in-flight requests finish; False on timeout."""
-        return self.admission.wait_idle(timeout)
 
     # ------------------------------------------------------------------
     # Queries
@@ -1211,390 +1181,6 @@ def _check_top(top: Any) -> int:
     return top
 
 
-# ---------------------------------------------------------------------------
-# HTTP layer
-# ---------------------------------------------------------------------------
-
-class ReproServer(ThreadingHTTPServer):
-    """Threaded HTTP server bound to one :class:`OpinionService`."""
-
-    daemon_threads = True
-
-    def __init__(
-        self, address: tuple[str, int], service: OpinionService
-    ) -> None:
-        super().__init__(address, ServeHandler)
-        self.service = service
-
-    @property
-    def port(self) -> int:
-        return self.server_address[1]
-
-
-class ServeHandler(BaseHTTPRequestHandler):
-    """Routes requests into the service; JSON in, JSON out."""
-
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-serve/2"
-    # Headers and body flush as separate writes; without TCP_NODELAY
-    # Nagle + delayed ACK turns every response into a ~40 ms stall.
-    disable_nagle_algorithm = True
-
-    #: Paths that bypass admission control: health and telemetry must
-    #: stay reachable exactly when the server is saturated, and the
-    #: admin endpoints are the operator's way *out* of an incident —
-    #: gating a rollback behind the overload it is meant to fix would
-    #: be self-defeating.
-    UNGATED = ("/healthz", "/metrics", "/admin/reload",
-               "/admin/rollback", "/admin/ingest")
-
-    #: Set per request in _handle before any response is written.
-    request_id: str = ""
-    #: Sub-query count of the current request (POST /batch only);
-    #: reset per request, surfaced as the access-log line's "items".
-    batch_items: int | None = None
-
-    # -- plumbing -------------------------------------------------------
-    def log_message(self, format: str, *args: Any) -> None:
-        pass  # request logging is the metrics/trace layer's job
-
-    @property
-    def service(self) -> OpinionService:
-        return self.server.service
-
-    def _resolve_request_id(self) -> str:
-        """Honour a well-formed client ``X-Request-Id``, else mint
-        one. Malformed ids are replaced, not echoed — a header is not
-        a place to reflect arbitrary bytes back at a client."""
-        supplied = self.headers.get("X-Request-Id", "")
-        if supplied and _REQUEST_ID_RE.match(supplied):
-            return supplied
-        return new_request_id()
-
-    def _send_json(
-        self,
-        status: int,
-        payload: dict[str, Any],
-        *,
-        cached: bool | None = None,
-        retry_after: float | None = None,
-    ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if self.request_id:
-            self.send_header("X-Request-Id", self.request_id)
-        if cached is not None:
-            self.send_header("X-Cache", "hit" if cached else "miss")
-        if retry_after is None and status in (429, 503):
-            retry_after = 1.0
-        if retry_after is not None:
-            self.send_header(
-                "Retry-After",
-                str(max(1, math.ceil(retry_after))),
-            )
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error(
-        self,
-        status: int,
-        code: str,
-        message: str,
-        *,
-        retry_after: float | None = None,
-    ) -> None:
-        self._send_json(
-            status,
-            error_response(
-                code,
-                message,
-                retry_after=retry_after,
-                degraded=self.service.degraded,
-                request_id=self.request_id or None,
-            ),
-            retry_after=retry_after,
-        )
-
-    def _send_text(self, status: int, text: str) -> None:
-        body = text.encode()
-        self.send_response(status)
-        self.send_header(
-            "Content-Type", "text/plain; version=0.0.4"
-        )
-        self.send_header("Content-Length", str(len(body)))
-        if self.request_id:
-            self.send_header("X-Request-Id", self.request_id)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _read_json_body(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length", 0) or 0)
-        if length > MAX_BODY_BYTES:
-            raise ServeError(
-                f"body of {length} bytes exceeds "
-                f"{MAX_BODY_BYTES}", status=413,
-            )
-        raw = self.rfile.read(length) if length else b""
-        if not raw:
-            return {}
-        try:
-            payload = json.loads(raw)
-        except json.JSONDecodeError as error:
-            raise ServeError(f"malformed JSON body: {error}")
-        if not isinstance(payload, dict):
-            raise ServeError("JSON body must be an object")
-        return payload
-
-    # -- request entry points ------------------------------------------
-    def do_GET(self) -> None:  # noqa: N802 (stdlib naming)
-        self._handle("GET")
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._handle("POST")
-
-    def _client_id(self) -> str:
-        """Rate-limit key: explicit header, else the peer address."""
-        return (
-            self.headers.get("X-Client-Id")
-            or self.client_address[0]
-        )
-
-    def _handle(self, method: str) -> None:
-        started = time.perf_counter()
-        path = urlsplit(self.path).path
-        status = 500
-        cached: bool | None = None
-        code: str | None = None
-        self.request_id = self._resolve_request_id()
-        self.batch_items = None
-        client = self._client_id()
-        service = self.service
-        gated = path not in self.UNGATED
-        if gated:
-            decision = service.admit(client)
-            if not decision:
-                status = decision.status
-                code = decision.code
-                if status == 429:
-                    service.registry.inc(
-                        "repro_serve_rate_limited_total"
-                    )
-                self._send_error(
-                    decision.status,
-                    decision.code,
-                    decision.message,
-                    retry_after=decision.retry_after,
-                )
-                service.observe_request(
-                    method=method,
-                    path=path,
-                    status=status,
-                    seconds=time.perf_counter() - started,
-                    request_id=self.request_id,
-                    client=client,
-                    code=code,
-                )
-                return
-        deadline = (
-            Deadline(service.request_deadline) if gated else None
-        )
-        try:
-            status, cached = self._route(method, path, deadline)
-        except DeadlineExceeded as error:
-            status = 503
-            code = "deadline_exceeded"
-            service.registry.inc(
-                "repro_serve_deadline_exceeded_total"
-            )
-            self._send_error(
-                status, code, str(error),
-                retry_after=1.0,
-            )
-        except ServeError as error:
-            status = error.status
-            code = error.code
-            self._send_error(
-                status, error.code, str(error),
-                retry_after=error.retry_after,
-            )
-        except (BrokenPipeError, ConnectionResetError):
-            status = 499  # client went away mid-response
-            code = "client_disconnect"
-            self.close_connection = True
-        except Exception as error:  # pragma: no cover - defensive
-            status = 500
-            code = "internal"
-            try:
-                self._send_error(
-                    status,
-                    code,
-                    f"{type(error).__name__}: {error}",
-                )
-            except OSError:
-                pass
-        finally:
-            if gated:
-                service.release()
-            service.observe_request(
-                method=method,
-                path=path,
-                status=status,
-                seconds=time.perf_counter() - started,
-                cached=cached,
-                request_id=self.request_id,
-                client=client,
-                code=code,
-                items=self.batch_items,
-            )
-
-    # -- routing --------------------------------------------------------
-    def _route(
-        self, method: str, path: str, deadline: Deadline | None
-    ) -> tuple[int, bool | None]:
-        if method == "GET" and path == "/query":
-            return self._get_query(deadline)
-        if method == "GET" and path == "/explain":
-            return self._get_explain(deadline)
-        if method == "GET" and path == "/healthz":
-            self._send_json(200, self.service.healthz())
-            return 200, None
-        if method == "GET" and path == "/metrics":
-            # Burn-rate gauges are derived from rolling windows, so
-            # they are recomputed at scrape time, not write time.
-            self.service.publish_slo_gauges()
-            self._send_text(200, self.service.registry.exposition())
-            return 200, None
-        if method == "POST" and path == "/batch":
-            return self._post_batch(deadline)
-        if method == "POST" and path == "/admin/reload":
-            return self._post_reload()
-        if method == "POST" and path == "/admin/rollback":
-            self._send_json(200, self.service.rollback())
-            return 200, None
-        if method == "POST" and path == "/admin/ingest":
-            return self._post_ingest()
-        raise ServeError(
-            f"no route for {method} {path}", status=404,
-            code="not_found",
-        )
-
-    def _params(self) -> dict[str, str]:
-        query = urlsplit(self.path).query
-        return {
-            key: values[-1]
-            for key, values in parse_qs(query).items()
-        }
-
-    def _get_query(
-        self, deadline: Deadline | None
-    ) -> tuple[int, bool]:
-        params = self._params()
-        top = params.get("top", DEFAULT_TOP)
-        if "q" in params:
-            response, cached = self.service.ask(
-                params["q"], top=top, deadline=deadline
-            )
-        elif "property" in params and "type" in params:
-            try:
-                min_probability = float(
-                    params.get("min_probability", 0.0)
-                )
-            except ValueError:
-                raise ServeError(
-                    "min_probability must be a number"
-                )
-            response, cached = self.service.listing(
-                params["property"],
-                params["type"],
-                negative=params.get("negative", "")
-                in ("1", "true", "yes"),
-                min_probability=min_probability,
-                top=top,
-                deadline=deadline,
-            )
-        else:
-            raise ServeError(
-                "need either ?q=<free text> or "
-                "?property=<adj>&type=<entity type>"
-            )
-        self.service.fault_response("/query")
-        self._send_json(200, response, cached=cached)
-        return 200, cached
-
-    def _get_explain(
-        self, deadline: Deadline | None
-    ) -> tuple[int, bool]:
-        params = self._params()
-        entity = params.get("entity")
-        prop = params.get("property")
-        if not entity or not prop:
-            raise ServeError(
-                "need entity=<id> and property=<adjective> "
-                "(optional type=<entity type>)"
-            )
-        response, cached = self.service.explain(
-            entity,
-            prop,
-            entity_type=params.get("type"),
-            deadline=deadline,
-        )
-        self.service.fault_response("/explain")
-        self._send_json(200, response, cached=cached)
-        return 200, cached
-
-    def _post_batch(
-        self, deadline: Deadline | None
-    ) -> tuple[int, None]:
-        payload = self._read_json_body()
-        queries = payload.get("queries")
-        if not isinstance(queries, list) or not all(
-            isinstance(q, str) for q in queries
-        ):
-            raise ServeError(
-                "body must be {\"queries\": [<string>, ...]}"
-            )
-        self.batch_items = len(queries)
-        response = self.service.batch(
-            queries,
-            top=payload.get("top", DEFAULT_TOP),
-            deadline=deadline,
-            request_id=self.request_id or None,
-        )
-        self.service.fault_response("/batch")
-        self._send_json(200, response)
-        return 200, None
-
-    def _post_reload(self) -> tuple[int, None]:
-        payload = self._read_json_body()
-        path = payload.get("path")
-        if path is not None and not isinstance(path, str):
-            raise ServeError("reload path must be a string")
-        try:
-            summary = self.service.reload(path)
-        except ServeError:
-            raise
-        except Exception as error:  # pragma: no cover - defensive
-            raise ServeError(
-                f"reload failed, previous table still live: {error}",
-                status=500,
-                code="reload_failed",
-            ) from None
-        self._send_json(200, summary)
-        return 200, None
-
-    def _post_ingest(self) -> tuple[int, None]:
-        payload = self._read_json_body()
-        documents = documents_from_payload(payload)
-        self.batch_items = len(documents)
-        summary = self.service.ingest(
-            documents, request_id=self.request_id or None
-        )
-        self._send_json(200, summary)
-        return 200, None
-
-
 def documents_from_payload(
     payload: dict[str, Any],
 ) -> list[Document]:
@@ -1635,65 +1221,3 @@ def documents_from_payload(
             Document(doc_id=doc_id, text=row["text"], region=region)
         )
     return documents
-
-
-def build_server(
-    service: OpinionService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-) -> ReproServer:
-    """Bind a server (port 0 picks an ephemeral port)."""
-    return ReproServer((host, port), service)
-
-
-def install_signal_handlers(
-    service: OpinionService,
-    server: ReproServer | None = None,
-) -> None:
-    """Wire SIGHUP → hot reload, SIGTERM → graceful drain.
-
-    With a ``server``, SIGTERM flips the service to ``draining``
-    (new work is rejected with 503, ``/healthz`` reports it) and asks
-    the accept loop to stop from a helper thread — calling
-    ``server.shutdown()`` inline would deadlock against the
-    ``serve_forever`` loop running on this same main thread. The CLI
-    then waits for in-flight requests (``--drain-timeout``) before
-    exiting 0. Without a server (legacy callers), SIGTERM raises
-    ``SystemExit(0)`` as before.
-
-    Call from the main thread of ``repro serve`` only; tests drive
-    ``server.shutdown()`` directly instead.
-    """
-    if hasattr(signal, "SIGHUP"):
-        def _reload(signum: int, frame: Any) -> None:
-            try:
-                summary = service.reload()
-                print(
-                    f"repro serve: reloaded {summary['source']} "
-                    f"(generation {summary['generation']}, "
-                    f"{summary['opinions']} opinions)",
-                    file=sys.stderr,
-                    flush=True,
-                )
-            except Exception as error:
-                print(
-                    "repro serve: reload failed, previous table "
-                    f"still live: {error}",
-                    file=sys.stderr,
-                    flush=True,
-                )
-
-        signal.signal(signal.SIGHUP, _reload)
-
-    def _terminate(signum: int, frame: Any) -> None:
-        if server is None:
-            raise SystemExit(0)
-        service.begin_drain()
-        print(
-            "repro serve: draining (finishing in-flight requests)",
-            file=sys.stderr,
-            flush=True,
-        )
-        threading.Thread(target=server.shutdown, daemon=True).start()
-
-    signal.signal(signal.SIGTERM, _terminate)

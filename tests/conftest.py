@@ -2,11 +2,61 @@
 
 from __future__ import annotations
 
+import asyncio
+import threading
+
 import pytest
 
 from repro.corpus import TrueParameters, curated_scenario
 from repro.kb import Entity, KnowledgeBase
 from repro.nlp import Annotator, DependencyParser
+from repro.serve import AsyncReproServer
+
+
+class AsyncHarness:
+    """:class:`AsyncReproServer` on a dedicated event-loop thread.
+
+    Binds an ephemeral port on 127.0.0.1; ``url`` is the base URL.
+    Use as a context manager or call :meth:`close`.
+    """
+
+    def __init__(self, service):
+        self.service = service
+        self.server = AsyncReproServer(service)
+        self.loop = asyncio.new_event_loop()
+        self._ready = threading.Event()
+        self._stop = None
+        self.thread = threading.Thread(target=self._run, daemon=True)
+        self.thread.start()
+        assert self._ready.wait(timeout=10), "server failed to start"
+        self.port = self.server.port
+        self.url = f"http://127.0.0.1:{self.port}"
+
+    def _run(self):
+        asyncio.set_event_loop(self.loop)
+        try:
+            self.loop.run_until_complete(self._main())
+        finally:
+            self.loop.close()
+
+    async def _main(self):
+        self._stop = asyncio.Event()
+        await self.server.start("127.0.0.1", 0)
+        self._ready.set()
+        await self._stop.wait()
+        self.server.close_listener()
+        self.server.close_connections()
+        await self.server.wait_closed()
+
+    def close(self):
+        self.loop.call_soon_threadsafe(self._stop.set)
+        self.thread.join(timeout=10)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
 
 
 @pytest.fixture()

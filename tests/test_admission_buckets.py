@@ -1,13 +1,11 @@
 """Deterministic fake-clock tests for admission token buckets.
 
-The per-client rate-limit maths lives once in
-:class:`repro.serve.ClientBuckets` and is shared by both serving
-cores, so these tests parametrize over the threaded
-:class:`AdmissionController` and the event-loop
-:class:`AsyncAdmissionController` and assert identical behaviour:
-burst drain, steady-state refill, Retry-After hints, and LRU eviction
-at ``max_clients``. The async controller's waiter-queue handoff
-(poll -> wait_for_slot -> release) gets its own section.
+The per-client rate-limit maths lives in
+:class:`repro.serve.ClientBuckets`; these tests drive it directly and
+through :class:`AsyncAdmissionController`: burst drain, steady-state
+refill, Retry-After hints, and LRU eviction at ``max_clients``. The
+controller's waiter-queue handoff (poll -> wait_for_slot -> release)
+gets its own section.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ import asyncio
 import pytest
 
 from repro.serve import (
-    AdmissionController,
     AsyncAdmissionController,
     ClientBuckets,
     TokenBucket,
@@ -116,36 +113,21 @@ class TestClientBuckets:
 
 
 # ---------------------------------------------------------------------------
-# Both controllers, same decisions
+# Controller rate limiting
 # ---------------------------------------------------------------------------
 
-CONTROLLERS = {
-    "threaded": AdmissionController,
-    "async": AsyncAdmissionController,
-}
-
-
-@pytest.fixture(params=sorted(CONTROLLERS))
-def make_controller(request):
-    def factory(**kwargs):
-        return CONTROLLERS[request.param](**kwargs)
-
-    factory.flavour = request.param
-    return factory
-
-
 class TestControllerRateLimiting:
-    def test_burst_drain_then_429(self, make_controller):
+    def test_burst_drain_then_429(self):
         clock = FakeClock()
-        controller = make_controller(
+        controller = AsyncAdmissionController(
             max_inflight=64, client_rate=1.0, client_burst=3.0,
             clock=clock,
         )
         for _ in range(3):
-            decision = controller.admit("alice")
+            decision = controller.poll("alice")
             assert decision
             controller.release()
-        decision = controller.admit("alice")
+        decision = controller.poll("alice")
         assert not decision
         assert decision.status == 429
         assert decision.code == "rate_limited"
@@ -153,65 +135,56 @@ class TestControllerRateLimiting:
         assert decision.retry_after == pytest.approx(1.0)
         assert controller.rate_limited_total == 1
 
-    def test_steady_state_refill_readmits(self, make_controller):
+    def test_steady_state_refill_readmits(self):
         clock = FakeClock()
-        controller = make_controller(
+        controller = AsyncAdmissionController(
             max_inflight=64, client_rate=2.0, client_burst=1.0,
             clock=clock,
         )
-        assert controller.admit("bob")
+        assert controller.poll("bob")
         controller.release()
-        rejected = controller.admit("bob")
+        rejected = controller.poll("bob")
         assert rejected.status == 429
         clock.advance(rejected.retry_after)
-        assert controller.admit("bob")
+        assert controller.poll("bob")
         controller.release()
 
-    def test_rate_limit_is_per_client(self, make_controller):
+    def test_rate_limit_is_per_client(self):
         clock = FakeClock()
-        controller = make_controller(
+        controller = AsyncAdmissionController(
             max_inflight=64, client_rate=1.0, client_burst=1.0,
             clock=clock,
         )
-        assert controller.admit("alice")
+        assert controller.poll("alice")
         controller.release()
-        assert controller.admit("alice").status == 429
+        assert controller.poll("alice").status == 429
         # A different client still has its own full burst.
-        assert controller.admit("carol")
+        assert controller.poll("carol")
         controller.release()
 
-    def test_lru_eviction_at_max_clients(self, make_controller):
+    def test_lru_eviction_at_max_clients(self):
         clock = FakeClock()
-        controller = make_controller(
+        controller = AsyncAdmissionController(
             max_inflight=64, client_rate=1.0, client_burst=1.0,
             max_clients=2, clock=clock,
         )
         for client in ("a", "b"):
-            assert controller.admit(client)
+            assert controller.poll(client)
             controller.release()
         # "c" evicts "a" (the coldest); the evicted client returns
         # with a fresh burst instead of its spent one.
-        assert controller.admit("c")
+        assert controller.poll("c")
         controller.release()
         assert controller.stats()["clients_tracked"] == 2
-        assert controller.admit("a")
+        assert controller.poll("a")
         controller.release()
 
-    def test_draining_rejects_with_503(self, make_controller):
-        controller = make_controller(max_inflight=4)
+    def test_draining_rejects_with_503(self):
+        controller = AsyncAdmissionController(max_inflight=4)
         controller.begin_drain()
-        decision = controller.admit("any")
+        decision = controller.poll("any")
         assert decision.status == 503
         assert decision.code == "draining"
-
-    def test_stats_keys_identical_across_cores(self):
-        clock = FakeClock()
-        snapshots = [
-            cls(max_inflight=4, client_rate=1.0, clock=clock).stats()
-            for cls in CONTROLLERS.values()
-        ]
-        first, second = snapshots
-        assert first == second
 
 
 # ---------------------------------------------------------------------------

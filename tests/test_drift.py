@@ -21,8 +21,10 @@ from repro.obs.drift import (
     MAX_FLIP_EXAMPLES,
     compare_tables,
 )
-from repro.serve import OpinionService, build_server
+from repro.serve import OpinionService
 from repro.storage import save
+
+from .conftest import AsyncHarness
 
 CUTE = PropertyTypeKey(SubjectiveProperty("cute"), "animal")
 BIG = PropertyTypeKey(SubjectiveProperty("big"), "animal")
@@ -282,17 +284,10 @@ class TestServeDriftWiring:
     ):
         """Two differing generations end to end: boot on A, reload B
         over HTTP, and the non-zero flip gauge lands in /metrics."""
-        import threading
-
         path = save(BEFORE, tmp_path / "op.json")
         service = OpinionService(BEFORE, source_path=path)
-        server = build_server(service)
-        thread = threading.Thread(
-            target=server.serve_forever, daemon=True
-        )
-        thread.start()
-        base = f"http://127.0.0.1:{server.port}"
-        try:
+        with AsyncHarness(service) as harness:
+            base = harness.url
             save(FLIPPED, path)
             request = urllib.request.Request(
                 f"{base}/admin/reload", data=b"{}", method="POST"
@@ -312,7 +307,3 @@ class TestServeDriftWiring:
             ) as r:
                 health = json.loads(r.read())
             assert health["drift"]["flips"] == 1
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)

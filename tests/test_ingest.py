@@ -9,10 +9,10 @@ stat-cache, and the ``repro top`` ingest panel.
 
 from __future__ import annotations
 
+import asyncio
 import json
 import os
 import signal
-import threading
 import urllib.error
 import urllib.request
 
@@ -40,10 +40,9 @@ from repro.pipeline.faults import FaultInjector, InjectedFault
 from repro.serve import (
     OpinionService,
     ServeError,
-    build_server,
     documents_from_payload,
-    install_signal_handlers,
     load_provenance_sidecar,
+    serve_async,
 )
 from repro.storage import (
     FormatError,
@@ -51,6 +50,8 @@ from repro.storage import (
     provenance_path_for,
     save,
 )
+
+from .conftest import AsyncHarness
 
 
 def docs(*texts: str, prefix: str = "d") -> list[Document]:
@@ -520,20 +521,8 @@ def served_ingest(tmp_path, small_kb, cute_scenario):
         registry=MetricsRegistry(),
         ingest_pipeline=pipeline,
     )
-    server = build_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield (
-            service,
-            f"http://127.0.0.1:{server.port}",
-            corpus.documents[cut:],
-            path,
-        )
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+    with AsyncHarness(service) as harness:
+        yield service, harness.url, corpus.documents[cut:], path
 
 
 def get(url):
@@ -748,14 +737,33 @@ class TestSidecarCache:
         os.utime(
             sidecar, ns=(stat.st_atime_ns, stat.st_mtime_ns + 1_000)
         )
-        previous_hup = signal.getsignal(signal.SIGHUP)
-        previous_term = signal.getsignal(signal.SIGTERM)
-        try:
-            install_signal_handlers(service)
+
+        async def serve_then_hup():
+            started = asyncio.Event()
+            server = asyncio.ensure_future(
+                serve_async(
+                    service, quiet=True,
+                    on_started=lambda port: started.set(),
+                )
+            )
+            await started.wait()
             signal.raise_signal(signal.SIGHUP)
+            for _ in range(500):
+                if service.index.generation == 2:
+                    break
+                await asyncio.sleep(0.01)
+            signal.raise_signal(signal.SIGTERM)
+            return await server
+
+        previous = {
+            signum: signal.getsignal(signum)
+            for signum in (signal.SIGHUP, signal.SIGTERM, signal.SIGINT)
+        }
+        try:
+            assert asyncio.run(serve_then_hup()) == 0
         finally:
-            signal.signal(signal.SIGHUP, previous_hup)
-            signal.signal(signal.SIGTERM, previous_term)
+            for signum, handler in previous.items():
+                signal.signal(signum, handler)
         assert service.index.generation == 2
         assert service._load_sidecar(path) is not cached
 

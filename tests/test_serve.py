@@ -36,10 +36,11 @@ from repro.serve import (
     OpinionService,
     QueryCache,
     ServeError,
-    build_server,
     load_provenance_sidecar,
 )
 from repro.storage import provenance_path_for, save
+
+from .conftest import AsyncHarness
 
 CUTE = PropertyTypeKey(SubjectiveProperty("cute"), "animal")
 BIG = PropertyTypeKey(SubjectiveProperty("big"), "animal")
@@ -328,12 +329,14 @@ class TestOpinionService:
         assert response["hits"]
 
     def test_admission_control(self):
-        service = OpinionService(demo_table(), max_inflight=2)
-        assert service.admit()
-        assert service.admit()
-        assert not service.admit()
-        service.release()
-        assert service.admit()
+        service = OpinionService(
+            demo_table(), max_inflight=2, queue_depth=0
+        )
+        assert service.admission.poll()
+        assert service.admission.poll()
+        assert not service.admission.poll()
+        service.admission.release()
+        assert service.admission.poll()
 
     def test_batch_answers_and_reports_errors(self):
         service = OpinionService(demo_table())
@@ -454,15 +457,8 @@ def served(tmp_path):
         registry=registry,
         tracer=Tracer(enabled=True),
     )
-    server = build_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield service, f"http://127.0.0.1:{server.port}"
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+    with AsyncHarness(service) as harness:
+        yield service, harness.url
 
 
 def get(url):
@@ -589,7 +585,7 @@ class TestHTTPAPI:
         service, base = served
         # Exhaust every in-flight slot, as saturated handlers would.
         for _ in range(service.max_inflight):
-            assert service.admit()
+            assert service.admission.poll()
         try:
             with pytest.raises(urllib.error.HTTPError) as excinfo:
                 get(f"{base}/query?q=cute+animals")
@@ -600,7 +596,7 @@ class TestHTTPAPI:
             assert status == 200
         finally:
             for _ in range(service.max_inflight):
-                service.release()
+                service.admission.release()
         status, _, _ = get(f"{base}/query?q=cute+animals")
         assert status == 200
         assert service.registry.counter_value(
@@ -623,15 +619,8 @@ def served_with_lineage(tmp_path):
         source_path=path,
         provenance=load_provenance_sidecar(path),
     )
-    server = build_server(service)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    try:
-        yield service, f"http://127.0.0.1:{server.port}", path
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+    with AsyncHarness(service) as harness:
+        yield service, harness.url, path
 
 
 class TestExplainHTTP:

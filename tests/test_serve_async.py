@@ -1,13 +1,15 @@
 """Tests for the asyncio serving core and multi-worker runtime.
 
-The async core (:class:`AsyncReproServer`) must be a drop-in
-replacement for the threaded :class:`ReproServer`: same bytes on the
-wire for every route, same admission envelopes, same keep-alive
-semantics. These tests drive both cores over raw sockets and compare
-responses directly, then cover what is new in PR 10 — ungated probe
-routes under a saturated admission queue (the regression the issue
-calls out), and the :class:`WorkerRuntime` epoch/metrics protocol
-behind ``--workers N``.
+Wire bytes are pinned by ``tests/data/serve_wire.golden``: status,
+body, and the contract headers of every route in ``PARITY_CASES``,
+the ``/healthz`` shape, and the 429 envelope (recorded from the
+thread-per-connection server this core replaced, so the switch
+changed no byte a client sees). Then the HTTP/1.1 reader under
+hostile framing (sign/underscore and conflicting ``Content-Length``,
+``Transfer-Encoding``) and at every byte boundary, keep-alive
+semantics, ungated probe routes under a saturated admission queue,
+and the :class:`WorkerRuntime` epoch/metrics protocol behind
+``--workers N``.
 """
 
 from __future__ import annotations
@@ -16,16 +18,13 @@ import asyncio
 import json
 import pickle
 import socket
-import threading
+from pathlib import Path
 
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.serve import (
-    AsyncReproServer,
-    OpinionService,
-    build_server,
-)
+from repro.serve import AsyncReproServer, OpinionService
+from repro.serve.aio import MAX_HEADER_BYTES, HttpProtocol
 from repro.serve.workers import (
     WorkerRuntime,
     make_reuseport_socket,
@@ -33,63 +32,21 @@ from repro.serve.workers import (
     read_epoch,
 )
 
+from .conftest import AsyncHarness
 from .test_serve import demo_provenance, demo_table
 
+WIRE_GOLDEN = Path(__file__).parent / "data" / "serve_wire.golden"
+WIRE_HEADERS = ("content-type", "x-request-id", "x-cache", "retry-after")
+
+
+def _wire_golden() -> list[dict]:
+    with open(WIRE_GOLDEN, encoding="utf-8") as handle:
+        return [json.loads(line) for line in handle]
+
 
 # ---------------------------------------------------------------------------
-# Harnesses: one threaded server, one async server, raw-socket client
+# Raw-socket client
 # ---------------------------------------------------------------------------
-
-class ThreadedHarness:
-    def __init__(self, service):
-        self.service = service
-        self.server = build_server(service)
-        self.port = self.server.server_address[1]
-        self.thread = threading.Thread(
-            target=self.server.serve_forever, daemon=True
-        )
-        self.thread.start()
-
-    def close(self):
-        self.server.shutdown()
-        self.server.server_close()
-        self.thread.join(timeout=5)
-
-
-class AsyncHarness:
-    """:class:`AsyncReproServer` on a dedicated event-loop thread."""
-
-    def __init__(self, service):
-        self.service = service
-        self.server = AsyncReproServer(service)
-        self.loop = asyncio.new_event_loop()
-        self._ready = threading.Event()
-        self._stop = None
-        self.thread = threading.Thread(target=self._run, daemon=True)
-        self.thread.start()
-        assert self._ready.wait(timeout=10), "server failed to start"
-        self.port = self.server.port
-
-    def _run(self):
-        asyncio.set_event_loop(self.loop)
-        try:
-            self.loop.run_until_complete(self._main())
-        finally:
-            self.loop.close()
-
-    async def _main(self):
-        self._stop = asyncio.Event()
-        await self.server.start("127.0.0.1", 0)
-        self._ready.set()
-        await self._stop.wait()
-        self.server.close_listener()
-        self.server.close_connections()
-        await self.server.wait_closed()
-
-    def close(self):
-        self.loop.call_soon_threadsafe(self._stop.set)
-        self.thread.join(timeout=10)
-
 
 def _request_bytes(method, target, body=None, headers=None, keep=True):
     lines = [f"{method} {target} HTTP/1.1", "Host: test"]
@@ -150,19 +107,14 @@ def _demo_service():
 
 
 @pytest.fixture()
-def pair():
-    """A threaded and an async server over the same demo world."""
-    threaded = ThreadedHarness(_demo_service())
-    async_ = AsyncHarness(_demo_service())
-    try:
-        yield threaded, async_
-    finally:
-        threaded.close()
-        async_.close()
+def harness():
+    """The async server over the demo world."""
+    with AsyncHarness(_demo_service()) as served:
+        yield served
 
 
 # ---------------------------------------------------------------------------
-# Byte parity: every route identical across cores
+# Byte parity: every route matches the recorded wire golden
 # ---------------------------------------------------------------------------
 
 PARITY_CASES = [
@@ -186,73 +138,59 @@ class TestByteParity:
         PARITY_CASES,
         ids=[f"{m} {t}"[:60] for m, t, _ in PARITY_CASES],
     )
-    def test_routes_identical(self, pair, method, target, body):
-        threaded, async_ = pair
-        headers = {"X-Request-Id": "pin-0001"}
-        status_t, headers_t, body_t = http(
-            threaded.port, method, target, body, headers
+    def test_routes_identical(self, harness, method, target, body):
+        golden = {
+            json.dumps(line["request"]): line
+            for line in _wire_golden()
+            if "body" in line
+        }[json.dumps([method, target, body])]
+        status, headers, payload = http(
+            harness.port, method, target, body,
+            {"X-Request-Id": "pin-0001"},
         )
-        status_a, headers_a, body_a = http(
-            async_.port, method, target, body, headers
-        )
-        assert status_t == status_a
-        assert body_t == body_a
-        for name in (
-            "content-type",
-            "x-request-id",
-            "x-cache",
-            "retry-after",
-        ):
-            assert headers_t.get(name) == headers_a.get(name), name
+        assert status == golden["status"]
+        assert payload == golden["body"].encode("utf-8")
+        for name in WIRE_HEADERS:
+            assert headers.get(name) == golden["headers"][name], name
 
-    def test_healthz_same_shape(self, pair):
-        threaded, async_ = pair
-        _, _, body_t = http(threaded.port, "GET", "/healthz")
-        _, _, body_a = http(async_.port, "GET", "/healthz")
-        health_t, health_a = json.loads(body_t), json.loads(body_a)
-        assert health_t.keys() == health_a.keys()
-        for key in ("status", "generation", "opinions",
-                    "degraded_combinations"):
-            assert health_t[key] == health_a[key], key
+    def test_healthz_same_shape(self, harness):
+        golden = next(line for line in _wire_golden() if "keys" in line)
+        status, _, body = http(harness.port, "GET", "/healthz")
+        health = json.loads(body)
+        assert status == golden["status"]
+        assert sorted(health) == golden["keys"]
+        for key, value in golden["fields"].items():
+            assert health[key] == value, key
 
     def test_rate_limit_envelope_identical(self):
-        def burst(port):
-            headers = {
-                "X-Client-Id": "chatty",
-                "X-Request-Id": "pin-0002",
-            }
+        golden = next(
+            line for line in _wire_golden() if "envelope" in line
+        )
+        service = OpinionService(
+            demo_table(), client_rate=0.001, client_burst=2.0
+        )
+        headers = {"X-Client-Id": "chatty", "X-Request-Id": "pin-0002"}
+        with AsyncHarness(service) as served:
             responses = [
-                http(port, "GET", "/query?q=cute+animals",
+                http(served.port, "GET", "/query?q=cute+animals",
                      headers=headers)
                 for _ in range(3)
             ]
-            limited = [r for r in responses if r[0] == 429]
-            assert limited, "burst of 3 never hit the 2-token limit"
-            return limited[0]
-
-        def service():
-            return OpinionService(
-                demo_table(), client_rate=0.001, client_burst=2.0
-            )
-
-        threaded = ThreadedHarness(service())
-        async_ = AsyncHarness(service())
-        try:
-            status_t, headers_t, body_t = burst(threaded.port)
-            status_a, headers_a, body_a = burst(async_.port)
-        finally:
-            threaded.close()
-            async_.close()
-        assert status_t == status_a == 429
-        envelope_t, envelope_a = json.loads(body_t), json.loads(body_a)
-        # The retry hint is clock-derived (tokens refill between the
-        # two bursts), so compare it approximately and everything
-        # else exactly.
-        hint_t = envelope_t.pop("retry_after")
-        hint_a = envelope_a.pop("retry_after")
-        assert hint_t == pytest.approx(hint_a, rel=0.01)
-        assert envelope_t == envelope_a
-        assert headers_t["retry-after"] == headers_a["retry-after"]
+        limited = [r for r in responses if r[0] == 429]
+        assert limited, "burst of 3 never hit the 2-token limit"
+        status, response_headers, body = limited[0]
+        envelope = json.loads(body)
+        # The retry hint is clock-derived (tokens refill between
+        # requests); everything else is pinned exactly.
+        assert envelope.pop("retry_after") == pytest.approx(
+            1000.0, rel=0.01
+        )
+        assert status == golden["status"]
+        assert envelope == golden["envelope"]
+        for name in WIRE_HEADERS:
+            assert (
+                response_headers.get(name) == golden["headers"][name]
+            ), name
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +198,9 @@ class TestByteParity:
 # ---------------------------------------------------------------------------
 
 class TestAsyncCore:
-    def test_keepalive_and_cache_header(self, pair):
-        _, async_ = pair
+    def test_keepalive_and_cache_header(self, harness):
         sock = socket.create_connection(
-            ("127.0.0.1", async_.port), timeout=5
+            ("127.0.0.1", harness.port), timeout=5
         )
         try:
             status1, headers1, body1 = http_on(
@@ -279,25 +216,216 @@ class TestAsyncCore:
         assert headers2["x-cache"] == "hit"
         assert body1 == body2
 
-    def test_connection_close_honoured(self, pair):
-        _, async_ = pair
+    def test_connection_close_honoured(self, harness):
         _, headers, _ = http(
-            async_.port, "GET", "/query?q=cute+animals", keep=False
+            harness.port, "GET", "/query?q=cute+animals", keep=False
         )
         assert headers.get("connection") == "close"
 
-    def test_draining_rejects_queries_with_503(self, pair):
-        _, async_ = pair
-        async_.service.admission.begin_drain()
+    def test_draining_rejects_queries_with_503(self, harness):
+        harness.service.admission.begin_drain()
         status, _, body = http(
-            async_.port, "GET", "/query?q=cute+animals"
+            harness.port, "GET", "/query?q=cute+animals"
         )
         assert status == 503
         assert json.loads(body)["code"] == "draining"
         # The health probe still answers, reporting the drain.
-        status, _, body = http(async_.port, "GET", "/healthz")
+        status, _, body = http(harness.port, "GET", "/healthz")
         assert status == 200
         assert json.loads(body)["status"] == "draining"
+
+
+# ---------------------------------------------------------------------------
+# The HTTP/1.1 reader under hostile framing
+# ---------------------------------------------------------------------------
+
+def _parse_responses(data: bytes) -> list[tuple[int, dict, bytes]]:
+    """Split a byte stream into ``(status, headers, body)`` triples."""
+    responses = []
+    while data:
+        head, _, rest = data.partition(b"\r\n\r\n")
+        lines = head.split(b"\r\n")
+        headers = {}
+        for line in lines[1:]:
+            key, _, value = line.partition(b": ")
+            headers[key.decode().lower()] = value.decode()
+        length = int(headers["content-length"])
+        responses.append(
+            (int(lines[0].split()[1]), headers, rest[:length])
+        )
+        data = rest[length:]
+    return responses
+
+
+def exchange(port: int, raw: bytes) -> tuple[list, bool]:
+    """Send raw bytes; return the parsed responses and whether the
+    server closed the connection (rather than leaving it idle)."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=5)
+    sock.settimeout(1.0)
+    received = b""
+    closed = False
+    try:
+        sock.sendall(raw)
+        while True:
+            try:
+                chunk = sock.recv(65536)
+            except socket.timeout:
+                break
+            if not chunk:
+                closed = True
+                break
+            received += chunk
+    finally:
+        sock.close()
+    return _parse_responses(received), closed
+
+
+HIDDEN = b"POST /admin/rollback HTTP/1.1\r\n\r\n"
+
+
+class TestHostileFraming:
+    def test_negative_content_length_cannot_smuggle(self, harness):
+        """A negative length used to rewind the parser into the
+        request's own head, running the hidden last "header" line
+        as a second request."""
+        raw = (
+            b"GET /healthz HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: -%d\r\n" % len(HIDDEN)
+            + HIDDEN
+        )
+        responses, closed = exchange(harness.port, raw)
+        assert [r[0] for r in responses] == [400]
+        assert closed
+        assert b"malformed Content-Length" in responses[0][2]
+        assert harness.service.index.generation == 1
+
+    @pytest.mark.parametrize("length", [b"+2", b"0_2", b" 2x", b""])
+    def test_content_length_must_be_digits(self, harness, length):
+        raw = (
+            b"POST /batch HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: " + length + b"\r\n\r\n{}"
+        )
+        responses, closed = exchange(harness.port, raw)
+        assert [r[0] for r in responses] == [400]
+        assert json.loads(responses[0][2])["code"] == "bad_request"
+        assert closed
+
+    def test_conflicting_content_lengths_are_rejected(self, harness):
+        raw = (
+            b"POST /batch HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: 0\r\nContent-Length: 2\r\n\r\n{}"
+        )
+        responses, closed = exchange(harness.port, raw)
+        assert [r[0] for r in responses] == [400]
+        assert b"conflicting Content-Length" in responses[0][2]
+        assert closed
+
+    def test_agreeing_content_lengths_are_accepted(self, harness):
+        body = b'{"queries": ["cute animals"]}'
+        raw = (
+            b"POST /batch HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Length: %d\r\nContent-Length: %d\r\n"
+            b"Connection: close\r\n\r\n" % (len(body), len(body))
+            + body
+        )
+        responses, _ = exchange(harness.port, raw)
+        assert [r[0] for r in responses] == [200]
+
+    def test_oversized_head_is_rejected(self, harness):
+        raw = (
+            b"GET /healthz HTTP/1.1\r\nX-Pad: "
+            + b"a" * (MAX_HEADER_BYTES + 1)
+        )
+        responses, closed = exchange(harness.port, raw)
+        assert [r[0] for r in responses] == [400]
+        assert b"request head too large" in responses[0][2]
+        assert closed
+
+    def test_transfer_encoding_is_refused(self, harness):
+        """A chunked body left unread would be parsed as the next
+        request on the keep-alive connection."""
+        chunk = b'{"queries": ["cute animals"]}'
+        raw = (
+            b"POST /batch HTTP/1.1\r\nHost: test\r\n"
+            b"Transfer-Encoding: chunked\r\n\r\n"
+            b"%x\r\n" % len(chunk) + chunk + b"\r\n0\r\n\r\n"
+        )
+        responses, closed = exchange(harness.port, raw)
+        assert [r[0] for r in responses] == [501]
+        envelope = json.loads(responses[0][2])
+        assert envelope["code"] == "not_implemented"
+        assert envelope["format"] == "serve_error"
+        assert closed
+
+
+class _StubTransport:
+    """Records writes; enough of :class:`asyncio.Transport` for
+    :class:`HttpProtocol`."""
+
+    def __init__(self):
+        self.written = b""
+        self.closing = False
+
+    def write(self, data):
+        self.written += data
+
+    def close(self):
+        self.closing = True
+
+    def is_closing(self):
+        return self.closing
+
+    def pause_reading(self):
+        pass
+
+    def resume_reading(self):
+        pass
+
+    def get_extra_info(self, name):
+        return ("127.0.0.1", 40000) if name == "peername" else None
+
+
+PIPELINED = (
+    _request_bytes(
+        "GET", "/query?q=cute+animals&top=2",
+        headers={"X-Request-Id": "split-1"},
+    )
+    + _request_bytes(
+        "POST", "/batch", {"queries": ["cute animals", "calm cities"]},
+        headers={"X-Request-Id": "split-2"},
+    )
+)
+
+
+def _feed(chunks: list[bytes]) -> bytes:
+    """Drive one fresh connection with ``chunks``; the bytes written."""
+
+    async def scenario():
+        server = AsyncReproServer(_demo_service())
+        server.loop = asyncio.get_running_loop()
+        protocol = HttpProtocol(server)
+        transport = _StubTransport()
+        protocol.connection_made(transport)
+        for chunk in chunks:
+            protocol.data_received(chunk)
+        return transport.written
+
+    return asyncio.run(scenario())
+
+
+class TestByteBoundaries:
+    def test_every_split_point_gives_the_same_responses(self):
+        whole = _feed([PIPELINED])
+        statuses = [r[0] for r in _parse_responses(whole)]
+        assert statuses == [200, 200]
+        for cut in range(1, len(PIPELINED)):
+            split = _feed([PIPELINED[:cut], PIPELINED[cut:]])
+            assert split == whole, f"split at byte {cut}"
+
+    def test_byte_at_a_time(self):
+        assert _feed(
+            [PIPELINED[i:i + 1] for i in range(len(PIPELINED))]
+        ) == _feed([PIPELINED])
 
 
 # ---------------------------------------------------------------------------
@@ -306,38 +434,32 @@ class TestAsyncCore:
 
 class TestUngatedUnderSaturation:
     """/healthz and /metrics must never 429/503, even with every
-    admission slot held and the wait queue full — on both cores."""
+    admission slot held and the wait queue full."""
 
-    @pytest.mark.parametrize("flavour", ["threaded", "async"])
-    def test_probes_survive_saturated_admission(self, flavour):
+    def test_probes_survive_saturated_admission(self):
         service = OpinionService(
             demo_table(), max_inflight=1, queue_depth=0
         )
-        harness = (
-            ThreadedHarness(service)
-            if flavour == "threaded"
-            else AsyncHarness(service)
-        )
-        try:
+        with AsyncHarness(service) as served:
             # Hold the only slot from outside, as a stuck in-flight
             # request would.
-            assert service.admission.admit()
+            assert service.admission.poll()
             try:
                 status, _, body = http(
-                    harness.port, "GET", "/query?q=cute+animals"
+                    served.port, "GET", "/query?q=cute+animals"
                 )
                 assert status == 503
                 assert json.loads(body)["code"] == "overloaded"
                 for _ in range(3):
                     status, _, body = http(
-                        harness.port, "GET", "/healthz"
+                        served.port, "GET", "/healthz"
                     )
                     assert status == 200
                     health = json.loads(body)
                     assert health["status"] == "healthy"
                     assert health["admission"]["inflight"] == 1
                     status, _, body = http(
-                        harness.port, "GET", "/metrics"
+                        served.port, "GET", "/metrics"
                     )
                     assert status == 200
                     assert b"repro_serve" in body
@@ -345,41 +467,31 @@ class TestUngatedUnderSaturation:
                 service.admission.release()
             # With the slot back, queries flow again.
             status, _, _ = http(
-                harness.port, "GET", "/query?q=cute+animals"
+                served.port, "GET", "/query?q=cute+animals"
             )
             assert status == 200
-        finally:
-            harness.close()
 
-    @pytest.mark.parametrize("flavour", ["threaded", "async"])
-    def test_probes_ignore_client_rate_limits(self, flavour):
+    def test_probes_ignore_client_rate_limits(self):
         service = OpinionService(
             demo_table(), client_rate=0.001, client_burst=1.0
         )
-        harness = (
-            ThreadedHarness(service)
-            if flavour == "threaded"
-            else AsyncHarness(service)
-        )
         headers = {"X-Client-Id": "greedy"}
-        try:
+        with AsyncHarness(service) as served:
             assert http(
-                harness.port, "GET", "/query?q=cute+animals",
+                served.port, "GET", "/query?q=cute+animals",
                 headers=headers,
             )[0] == 200
             assert http(
-                harness.port, "GET", "/query?q=cute+animals&top=2",
+                served.port, "GET", "/query?q=cute+animals&top=2",
                 headers=headers,
             )[0] == 429
             # The exhausted client can still probe health and metrics.
             assert http(
-                harness.port, "GET", "/healthz", headers=headers
+                served.port, "GET", "/healthz", headers=headers
             )[0] == 200
             assert http(
-                harness.port, "GET", "/metrics", headers=headers
+                served.port, "GET", "/metrics", headers=headers
             )[0] == 200
-        finally:
-            harness.close()
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ with the always-keep-slow tail rule, and the ``repro top`` console
 from __future__ import annotations
 
 import json
-import threading
 import time
 import urllib.error
 import urllib.request
@@ -40,9 +39,10 @@ from repro.obs.live import BurnHistory, Sample, render_frame
 from repro.serve import (
     AccessLog,
     OpinionService,
-    build_server,
     read_access_log,
 )
+
+from .conftest import AsyncHarness
 
 CUTE = PropertyTypeKey(SubjectiveProperty("cute"), "animal")
 
@@ -95,17 +95,10 @@ def served(tmp_path):
         tracer=Tracer(enabled=True),
         access_log=access_log,
     )
-    server = build_server(service)
-    thread = threading.Thread(
-        target=server.serve_forever, daemon=True
-    )
-    thread.start()
     try:
-        yield service, f"http://127.0.0.1:{server.port}"
+        with AsyncHarness(service) as harness:
+            yield service, harness.url
     finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
         access_log.close()
 
 

@@ -9,6 +9,7 @@ byte-identical), and graceful drain on SIGTERM.
 
 from __future__ import annotations
 
+import asyncio
 import http.client
 import json
 import os
@@ -33,7 +34,7 @@ from repro.core import (
 )
 from repro.obs import MetricsRegistry
 from repro.serve import (
-    AdmissionController,
+    AsyncAdmissionController,
     CircuitBreaker,
     Deadline,
     DeadlineExceeded,
@@ -42,11 +43,12 @@ from repro.serve import (
     ServeError,
     ServeFaultInjector,
     TokenBucket,
-    build_server,
     error_response,
 )
 from repro.serve.faults import InjectedDisconnect
 from repro.storage import save
+
+from .conftest import AsyncHarness
 
 GOLDEN = Path(__file__).parent / "data" / "serve_error.golden"
 
@@ -191,83 +193,86 @@ class TestCircuitBreaker:
 
 
 # ---------------------------------------------------------------------------
-# AdmissionController
+# AsyncAdmissionController
 # ---------------------------------------------------------------------------
 
 class TestAdmissionController:
     def test_slots_then_queue_then_shed(self):
-        controller = AdmissionController(
+        controller = AsyncAdmissionController(
             2, queue_depth=0, queue_timeout=0.0
         )
-        first, second = controller.admit(), controller.admit()
+        first, second = controller.poll(), controller.poll()
         assert first and second
-        shed = controller.admit()
+        shed = controller.poll()
         assert not shed
         assert shed.status == 503
         assert shed.code == "overloaded"
         assert shed.retry_after == 1.0
         controller.release()
-        assert controller.admit()
+        assert controller.poll()
         controller.release()
         controller.release()
         assert controller.inflight == 0
 
     def test_queue_absorbs_a_released_slot(self):
-        controller = AdmissionController(
-            1, queue_depth=1, queue_timeout=5.0
-        )
-        assert controller.admit()
-        admitted: list = []
+        async def scenario():
+            controller = AsyncAdmissionController(
+                1, queue_depth=1, queue_timeout=5.0
+            )
+            assert controller.poll()
+            assert controller.poll() is None  # room in the queue
+            waiter = asyncio.ensure_future(controller.wait_for_slot())
+            await asyncio.sleep(0)  # let the waiter park
+            controller.release()
+            return await waiter
 
-        def waiter():
-            admitted.append(controller.admit())
-
-        thread = threading.Thread(target=waiter)
-        thread.start()
-        time.sleep(0.05)  # let the waiter park in the queue
-        controller.release()
-        thread.join(timeout=5)
-        assert admitted and admitted[0].admitted
+        assert asyncio.run(scenario()).admitted
 
     def test_per_client_rate_limit_and_isolation(self):
         clock = FakeClock()
-        controller = AdmissionController(
+        controller = AsyncAdmissionController(
             8, client_rate=1.0, client_burst=2, clock=clock
         )
-        assert controller.admit("alice")
-        assert controller.admit("alice")
-        limited = controller.admit("alice")
+        assert controller.poll("alice")
+        assert controller.poll("alice")
+        limited = controller.poll("alice")
         assert not limited
         assert limited.status == 429
         assert limited.code == "rate_limited"
         assert limited.retry_after == pytest.approx(1.0)
         # A different client has its own bucket.
-        assert controller.admit("bob")
+        assert controller.poll("bob")
         clock.advance(1.0)
-        assert controller.admit("alice")
+        assert controller.poll("alice")
         assert controller.rate_limited_total == 1
 
     def test_client_buckets_are_lru_bounded(self):
-        controller = AdmissionController(
+        controller = AsyncAdmissionController(
             64, client_rate=1.0, max_clients=4
         )
         for i in range(10):
-            decision = controller.admit(f"client-{i}")
+            decision = controller.poll(f"client-{i}")
             assert decision
             controller.release()
         assert controller.stats()["clients_tracked"] == 4
 
     def test_draining_rejects_and_wait_idle(self):
-        controller = AdmissionController(4)
-        assert controller.admit()
-        controller.begin_drain()
-        refused = controller.admit()
-        assert not refused
-        assert refused.status == 503
-        assert refused.code == "draining"
-        assert not controller.wait_idle(timeout=0.05)
-        controller.release()
-        assert controller.wait_idle(timeout=5)
+        async def scenario():
+            controller = AsyncAdmissionController(4)
+            assert controller.poll()
+            controller.begin_drain()
+            refused = controller.poll()
+            assert not refused
+            assert refused.status == 503
+            assert refused.code == "draining"
+            assert not await controller.wait_idle_async(timeout=0.05)
+            asyncio.get_running_loop().call_later(
+                0.01, controller.release
+            )
+            assert await controller.wait_idle_async(timeout=5)
+            assert controller.inflight == 0
+
+        asyncio.run(scenario())
 
 
 # ---------------------------------------------------------------------------
@@ -485,15 +490,6 @@ class TestCacheStalePutGuard:
 # HTTP surface: envelopes, deadlines, rate limits, rollback route
 # ---------------------------------------------------------------------------
 
-def serve(service):
-    server = build_server(service)
-    thread = threading.Thread(
-        target=server.serve_forever, daemon=True
-    )
-    thread.start()
-    return server, thread, f"http://127.0.0.1:{server.port}"
-
-
 def get(url, headers=None):
     request = urllib.request.Request(url, headers=headers or {})
     try:
@@ -531,8 +527,8 @@ class TestHTTPResilience:
     def test_error_envelope_shape_everywhere(self, tmp_path):
         path = save(demo_table(), tmp_path / "op.json")
         service = OpinionService(demo_table(), source_path=path)
-        server, thread, base = serve(service)
-        try:
+        with AsyncHarness(service) as harness:
+            base = harness.url
             cases = [
                 get(f"{base}/query?q=%21%21"),           # 400
                 get(f"{base}/nope"),                      # 404
@@ -551,10 +547,6 @@ class TestHTTPResilience:
                 assert set(payload) == ENVELOPE_KEYS
                 # HTTP-side envelopes always carry the real id.
                 assert payload["request_id"]
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
 
     def test_deadline_exceeded_is_503_with_retry_after(
         self, tmp_path
@@ -567,8 +559,8 @@ class TestHTTPResilience:
             request_deadline=0.05,
             fault_injector=injector,
         )
-        server, thread, base = serve(service)
-        try:
+        with AsyncHarness(service) as harness:
+            base = harness.url
             status, headers, body = get(
                 f"{base}/query?q=cute+animals"
             )
@@ -579,17 +571,13 @@ class TestHTTPResilience:
             assert service.registry.counter_value(
                 "repro_serve_deadline_exceeded_total"
             ) == 1
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
 
     def test_per_client_429_with_client_header(self, tmp_path):
         service = OpinionService(
             demo_table(), client_rate=0.001, client_burst=2
         )
-        server, thread, base = serve(service)
-        try:
+        with AsyncHarness(service) as harness:
+            base = harness.url
             url = f"{base}/query?q=cute+animals"
             noisy = {"X-Client-Id": "noisy"}
             assert get(url, noisy)[0] == 200
@@ -604,10 +592,6 @@ class TestHTTPResilience:
             assert service.registry.counter_value(
                 "repro_serve_rate_limited_total"
             ) == 1
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
 
     def test_reload_rollback_cycle_over_http(self, tmp_path):
         path = save(demo_table(), tmp_path / "op.json")
@@ -615,8 +599,8 @@ class TestHTTPResilience:
         service = OpinionService(
             demo_table(), source_path=path, fault_injector=injector
         )
-        server, thread, base = serve(service)
-        try:
+        with AsyncHarness(service) as harness:
+            base = harness.url
             # Ordinal 0 fires: the reload is sabotaged.
             status, payload = post(f"{base}/admin/reload")
             assert status == 500
@@ -639,10 +623,6 @@ class TestHTTPResilience:
             status, payload = post(f"{base}/admin/reload")
             assert status == 200
             assert payload["generation"] == 2
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
 
     def test_disconnect_fault_is_not_an_error_5xx(self, tmp_path):
         injector = ServeFaultInjector(
@@ -651,8 +631,8 @@ class TestHTTPResilience:
         service = OpinionService(
             demo_table(), fault_injector=injector
         )
-        server, thread, base = serve(service)
-        try:
+        with AsyncHarness(service) as harness:
+            base = harness.url
             with pytest.raises(
                 (http.client.HTTPException, OSError)
             ):
@@ -663,10 +643,6 @@ class TestHTTPResilience:
             assert service.registry.counter_value(
                 "repro_serve_faults_injected_total"
             ) == 1
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
 
 
 # ---------------------------------------------------------------------------
@@ -703,8 +679,8 @@ class TestErrorEnvelopeGolden:
         request id — normalising the id back to null must restore the
         golden bytes exactly."""
         service = OpinionService(demo_table())
-        server, thread, base = serve(service)
-        try:
+        with AsyncHarness(service) as harness:
+            base = harness.url
             status, headers, body = get(f"{base}/query?q=%21%21")
             assert status == 400
             payload = json.loads(body)
@@ -714,10 +690,6 @@ class TestErrorEnvelopeGolden:
                 json.dumps(payload, sort_keys=True)
                 == GOLDEN.read_text().strip()
             )
-        finally:
-            server.shutdown()
-            server.server_close()
-            thread.join(timeout=5)
 
 
 # ---------------------------------------------------------------------------
@@ -915,9 +887,9 @@ class TestGracefulDrain:
                         raise
                     time.sleep(0.05)
 
-            # A keep-alive connection opened BEFORE the SIGTERM: its
-            # handler thread outlives the accept loop, so it can still
-            # observe /healthz while the server drains.
+            # A keep-alive connection opened BEFORE the SIGTERM stays
+            # open after the listener closes, so it can still observe
+            # /healthz while the server drains.
             probe = http.client.HTTPConnection(
                 "127.0.0.1", port, timeout=10
             )
