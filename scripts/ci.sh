@@ -530,9 +530,10 @@ python -m repro bench compare "$CHAOS_BENCH_DIR"/BENCH_*.json \
 echo "== ingest lane (journal bootstrap, live append, hot publish) =="
 # Streaming ingestion end to end (docs/ingestion.md): journal-first
 # bootstrap with `repro ingest`, a live POST /admin/ingest whose new
-# answer must be served as soon as the call returns, and a second
+# answer must be served as soon as the call returns, a second
 # CLI-journal publish picked up by /admin/reload (which must re-read
-# the rewritten provenance sidecar).
+# the rewritten provenance sidecar), and a restart on the same journal
+# that must come back at the same generation with the same answers.
 INGEST_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_DIR" "$BENCH_DIR" "$PARITY_DIR" "$SERVE_DIR" "$CHAOS_BENCH_DIR" "$INGEST_DIR"' EXIT
 printf '%s\n' \
@@ -550,13 +551,16 @@ import json, subprocess, sys, time, urllib.request
 
 ingest_dir = sys.argv[1]
 opinions = f"{ingest_dir}/opinions.json"
-proc = subprocess.Popen(
-    [sys.executable, "-m", "repro", "serve", opinions, "--port", "0",
-     "--ingest-journal", f"{ingest_dir}/journal",
-     "--ingest-threshold", "1"],
-    stderr=subprocess.PIPE, text=True,
-)
-try:
+
+
+def boot():
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", opinions,
+         "--port", "0",
+         "--ingest-journal", f"{ingest_dir}/journal",
+         "--ingest-threshold", "1"],
+        stderr=subprocess.PIPE, text=True,
+    )
     for _ in range(5):
         banner = proc.stderr.readline()
         if "repro serve: serving" in banner:
@@ -564,6 +568,22 @@ try:
     assert "repro serve: serving" in banner, banner
     port = int(banner.rsplit(":", 1)[1])
     base = f"http://127.0.0.1:{port}"
+    deadline = time.monotonic() + 10
+    while True:
+        try:
+            urllib.request.urlopen(base + "/healthz", timeout=10).close()
+            return proc, base
+        except OSError:
+            if time.monotonic() > deadline:
+                raise
+            time.sleep(0.05)
+
+
+proc, base = boot()
+try:
+    def raw(path):
+        with urllib.request.urlopen(base + path, timeout=10) as r:
+            return r.read()
 
     def get(path):
         with urllib.request.urlopen(base + path, timeout=10) as r:
@@ -577,15 +597,7 @@ try:
         with urllib.request.urlopen(req, timeout=60) as r:
             return r.status, json.loads(r.read())
 
-    deadline = time.monotonic() + 10
-    while True:
-        try:
-            status, health = get("/healthz")
-            break
-        except OSError:
-            if time.monotonic() > deadline:
-                raise
-            time.sleep(0.05)
+    status, health = get("/healthz")
     assert health["generation"] == 1, health
 
     # Live append: the moment the POST returns, the refitted answer
@@ -636,6 +648,24 @@ try:
     assert status == 200, explain
     assert explain["lineage"]["available"] is True, explain
     assert explain["polarity"] == "-", explain
+    before = {
+        path: raw(path)
+        for path in ("/query?q=dangerous+animals",
+                     "/explain?entity=/animal/spider&property=cute")
+    }
+
+    proc.terminate()
+    stderr = proc.communicate(timeout=10)[1]
+    assert proc.returncode == 0, (proc.returncode, stderr)
+
+    # Restart on the same journal: the server must come back from the
+    # state.json and artefacts the ingests wrote, at the same
+    # generation and with the same answers.
+    proc, base = boot()
+    status, health = get("/healthz")
+    assert health["generation"] == 3, health
+    for path, body in before.items():
+        assert raw(path) == body, (path, body, raw(path))
 
     proc.terminate()
     stderr = proc.communicate(timeout=10)[1]

@@ -83,6 +83,23 @@ class EvidenceCounter:
         for statement in statements:
             self.add(statement)
 
+    def seed_pair(
+        self,
+        key: PropertyTypeKey,
+        entity_id: str,
+        positive: int,
+        negative: int,
+    ) -> None:
+        """Add one pair's counts in a single step — the same totals as
+        ``positive + negative`` calls to :meth:`add`, and like zero
+        calls, a ⟨0, 0⟩ pair adds no slot (used by the loaders)."""
+        if not positive and not negative:
+            return
+        slot = self._slot(key, entity_id)
+        slot[0] += positive
+        slot[1] += negative
+        self._n_statements += positive + negative
+
     def __eq__(self, other: object) -> bool:
         """Exact count equality — the strict-parity assertion."""
         if not isinstance(other, EvidenceCounter):

@@ -42,7 +42,7 @@ from ..extraction.provenance import ProvenanceLedger
 from ..extraction.statement import EvidenceCounter
 from ..storage.serialize import (
     FormatError,
-    _atomic_write_text,
+    _atomic_write_json,
     _key_from_str,
     _key_to_str,
     evidence_from_dict,
@@ -188,11 +188,9 @@ def state_path_for(journal_dir: str | Path) -> Path:
 
 
 def save_state(state: IngestState, journal_dir: str | Path) -> Path:
-    path = state_path_for(journal_dir)
-    _atomic_write_text(
-        path, json.dumps(state.to_dict(), indent=1, sort_keys=True)
+    return _atomic_write_json(
+        state_path_for(journal_dir), state.to_dict()
     )
-    return path
 
 
 def load_state(journal_dir: str | Path) -> IngestState:

@@ -10,6 +10,7 @@ summary.
 
 from __future__ import annotations
 
+import functools
 import json
 import subprocess
 import sys
@@ -17,13 +18,20 @@ import time
 from pathlib import Path
 from typing import Any
 
+from ..storage.serialize import _atomic_write_json
+
 MANIFEST_FORMAT = "run_manifest"
 MANIFEST_VERSION = 1
 
 
+@functools.cache
 def git_describe() -> str | None:
     """``git describe --always --dirty`` of the source tree, or None
-    outside a checkout / without git."""
+    outside a checkout / without git.
+
+    Run once per process and cached: a long-lived server publishing
+    on every ingest would otherwise fork ``git`` per publish.
+    """
     try:
         result = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -90,12 +98,9 @@ def manifest_path_for(artefact: str | Path) -> Path:
 def write_manifest(
     path: str | Path, payload: dict[str, Any]
 ) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    )
-    return path
+    """Atomically write a manifest (temp file + rename), so a reader
+    racing a publish never sees a torn file."""
+    return _atomic_write_json(path, payload)
 
 
 def read_manifest(path: str | Path) -> dict[str, Any]:

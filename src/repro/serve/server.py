@@ -310,7 +310,13 @@ class OpinionService:
         # ingests and file reloads interleave safely.
         self._ingest_lock = threading.Lock()
         self.ingest_pipeline = ingest_pipeline
-        self._index = OpinionIndex(table, generation=1)
+        # A server restarted on an ingest journal serves the table
+        # its last advance published, so it resumes that generation
+        # number rather than restarting the count at 1.
+        generation = 1
+        if ingest_pipeline is not None:
+            generation = max(1, ingest_pipeline.state.generation)
+        self._index = OpinionIndex(table, generation=generation)
         self._current_table = table
         self._current_source = self.source_path
         self._current_provenance = provenance

@@ -3,8 +3,10 @@
 A deployment mines opinions once and serves them for months; this
 module provides stable, versioned JSON round-trips for the knowledge
 base, aggregated evidence, fitted model parameters, and the opinion
-table. Formats are line-oriented-friendly dicts (no custom classes in
-the payload) so files stay diffable and language-agnostic.
+table. Payloads are plain dicts (no custom classes), written as compact
+JSON with sorted keys: deterministic, language-agnostic, and readable
+through ``python -m json.tool``. Loaders ignore whitespace, so files
+written in the older indented layout still load.
 """
 
 from __future__ import annotations
@@ -127,29 +129,41 @@ def evidence_to_dict(counter: EvidenceCounter) -> dict[str, Any]:
     }
 
 
+def _evidence_count(value: Any) -> int:
+    # ``type(...) is int`` rather than isinstance: JSON true/false load
+    # as bools, which are ints to isinstance but never a count.
+    if type(value) is not int or value < 0:
+        raise FormatError(
+            f"evidence count must be a non-negative integer, "
+            f"got {value!r}"
+        )
+    return value
+
+
 def evidence_from_dict(payload: dict[str, Any]) -> EvidenceCounter:
+    """Rebuild a counter in one step per pair (not per statement), so
+    loading costs O(pairs) whatever the counts; malformed counts raise
+    :class:`FormatError`."""
     _check_version(payload, "evidence")
     counter = EvidenceCounter()
-    from ..core.types import Polarity
-    from ..extraction.statement import EvidenceStatement
-
     for key_text, per_entity in payload["combinations"].items():
         key = _key_from_str(key_text)
-        for entity_id, (positive, negative) in per_entity.items():
-            for polarity, count in (
-                (Polarity.POSITIVE, positive),
-                (Polarity.NEGATIVE, negative),
-            ):
-                for _ in range(int(count)):
-                    counter.add(
-                        EvidenceStatement(
-                            entity_id=entity_id,
-                            entity_type=key.entity_type,
-                            property=key.property,
-                            polarity=polarity,
-                            pattern="loaded",
-                        )
-                    )
+        if not isinstance(per_entity, dict):
+            raise FormatError(
+                f"evidence for {key_text!r}: expected an object"
+            )
+        for entity_id, pair in per_entity.items():
+            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                raise FormatError(
+                    f"evidence for {key_text!r}/{entity_id!r}: "
+                    f"expected a [positive, negative] pair, got {pair!r}"
+                )
+            counter.seed_pair(
+                key,
+                entity_id,
+                _evidence_count(pair[0]),
+                _evidence_count(pair[1]),
+            )
     return counter
 
 
@@ -383,14 +397,12 @@ def save_shard_checkpoint(
     half-written checkpoint behind — the next run sees either the
     complete file or nothing.
     """
-    path = Path(path)
-    payload = shard_checkpoint_to_dict(
-        shard_id, counter, dead_letters, provenance
+    return _atomic_write_json(
+        path,
+        shard_checkpoint_to_dict(
+            shard_id, counter, dead_letters, provenance
+        ),
     )
-    _atomic_write_text(
-        path, json.dumps(payload, indent=1, sort_keys=True)
-    )
-    return path
 
 
 def load_shard_checkpoint(
@@ -485,19 +497,35 @@ _LOADERS = {
 }
 
 
-def _atomic_write_text(path: Path, text: str) -> None:
-    """Write via a sibling temp file and rename, so readers never see
-    a torn file even if the process dies mid-write."""
+def _atomic_write_json(path: str | Path, payload: Any) -> Path:
+    """The one writer for durable machine artefacts.
+
+    Compact separators keep ``json.dumps`` on CPython's C encoder
+    (any ``indent`` drops it to the pure-Python one); sorted keys keep
+    the bytes deterministic. Payloads are fresh trees of primitives
+    built by the ``*_to_dict`` functions, so the encoder's per-container
+    cycle bookkeeping is skipped (``check_circular=False``, ~15% of
+    encode time). Written via a sibling temp file and rename, so
+    readers never see a torn file even if the process dies mid-write.
+    """
+    path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    tmp.write_text(
+        json.dumps(
+            payload,
+            sort_keys=True,
+            separators=(",", ":"),
+            check_circular=False,
+        )
+    )
     os.replace(tmp, path)
+    return path
 
 
 def save(obj: Any, path: str | Path) -> Path:
     """Serialize a KB, evidence counter, opinion table, or a
     ``{key: ModelParameters}`` mapping to a JSON file."""
-    path = Path(path)
     if isinstance(obj, dict):
         payload = parameters_to_dict(obj)
     else:
@@ -507,10 +535,7 @@ def save(obj: Any, path: str | Path) -> Path:
                 break
         else:
             raise TypeError(f"cannot serialize {type(obj).__name__}")
-    _atomic_write_text(
-        path, json.dumps(payload, indent=1, sort_keys=True)
-    )
-    return path
+    return _atomic_write_json(path, payload)
 
 
 def load(path: str | Path) -> Any:

@@ -12,14 +12,17 @@ from __future__ import annotations
 import asyncio
 import json
 import os
+import shutil
 import signal
+import subprocess
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
 from repro.corpus import CorpusGenerator, NoiseProfile
-from repro.corpus.document import Document
+from repro.corpus.document import Document, WebCorpus
 from repro.evaluation.harness import (
     EVALUATION_TYPES,
     EvaluationHarness,
@@ -32,9 +35,14 @@ from repro.ingest import (
     load_state,
     state_path_for,
 )
+from repro.kb.seeds import evaluation_kb
 from repro.obs import MetricsRegistry
 from repro.obs.live import Sample, render_frame, render_ingest_panel
-from repro.obs.manifest import manifest_path_for, read_manifest
+from repro.obs.manifest import (
+    git_describe,
+    manifest_path_for,
+    read_manifest,
+)
 from repro.pipeline import SurveyorPipeline
 from repro.pipeline.faults import FaultInjector, InjectedFault
 from repro.serve import (
@@ -46,8 +54,10 @@ from repro.serve import (
 )
 from repro.storage import (
     FormatError,
+    load,
     opinions_to_dict,
     provenance_path_for,
+    provenance_to_dict,
     save,
 )
 
@@ -492,6 +502,125 @@ class TestPipelineState:
         assert "repro_ingest_dirty_combinations" in text
         assert "repro_ingest_refit_seconds_bucket" in text
 
+    def test_publishes_run_git_describe_once_per_process(
+        self, tmp_path, small_kb, cute_scenario, monkeypatch
+    ):
+        calls = []
+        real_run = subprocess.run
+
+        def counting_run(argv, *args, **kwargs):
+            if argv[:2] == ["git", "describe"]:
+                calls.append(argv)
+            return real_run(argv, *args, **kwargs)
+
+        monkeypatch.setattr(subprocess, "run", counting_run)
+        git_describe.cache_clear()
+        try:
+            corpus = cute_corpus(cute_scenario)
+            pipeline = IngestPipeline(
+                kb=small_kb,
+                journal=CorpusJournal(tmp_path / "j"),
+                occurrence_threshold=1,
+            )
+            for start in range(4):
+                report = pipeline.ingest(corpus.documents[start::4])
+                out = pipeline.publish(report, tmp_path / "op.json")
+                manifest = read_manifest(manifest_path_for(out))
+                assert manifest["config"]["generation"] == start + 1
+        finally:
+            git_describe.cache_clear()
+        assert len(calls) <= 1, calls
+
+
+# ---------------------------------------------------------------------------
+# Files written in the older indented layout
+# ---------------------------------------------------------------------------
+#
+# tests/data/ingest_v1 holds a journal, its state.json and the published
+# opinions.json, lineage sidecar and manifest as written by two
+# `repro ingest --threshold 1` runs in the indented layout that predates
+# the compact writer (first run: kittens/snakes/tigers, second run:
+# spiders). The journal dir is copied before use: opening a journal may
+# repair it in place.
+
+INGEST_V1 = Path(__file__).parent / "data" / "ingest_v1"
+
+
+class TestIndentedLayoutResume:
+    @pytest.fixture()
+    def old_dir(self, tmp_path):
+        target = tmp_path / "ingest_v1"
+        shutil.copytree(INGEST_V1, target)
+        return target
+
+    def test_fixture_is_in_the_indented_layout(self, old_dir):
+        for path in (
+            old_dir / "journal" / "state.json",
+            old_dir / "opinions.json",
+            provenance_path_for(old_dir / "opinions.json"),
+            manifest_path_for(old_dir / "opinions.json"),
+        ):
+            assert path.read_text().startswith("{\n "), path
+
+    def test_old_artefacts_load(self, old_dir):
+        opinions = old_dir / "opinions.json"
+        table = load(opinions)
+        assert len(table) > 0
+        assert load(provenance_path_for(opinions)).n_pairs > 0
+        manifest = read_manifest(manifest_path_for(opinions))
+        assert manifest["command"] == "ingest"
+        assert manifest["config"]["generation"] == 2
+        state = load_state(old_dir / "journal")
+        assert state.generation == 2
+        assert state.applied_offset == 6
+
+    def test_resume_then_advance_matches_batch_bytes(
+        self, tmp_path, old_dir
+    ):
+        kb = evaluation_kb()
+        journal = CorpusJournal(old_dir / "journal")
+        pipeline = IngestPipeline(
+            kb=kb, journal=journal, occurrence_threshold=1
+        )
+        assert not pipeline.state.fresh
+        assert pipeline.state.generation == 2
+
+        # Resuming with nothing new republishes what the older
+        # writer published, from the cached fits alone.
+        opinions = old_dir / "opinions.json"
+        idle = pipeline.advance()
+        assert idle.refitted == 0 and idle.reused > 0
+        assert fingerprint(idle.table) == fingerprint(load(opinions))
+        assert provenance_to_dict(idle.provenance) == json.loads(
+            provenance_path_for(opinions).read_text()
+        )
+
+        report = pipeline.ingest(
+            docs(
+                "Bunnies are cute.",
+                "I think that tigers are dangerous.",
+                "Spiders are not cute.",
+                prefix="later",
+            )
+        )
+        assert report.generation == 3
+        assert report.documents == 3
+        live = pipeline.publish(report, tmp_path / "live.json")
+
+        replayed = WebCorpus(
+            documents=[record.document for record in journal.replay()]
+        )
+        assert len(replayed) == 10
+        batch = SurveyorPipeline(
+            kb=kb, occurrence_threshold=1, n_workers=1
+        ).run(replayed)
+        reference = save(batch.result.opinions, tmp_path / "batch.json")
+        assert live.read_bytes() == reference.read_bytes()
+        # The new state is written in the compact layout and reloads.
+        state_text = state_path_for(old_dir / "journal").read_text()
+        assert "\n" not in state_text
+        assert load_state(old_dir / "journal").generation == 3
+
 
 # ---------------------------------------------------------------------------
 # Serving: POST /admin/ingest and the sidecar stat-cache
@@ -678,6 +807,33 @@ class TestServeIngest:
         assert summary["status"] == "accepted"
         assert summary["generation"] == 1
         assert summary["drift"] is None
+
+    def test_restart_resumes_the_ingest_generation(
+        self, tmp_path, small_kb, cute_scenario
+    ):
+        corpus = cute_corpus(cute_scenario)
+        half = len(corpus.documents) // 2
+        pipeline = IngestPipeline(
+            kb=small_kb,
+            journal=CorpusJournal(tmp_path / "j"),
+            occurrence_threshold=1,
+        )
+        pipeline.ingest(corpus.documents[:half])
+        report = pipeline.ingest(corpus.documents[half:])
+        out = pipeline.publish(report, tmp_path / "op.json")
+
+        restarted = OpinionService(
+            load(out),
+            source_path=out,
+            ingest_pipeline=IngestPipeline(
+                kb=small_kb,
+                journal=CorpusJournal(tmp_path / "j"),
+                occurrence_threshold=1,
+            ),
+        )
+        assert restarted.index.generation == report.generation == 2
+        summary = restarted.ingest(docs("Kittens are cute."))
+        assert summary["generation"] == 3
 
 
 class TestSidecarCache:

@@ -379,6 +379,29 @@ class TestManifest:
         with pytest.raises(ValueError):
             read_manifest(path)
 
+    def test_write_is_atomic(self, tmp_path, monkeypatch):
+        def manifest(command):
+            return build_manifest(
+                command=command,
+                config={},
+                started_unix=0.0,
+                duration_seconds=0.0,
+            )
+
+        path = write_manifest(tmp_path / "m.json", manifest("mine"))
+        original = path.read_bytes()
+
+        # A write that dies before its rename leaves the previous
+        # manifest whole: the new bytes only ever land in a temp file.
+        def crash(src, dst):
+            raise OSError("simulated crash before rename")
+
+        monkeypatch.setattr("repro.storage.serialize.os.replace", crash)
+        with pytest.raises(OSError):
+            write_manifest(path, manifest("ingest"))
+        assert path.read_bytes() == original
+        assert read_manifest(path)["command"] == "mine"
+
 
 class TestRendering:
     def trace_spans(self):

@@ -16,8 +16,16 @@ from repro.core import (
 )
 from repro.extraction import EvidenceCounter, EvidenceStatement
 from repro.core.types import Polarity
+from repro.core.errors import CheckpointError
 from repro.kb import Entity, KnowledgeBase
-from repro.storage import FormatError, load, save
+from repro.storage import (
+    FormatError,
+    evidence_from_dict,
+    evidence_to_dict,
+    load,
+    load_shard_checkpoint,
+    save,
+)
 
 CUTE = PropertyTypeKey(SubjectiveProperty("cute"), "animal")
 VERY_BIG = PropertyTypeKey(
@@ -67,9 +75,104 @@ class TestEvidenceRoundTrip:
                 pattern="acomp",
             )
         )
+        counter.add(
+            EvidenceStatement(
+                entity_id="/city/sf",
+                entity_type="city",
+                property=VERY_BIG.property,
+                polarity=Polarity.POSITIVE,
+                pattern="acomp",
+            )
+        )
         loaded = load(save(counter, tmp_path / "ev.json"))
         counts = loaded.get(CUTE, "/animal/kitten")
         assert (counts.positive, counts.negative) == (3, 1)
+        assert loaded == counter
+        assert loaded.n_statements == counter.n_statements == 5
+
+
+def evidence_payload(pair):
+    return {
+        "format": "evidence",
+        "version": 1,
+        "combinations": {"cute|animal": {"/animal/kitten": pair}},
+    }
+
+
+class TestEvidenceLoader:
+    def test_zero_pair_adds_no_slot(self):
+        loaded = evidence_from_dict(evidence_payload([0, 0]))
+        assert loaded == EvidenceCounter()
+        assert loaded.keys() == []
+
+    def test_huge_count_loads_in_one_step(self):
+        # One slot per pair: a count of 10**12 must not loop 10**12
+        # times.
+        loaded = evidence_from_dict(evidence_payload([10**12, 3]))
+        assert loaded.get(CUTE, "/animal/kitten") == EvidenceCounts(
+            10**12, 3
+        )
+        assert loaded.n_statements == 10**12 + 3
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            [-5, 2],
+            [2, -1],
+            [True, 0],
+            [0, False],
+            [2.9, 1],
+            [2.0, 1],
+            ["3", 1],
+            [None, 1],
+            [1],
+            [1, 2, 3],
+            [],
+            {"positive": 1, "negative": 2},
+            "12",
+            7,
+        ],
+        ids=repr,
+    )
+    def test_hostile_counts_rejected(self, pair):
+        with pytest.raises(FormatError):
+            evidence_from_dict(evidence_payload(pair))
+
+    def test_non_object_combination_rejected(self):
+        payload = evidence_payload([1, 1])
+        payload["combinations"]["cute|animal"] = [[1, 1]]
+        with pytest.raises(FormatError):
+            evidence_from_dict(payload)
+
+    def test_hostile_count_in_checkpoint_is_checkpoint_error(
+        self, tmp_path
+    ):
+        path = tmp_path / "shard-00000.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "format": "shard_checkpoint",
+                    "version": 1,
+                    "shard_id": 0,
+                    "evidence": evidence_payload([-5, 2.9]),
+                    "dead_letters": [],
+                }
+            )
+        )
+        with pytest.raises(CheckpointError):
+            load_shard_checkpoint(path)
+
+
+class TestFileLayout:
+    def test_artefacts_are_compact_sorted_json(self, tmp_path):
+        counter = evidence_from_dict(evidence_payload([2, 1]))
+        text = save(counter, tmp_path / "ev.json").read_text()
+        assert text == json.dumps(
+            evidence_to_dict(counter),
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestParametersRoundTrip:
