@@ -76,6 +76,22 @@ python -m repro mine "$PARITY_DIR/docs.txt" \
     --out "$PARITY_DIR/opinions.json" --threshold 1 \
     --strict --strict-parity > /dev/null
 
+echo "== reference parity on both mining worlds (stored digests) =="
+# The smoke above compares two paths built from the same code, so a bug
+# they share (in a word table, say) would pass it. perfbench checks each
+# run's opinion table against perfbench/digests.json, the digests of the
+# reference path's tables stored with the worlds; "correct" is false on
+# any mismatch.
+for workload in mine_template mine_longtail; do
+    python3 perfbench/run.py --workload "$workload" --seed 7 \
+        --seconds 1 --trace 0 | tail -n 1 | python3 -c '
+import json, sys
+result = json.loads(sys.stdin.read())
+if result["correct"] is not True or result["failed"] != 0:
+    sys.exit(f"reference parity failed: {result}")
+'
+done
+
 echo "== serve lane (async core smoke: boot, query, observability, reload, shutdown) =="
 # `repro serve` defaults to the asyncio event-loop core, so this lane
 # exercises the async single-worker server end to end.

@@ -11,7 +11,7 @@ is itself informative.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -52,6 +52,12 @@ class FittedCombination:
 
     def model(self) -> UserBehaviorModel:
         return UserBehaviorModel(self.parameters)
+
+
+#: A source of per-combination fits: ``(key, per_entity) -> fit``.
+FitFunction = Callable[
+    [PropertyTypeKey, Mapping[str, EvidenceCounts]], FittedCombination
+]
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,14 +110,19 @@ class Surveyor:
     def run(
         self,
         evidence: Mapping[PropertyTypeKey, Mapping[str, EvidenceCounts]],
+        fit: FitFunction | None = None,
     ) -> SurveyorResult:
         """Interpret all combinations meeting the occurrence threshold.
 
         ``evidence`` maps each property-type combination to the per
         entity evidence tuples gathered during extraction; entities of
         the type that are absent from the inner mapping are treated as
-        ``<0, 0>``.
+        ``<0, 0>``. ``fit`` supplies each interpreted combination's fit
+        in place of :meth:`fit_combination` (the ingest refitter hands
+        back cached fits for combinations whose evidence is unchanged);
+        everything else about the run is the same.
         """
+        fit_one = self.fit_combination if fit is None else fit
         table = OpinionTable()
         fits: dict[PropertyTypeKey, FittedCombination] = {}
         skipped: list[PropertyTypeKey] = []
@@ -124,39 +135,52 @@ class Surveyor:
                 skipped.append(key)
                 continue
             with self._combination_span(key) as span:
-                fit = self.fit_combination(key, per_entity)
-                fits[key] = fit
-                span.set("verdict", fit.trace.verdict)
-                span.set("iterations", fit.trace.iterations)
-                span.set("n_entities", fit.n_entities)
-                span.set("n_statements", fit.n_statements)
-                if fit.trace.degraded:
-                    # Degenerate fit: the learner fell back to majority
-                    # vote, so emit hard votes instead of posteriors.
+                fitted = fit_one(key, per_entity)
+                fits[key] = fitted
+                span.set("verdict", fitted.trace.verdict)
+                span.set("iterations", fitted.trace.iterations)
+                span.set("n_entities", fitted.n_entities)
+                span.set("n_statements", fitted.n_statements)
+                if fitted.trace.degraded:
                     degraded.append(key)
-                    table.mark_degraded(key)
-                    for entity_id, counts in self._full_evidence(
-                        key, per_entity
-                    ):
-                        opinion = _majority_opinion(
-                            entity_id, key, counts
-                        )
-                        if opinion.decided or self.emit_undecided:
-                            table.add(opinion)
-                    continue
-                model = fit.model()
-                for entity_id, counts in self._full_evidence(
-                    key, per_entity
-                ):
-                    opinion = model.opinion(entity_id, key, counts)
-                    if opinion.decided or self.emit_undecided:
-                        table.add(opinion)
+                self._emit(table, key, fitted, per_entity)
         return SurveyorResult(
             opinions=table,
             fits=fits,
             skipped=tuple(skipped),
             degraded=tuple(degraded),
         )
+
+    def _emit(
+        self,
+        table: OpinionTable,
+        key: PropertyTypeKey,
+        fit: FittedCombination,
+        per_entity: Mapping[str, EvidenceCounts],
+    ) -> None:
+        """Add one combination's opinion on every entity of its type.
+
+        A degenerate fit fell back to majority vote, so its opinions
+        are hard votes instead of model posteriors. Either way the
+        probability depends on the evidence tuple alone, so it is
+        computed once per distinct ``<C+, C->`` of the combination.
+        """
+        if fit.trace.degraded:
+            table.mark_degraded(key)
+            probability_of = _majority_probability
+        else:
+            probability_of = fit.model().posterior_positive
+        probabilities: dict[EvidenceCounts, float] = {}
+        emit_undecided = self.emit_undecided
+        for entity_id, counts in self._full_evidence(key, per_entity):
+            probability = probabilities.get(counts)
+            if probability is None:
+                probability = probabilities[counts] = probability_of(
+                    counts
+                )
+            # Exactly 0.5 is the undecided case the paper drops.
+            if probability != 0.5 or emit_undecided:
+                table.add(Opinion(entity_id, key, probability, counts))
 
     def _combination_span(self, key: PropertyTypeKey):
         if self.tracer is None:
@@ -205,18 +229,13 @@ class Surveyor:
         ]
 
 
-def _majority_opinion(
-    entity_id: str, key: PropertyTypeKey, counts: EvidenceCounts
-) -> Opinion:
-    """Hard majority vote wrapped as an opinion (probability 1/0/0.5)."""
-    probability = {
-        Polarity.POSITIVE: 1.0,
-        Polarity.NEGATIVE: 0.0,
-        Polarity.NEUTRAL: 0.5,
-    }[counts.majority()]
-    return Opinion(
-        entity_id=entity_id,
-        key=key,
-        probability=probability,
-        evidence=counts,
-    )
+def _majority_probability(counts: EvidenceCounts) -> float:
+    """Hard majority vote as a probability (1, 0, or 0.5 on a tie)."""
+    return _MAJORITY_PROBABILITY[counts.majority()]
+
+
+_MAJORITY_PROBABILITY = {
+    Polarity.POSITIVE: 1.0,
+    Polarity.NEGATIVE: 0.0,
+    Polarity.NEUTRAL: 0.5,
+}

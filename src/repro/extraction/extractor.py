@@ -105,7 +105,9 @@ class EvidenceExtractor:
         try:
             text = annotated.text()
             for match in find_matches(annotated, self.config):
-                negations = negation_count(match.property_node)
+                negations = negation_count(
+                    annotated.tree, match.property_node
+                )
                 statements.append(
                     EvidenceStatement(
                         entity_id=match.mention.entity_id,

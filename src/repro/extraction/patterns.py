@@ -163,9 +163,12 @@ def _match_acomp(
 def _match_amod(
     annotated: AnnotatedSentence, node: DepNode, config: PatternConfig
 ) -> list[PatternMatch]:
-    if node.deprel != AMOD or node.parent is None:
+    if node.deprel != AMOD:
         return []
-    head = node.parent
+    tree = annotated.tree
+    head = tree.parent_of(node)
+    if head is None:
+        return []
 
     # Case (b): predicate nominal coreferential with the subject
     # mention — "Snakes are dangerous animals".
@@ -197,8 +200,9 @@ def _match_amod(
     # Case (b'): appositive nominal — "Tokyo , a big city , is ...".
     # The appositive noun corefers with its governor by construction;
     # the same type check applies under intrinsicness checking.
-    if head.deprel == APPOS and head.parent is not None:
-        mention = _mention_for(annotated, head.parent)
+    governor = tree.parent_of(head) if head.deprel == APPOS else None
+    if governor is not None:
+        mention = _mention_for(annotated, governor)
         if mention is None:
             return []
         if config.intrinsic_checks:

@@ -10,11 +10,12 @@ think that snakes are never dangerous") resolve back to positive.
 from __future__ import annotations
 
 from ..core.types import Polarity
-from ..nlp.deptree import DepNode, NEG
+from ..nlp.deptree import DepNode, DepTree, NEG
 
 
-def negation_count(property_node: DepNode) -> int:
-    """Number of negations on the path from the property to the root.
+def negation_count(tree: DepTree, property_node: DepNode) -> int:
+    """Number of negations on the path from the property to the root
+    of its ``tree``.
 
     Counts individual negation children rather than negated tokens so
     the (rare) stacked case "isn't never" flips twice on one node;
@@ -22,12 +23,12 @@ def negation_count(property_node: DepNode) -> int:
     """
     return sum(
         len(node.children_by_rel(NEG))
-        for node in property_node.path_to_root()
+        for node in tree.path_to_root(property_node)
     )
 
 
-def statement_polarity(property_node: DepNode) -> Polarity:
+def statement_polarity(tree: DepTree, property_node: DepNode) -> Polarity:
     """Polarity of the statement anchored at ``property_node``."""
-    if negation_count(property_node) % 2 == 1:
+    if negation_count(tree, property_node) % 2 == 1:
         return Polarity.NEGATIVE
     return Polarity.POSITIVE

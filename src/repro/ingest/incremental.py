@@ -45,7 +45,6 @@ from ..core.surveyor import (
     FittedCombination,
     Surveyor,
     SurveyorResult,
-    _majority_opinion,
 )
 from ..core.types import PropertyTypeKey
 from ..corpus.document import Document
@@ -225,63 +224,32 @@ class IngestPipeline:
         """Rebuild the full opinion table, running EM only where the
         evidence changed.
 
-        Mirrors ``Surveyor.run`` exactly — same key order, same
-        threshold skip, same degraded fallback, same opinion emission
-        — so a table assembled from cached + refitted combinations is
-        byte-identical to a one-shot batch over the same evidence.
+        The table comes from ``Surveyor.run`` itself, fed cached fits
+        for clean combinations, so a table assembled from cached +
+        refitted combinations is byte-identical to a one-shot batch
+        over the same evidence.
         """
         surveyor = Surveyor(
             catalog=self.kb,
             occurrence_threshold=self.occurrence_threshold,
             learner=self.learner,
         )
-        evidence = self.state.evidence.as_evidence()
-        table = OpinionTable()
-        fits: dict[PropertyTypeKey, FittedCombination] = {}
-        skipped: list[PropertyTypeKey] = []
-        degraded: list[PropertyTypeKey] = []
+        cache = self.state.fits
         refitted = 0
-        reused = 0
-        for key in sorted(evidence, key=str):
-            per_entity = evidence[key]
-            n_statements = sum(c.total for c in per_entity.values())
-            if n_statements < self.occurrence_threshold:
-                skipped.append(key)
-                self.state.fits.pop(key, None)
-                continue
-            cached = self.state.fits.get(key)
-            if cached is None or key in dirty:
-                fit = self._fit_one(surveyor, key, per_entity, cached)
-                refitted += 1
-            else:
-                fit = cached
-                reused += 1
-            fits[key] = fit
-            self.state.fits[key] = fit
-            if fit.trace.degraded:
-                degraded.append(key)
-                table.mark_degraded(key)
-                for entity_id, counts in surveyor._full_evidence(
-                    key, per_entity
-                ):
-                    opinion = _majority_opinion(entity_id, key, counts)
-                    if opinion.decided or surveyor.emit_undecided:
-                        table.add(opinion)
-                continue
-            model = fit.model()
-            for entity_id, counts in surveyor._full_evidence(
-                key, per_entity
-            ):
-                opinion = model.opinion(entity_id, key, counts)
-                if opinion.decided or surveyor.emit_undecided:
-                    table.add(opinion)
-        result = SurveyorResult(
-            opinions=table,
-            fits=fits,
-            skipped=tuple(skipped),
-            degraded=tuple(degraded),
-        )
-        return result, refitted, reused
+
+        def fit(key, per_entity) -> FittedCombination:
+            nonlocal refitted
+            cached = cache.get(key)
+            if cached is not None and key not in dirty:
+                return cached
+            refitted += 1
+            return self._fit_one(surveyor, key, per_entity, cached)
+
+        result = surveyor.run(self.state.evidence.as_evidence(), fit=fit)
+        for key in result.skipped:
+            cache.pop(key, None)
+        cache.update(result.fits)
+        return result, refitted, len(result.fits) - refitted
 
     def _fit_one(
         self,

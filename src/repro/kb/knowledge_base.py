@@ -25,6 +25,9 @@ class KnowledgeBase:
         self._by_id: dict[str, Entity] = {}
         self._by_type: dict[str, list[Entity]] = defaultdict(list)
         self._by_surface: dict[str, list[Entity]] = defaultdict(list)
+        #: First word of an alias -> most words of any alias starting
+        #: with it (the linker's scan window at that word).
+        self._head_widths: dict[str, int] = {}
         for entity in entities:
             self.add(entity)
 
@@ -36,8 +39,16 @@ class KnowledgeBase:
             raise ValueError(f"duplicate entity id {entity.id!r}")
         self._by_id[entity.id] = entity
         self._by_type[entity.entity_type].append(entity)
-        for form in entity.surface_forms:
-            self._by_surface[form.lower()].append(entity)
+        # Once per lower-cased form: an alias repeating the name in
+        # another case must not make the entity its own rival.
+        for form in dict.fromkeys(
+            form.lower() for form in entity.surface_forms
+        ):
+            self._by_surface[form].append(entity)
+            head, *rest = form.split(" ")
+            width = len(rest) + 1
+            if width > self._head_widths.get(head, 0):
+                self._head_widths[head] = width
 
     def add_all(self, entities: Iterable[Entity]) -> None:
         for entity in entities:

@@ -41,7 +41,6 @@ class DepNode:
 
     token: Token
     deprel: str = DEP
-    parent: "DepNode | None" = None
     children: list["DepNode"] = field(default_factory=list)
 
     # ------------------------------------------------------------------
@@ -50,7 +49,6 @@ class DepNode:
     def attach(self, child: "DepNode", deprel: str) -> "DepNode":
         """Attach ``child`` under this node with the given relation."""
         child.deprel = deprel
-        child.parent = self
         self.children.append(child)
         return child
 
@@ -69,15 +67,6 @@ class DepNode:
     def has_child(self, deprel: str) -> bool:
         return self.child_by_rel(deprel) is not None
 
-    def path_to_root(self) -> list["DepNode"]:
-        """Nodes from this node (inclusive) up to the root (inclusive)."""
-        path = [self]
-        node = self
-        while node.parent is not None:
-            node = node.parent
-            path.append(node)
-        return path
-
     def subtree(self) -> Iterator["DepNode"]:
         """Depth-first iteration over this node and its descendants."""
         yield self
@@ -95,18 +84,53 @@ class DepNode:
 
 @dataclass(slots=True)
 class DepTree:
-    """A parsed sentence: a root node plus an index-to-node map."""
+    """A parsed sentence: a root node, an index-to-node map, and the
+    parent of each node by token index.
+
+    Nodes point only down (to their children); the tree owns the
+    upward links. Nothing a parse builds is therefore cyclic, and a
+    discarded tree — or a partial one the parser backtracked out of —
+    is freed by reference counting alone.
+    """
 
     root: DepNode
     nodes: dict[int, DepNode]
+    #: ``parents[i]`` governs the node of token ``i``; ``None`` for the
+    #: root and for tokens outside the tree.
+    parents: list[DepNode | None]
 
     @classmethod
     def from_root(cls, root: DepNode) -> "DepTree":
-        nodes = {node.token.index: node for node in root.subtree()}
-        return cls(root=root, nodes=nodes)
+        # Pre-order, children in attachment order: the node map's
+        # iteration order is the order pattern matching visits nodes.
+        nodes: dict[int, DepNode] = {}
+        stack = [root]
+        while stack:
+            node = stack.pop()
+            nodes[node.token.index] = node
+            stack.extend(reversed(node.children))
+        parents: list[DepNode | None] = [None] * (max(nodes) + 1)
+        for node in nodes.values():
+            for child in node.children:
+                parents[child.token.index] = node
+        return cls(root=root, nodes=nodes, parents=parents)
 
     def node_at(self, token_index: int) -> DepNode | None:
         return self.nodes.get(token_index)
+
+    def parent_of(self, node: DepNode) -> DepNode | None:
+        """The node governing ``node``; ``None`` for the root."""
+        return self.parents[node.token.index]
+
+    def path_to_root(self, node: DepNode) -> list[DepNode]:
+        """Nodes from ``node`` (inclusive) up to the root (inclusive)."""
+        path = [node]
+        parents = self.parents
+        parent = parents[node.token.index]
+        while parent is not None:
+            path.append(parent)
+            parent = parents[parent.token.index]
+        return path
 
     def all_nodes(self) -> Iterator[DepNode]:
         return iter(self.nodes.values())

@@ -78,9 +78,15 @@ class EntityLinker:
         """
         matches: list[tuple[Span, tuple[Entity, ...]]] = []
         lowered = [token.text.lower() for token in sentence.tokens]
+        heads = self.kb._head_widths
         index = 0
         n_tokens = len(lowered)
         while index < n_tokens:
+            word = lowered[index]
+            if word not in heads and not word.endswith("s"):
+                # No alias starts here, and no plural back-off applies.
+                index += 1
+                continue
             match = self._longest_match(lowered, index)
             if match is None:
                 index += 1
@@ -138,19 +144,29 @@ class EntityLinker:
         """Longest alias match beginning at token ``start``.
 
         ``lowered`` is the sentence's token texts, lower-cased once by
-        the caller (:meth:`scan`) instead of per candidate span.
+        the caller (:meth:`scan`) instead of per candidate span. Tokens
+        hold no spaces (the tokenizer splits on them), so an alias
+        spanning ``[start, end)`` starts with the word at ``start``:
+        the knowledge base's head widths bound the window there, and a
+        word no alias starts with can only match through the plural
+        back-off.
         """
-        max_end = min(start + _MAX_MENTION_TOKENS, len(lowered))
-        for end in range(max_end, start, -1):
-            surface = " ".join(lowered[start:end])
-            candidates = self.kb.candidates(surface)
+        by_surface = self.kb._by_surface
+        word = lowered[start]
+        width = self.kb._head_widths.get(word, 0)
+        max_end = min(
+            start + min(width, _MAX_MENTION_TOKENS), len(lowered)
+        )
+        for end in range(max_end, start + 1, -1):
+            candidates = by_surface.get(" ".join(lowered[start:end]))
             if candidates:
                 return Span(start, end), candidates
-            # Naive plural back-off: "kittens" -> "kitten".
-            if end == start + 1 and surface.endswith("s"):
-                candidates = self.kb.candidates(surface[:-1])
-                if candidates:
-                    return Span(start, end), candidates
+        candidates = by_surface.get(word) if width else None
+        # Naive plural back-off: "kittens" -> "kitten".
+        if not candidates and word.endswith("s"):
+            candidates = by_surface.get(word[:-1])
+        if candidates:
+            return Span(start, start + 1), candidates
         return None
 
     # ------------------------------------------------------------------

@@ -101,16 +101,18 @@ class DependencyParser:
         if not content:
             return _flat_tree(sentence)
         cursor = _Cursor(content)
-        tree = self._parse_sentence(cursor)
-        if tree is None or not cursor.at_end():
+        root = self._parse_sentence(cursor)
+        if root is None or not cursor.at_end():
             return _flat_tree(sentence)
-        _attach_punct(tree, sentence)
-        return tree
+        for token in sentence.tokens:
+            if token.pos is POS.PUNCT:
+                root.attach(DepNode(token), PUNCT)
+        return DepTree.from_root(root)
 
     # ------------------------------------------------------------------
     # Sentence level
     # ------------------------------------------------------------------
-    def _parse_sentence(self, cursor: _Cursor) -> DepTree | None:
+    def _parse_sentence(self, cursor: _Cursor) -> DepNode | None:
         first = cursor.peek()
         if first is not None and first.pos is POS.MARK:
             # A sentence-initial subordinator ("If only Chicago were
@@ -123,10 +125,7 @@ class DependencyParser:
         if matrix is not None:
             return matrix
         cursor.restore(state)
-        clause = self._parse_clause(cursor)
-        if clause is None:
-            return None
-        return DepTree.from_root(clause)
+        return self._parse_clause(cursor)
 
     def _skip_lead_in(self, cursor: _Cursor) -> None:
         """Skip openers like ``Honestly ,`` or ``In my opinion ,``.
@@ -166,7 +165,7 @@ class DependencyParser:
     # ------------------------------------------------------------------
     # Matrix clauses: "I (do n't) think that <clause>", "I find NP ADJ"
     # ------------------------------------------------------------------
-    def _parse_matrix(self, cursor: _Cursor) -> DepTree | None:
+    def _parse_matrix(self, cursor: _Cursor) -> DepNode | None:
         subject = self._parse_noun_phrase(cursor)
         if subject is None:
             return None
@@ -200,19 +199,19 @@ class DependencyParser:
                 return None
             clause.attach(DepNode(mark_token), MARK)
             verb.attach(clause, CCOMP)
-            return DepTree.from_root(verb)
+            return verb
         if lemma in ("find", "consider"):
             small = self._parse_small_clause(cursor)
             if small is None:
                 return None
             verb.attach(small, XCOMP)
-            return DepTree.from_root(verb)
+            return verb
         # "I think snakes are dangerous" — bare ccomp without "that".
         clause = self._parse_clause(cursor)
         if clause is None:
             return None
         verb.attach(clause, CCOMP)
-        return DepTree.from_root(verb)
+        return verb
 
     def _parse_small_clause(self, cursor: _Cursor) -> DepNode | None:
         """``find kittens (very) cute`` — adjective with internal subject."""
@@ -499,10 +498,3 @@ def _flat_tree(sentence: Sentence) -> DepTree:
             root.attach(node, DEP)
             previous = node
     return DepTree.from_root(root)
-
-
-def _attach_punct(tree: DepTree, sentence: Sentence) -> None:
-    for token in sentence.tokens:
-        if token.pos is POS.PUNCT and token.index not in tree.nodes:
-            node = tree.root.attach(DepNode(token), PUNCT)
-            tree.nodes[token.index] = node

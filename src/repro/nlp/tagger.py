@@ -15,43 +15,53 @@ from .tokens import POS, Sentence, Token
 _PUNCT = set(".,!?;:()\"'")
 
 
+def _lexical_table() -> dict[str, POS]:
+    """The lexicon pass as one table, built from the lexicon classes
+    in precedence order: an earlier class keeps a word that a later
+    one also lists ("feel" is a copula before an opinion verb,
+    "pretty" an adverb before an adjective)."""
+    table: dict[str, POS] = {}
+    for words, pos in (
+        (lexicon.NEGATION_FORMS, POS.NEG),
+        (lexicon.AUX_DO_FORMS, POS.AUX),
+        (lexicon.COPULA_FORMS, POS.VERB),
+        (lexicon.OPINION_VERB_FORMS, POS.VERB),
+        (lexicon.DETERMINERS, POS.DET),
+        (lexicon.PRONOUNS, POS.PRON),
+        (lexicon.ADVERBS, POS.ADV),
+        (lexicon.ADJECTIVES, POS.ADJ),
+        (lexicon.PREPOSITIONS, POS.PREP),
+        (lexicon.COORDINATORS, POS.CONJ),
+        (lexicon.TYPE_NOUNS, POS.NOUN),
+        (lexicon.COMMON_NOUNS, POS.NOUN),
+    ):
+        for word in words:
+            table.setdefault(word, pos)
+    return table
+
+
+#: Lemma -> tag of the lexicon pass; unknown lemmas tag ``X``.
+_LEXICAL_TAGS = _lexical_table()
+
+#: Lemmas the context pass may retag even when the lexicon knew them.
+_REPAIRED_LEMMAS = lexicon.COMPLEMENTIZERS | {"no", "pretty"}
+
+
 def tag(sentence: Sentence) -> Sentence:
     """Tag the sentence in place and return it."""
     tokens = sentence.tokens
+    lexical = _LEXICAL_TAGS.get
     for token in tokens:
-        token.pos = _lexical_tag(token)
+        token.pos = (
+            POS.PUNCT
+            if token.text in _PUNCT
+            else lexical(token.lemma, POS.X)
+        )
     for index, token in enumerate(tokens):
-        _contextual_repair(tokens, index, token)
+        # The repair pass only ever changes these tokens.
+        if token.pos is POS.X or token.lemma in _REPAIRED_LEMMAS:
+            _contextual_repair(tokens, index, token)
     return sentence
-
-
-def _lexical_tag(token: Token) -> POS:
-    lemma = token.lemma
-    if token.text in _PUNCT:
-        return POS.PUNCT
-    if lemma in lexicon.NEGATION_FORMS:
-        return POS.NEG
-    if lemma in lexicon.AUX_DO_FORMS:
-        return POS.AUX
-    if lemma in lexicon.COPULA_FORMS:
-        return POS.VERB
-    if lemma in lexicon.OPINION_VERB_FORMS:
-        return POS.VERB
-    if lemma in lexicon.DETERMINERS:
-        return POS.DET
-    if lemma in lexicon.PRONOUNS:
-        return POS.PRON
-    if lemma in lexicon.ADVERBS:
-        return POS.ADV
-    if lemma in lexicon.ADJECTIVES:
-        return POS.ADJ
-    if lemma in lexicon.PREPOSITIONS:
-        return POS.PREP
-    if lemma in lexicon.COORDINATORS:
-        return POS.CONJ
-    if lemma in lexicon.TYPE_NOUNS or lemma in lexicon.COMMON_NOUNS:
-        return POS.NOUN
-    return POS.X
 
 
 def _contextual_repair(tokens: list[Token], index: int, token: Token) -> None:
@@ -93,8 +103,8 @@ def _is_adjectivish(token: Token) -> bool:
     if token.pos is POS.ADJ:
         return True
     lemma = token.lemma
-    return lemma in lexicon.ADJECTIVES or any(
-        lemma.endswith(suffix) for suffix in lexicon.ADJECTIVE_SUFFIXES
+    return lemma in lexicon.ADJECTIVES or lemma.endswith(
+        lexicon.ADJECTIVE_SUFFIXES
     )
 
 
@@ -111,7 +121,7 @@ def _morphology_tag(tokens: list[Token], index: int, token: Token) -> POS:
         nxt = tokens[index + 1] if index + 1 < len(tokens) else None
         if nxt is not None and _is_adjectivish(nxt):
             return POS.ADV
-    if any(lemma.endswith(suffix) for suffix in lexicon.ADJECTIVE_SUFFIXES):
+    if lemma.endswith(lexicon.ADJECTIVE_SUFFIXES):
         return POS.ADJ
     if text[:1].isupper():
         return POS.PROPN

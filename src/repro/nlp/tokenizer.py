@@ -33,20 +33,25 @@ def tokenize(sentence_text: str) -> Sentence:
     (lemma ``not``) so the parser sees a dedicated negation token, as
     Stanford-style pipelines do.
     """
-    raw: list[str] = []
+    tokens: list[Token] = []
     for chunk in sentence_text.split():
+        if chunk.isalpha() and chunk.isascii():
+            # A plain word is its own single token.
+            tokens.append(Token(len(tokens), chunk, chunk.lower()))
+            continue
         clitic = _CLITIC_SPLIT.match(chunk.strip("\"'().,!?;:"))
         if clitic:
-            raw.extend((clitic.group(1), clitic.group(2)))
+            pieces = [clitic.group(1), clitic.group(2)]
             trailing = _trailing_punct(chunk)
             if trailing:
-                raw.append(trailing)
+                pieces.append(trailing)
         else:
-            raw.extend(_TOKEN.findall(chunk))
-    tokens = []
-    for index, text in enumerate(raw):
-        lemma = "not" if text.lower() == "n't" else text.lower()
-        tokens.append(Token(index=index, text=text, lemma=lemma))
+            pieces = _TOKEN.findall(chunk)
+        for text in pieces:
+            lemma = text.lower()
+            if lemma == "n't":
+                lemma = "not"
+            tokens.append(Token(len(tokens), text, lemma))
     return Sentence(tokens=tokens)
 
 

@@ -33,6 +33,8 @@ process-pool runs report the same numbers as serial ones.
 
 from __future__ import annotations
 
+import gc
+import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -85,6 +87,40 @@ from .resilience import (
     ShardEvidence,
     WorkerTelemetry,
 )
+
+
+class _CollectorPause:
+    """Pause the automatic cyclic collector while any run is inside.
+
+    A run builds hundreds of thousands of long-lived containers
+    (memoized tokens and trees, evidence, opinions) and no cyclic
+    garbage (dependency trees hold no parent pointers), so every
+    automatic full collection would re-walk that heap for nothing.
+    Entries are counted under a lock: concurrent runs share one pause,
+    and the last one out restores the state the first one found — a
+    caller that had disabled the collector keeps it disabled.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._inside = 0
+        self._resume = False
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if self._inside == 0:
+                self._resume = gc.isenabled()
+                gc.disable()
+            self._inside += 1
+
+    def __exit__(self, *exc_info) -> None:
+        with self._lock:
+            self._inside -= 1
+            if self._inside == 0 and self._resume:
+                gc.enable()
+
+
+_COLLECTOR_PAUSE = _CollectorPause()
 
 
 @dataclass
@@ -235,22 +271,29 @@ class SurveyorPipeline:
         return self._tracing or self.registry is not None
 
     def run(self, corpus: WebCorpus) -> PipelineReport:
-        """Process a corpus end to end."""
+        """Process a corpus end to end.
+
+        The automatic cyclic collector is paused for the run and one
+        explicit collection closes it, so the run pays for that
+        collection once, inside its own wall time.
+        """
         started = time.perf_counter()
         metrics = PipelineMetrics(tracer=self.tracer)
-        if self._tracing:
-            with self.tracer.span(
-                "run",
-                kind="run",
-                documents=len(corpus),
-                n_workers=self.n_workers,
-                executor=self.executor,
-            ) as span:
+        with _COLLECTOR_PAUSE:
+            if self._tracing:
+                with self.tracer.span(
+                    "run",
+                    kind="run",
+                    documents=len(corpus),
+                    n_workers=self.n_workers,
+                    executor=self.executor,
+                ) as span:
+                    report = self._run_stages(corpus, metrics)
+                    span.set("opinions", len(report.result.opinions))
+                    span.set("healthy", report.health.healthy)
+            else:
                 report = self._run_stages(corpus, metrics)
-                span.set("opinions", len(report.result.opinions))
-                span.set("healthy", report.health.healthy)
-        else:
-            report = self._run_stages(corpus, metrics)
+            gc.collect()
         if self.registry is not None:
             self.registry.set_gauge(
                 "repro_run_wall_seconds",

@@ -1,0 +1,206 @@
+"""A mining run leaves no cyclic garbage, and its collector pause
+always restores the caller's collector state."""
+
+from __future__ import annotations
+
+import gc
+import sys
+import threading
+
+import pytest
+
+from repro.corpus import CorpusGenerator
+from repro.nlp import DependencyParser, tag, tokenize
+from repro.pipeline import FaultInjector, InjectedFault, SurveyorPipeline
+from repro.pipeline.runner import _COLLECTOR_PAUSE
+
+SENTENCES = (
+    "Kittens are cute.",
+    "Kittens are very cute and friendly.",
+    "I don't think that snakes are never dangerous.",
+    "I find kittens cute.",
+    "Tokyo, a big city, is hectic.",
+    "Snakes are dangerous animals.",
+    "The cute cat purrs.",
+    "San Francisco is bad for parking.",
+    "Soccer is a fast and exciting sport.",
+    "Honestly, tigers seem like fierce creatures.",
+    "If only Chicago were warm.",
+    "Nobody goes there not ever anyway",
+    "Chicago is a big city in winter.",
+    "!",
+)
+
+
+@pytest.fixture()
+def collector_disabled():
+    """Disable the collector for the test, restoring it afterwards."""
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if was_enabled:
+            gc.enable()
+
+
+@pytest.fixture()
+def collections():
+    """(generation, collected) of every collection while installed."""
+    seen: list[tuple[int, int]] = []
+
+    def record(phase, info):
+        if phase == "stop":
+            seen.append((info["generation"], info["collected"]))
+
+    gc.callbacks.append(record)
+    try:
+        yield seen
+    finally:
+        gc.callbacks.remove(record)
+
+
+class TestAcyclicTrees:
+    def test_dropped_parses_leave_no_cyclic_garbage(
+        self, collector_disabled
+    ):
+        parser = DependencyParser()
+        trees = [
+            parser.parse(tag(tokenize(text)))
+            for _ in range(5)
+            for text in SENTENCES
+        ]
+        assert all(tree.nodes for tree in trees)
+        del trees
+        assert gc.collect() == 0
+
+    def test_parent_map_matches_children(self, parser):
+        for text in SENTENCES:
+            tree = parser.parse(tag(tokenize(text)))
+            for node in tree.all_nodes():
+                for child in node.children:
+                    assert tree.parent_of(child) is node
+            assert tree.parent_of(tree.root) is None
+            assert sum(p is not None for p in tree.parents) == (
+                len(tree.nodes) - 1
+            )
+
+
+class TestClosingCollection:
+    def test_run_frees_nothing_cyclic(
+        self, small_kb, cute_scenario, collections
+    ):
+        corpus = CorpusGenerator(seed=41).generate(cute_scenario)
+        pipeline = SurveyorPipeline(
+            kb=small_kb,
+            occurrence_threshold=10,
+            annotation_memo_size=8,
+            fault_injector=FaultInjector(seed=3, fail_every_nth=7),
+        )
+        gc.collect()
+        collections.clear()
+        report = pipeline.run(corpus)
+        assert report.health.quarantined
+        assert report.health.memo_evictions > 0
+        # The automatic collector stayed out of the run: the closing
+        # collection is the only one, and it finds no cycles.
+        assert collections == [(2, 0)]
+
+
+class TestCollectorPause:
+    @pytest.fixture()
+    def pipeline_and_corpus(self, small_kb, cute_scenario):
+        corpus = CorpusGenerator(seed=42).generate(cute_scenario)
+        return (
+            SurveyorPipeline(kb=small_kb, occurrence_threshold=10),
+            corpus,
+        )
+
+    def test_restored_after_a_run(self, pipeline_and_corpus):
+        pipeline, corpus = pipeline_and_corpus
+        assert gc.isenabled()
+        pipeline.run(corpus)
+        assert gc.isenabled()
+
+    def test_restored_after_a_strict_run_raises(
+        self, small_kb, cute_scenario
+    ):
+        corpus = CorpusGenerator(seed=43).generate(cute_scenario)
+        pipeline = SurveyorPipeline(
+            kb=small_kb,
+            strict=True,
+            fault_injector=FaultInjector(fail_every_nth=1),
+        )
+        with pytest.raises(InjectedFault):
+            pipeline.run(corpus)
+        assert gc.isenabled()
+
+    def test_caller_disabled_collector_stays_disabled(
+        self, pipeline_and_corpus, collector_disabled
+    ):
+        pipeline, corpus = pipeline_and_corpus
+        pipeline.run(corpus)
+        assert not gc.isenabled()
+
+    def test_overlapping_pauses_resume_on_last_exit(self):
+        assert gc.isenabled()
+        with _COLLECTOR_PAUSE:
+            with _COLLECTOR_PAUSE:
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_pause_count_survives_thread_contention(self):
+        """More threads than cores enter and leave the pause with a
+        tiny switch interval; a lost update to the shared count would
+        re-enable the collector under a thread still inside, or leave
+        it disabled at the end."""
+        inside_enabled: list[bool] = []
+        start = threading.Barrier(8)
+
+        def churn() -> None:
+            start.wait()
+            for _ in range(300):
+                with _COLLECTOR_PAUSE:
+                    if gc.isenabled():
+                        inside_enabled.append(True)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=churn) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert inside_enabled == []
+        assert gc.isenabled()
+
+    def test_restored_after_concurrent_runs(
+        self, small_kb, cute_scenario
+    ):
+        corpus = CorpusGenerator(seed=44).generate(cute_scenario)
+        start = threading.Barrier(2)
+        errors: list[BaseException] = []
+
+        def run() -> None:
+            try:
+                start.wait()
+                SurveyorPipeline(
+                    kb=small_kb, occurrence_threshold=10
+                ).run(corpus)
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert gc.isenabled()

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 from collections import Counter
 
-from repro.nlp import EntityLinker, tag, tokenize
+import pytest
+
+from repro.kb import Entity, KnowledgeBase
+from repro.nlp import Annotator, EntityLinker, tag, tokenize
 from repro.nlp.entity_linker import document_type_context
 
 
@@ -89,6 +92,33 @@ class TestDisambiguation:
             small_kb, "Buffalo is a big city.", context
         )
         assert sentence.mentions[0].entity_id == "/city/buffalo"
+
+
+class TestSelfRival:
+    """An alias repeating the name in another case must not make the
+    entity its own rival (two tied candidates, so every mention was
+    dropped as ambiguous)."""
+
+    @pytest.fixture()
+    def tokyo_kb(self):
+        return KnowledgeBase(
+            [Entity.create("Tokyo", "city", aliases=("tokyo", "TOKYO"))]
+        )
+
+    def test_filed_once_per_lowercased_form(self, tokyo_kb):
+        assert tokyo_kb.candidates("Tokyo") == [tokyo_kb.get("/city/tokyo")]
+
+    @pytest.mark.parametrize("fast_path", [False, True])
+    def test_links_on_both_paths(self, tokyo_kb, fast_path):
+        annotator = Annotator(
+            tokyo_kb, fast_path=fast_path, share_memo=False
+        )
+        document = annotator.annotate("doc", "Tokyo is hectic.")
+        assert [m.entity_id for m in document.sentences[0].mentions] == [
+            "/city/tokyo"
+        ]
+        assert annotator.linker_stats.linked == 1
+        assert annotator.linker_stats.ambiguous_dropped == 0
 
 
 class TestDocumentContext:

@@ -215,15 +215,19 @@ class TestPolarityWalk:
     def test_negation_count_zero(self, annotate):
         annotated = annotate("Kittens are cute.")
         match = find_matches(annotated)[0]
-        assert negation_count(match.property_node) == 0
-        assert statement_polarity(match.property_node) is Polarity.POSITIVE
+        tree = annotated.tree
+        assert negation_count(tree, match.property_node) == 0
+        assert (
+            statement_polarity(tree, match.property_node)
+            is Polarity.POSITIVE
+        )
 
     def test_negation_count_two_for_figure5(self, annotate):
         annotated = annotate(
             "I don't think that snakes are never dangerous."
         )
         match = find_matches(annotated)[0]
-        assert negation_count(match.property_node) == 2
+        assert negation_count(annotated.tree, match.property_node) == 2
 
 
 class TestExtractorDriver:

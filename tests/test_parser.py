@@ -184,7 +184,7 @@ class TestTreeUtilities:
     def test_path_to_root(self, parse):
         tree = parse("I think that snakes are dangerous.")
         ccomp = tree.root.child_by_rel(CCOMP)
-        path = [n.token.text for n in ccomp.path_to_root()]
+        path = [n.token.text for n in tree.path_to_root(ccomp)]
         assert path == ["dangerous", "think"]
 
     def test_subtree_iteration(self, parse):
