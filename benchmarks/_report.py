@@ -5,43 +5,23 @@ the pytest-benchmark timing table, the *content* of each artefact (the
 rows/series the paper reports) is written to
 ``benchmarks/results/<name>.txt`` and echoed to stdout (visible with
 ``pytest -s``). EXPERIMENTS.md is assembled from these files.
-
-The suite also feeds the repo's **performance trajectory**: the
-conftest hooks wrap every ``bench_*`` function in a
-:class:`PerfCapture` (wall time, peak RSS, tracemalloc peak when
-tracing is on) and, at session end, merge the records into a repo-root
-``BENCH_<gitsha>.json`` (see :mod:`repro.obs.perf`). Benchmarks with
-natural throughput units declare them via :func:`perf_counts`, which
-turns them into ``<unit>_per_second`` rows in their record.
+Run-to-run performance is gated by the repository benchmark
+(``perfbench/``, paired against the parent commit by
+``scripts/perf_lane.py``), not by this suite.
 """
 
 from __future__ import annotations
 
 import json
-import os
-import time
 from pathlib import Path
 from typing import Any
 
 from repro.obs.manifest import git_describe
-from repro.obs.perf import (
-    BENCH_SCHEMA_VERSION,
-    MemoryProbe,
-    build_bench_record,
-    merge_into_trajectory,
-    trajectory_filename,
-)
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
-#: Where the trajectory lands: the repo root by default, overridable
-#: for tests and sandboxed CI runs.
-TRAJECTORY_DIR_ENV = "REPRO_BENCH_DIR"
-
-#: Opt-in for tracemalloc sampling during benchmarks. Off by default
-#: because allocation tracing inflates every wall-clock figure (the
-#: published ``.txt`` artefacts must not silently change regime).
-TRACEMALLOC_ENV = "REPRO_BENCH_TRACEMALLOC"
+#: Version stamp of the ``.json`` artefacts' ``meta`` block.
+SCHEMA_VERSION = 1
 
 
 def emit(name: str, lines: list[str]) -> None:
@@ -65,7 +45,7 @@ def emit_json(name: str, payload: dict[str, Any]) -> None:
     record["meta"] = {
         "benchmark": name,
         "git_describe": git_describe(),
-        "schema_version": BENCH_SCHEMA_VERSION,
+        "schema_version": SCHEMA_VERSION,
     }
     try:
         text = json.dumps(record, indent=1, sort_keys=True)
@@ -77,100 +57,3 @@ def emit_json(name: str, payload: dict[str, Any]) -> None:
         ) from error
     RESULTS_DIR.mkdir(exist_ok=True)
     (RESULTS_DIR / f"{name}.json").write_text(text + "\n")
-
-
-# ---------------------------------------------------------------------------
-# Performance trajectory capture (driven by benchmarks/conftest.py)
-# ---------------------------------------------------------------------------
-
-class PerfCapture:
-    """Collects one bench session's perf records and writes the
-    trajectory file. One instance per pytest session."""
-
-    def __init__(self) -> None:
-        self.records: list[dict[str, Any]] = []
-        self.git_version = git_describe()
-        self.session_unix = time.time()
-        self._active: str | None = None
-        self._counts: dict[str, dict[str, float]] = {}
-        self._values: dict[str, dict[str, float]] = {}
-
-    # -- per-benchmark bracket -----------------------------------------
-    def start(self, name: str) -> tuple[MemoryProbe, float]:
-        self._active = name
-        if os.environ.get(TRACEMALLOC_ENV):
-            from repro.obs.perf import start_tracemalloc
-
-            start_tracemalloc()
-        return MemoryProbe().start(), time.perf_counter()
-
-    def finish(
-        self,
-        name: str,
-        probe: MemoryProbe,
-        started: float,
-    ) -> dict[str, Any]:
-        wall = time.perf_counter() - started
-        record = build_bench_record(
-            name=name,
-            wall_seconds=wall,
-            memory=probe.stop(),
-            counts=self._counts.pop(name, None),
-            values=self._values.pop(name, None),
-            git_version=self.git_version,
-            timestamp=self.session_unix,
-        )
-        self.records.append(record)
-        self._active = None
-        return record
-
-    def count(self, name: str | None, **units: float) -> None:
-        key = name or self._active
-        if key is None:
-            return
-        bucket = self._counts.setdefault(key, {})
-        for label, value in units.items():
-            bucket[label] = float(value)
-
-    def value(self, name: str | None, **gauges: float) -> None:
-        key = name or self._active
-        if key is None:
-            return
-        bucket = self._values.setdefault(key, {})
-        for label, value in gauges.items():
-            bucket[label] = float(value)
-
-    # -- session flush --------------------------------------------------
-    def trajectory_path(self) -> Path:
-        root = os.environ.get(TRAJECTORY_DIR_ENV)
-        directory = (
-            Path(root) if root else Path(__file__).parent.parent
-        )
-        return directory / trajectory_filename(self.git_version)
-
-    def flush(self) -> Path | None:
-        if not self.records:
-            return None
-        return merge_into_trajectory(
-            self.trajectory_path(), self.records, self.git_version
-        )
-
-
-#: The live capture, installed by the conftest session hook.
-CAPTURE: PerfCapture | None = None
-
-
-def perf_counts(name: str | None = None, **units: float) -> None:
-    """Declare throughput units for the currently-running benchmark
-    (or an explicitly named one). No-op outside a bench session, so
-    bench modules stay importable standalone."""
-    if CAPTURE is not None:
-        CAPTURE.count(name, **units)
-
-
-def perf_values(name: str | None = None, **gauges: float) -> None:
-    """Record self-measured scalar gauges (latency quantiles, ratios)
-    into the benchmark's trajectory record, as-is. Same no-op
-    semantics as :func:`perf_counts`."""
-    if CAPTURE is not None:
-        CAPTURE.value(name, **gauges)

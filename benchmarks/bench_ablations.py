@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from _report import emit, perf_counts
+from _report import emit
 
 from repro.baselines import SurveyorInterpreter
 from repro.core import (
@@ -238,7 +238,6 @@ def bench_ablation_em_iterations(benchmark, harness, survey, iterations):
         rounds=1,
         iterations=1,
     )
-    perf_counts(opinions=len(table))
     score = evaluate_table(
         f"iterations={iterations}", table, survey.without_ties()
     )

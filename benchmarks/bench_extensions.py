@@ -13,7 +13,7 @@ import random
 import time
 
 import pytest
-from _report import emit, perf_counts
+from _report import emit
 
 from repro.core import EMLearner, EvidenceCounts, Polarity, fit_link
 from repro.corpus import TrueParameters, sample_statement_counts
@@ -85,7 +85,6 @@ def bench_em_scaling(benchmark, n_entities):
     learner = EMLearner(max_iterations=10, tolerance=0.0)
 
     result = benchmark(lambda: learner.fit(evidence))
-    perf_counts(entities=n_entities)
     assert len(result.responsibilities) == n_entities
     _SCALING.setdefault("times", {})[n_entities] = (
         benchmark.stats.stats.mean
@@ -123,7 +122,6 @@ def bench_nlp_throughput(benchmark, harness):
         )
 
     mentions = benchmark(annotate_all)
-    perf_counts(documents=len(docs), mentions=mentions)
     seconds = benchmark.stats.stats.mean
     lines = [
         "NLP annotation throughput",

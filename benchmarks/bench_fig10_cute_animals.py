@@ -6,7 +6,7 @@ scorpion, spider near 0/20) with a controversial middle.
 
 from __future__ import annotations
 
-from _report import emit, perf_counts
+from _report import emit
 
 from repro.kb.seeds import FIGURE_10_ANIMALS
 
@@ -16,7 +16,6 @@ def bench_fig10_votes(benchmark, survey):
         return survey.votes_for("animal", "cute")
 
     votes = benchmark(collect)
-    perf_counts(animals=len(votes))
     lines = ["Figure 10 — 'how many of 20 workers call the animal cute?'"]
     for name in FIGURE_10_ANIMALS:
         bar = "#" * votes[name]

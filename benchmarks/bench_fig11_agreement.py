@@ -6,7 +6,7 @@ at 20/20; average agreement 17 of 20.
 
 from __future__ import annotations
 
-from _report import emit, perf_counts
+from _report import emit
 
 from repro.evaluation import case_counts_by_threshold
 
@@ -16,7 +16,6 @@ def bench_fig11_histogram(benchmark, survey):
         return case_counts_by_threshold(survey)
 
     counts = benchmark(compute)
-    perf_counts(cases=max(counts.values()))
     lines = [
         "Figure 11 — #test cases with worker agreement >= threshold",
         f"mean agreement: {survey.mean_agreement():.2f} / 20 "

@@ -8,7 +8,7 @@ WebChild.
 
 from __future__ import annotations
 
-from _report import emit, perf_counts
+from _report import emit
 
 from repro.evaluation import series_for
 
@@ -21,7 +21,6 @@ def bench_fig12_series(benchmark, interpreted, survey):
         ]
 
     series = benchmark(compute)
-    perf_counts(methods=len(series))
     lines = ["Figure 12 — precision / coverage vs agreement threshold"]
     for entry in series:
         thresholds = " ".join(f"{t:5d}" for t in entry.thresholds())

@@ -10,7 +10,7 @@ collected at all.
 from __future__ import annotations
 
 import pytest
-from _report import emit, perf_counts
+from _report import emit
 
 from repro.evaluation import APPENDIX_A_STUDIES, run_study
 
@@ -22,7 +22,6 @@ def bench_fig13_study(benchmark, spec):
     outcome = benchmark.pedantic(
         lambda: run_study(spec, seed=2015), rounds=1, iterations=1
     )
-    perf_counts(entities=len(spec.scenario().entities))
     lines = [
         f"Figure 13 — {spec.name} "
         f"({spec.property_text} vs {spec.attribute})",

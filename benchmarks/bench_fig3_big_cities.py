@@ -12,7 +12,7 @@ vote partial coverage and visibly lower AUC.
 from __future__ import annotations
 
 import numpy as np
-from _report import emit, perf_counts
+from _report import emit
 
 from repro.corpus import CorpusGenerator
 from repro.evaluation import BIG_CITIES, run_study
@@ -38,7 +38,6 @@ def bench_fig3_counts_vs_population(benchmark):
         totals.append(counts.total if counts else 0)
     log_pop = np.log10(populations)
     corr = float(np.corrcoef(log_pop, totals)[0, 1])
-    perf_counts(cities=len(populations))
     lines = [
         "Figure 3(a,b) — statement counts vs population",
         f"cities: {len(populations)}",

@@ -12,7 +12,7 @@ and the <60, 3> classification.
 from __future__ import annotations
 
 import numpy as np
-from _report import emit, perf_counts
+from _report import emit
 
 from repro.core import EvidenceCounts, ModelParameters, UserBehaviorModel
 
@@ -35,7 +35,6 @@ def bench_fig6_grids(benchmark):
         return grid_log_probabilities(True), grid_log_probabilities(False)
 
     grid_pos, grid_neg = benchmark(compute)
-    perf_counts(grid_cells=grid_pos.size + grid_neg.size)
 
     mode_pos = np.unravel_index(np.argmax(grid_pos), grid_pos.shape)
     mode_neg = np.unravel_index(np.argmax(grid_neg), grid_neg.shape)

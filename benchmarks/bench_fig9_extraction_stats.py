@@ -9,7 +9,7 @@ Paper shapes:
 
 from __future__ import annotations
 
-from _report import emit, perf_counts
+from _report import emit
 
 from repro.evaluation import extraction_statistics
 
@@ -28,7 +28,6 @@ def bench_fig9_statistics(benchmark, harness, evidence):
         )
 
     stats = benchmark(compute)
-    perf_counts(entities=len(all_entity_ids))
     lines = ["Figure 9 — extraction statistics", stats.report()]
     emit("fig9_extraction_stats", lines)
 

@@ -8,14 +8,14 @@ a 10%-append workload over the evaluation corpus:
 * **Incremental CPU ratio** — CPU seconds for ``IngestPipeline`` to
   absorb the 10% tail (delta extraction + warm-started dirty refits)
   divided by CPU seconds for a cold batch pipeline over 100%. Gated
-  at ``DEFAULT_RATIO_CEILING`` (the acceptance bar: <= 25%). CPU
+  at ``RATIO_CEILING`` (the acceptance bar: <= 25%). CPU
   time, not wall clock, so tenant load on the CI box cannot flip the
   gate; both sides run in-process with the shared annotation memo
   reset, GC pinned for the timed region.
 * **Ingest -> servable freshness** — small batches POSTed through a
   live ``OpinionService.ingest`` (journal append, extract, refit,
   publish, validated swap); the gate is the p50 of the end-to-end
-  cycle, ``DEFAULT_FRESHNESS_CEILING`` (1 second).
+  cycle, ``FRESHNESS_CEILING`` (1 second).
 
 The generator shuffles documents across scenarios, so a 10% tail
 touches nearly every (property, type) combination — the dirty set is
@@ -28,11 +28,10 @@ fewer combos and do strictly better.
 from __future__ import annotations
 
 import gc
-import os
 import resource
 import statistics
 
-from _report import emit, perf_counts, perf_values
+from _report import emit
 
 from repro.corpus import CorpusGenerator, NoiseProfile, WebCorpus
 from repro.ingest import CorpusJournal, IngestPipeline
@@ -42,13 +41,11 @@ from repro.pipeline import SurveyorPipeline
 from repro.serve import OpinionService
 
 #: Incremental CPU must stay at or below this fraction of a full
-#: batch re-run (override for known-noisy hardware).
-RATIO_CEILING_ENV = "REPRO_BENCH_INGEST_RATIO_CEILING"
-DEFAULT_RATIO_CEILING = 0.25
+#: batch re-run.
+RATIO_CEILING = 0.25
 
 #: p50 of the ingest -> servable cycle must stay under this.
-FRESHNESS_CEILING_ENV = "REPRO_BENCH_INGEST_FRESHNESS_CEILING"
-DEFAULT_FRESHNESS_CEILING = 1.0
+FRESHNESS_CEILING = 1.0
 
 #: Documents in the mined world; the append is the last tenth. Large
 #: enough that per-advance fixed costs (state save, manifest, index
@@ -142,15 +139,6 @@ def bench_ingest_incremental(benchmark, harness, tmp_path):
         freshness.append(summary["freshness_seconds"])
     freshness_p50 = statistics.median(freshness)
 
-    perf_counts(
-        documents=len(tail),
-        statements=report.statements,
-    )
-    perf_values(
-        ingest_cpu_ratio=round(ratio, 4),
-        ingest_dirty_combinations=float(len(report.dirty)),
-        ingest_freshness_p50_seconds=round(freshness_p50, 4),
-    )
     emit("ingest_incremental", [
         "Streaming ingestion: 10% append vs full batch re-run",
         f"world: {len(corpus.documents)} documents, append "
@@ -172,20 +160,11 @@ def bench_ingest_incremental(benchmark, harness, tmp_path):
     # (bit-parity itself is proven per scenario in tests/test_ingest).
     assert len(report.table) == len(batch.result.opinions)
 
-    ceiling = float(
-        os.environ.get(RATIO_CEILING_ENV, DEFAULT_RATIO_CEILING)
-    )
-    assert ratio <= ceiling, (
+    assert ratio <= RATIO_CEILING, (
         f"incremental refit regressed: CPU ratio {ratio:.3f} > "
-        f"ceiling {ceiling:.2f} (override {RATIO_CEILING_ENV})"
+        f"ceiling {RATIO_CEILING:.2f}"
     )
-    freshness_ceiling = float(
-        os.environ.get(
-            FRESHNESS_CEILING_ENV, DEFAULT_FRESHNESS_CEILING
-        )
-    )
-    assert freshness_p50 < freshness_ceiling, (
+    assert freshness_p50 < FRESHNESS_CEILING, (
         f"ingest->servable freshness regressed: p50 "
-        f"{freshness_p50:.3f}s >= {freshness_ceiling:.2f}s "
-        f"(override {FRESHNESS_CEILING_ENV})"
+        f"{freshness_p50:.3f}s >= {FRESHNESS_CEILING:.2f}s"
     )

@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 import tracemalloc
 
-from _report import emit, emit_json, perf_counts
+from _report import emit, emit_json
 
 from repro.corpus.generator import CorpusGenerator
 from repro.evaluation.harness import EvaluationHarness
@@ -110,7 +110,6 @@ def bench_tracing_disabled_overhead(benchmark):
         tracer=Tracer(enabled=True),
         registry=MetricsRegistry(),
     )
-    perf_counts(documents=len(corpus))
     ratio_disabled = disabled / baseline
     ratio_traced = traced / baseline
     heap_ratio_disabled = heap_disabled / heap_baseline

@@ -4,7 +4,7 @@ Provenance capture (see docs/observability.md, "Answer provenance &
 drift") is ON by default, so its cost is part of every mining run.
 This bench runs the same corpus through the pipeline with capture on
 and off and gates the throughput ratio: the provenance path must keep
-at least ``DEFAULT_RATIO_FLOOR`` of the no-provenance throughput.
+at least ``RATIO_FLOOR`` of the no-provenance throughput.
 
 Measurement design:
 
@@ -32,26 +32,24 @@ Measurement design:
   at allocation-count thresholds, adding ~80 ms to whichever variant
   happens to cross one; that quantum is 30x the effect being gated.
 
-The fine-grained trend lives in the recorded ``provenance_cpu_ratio``
-trajectory value (``repro bench trend`` renders it).
+The measured ratio and every round's CPU seconds are written to
+``benchmarks/results/provenance_overhead.txt``.
 """
 
 from __future__ import annotations
 
 import gc
-import os
 import resource
 
-from _report import emit, perf_counts, perf_values
+from _report import emit
 
 from repro.corpus import CorpusGenerator, NoiseProfile, WebCorpus
 from repro.nlp import reset_shared_annotation_state
 from repro.pipeline import SurveyorPipeline
 
 #: Provenance-on throughput must stay >= this fraction of the
-#: provenance-off path (override for known-noisy hardware).
-RATIO_FLOOR_ENV = "REPRO_BENCH_PROVENANCE_RATIO_FLOOR"
-DEFAULT_RATIO_FLOOR = 0.95
+#: provenance-off path.
+RATIO_FLOOR = 0.95
 
 #: Documents per pipeline run. Capture cost is dominated by a
 #: once-per-distinct-sentence sampling pass, so the overhead
@@ -127,15 +125,6 @@ def bench_provenance_overhead(benchmark, harness):
     ratio = docs_per_cpu_on / docs_per_cpu_off
 
     lineage = report.provenance
-    perf_counts(
-        documents=SLICE,
-        statements=report.evidence.n_statements,
-    )
-    perf_values(
-        provenance_cpu_ratio=round(ratio, 4),
-        provenance_pairs=float(lineage.n_pairs),
-        provenance_samples=float(lineage.n_samples),
-    )
     emit("provenance_overhead", [
         "Evidence-lineage capture overhead",
         f"corpus: {SLICE} documents (cold annotation memo per run)",
@@ -155,10 +144,7 @@ def bench_provenance_overhead(benchmark, harness):
     # Capture must see evidence: every opinion pair has a ledger entry.
     assert lineage.n_pairs > 0
     assert lineage.n_samples > 0
-    floor = float(
-        os.environ.get(RATIO_FLOOR_ENV, DEFAULT_RATIO_FLOOR)
-    )
-    assert ratio >= floor, (
+    assert ratio >= RATIO_FLOOR, (
         f"provenance capture overhead regressed: throughput ratio "
-        f"{ratio:.3f} < floor {floor:.2f} (override {RATIO_FLOOR_ENV})"
+        f"{ratio:.3f} < floor {RATIO_FLOOR:.2f}"
     )

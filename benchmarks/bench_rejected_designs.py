@@ -12,7 +12,7 @@
 
 from __future__ import annotations
 
-from _report import emit, perf_counts
+from _report import emit
 
 from repro.baselines import SurveyorInterpreter
 from repro.core import Polarity, PropertyTypeKey, SubjectiveProperty
@@ -90,7 +90,6 @@ def bench_antonym_expansion(benchmark):
     corpus = CorpusGenerator(
         seed=2015, noise=NoiseProfile.CLEAN
     ).generate(scenario)
-    perf_counts(documents=len(corpus))
     annotator = Annotator(kb)
     extractor = EvidenceExtractor()
     statements = []
@@ -169,7 +168,6 @@ def bench_pronoun_coreference(benchmark, harness):
         lambda: statements_with(True), rounds=1, iterations=1
     )
     without_coref = statements_with(False)
-    perf_counts(documents=len(corpus))
     truth_total = sum(
         pos + neg for pos, neg in corpus.truth.values()
     )

@@ -31,7 +31,7 @@ import json
 import threading
 import time
 
-from _report import emit, emit_json, perf_counts, perf_values
+from _report import emit, emit_json
 from bench_serving import _AsyncHarness
 
 from repro.serve import (
@@ -248,10 +248,6 @@ def bench_serve_chaos(benchmark, interpreted, tmp_path_factory):
     p50 = _quantile(latencies, 0.50) if latencies else 0.0
     p99 = _quantile(latencies, 0.99) if latencies else 0.0
     fired = injector.fired_counts()
-    perf_counts(requests=total)
-    perf_values(
-        goodput=goodput, qps=qps, p50_seconds=p50, p99_seconds=p99
-    )
     lines = [
         f"Chaos serving ({CLIENT_THREADS} client threads x "
         f"{REQUESTS_PER_THREAD} requests, faults active)",

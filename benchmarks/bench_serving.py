@@ -37,7 +37,7 @@ import socket
 import threading
 import time
 
-from _report import emit, emit_json, perf_counts, perf_values
+from _report import emit, emit_json
 
 from repro.core.query import QueryEngine
 from repro.obs import MetricsRegistry, Tracer
@@ -58,7 +58,7 @@ CLIENT_THREADS = 4
 REQUESTS_PER_THREAD = 150
 
 #: QPS the thread-per-connection core recorded on this workload before
-#: the async rewrite (benchmarks/baseline.json lineage, PR-10 issue).
+#: the async rewrite.
 HTTP_BASELINE_QPS = 1165.3
 #: PR-10 acceptance bar: the async core must clear 8x that baseline...
 HTTP_SPEEDUP_FLOOR = 8.0
@@ -137,12 +137,8 @@ def bench_query_paths(benchmark, interpreted):
     (best, build_seconds, service) = benchmark.pedantic(
         measure, rounds=1, iterations=1
     )
-    perf_counts(queries=len(WORKLOAD) * ROUNDS * 3)
     index_speedup = best["scan"] / best["indexed"]
     cache_speedup = best["scan"] / best["cached"]
-    perf_values(
-        index_speedup=index_speedup, cache_speedup=cache_speedup
-    )
     per_query_us = {
         label: seconds / len(WORKLOAD) * 1e6
         for label, seconds in best.items()
@@ -350,12 +346,6 @@ def bench_http_serving(benchmark, interpreted):
     p50 = _quantile(latencies, 0.50)
     p99 = _quantile(latencies, 0.99)
     p999 = _quantile(latencies, 0.999)
-    perf_counts(requests=total)
-    perf_values(
-        qps=qps,
-        p50_seconds=p50,
-        p99_seconds=p99,
-    )
     stats = service.cache.stats()
     lines = [
         f"HTTP serving: async core ({CLIENT_THREADS} raw-socket "
@@ -501,12 +491,6 @@ def bench_observability_overhead(
     spans = len(instrumented.tracer.export_spans())
     stream = instrumented.registry.stream_snapshot(
         "repro_serve_request_seconds"
-    )
-    perf_counts(requests=total * 2 * OVERHEAD_ROUNDS)
-    perf_values(
-        bare_qps=qps["bare"],
-        instrumented_qps=qps["instrumented"],
-        qps_ratio=ratio,
     )
     lines = [
         f"Observability overhead ({CLIENT_THREADS} client threads x "

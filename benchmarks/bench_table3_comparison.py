@@ -14,7 +14,7 @@ between Surveyor and the counting baselines is wide.
 
 from __future__ import annotations
 
-from _report import emit, perf_counts
+from _report import emit
 
 from repro.evaluation import evaluate_table
 
@@ -29,7 +29,6 @@ def bench_table3(benchmark, harness, interpreted, survey):
         ]
 
     scores = benchmark(score_all)
-    perf_counts(test_cases=len(test_cases))
     lines = ["Table 3 — method comparison (synthetic corpus)"]
     lines += [score.row() for score in scores]
     emit("table3_comparison", lines)

@@ -18,7 +18,7 @@ Appendix B runtime comparison.
 from __future__ import annotations
 
 import pytest
-from _report import emit, perf_counts
+from _report import emit
 
 from repro.corpus import CorpusGenerator, NoiseProfile
 from repro.extraction import EvidenceExtractor, PATTERN_VERSIONS
@@ -59,7 +59,6 @@ def bench_table4_version(benchmark, harness, version):
         return counter.n_statements
 
     n_statements = benchmark(extract)
-    perf_counts(statements=n_statements)
     _STATE.setdefault("counts", {})[version] = n_statements
 
     if len(_STATE["counts"]) == 4:

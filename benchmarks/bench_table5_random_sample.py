@@ -14,7 +14,7 @@ relative to Table 3 while every baseline's F1 drops hard.
 
 from __future__ import annotations
 
-from _report import emit, perf_counts
+from _report import emit
 
 from repro.evaluation import RandomSampleStudy
 
@@ -22,7 +22,6 @@ from repro.evaluation import RandomSampleStudy
 def bench_table5(benchmark):
     study = RandomSampleStudy(n_combinations=803, seed=2015)
     scores = benchmark.pedantic(study.run, rounds=1, iterations=1)
-    perf_counts(combinations=803)
 
     lines = ["Table 5 — random sample of 803 property-type combinations"]
     lines += [score.row() for score in scores]

@@ -10,7 +10,7 @@ copulas, aspect statements, distractors) must not change who wins.
 
 from __future__ import annotations
 
-from _report import emit, perf_counts
+from _report import emit
 
 from repro.evaluation import evaluate_table
 from repro.evaluation.harness import EvaluationHarness
@@ -24,7 +24,6 @@ def bench_table3_text_pipeline(benchmark):
         return harness.table3()
 
     scores = benchmark.pedantic(run, rounds=1, iterations=1)
-    perf_counts(methods=len(scores))
     lines = ["Table 3 via the full text pipeline (render + NLP + extract)"]
     lines += [score.row() for score in scores]
     emit("table3_text_pipeline", lines)

@@ -3,57 +3,16 @@
 The evaluation world (scenarios, evidence, survey) is expensive enough
 to build once and reuse; individual benchmarks time the computation
 they own, not the shared setup.
-
-The hooks below also capture one perf record per ``bench_*`` function
-(wall time, peak RSS, tracemalloc peak when ``REPRO_BENCH_TRACEMALLOC``
-is set) and merge them into the repo-root ``BENCH_<gitsha>.json``
-trajectory at session end — the machine-readable counterpart of the
-``.txt`` artefacts. See docs/observability.md, "Performance
-telemetry".
 """
 
 from __future__ import annotations
 
 import pytest
 
-import _report
 from repro.evaluation import EvaluationHarness
 
 #: One seed for the whole benchmark run; matches the paper year.
 BENCH_SEED = 2015
-
-
-def pytest_sessionstart(session):
-    _report.CAPTURE = _report.PerfCapture()
-
-
-@pytest.hookimpl(hookwrapper=True)
-def pytest_runtest_call(item):
-    capture = _report.CAPTURE
-    if capture is None or not item.name.startswith("bench_"):
-        yield
-        return
-    name = item.name.removeprefix("bench_")
-    probe, started = capture.start(name)
-    outcome = yield
-    # Failed benchmarks leave no record: a crashed run's wall time is
-    # not a data point, and a partial trajectory must not overwrite a
-    # good one at compare time.
-    if outcome.excinfo is None:
-        capture.finish(name, probe, started)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    capture = _report.CAPTURE
-    if capture is None:
-        return
-    path = capture.flush()
-    if path is not None:
-        print(
-            f"\nbench trajectory: {len(capture.records)} records "
-            f"-> {path}"
-        )
-    _report.CAPTURE = None
 
 
 @pytest.fixture(scope="session")

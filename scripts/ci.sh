@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: the fast, deterministic tier-1 lane, the
-# fault-injection suite, and the observability artefact check.
+# fault-injection suite, the observability artefact check, the
+# serving/ingest lanes, the benches with in-bench gates, and the paired
+# performance lane (this commit against its parent; needs HEAD^).
 #
 # Usage: scripts/ci.sh
 #
@@ -32,39 +34,25 @@ python -m repro demo \
 python -m repro stats "$OBS_DIR/trace.jsonl" \
     --metrics "$OBS_DIR/metrics.json" --validate > /dev/null
 
-echo "== bench-gate (quick subset vs committed baseline) =="
-# A quick-mode run of the scale benchmark (which includes the EM stage
-# alone) and the overhead budget; the trajectory lands in a temp dir so
-# CI never rewrites the committed repo-root BENCH_<gitsha>.json. The
-# compare gates only the benchmarks present in both files, so this
-# subset cannot fail on benches it did not run.
-BENCH_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$BENCH_DIR"' EXIT
-# bench_serving carries its own hard gates (cached path >= 10x the
-# full-table scan; sane p99) on top of the baseline comparison.
-# Order matters: ru_maxrss is a process-global high-watermark, so the
-# serving benches must run before bench_obs_overhead (whose tracing
-# bench peaks ~2x higher) or their recorded peak RSS is its, not
-# theirs. bench_provenance runs last for the same reason: its 12k-doc
-# corpus would otherwise raise the watermark under the earlier benches.
-REPRO_BENCH_DIR="$BENCH_DIR" python -m pytest -q -p no:cacheprovider \
+echo "== in-bench gates (scale, serving, overhead budgets, provenance) =="
+# Each bench asserts relative figures measured in its own process:
+# fast/reference extraction CPU >= 1.8x, extraction > 5x EM, the EM
+# stage against a fixed reference loop, the HTTP 8x floor and p99
+# ceiling, the 0.95 serving-overhead and provenance floors, and the
+# tracing overhead budgets. Absolute throughput and RSS are the paired
+# perfbench lane's job (last lane below).
+python -m pytest -q -p no:cacheprovider \
     benchmarks/bench_sec71_pipeline_scale.py \
     benchmarks/bench_serving.py \
     benchmarks/bench_obs_overhead.py \
     benchmarks/bench_provenance.py > /dev/null
-# Wall tolerance is wider than the ±15% library default: CI boxes run
-# these benches right after two test lanes on shared hardware, so wall
-# noise is real — a genuine 2x regression still fails by a mile. RSS
-# keeps the strict ±10% default (allocation is load-independent).
-python -m repro bench compare "$BENCH_DIR"/BENCH_*.json \
-    --baseline benchmarks/baseline.json --wall-tolerance 0.5
 
 echo "== strict-parity smoke (fast path vs reference, bit-identical) =="
 # Runs the mining pipeline with the extraction fast path verifying
 # every document and shard against the reference path; any divergence
 # raises ParityError and fails the run (see docs/performance.md).
 PARITY_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$BENCH_DIR" "$PARITY_DIR"' EXIT
+trap 'rm -rf "$OBS_DIR" "$PARITY_DIR"' EXIT
 printf '%s\n' \
     "Kittens are cute. They are fluffy animals." \
     "I think that kittens are cute." \
@@ -96,7 +84,7 @@ echo "== serve lane (async core smoke: boot, query, observability, reload, shutd
 # `repro serve` defaults to the asyncio event-loop core, so this lane
 # exercises the async single-worker server end to end.
 SERVE_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$BENCH_DIR" "$PARITY_DIR" "$SERVE_DIR"' EXIT
+trap 'rm -rf "$OBS_DIR" "$PARITY_DIR" "$SERVE_DIR"' EXIT
 printf '%s\n' \
     "Kittens are cute." \
     "I think that kittens are cute." \
@@ -533,15 +521,10 @@ finally:
 print("chaos lane OK")
 PYEOF
 
-# Goodput under injected faults, gated against the committed baseline
-# like the other benches (bench_serve_chaos carries its own hard
-# gates: goodput >= 80%, recovery to healthy after rollback).
-CHAOS_BENCH_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$BENCH_DIR" "$PARITY_DIR" "$SERVE_DIR" "$CHAOS_BENCH_DIR"' EXIT
-REPRO_BENCH_DIR="$CHAOS_BENCH_DIR" python -m pytest -q -p no:cacheprovider \
+# Goodput under injected faults (bench_serve_chaos gates it: goodput
+# >= 80%, recovery to healthy after rollback).
+python -m pytest -q -p no:cacheprovider \
     benchmarks/bench_serve_chaos.py > /dev/null
-python -m repro bench compare "$CHAOS_BENCH_DIR"/BENCH_*.json \
-    --baseline benchmarks/baseline.json --wall-tolerance 0.5
 
 echo "== ingest lane (journal bootstrap, live append, hot publish) =="
 # Streaming ingestion end to end (docs/ingestion.md): journal-first
@@ -551,7 +534,7 @@ echo "== ingest lane (journal bootstrap, live append, hot publish) =="
 # the rewritten provenance sidecar), and a restart on the same journal
 # that must come back at the same generation with the same answers.
 INGEST_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$BENCH_DIR" "$PARITY_DIR" "$SERVE_DIR" "$CHAOS_BENCH_DIR" "$INGEST_DIR"' EXIT
+trap 'rm -rf "$OBS_DIR" "$PARITY_DIR" "$SERVE_DIR" "$INGEST_DIR"' EXIT
 printf '%s\n' \
     "Kittens are cute." \
     "I think that kittens are cute." \
@@ -693,14 +676,17 @@ finally:
 print("ingest lane OK")
 PYEOF
 
-# Ingestion benches carry their own hard gates (incremental CPU <=
-# 25% of a full re-run on a 10% append; ingest -> servable p50 under
-# a second) on top of the baseline comparison.
-INGEST_BENCH_DIR="$(mktemp -d)"
-trap 'rm -rf "$OBS_DIR" "$BENCH_DIR" "$PARITY_DIR" "$SERVE_DIR" "$CHAOS_BENCH_DIR" "$INGEST_DIR" "$INGEST_BENCH_DIR"' EXIT
-REPRO_BENCH_DIR="$INGEST_BENCH_DIR" python -m pytest -q -p no:cacheprovider \
+# Ingestion benches carry their own gates (incremental CPU <= 25% of a
+# full re-run on a 10% append; ingest -> servable p50 under a second).
+python -m pytest -q -p no:cacheprovider \
     benchmarks/bench_ingest.py > /dev/null
-python -m repro bench compare "$INGEST_BENCH_DIR"/BENCH_*.json \
-    --baseline benchmarks/baseline.json --wall-tolerance 0.5
+
+echo "== paired perfbench lane (this commit vs HEAD^, every workload) =="
+# Runs every BENCHMARK.json workload on this checkout and on its parent
+# commit (a temporary git worktree with this checkout's perfbench/),
+# same seeds, alternating order; fails on correct false, a higher
+# failed share, or a median worse than its metric's bound. A clone
+# without HEAD^ fails here: fetch with depth >= 2.
+python3 scripts/perf_lane.py
 
 echo "CI OK"

@@ -12,7 +12,6 @@ Subcommands::
     python -m repro top   ...                 live console over a server
     python -m repro eval                      reproduce the Table 3 comparison
     python -m repro stats trace.jsonl         inspect a recorded trace
-    python -m repro bench ...                 perf baselines + regression gate
     python -m repro calibrate ...             subjective->objective bridge
 
 ``mine`` reads documents from a file (one document per line) or a
@@ -24,9 +23,7 @@ directory of ``.txt`` files, against a knowledge base saved with
 JSON, EM convergence records included), ``--profile`` (per-stage
 profile on stderr after the run), and ``--profile-mem`` (additionally
 sample peak RSS and tracemalloc per span); ``stats`` renders a
-recorded trace. ``bench record/compare/trend`` manages the benchmark
-trajectory files written by the benchmark suite (see
-``docs/observability.md``, "Performance telemetry").
+recorded trace.
 """
 
 from __future__ import annotations
@@ -949,69 +946,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    """Benchmark-trajectory tooling: record / compare / trend.
-
-    ``record`` freezes a trajectory file into a baseline; ``compare``
-    gates a fresh trajectory against one (exit 1 on regression, 2 on
-    malformed inputs); ``trend`` sparklines every metric across the
-    ``BENCH_*.json`` files of a directory.
-    """
-    from .obs.baseline import (
-        compare,
-        discover_trajectories,
-        load_baseline,
-        record_baseline,
-        trend,
-        write_baseline,
-    )
-    from .obs.perf import load_trajectory
-
-    if args.bench_command == "record":
-        trajectory = load_trajectory(args.trajectory)
-        path = write_baseline(
-            args.out, record_baseline(trajectory)
-        )
-        print(
-            f"recorded baseline for "
-            f"{len(trajectory['entries'])} benchmarks to {path}"
-        )
-        return 0
-    if args.bench_command == "compare":
-        baseline = load_baseline(args.baseline)
-        trajectory = load_trajectory(args.trajectory)
-        tolerances = {
-            "wall_seconds": args.wall_tolerance,
-            "peak_rss_bytes": args.rss_tolerance,
-            "tracemalloc_peak_bytes": args.heap_tolerance,
-        }
-        report = compare(baseline, trajectory, tolerances)
-        print(report.render())
-        return 0 if report.passed else 1
-    # trend
-    paths = (
-        [Path(p) for p in args.trajectory]
-        if args.trajectory
-        else discover_trajectories(args.dir)
-    )
-    # Graceful on nothing-yet: a fresh checkout has no trajectory
-    # files and an aborted bench run can leave empty ones — neither
-    # deserves a traceback or a bare table.
-    paths = [
-        path
-        for path in paths
-        if path.exists() and path.stat().st_size > 0
-    ]
-    if not paths:
-        print(
-            f"repro bench trend: no data "
-            f"(no usable BENCH_*.json under {args.dir})"
-        )
-        return 0
-    print(trend(paths))
-    return 0
-
-
 def cmd_calibrate(args: argparse.Namespace) -> int:
     from .core.calibration import fit_link
 
@@ -1329,70 +1263,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="schema-check the artefacts; exit 2 on "
                             "violations")
     stats.set_defaults(func=cmd_stats)
-
-    bench = sub.add_parser(
-        "bench",
-        help="performance baselines and the regression gate over "
-             "BENCH_<gitsha>.json trajectory files",
-    )
-    bench_sub = bench.add_subparsers(
-        dest="bench_command", required=True
-    )
-
-    bench_record = bench_sub.add_parser(
-        "record", help="freeze a trajectory file into a baseline"
-    )
-    bench_record.add_argument(
-        "trajectory", help="BENCH_<gitsha>.json from a bench run"
-    )
-    bench_record.add_argument(
-        "--out", default="benchmarks/baseline.json",
-        help="where to write the baseline "
-             "(default benchmarks/baseline.json)",
-    )
-    bench_record.set_defaults(func=cmd_bench)
-
-    bench_compare = bench_sub.add_parser(
-        "compare",
-        help="gate a fresh trajectory against a baseline "
-             "(exit 1 on regression)",
-    )
-    bench_compare.add_argument(
-        "trajectory", help="BENCH_<gitsha>.json from the fresh run"
-    )
-    bench_compare.add_argument(
-        "--baseline", default="benchmarks/baseline.json",
-        help="baseline from 'repro bench record' "
-             "(default benchmarks/baseline.json)",
-    )
-    bench_compare.add_argument(
-        "--wall-tolerance", type=float, default=0.15,
-        help="relative wall-time slack before a regression "
-             "(default 0.15)",
-    )
-    bench_compare.add_argument(
-        "--rss-tolerance", type=float, default=0.10,
-        help="relative peak-RSS slack (default 0.10)",
-    )
-    bench_compare.add_argument(
-        "--heap-tolerance", type=float, default=0.25,
-        help="relative tracemalloc-peak slack (default 0.25)",
-    )
-    bench_compare.set_defaults(func=cmd_bench)
-
-    bench_trend = bench_sub.add_parser(
-        "trend",
-        help="sparkline each metric across trajectory files",
-    )
-    bench_trend.add_argument(
-        "trajectory", nargs="*",
-        help="trajectory files (default: BENCH_*.json under --dir)",
-    )
-    bench_trend.add_argument(
-        "--dir", default=".",
-        help="directory to scan for BENCH_*.json (default .)",
-    )
-    bench_trend.set_defaults(func=cmd_bench)
 
     calibrate = sub.add_parser(
         "calibrate",

@@ -83,7 +83,10 @@ class UserBehaviorModel:
         log_joint_neg = math.log(
             1.0 - self.prior_positive
         ) + self.log_likelihood(counts, False)
-        if log_joint_pos == -math.inf and log_joint_neg == -math.inf:
+        # Equal joints are the undecided case, exactly: through
+        # log-sum-exp, ``x - (x + log 2)`` rounds and would read a hair
+        # off 0.5, and Surveyor drops only an exact 0.5.
+        if log_joint_pos == log_joint_neg:
             return 0.5
         denominator = log_sum_exp((log_joint_pos, log_joint_neg))
         return math.exp(log_joint_pos - denominator)

@@ -19,18 +19,6 @@ clock, health) and :mod:`repro.obs.stats` renders recorded traces for
 burn rates) and :mod:`repro.obs.live` (the ``repro top`` console).
 """
 
-from .baseline import (
-    DEFAULT_TOLERANCES,
-    ComparisonReport,
-    MetricVerdict,
-    compare,
-    discover_trajectories,
-    load_baseline,
-    record_baseline,
-    trend,
-    validate_baseline,
-    write_baseline,
-)
 from .convergence import (
     ConvergenceRecord,
     load_convergence,
@@ -68,20 +56,10 @@ from .metrics import (
     validate_metrics_payload,
 )
 from .perf import (
-    BENCH_METRICS,
-    BENCH_SCHEMA_VERSION,
     MemoryProbe,
     MemorySample,
-    PerfError,
-    build_bench_record,
-    build_trajectory,
     format_bytes,
-    load_trajectory,
-    merge_into_trajectory,
     rss_peak_bytes,
-    trajectory_filename,
-    validate_bench_record,
-    validate_trajectory,
 )
 from .slo import SLO_STATES, SloSpec, SloTracker
 from .stats import render_convergence, render_metrics, render_trace
@@ -96,12 +74,8 @@ from .trace import (
 )
 
 __all__ = [
-    "BENCH_METRICS",
-    "BENCH_SCHEMA_VERSION",
     "CATALOG",
-    "ComparisonReport",
     "ConvergenceRecord",
-    "DEFAULT_TOLERANCES",
     "DRIFT_FORMAT",
     "DriftReport",
     "PropertyDrift",
@@ -109,8 +83,6 @@ __all__ = [
     "read_manifest",
     "MemoryProbe",
     "MemorySample",
-    "MetricVerdict",
-    "PerfError",
     "MetricSpec",
     "MetricsError",
     "MetricsRegistry",
@@ -123,25 +95,15 @@ __all__ = [
     "TraceError",
     "Tracer",
     "WindowedHistogram",
-    "build_bench_record",
     "build_manifest",
-    "build_trajectory",
-    "compare",
-    "discover_trajectories",
     "format_bytes",
     "git_describe",
-    "load_baseline",
     "load_convergence",
     "load_metrics_file",
-    "load_trajectory",
     "manifest_path_for",
-    "merge_into_trajectory",
     "parse_exposition",
     "read_trace",
-    "record_baseline",
     "rss_peak_bytes",
-    "trajectory_filename",
-    "trend",
     "record_from_fit",
     "records_from_result",
     "records_to_payload",
@@ -151,13 +113,9 @@ __all__ = [
     "render_trace",
     "run_top",
     "save_convergence",
-    "validate_baseline",
-    "validate_bench_record",
     "validate_metrics_payload",
     "validate_serve_observability",
     "validate_spans",
     "validate_trace",
-    "validate_trajectory",
-    "write_baseline",
     "write_manifest",
 ]

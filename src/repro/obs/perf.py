@@ -1,62 +1,20 @@
-"""Performance telemetry: memory probes and the benchmark trajectory.
+"""Performance telemetry: memory probes.
 
-The paper's scalability story (Section 7.1: O(m) evidence
-interpretation per EM iteration, extraction that scales to a Web
-snapshot) is only checkable if performance is *observable across
-runs*. This module provides the two primitives that make it so:
-
-* **Memory probes** — cheap samplers for process peak RSS
-  (``resource.getrusage``; no extra cost) and Python-heap peaks
-  (``tracemalloc``; opt-in because tracing allocations slows the
-  interpreter). :class:`MemoryProbe` brackets a region of work and
-  reports both.
-* **Benchmark records and the trajectory file** — every benchmark run
-  produces one schema-validated record (wall time, throughput counts,
-  peak RSS, tracemalloc peak, plus a ``meta`` block with the git
-  version and timestamp), and an aggregator merges records into a
-  repo-root ``BENCH_<gitsha>.json`` so the perf history of the repo is
-  machine-readable. :mod:`repro.obs.baseline` turns two trajectory
-  files into a regression verdict.
-
-Wall-clock sources (timestamps, ``git describe``) are **passed in** by
-the harness that owns the run — nothing here calls ``time.time()`` on
-its own, so records are reproducible under test.
+Cheap samplers for process peak RSS (``resource.getrusage``; no extra
+cost) and Python-heap peaks (``tracemalloc``; opt-in because tracing
+allocations slows the interpreter). :class:`MemoryProbe` brackets a
+region of work and reports both; the tracer (``--profile-mem``), the
+``--profile`` report and the pipeline's resource counters read them.
+Run-to-run performance is measured by the repository benchmark
+(``perfbench/``), not here.
 """
 
 from __future__ import annotations
 
-import json
-import math
-import re
 import sys
 import tracemalloc
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Any
 
-from ..core.errors import ReproError
-
-#: Version stamp for benchmark records and trajectory files.
-BENCH_SCHEMA_VERSION = 1
-
-BENCH_TRAJECTORY_FORMAT = "bench_trajectory"
-
-#: The scalar metrics a benchmark record carries (and the only names
-#: ``repro bench compare`` will gate on).
-BENCH_METRICS = (
-    "wall_seconds",
-    "peak_rss_bytes",
-    "tracemalloc_peak_bytes",
-)
-
-
-class PerfError(ReproError):
-    """A malformed benchmark record, trajectory, or baseline file."""
-
-
-# ---------------------------------------------------------------------------
-# Memory probes
-# ---------------------------------------------------------------------------
 
 def rss_peak_bytes() -> int:
     """Process peak RSS in bytes (the kernel's high-watermark).
@@ -74,10 +32,6 @@ def rss_peak_bytes() -> int:
     if sys.platform == "darwin":  # pragma: no cover - linux CI
         return int(peak)
     return int(peak) * 1024
-
-
-def tracemalloc_active() -> bool:
-    return tracemalloc.is_tracing()
 
 
 def start_tracemalloc() -> None:
@@ -148,238 +102,3 @@ def format_bytes(n: float | int | None) -> str:
             )
         value /= 1024.0
     return f"{value:.1f}GiB"  # pragma: no cover - unreachable
-
-
-# ---------------------------------------------------------------------------
-# Benchmark records
-# ---------------------------------------------------------------------------
-
-def build_bench_record(
-    *,
-    name: str,
-    wall_seconds: float,
-    memory: MemorySample,
-    counts: dict[str, float] | None = None,
-    values: dict[str, float] | None = None,
-    git_version: str | None,
-    timestamp: float,
-) -> dict[str, Any]:
-    """One benchmark's machine-readable result.
-
-    ``counts`` are the benchmark's throughput units (documents,
-    statements, combinations, …); each also yields a derived
-    ``<unit>_per_second`` throughput row when wall time is positive.
-    ``values`` are free-form scalar gauges the benchmark measured
-    itself — latency quantiles, ratios — recorded as-is (no
-    derivation).
-    """
-    counts = dict(counts or {})
-    throughput = {
-        f"{label}_per_second": value / wall_seconds
-        for label, value in counts.items()
-        if wall_seconds > 0
-    }
-    return {
-        "name": name,
-        "wall_seconds": float(wall_seconds),
-        "peak_rss_bytes": int(memory.peak_rss_bytes),
-        "tracemalloc_peak_bytes": (
-            None
-            if memory.tracemalloc_peak_bytes is None
-            else int(memory.tracemalloc_peak_bytes)
-        ),
-        "counts": counts,
-        "throughput": throughput,
-        "values": {
-            label: float(value)
-            for label, value in (values or {}).items()
-        },
-        "meta": {
-            "benchmark": name,
-            "git_describe": git_version,
-            "schema_version": BENCH_SCHEMA_VERSION,
-            "recorded_unix": float(timestamp),
-        },
-    }
-
-
-def validate_bench_record(record: Any) -> list[str]:
-    """Schema-check one benchmark record; returns violations."""
-    errors: list[str] = []
-    if not isinstance(record, dict):
-        return ["record is not an object"]
-    name = record.get("name", "?")
-    for key in ("name", "counts", "throughput", "meta"):
-        if key not in record:
-            errors.append(f"{name}: missing field {key!r}")
-    for metric in BENCH_METRICS:
-        if metric not in record:
-            errors.append(f"{name}: missing metric {metric!r}")
-            continue
-        value = record[metric]
-        if value is None:
-            if metric == "tracemalloc_peak_bytes":
-                continue  # legitimately absent without tracemalloc
-            errors.append(f"{name}: {metric} must not be null")
-            continue
-        if not isinstance(value, (int, float)) or isinstance(
-            value, bool
-        ):
-            errors.append(f"{name}: {metric} is not a number")
-        elif not math.isfinite(value) or value < 0:
-            errors.append(
-                f"{name}: {metric} must be finite and >= 0, "
-                f"got {value!r}"
-            )
-    extra = [
-        key
-        for key in record
-        if key
-        not in (
-            "name",
-            "counts",
-            "throughput",
-            "values",
-            "meta",
-            *BENCH_METRICS,
-        )
-    ]
-    for key in extra:
-        errors.append(f"{name}: unknown metric name {key!r}")
-    # "values" is optional (records predating it have none), but when
-    # present it must be a flat map of finite numbers.
-    values = record.get("values")
-    if values is not None:
-        if not isinstance(values, dict):
-            errors.append(f"{name}: values is not an object")
-        else:
-            for label, value in values.items():
-                if (
-                    not isinstance(value, (int, float))
-                    or isinstance(value, bool)
-                    or not math.isfinite(value)
-                ):
-                    errors.append(
-                        f"{name}: values[{label!r}] is not a "
-                        "finite number"
-                    )
-    meta = record.get("meta")
-    if isinstance(meta, dict):
-        for key in ("benchmark", "schema_version", "recorded_unix"):
-            if key not in meta:
-                errors.append(f"{name}: meta missing {key!r}")
-        if meta.get("schema_version") not in (
-            None,
-            BENCH_SCHEMA_VERSION,
-        ):
-            errors.append(
-                f"{name}: unsupported schema_version "
-                f"{meta.get('schema_version')!r}"
-            )
-    elif meta is not None:
-        errors.append(f"{name}: meta is not an object")
-    return errors
-
-
-# ---------------------------------------------------------------------------
-# Trajectory files (repo-root BENCH_<gitsha>.json)
-# ---------------------------------------------------------------------------
-
-def trajectory_filename(git_version: str | None) -> str:
-    """``BENCH_<gitsha>.json`` — the sha sanitised for a filename."""
-    sha = (git_version or "unknown").replace("/", "-")
-    sha = re.sub(r"[^A-Za-z0-9._-]", "-", sha)
-    return f"BENCH_{sha}.json"
-
-
-def build_trajectory(
-    records: list[dict[str, Any]], git_version: str | None
-) -> dict[str, Any]:
-    return {
-        "format": BENCH_TRAJECTORY_FORMAT,
-        "version": BENCH_SCHEMA_VERSION,
-        "git_describe": git_version,
-        "entries": {
-            record["name"]: record for record in records
-        },
-    }
-
-
-def validate_trajectory(payload: Any) -> list[str]:
-    """Schema-check a whole trajectory file; returns violations."""
-    if not isinstance(payload, dict):
-        return ["trajectory payload is not a JSON object"]
-    errors: list[str] = []
-    if payload.get("format") != BENCH_TRAJECTORY_FORMAT:
-        errors.append(
-            f"format must be {BENCH_TRAJECTORY_FORMAT!r}, "
-            f"got {payload.get('format')!r}"
-        )
-    if payload.get("version") != BENCH_SCHEMA_VERSION:
-        errors.append(
-            f"unsupported trajectory version "
-            f"{payload.get('version')!r}"
-        )
-    entries = payload.get("entries")
-    if not isinstance(entries, dict):
-        errors.append("missing 'entries' object")
-        return errors
-    for name, record in sorted(entries.items()):
-        errors.extend(validate_bench_record(record))
-        if isinstance(record, dict) and record.get("name") != name:
-            errors.append(
-                f"entry key {name!r} disagrees with record name "
-                f"{record.get('name')!r}"
-            )
-    return errors
-
-
-def load_trajectory(path: str | Path) -> dict[str, Any]:
-    """Read and validate a trajectory file (raises :class:`PerfError`)."""
-    path = Path(path)
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise PerfError(
-            f"{path}: unreadable trajectory: {error}"
-        ) from error
-    problems = validate_trajectory(payload)
-    if problems:
-        raise PerfError(
-            f"{path}: invalid trajectory: "
-            + "; ".join(problems[:5])
-            + ("; ..." if len(problems) > 5 else "")
-        )
-    return payload
-
-
-def merge_into_trajectory(
-    path: str | Path,
-    records: list[dict[str, Any]],
-    git_version: str | None,
-) -> Path:
-    """Fold records into the trajectory at ``path`` (created if absent).
-
-    Records for benchmarks already present are replaced; others are
-    kept, so partial bench runs accumulate into one file per git
-    version. Every record is validated before anything is written.
-    """
-    for record in records:
-        problems = validate_bench_record(record)
-        if problems:
-            raise PerfError(
-                "refusing to write invalid benchmark record: "
-                + "; ".join(problems)
-            )
-    path = Path(path)
-    if path.exists():
-        payload = load_trajectory(path)
-    else:
-        payload = build_trajectory([], git_version)
-    for record in records:
-        payload["entries"][record["name"]] = record
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    )
-    return path

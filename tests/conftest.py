@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,20 @@ from repro.corpus import TrueParameters, curated_scenario
 from repro.kb import Entity, KnowledgeBase
 from repro.nlp import Annotator, DependencyParser
 from repro.serve import AsyncReproServer
+
+
+@pytest.fixture(autouse=True)
+def _stop_leaked_tracemalloc():
+    """Turn allocation tracing back off after a test that left it on.
+
+    ``--profile-mem`` (``Tracer(profile_memory=True)``) starts
+    tracemalloc for the rest of the process; left on, it slows every
+    later test, numpy-heavy ones several-fold.
+    """
+    was_tracing = tracemalloc.is_tracing()
+    yield
+    if not was_tracing and tracemalloc.is_tracing():
+        tracemalloc.stop()
 
 
 class AsyncHarness:

@@ -363,120 +363,3 @@ class TestObservabilityFlags:
         output = capsys.readouterr().out
         assert "rss=" in output
         assert "heap+=" in output
-
-
-class TestBench:
-    """The perf-baseline tooling: repro bench record/compare/trend."""
-
-    def trajectory_file(self, tmp_path, wall=2.0, stamp=100.0):
-        from repro.obs import build_bench_record, merge_into_trajectory
-        from repro.obs.perf import MemorySample
-
-        record = build_bench_record(
-            name="pipeline",
-            wall_seconds=wall,
-            memory=MemorySample(64 << 20, None, None),
-            counts={"documents": 100.0},
-            git_version="v1-test",
-            timestamp=stamp,
-        )
-        path = tmp_path / f"BENCH_run{stamp:.0f}.json"
-        return merge_into_trajectory(path, [record], "v1-test")
-
-    def test_record_then_identical_compare_passes(
-        self, tmp_path, capsys
-    ):
-        traj = self.trajectory_file(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        rc = main(
-            ["bench", "record", str(traj), "--out", str(baseline)]
-        )
-        assert rc == 0
-        assert "recorded baseline for 1 benchmarks" in (
-            capsys.readouterr().out
-        )
-        rc = main(
-            ["bench", "compare", str(traj), "--baseline", str(baseline)]
-        )
-        assert rc == 0
-        assert "verdict: PASS" in capsys.readouterr().out
-
-    def test_compare_fails_on_double_slowdown(self, tmp_path, capsys):
-        baseline = tmp_path / "baseline.json"
-        main(
-            [
-                "bench", "record",
-                str(self.trajectory_file(tmp_path)),
-                "--out", str(baseline),
-            ]
-        )
-        slow = self.trajectory_file(
-            tmp_path / "slow", wall=4.0, stamp=200.0
-        )
-        capsys.readouterr()
-        rc = main(
-            ["bench", "compare", str(slow), "--baseline", str(baseline)]
-        )
-        assert rc == 1
-        output = capsys.readouterr().out
-        assert "REGRESSION" in output
-        assert "verdict: FAIL" in output
-        # a wider tolerance waves the same run through
-        rc = main(
-            [
-                "bench", "compare", str(slow),
-                "--baseline", str(baseline),
-                "--wall-tolerance", "1.5",
-            ]
-        )
-        assert rc == 0
-
-    def test_compare_missing_baseline_is_operational_error(
-        self, tmp_path, capsys
-    ):
-        traj = self.trajectory_file(tmp_path)
-        rc = main(
-            [
-                "bench", "compare", str(traj),
-                "--baseline", str(tmp_path / "absent.json"),
-            ]
-        )
-        assert rc == 2
-        assert "unreadable baseline" in capsys.readouterr().err
-
-    def test_record_rejects_corrupt_trajectory(self, tmp_path, capsys):
-        bad = tmp_path / "BENCH_bad.json"
-        bad.write_text('{"format": "wrong"}')
-        rc = main(["bench", "record", str(bad)])
-        assert rc == 2
-        assert "invalid trajectory" in capsys.readouterr().err
-
-    def test_trend_discovers_directory(self, tmp_path, capsys):
-        self.trajectory_file(tmp_path, wall=1.0, stamp=100.0)
-        self.trajectory_file(tmp_path, wall=3.0, stamp=200.0)
-        rc = main(["bench", "trend", "--dir", str(tmp_path)])
-        assert rc == 0
-        output = capsys.readouterr().out
-        assert "benchmark trend over 2 runs" in output
-        assert "wall_seconds" in output
-
-    def test_trend_empty_directory_notes_no_data(
-        self, tmp_path, capsys
-    ):
-        """A directory with no trajectories is an answer (nothing
-        recorded yet), not an error: one-line note, exit 0."""
-        rc = main(["bench", "trend", "--dir", str(tmp_path)])
-        assert rc == 0
-        out = capsys.readouterr().out
-        assert "no data" in out
-        assert out.count("\n") == 1
-
-    def test_trend_skips_empty_trajectory_files(
-        self, tmp_path, capsys
-    ):
-        """An aborted bench run can leave a zero-byte BENCH file;
-        trend must not crash on it."""
-        (tmp_path / "BENCH_empty.json").write_text("")
-        rc = main(["bench", "trend", "--dir", str(tmp_path)])
-        assert rc == 0
-        assert "no data" in capsys.readouterr().out

@@ -6,9 +6,23 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from repro.core import EMLearner, EvidenceCounts, ModelParameters, Polarity
-from repro.core.em import _expected_q
+from repro.core import (
+    EMLearner,
+    EMTrace,
+    EvidenceCounts,
+    FittedCombination,
+    ModelParameters,
+    Polarity,
+    PropertyTypeKey,
+    SubjectiveProperty,
+    Surveyor,
+    UserBehaviorModel,
+)
+from repro.core.em import _RATE_FLOOR, _expected_q
+from repro.core.params import DEFAULT_AGREEMENT_GRID
 from repro.corpus import TrueParameters, sample_statement_counts
 
 
@@ -305,3 +319,168 @@ def true_to_model(true: TrueParameters) -> ModelParameters:
         rate_positive=true.rate_positive,
         rate_negative=true.rate_negative,
     )
+
+
+#: Small random evidence: 2-12 entities, each with 0-30 statements of
+#: either polarity.
+small_evidence = st.lists(
+    st.tuples(st.integers(0, 30), st.integers(0, 30)),
+    min_size=2,
+    max_size=12,
+)
+
+
+def brute_force_q(pos, neg, resp, agreement, rate_pos, rate_neg):
+    """Q' from its definition, broadcast over every grid point.
+
+    Q' = sum_i r_i (c+_i log l++ - l++ + c-_i log l-+ - l-+)
+       + (1 - r_i)(c+_i log l+- - l+- + c-_i log l-- - l--),
+    with each rate floored as the learner floors it.
+    """
+    def term(count_weight, weight, rate):
+        rate = np.maximum(rate, _RATE_FLOOR)
+        return count_weight * np.log(rate) - weight * rate
+
+    anti = 1.0 - resp
+    return (
+        term(pos @ resp, resp.sum(), agreement * rate_pos)
+        + term(neg @ resp, resp.sum(), (1 - agreement) * rate_neg)
+        + term(pos @ anti, anti.sum(), (1 - agreement) * rate_pos)
+        + term(neg @ anti, anti.sum(), agreement * rate_neg)
+    )
+
+
+class TestOracle:
+    """Algorithm 2 checked against brute force and its symmetries."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(counts=small_evidence)
+    def test_fit_is_argmax_of_q_over_the_whole_grid(self, counts):
+        evidence = [EvidenceCounts(p, n) for p, n in counts]
+        learner = EMLearner(record_path=True)
+        result = learner.fit(evidence)
+        assume(not result.trace.degraded)
+        pos = np.array([p for p, _ in counts], dtype=float)
+        neg = np.array([n for _, n in counts], dtype=float)
+        # The returned vector came from the M-step over the posteriors
+        # of the vector before it.
+        resp = learner._e_step(pos, neg, result.trace.parameters_path[-2])
+        fitted = result.parameters
+        # Every grid agreement value against rates from 1/55x to 55x
+        # the fitted ones (the fitted rates themselves included).
+        scale = np.exp(np.linspace(-4.0, 4.0, 81))
+        q = brute_force_q(
+            pos, neg, resp,
+            np.asarray(DEFAULT_AGREEMENT_GRID)[:, None, None],
+            fitted.rate_positive * scale[None, :, None],
+            fitted.rate_negative * scale[None, None, :],
+        )
+        q_fit = brute_force_q(
+            pos, neg, resp,
+            fitted.agreement, fitted.rate_positive, fitted.rate_negative,
+        )
+        tolerance = 1e-9 * max(1.0, abs(q_fit))
+        assert q.max() <= q_fit + tolerance
+        best = np.unravel_index(np.argmax(q), q.shape)
+        assert DEFAULT_AGREEMENT_GRID[best[0]] == fitted.agreement
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(counts=small_evidence)
+    def test_swapping_polarities_mirrors_the_posterior(self, counts):
+        """Swap every <C+, C-> and start EM from the mirrored guess:
+        the fit mirrors and every posterior p becomes 1 - p. (From the
+        same asymmetric default guess EM may settle elsewhere.)"""
+        start = EMLearner().initial_parameters
+        mirrored_start = ModelParameters(
+            start.agreement, start.rate_negative, start.rate_positive
+        )
+        original = EMLearner().fit(
+            [EvidenceCounts(p, n) for p, n in counts]
+        )
+        swapped = EMLearner(initial_parameters=mirrored_start).fit(
+            [EvidenceCounts(n, p) for p, n in counts]
+        )
+        assume(not original.trace.degraded)
+        assert swapped.parameters.agreement == original.parameters.agreement
+        assert swapped.parameters.rate_positive == pytest.approx(
+            original.parameters.rate_negative, rel=1e-9, abs=1e-12
+        )
+        np.testing.assert_allclose(
+            swapped.responsibilities,
+            1.0 - original.responsibilities,
+            atol=1e-9,
+        )
+        model, mirror = original.model(), swapped.model()
+        for p, n in counts:
+            assert mirror.posterior_positive(
+                EvidenceCounts(n, p)
+            ) == pytest.approx(
+                1.0 - model.posterior_positive(EvidenceCounts(p, n)),
+                abs=1e-9,
+            )
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(
+        agreement=st.sampled_from(DEFAULT_AGREEMENT_GRID),
+        rate=st.floats(1e-3, 1e3),
+        tied=st.integers(0, 1000),
+    )
+    def test_exact_half_posterior_emits_no_opinion(
+        self, agreement, rate, tied
+    ):
+        """Equal rates make every <c, c> tuple exactly undecided."""
+        parameters = ModelParameters(agreement, rate, rate)
+        undecided = EvidenceCounts(tied, tied)
+        assert UserBehaviorModel(parameters).posterior_positive(
+            undecided
+        ) == 0.5
+        emitted = self.mine(parameters, undecided, emit_undecided=False)
+        assert ("/x/tied", KEY) not in emitted
+        assert ("/x/leaning", KEY) in emitted
+        kept = self.mine(parameters, undecided, emit_undecided=True)
+        assert kept.get("/x/tied", KEY).probability == 0.5
+        assert kept.get("/x/tied", KEY).polarity is Polarity.NEUTRAL
+
+    def test_large_tied_counts_are_exactly_undecided(self):
+        # Regression: the log-sum-exp posterior read 0.4999999999999138
+        # here, so the pair was emitted as a negative opinion.
+        model = UserBehaviorModel(ModelParameters(0.99, 1000.0, 1000.0))
+        assert model.posterior_positive(EvidenceCounts(1000, 1000)) == 0.5
+
+    @staticmethod
+    def mine(parameters, undecided, emit_undecided):
+        fit = FittedCombination(
+            key=KEY,
+            parameters=parameters,
+            trace=EMTrace(
+                iterations=1,
+                converged=True,
+                log_likelihoods=(0.0,),
+                parameters_path=(),
+            ),
+            n_entities=2,
+            n_statements=undecided.total + 1,
+        )
+        surveyor = Surveyor(
+            catalog=_NoCatalog(),
+            occurrence_threshold=0,
+            emit_undecided=emit_undecided,
+        )
+        evidence = {
+            KEY: {
+                "/x/tied": undecided,
+                "/x/leaning": EvidenceCounts(undecided.positive + 1,
+                                             undecided.negative),
+            }
+        }
+        return surveyor.run(evidence, fit=lambda key, per_entity: fit).opinions
+
+
+KEY = PropertyTypeKey(
+    property=SubjectiveProperty.parse("cute"), entity_type="x"
+)
+
+
+class _NoCatalog:
+    def entity_ids_of_type(self, entity_type):
+        return ()

@@ -1,54 +1,10 @@
-"""Tests for performance telemetry: probes, trajectory, regression gate."""
+"""Tests for performance telemetry: the memory probes."""
 
 from __future__ import annotations
 
-import json
-import math
 import tracemalloc
 
-import pytest
-
-from repro.obs import (
-    ComparisonReport,
-    MemoryProbe,
-    PerfError,
-    build_bench_record,
-    build_trajectory,
-    compare,
-    discover_trajectories,
-    format_bytes,
-    load_baseline,
-    load_trajectory,
-    merge_into_trajectory,
-    record_baseline,
-    rss_peak_bytes,
-    trajectory_filename,
-    trend,
-    validate_baseline,
-    validate_bench_record,
-    validate_trajectory,
-    write_baseline,
-)
-from repro.obs.perf import MemorySample
-
-
-def sample(rss=50 << 20, heap=None, net=None):
-    return MemorySample(rss, heap, net)
-
-
-def record(name="pipeline", wall=2.0, rss=50 << 20, heap=None, **counts):
-    return build_bench_record(
-        name=name,
-        wall_seconds=wall,
-        memory=sample(rss, heap, None if heap is None else 0),
-        counts=counts or {"documents": 100.0},
-        git_version="v1-test",
-        timestamp=1_700_000_000.0,
-    )
-
-
-def trajectory(*records_):
-    return build_trajectory(list(records_) or [record()], "v1-test")
+from repro.obs import MemoryProbe, format_bytes, rss_peak_bytes
 
 
 class TestMemoryProbe:
@@ -88,250 +44,3 @@ class TestMemoryProbe:
         assert format_bytes(2048) == "2.0KiB"
         assert format_bytes(3 << 20) == "3.0MiB"
         assert format_bytes(5 << 30) == "5.0GiB"
-
-
-class TestBenchRecord:
-    def test_build_derives_throughput(self):
-        rec = record(wall=2.0, documents=100.0)
-        assert rec["throughput"]["documents_per_second"] == 50.0
-        assert rec["meta"]["git_describe"] == "v1-test"
-        assert rec["meta"]["recorded_unix"] == 1_700_000_000.0
-        assert validate_bench_record(rec) == []
-
-    def test_zero_wall_time_skips_throughput(self):
-        rec = record(wall=0.0)
-        assert rec["throughput"] == {}
-
-    def test_missing_field_rejected(self):
-        rec = record()
-        del rec["peak_rss_bytes"]
-        problems = validate_bench_record(rec)
-        assert any("missing metric 'peak_rss_bytes'" in p for p in problems)
-
-    def test_nan_duration_rejected(self):
-        rec = record(wall=math.nan)
-        problems = validate_bench_record(rec)
-        assert any("finite" in p for p in problems)
-
-    def test_unknown_metric_name_rejected(self):
-        rec = record()
-        rec["gpu_seconds"] = 1.0
-        problems = validate_bench_record(rec)
-        assert any("unknown metric name 'gpu_seconds'" in p for p in problems)
-
-    def test_null_tracemalloc_is_legal_but_null_wall_is_not(self):
-        rec = record(heap=None)
-        assert validate_bench_record(rec) == []
-        rec["wall_seconds"] = None
-        assert any(
-            "must not be null" in p for p in validate_bench_record(rec)
-        )
-
-    def test_values_recorded_as_is(self):
-        rec = build_bench_record(
-            name="serving",
-            wall_seconds=1.0,
-            memory=sample(1 << 20, None, None),
-            counts={"requests": 10.0},
-            values={"p99_seconds": 0.004, "qps": 2500.0},
-            git_version="v1-test",
-            timestamp=1_700_000_000.0,
-        )
-        assert rec["values"] == {"p99_seconds": 0.004, "qps": 2500.0}
-        assert validate_bench_record(rec) == []
-
-    def test_records_without_values_still_validate(self):
-        # Trajectories written before the field existed carry none.
-        rec = record()
-        del rec["values"]
-        assert validate_bench_record(rec) == []
-
-    def test_non_finite_values_rejected(self):
-        rec = record()
-        rec["values"] = {"p99_seconds": float("nan")}
-        problems = validate_bench_record(rec)
-        assert any("not a finite number" in p for p in problems)
-
-
-class TestTrajectory:
-    def test_filename_sanitised(self):
-        assert trajectory_filename("v1.2-4-gabc") == "BENCH_v1.2-4-gabc.json"
-        assert trajectory_filename("a/b c") == "BENCH_a-b-c.json"
-        assert trajectory_filename(None) == "BENCH_unknown.json"
-
-    def test_build_and_validate(self):
-        assert validate_trajectory(trajectory()) == []
-        assert validate_trajectory([]) == [
-            "trajectory payload is not a JSON object"
-        ]
-        bad = trajectory()
-        bad["format"] = "something_else"
-        assert any("format" in p for p in validate_trajectory(bad))
-
-    def test_entry_key_must_match_record_name(self):
-        payload = trajectory()
-        payload["entries"]["imposter"] = payload["entries"].pop("pipeline")
-        assert any(
-            "disagrees with record name" in p
-            for p in validate_trajectory(payload)
-        )
-
-    def test_merge_accumulates_partial_runs(self, tmp_path):
-        path = tmp_path / "BENCH_v1-test.json"
-        merge_into_trajectory(path, [record("alpha"), record("beta")], "v1-test")
-        merge_into_trajectory(
-            path, [record("beta", wall=9.0)], "v1-test"
-        )
-        payload = load_trajectory(path)
-        assert set(payload["entries"]) == {"alpha", "beta"}
-        assert payload["entries"]["beta"]["wall_seconds"] == 9.0
-        assert payload["entries"]["alpha"]["wall_seconds"] == 2.0
-
-    def test_merge_refuses_invalid_record(self, tmp_path):
-        bad = record()
-        bad["wall_seconds"] = math.nan
-        with pytest.raises(PerfError, match="refusing to write"):
-            merge_into_trajectory(
-                tmp_path / "BENCH_x.json", [bad], "v1-test"
-            )
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "BENCH_x.json"
-        path.write_text("{not json")
-        with pytest.raises(PerfError, match="unreadable"):
-            load_trajectory(path)
-        path.write_text(json.dumps({"format": "wrong"}))
-        with pytest.raises(PerfError, match="invalid trajectory"):
-            load_trajectory(path)
-        with pytest.raises(PerfError):
-            load_trajectory(tmp_path / "absent.json")
-
-
-class TestBaseline:
-    def test_record_and_validate_round_trip(self, tmp_path):
-        baseline = record_baseline(trajectory())
-        assert validate_baseline(baseline) == []
-        path = write_baseline(tmp_path / "baseline.json", baseline)
-        assert load_baseline(path) == baseline
-        row = baseline["entries"]["pipeline"]
-        assert set(row) == {
-            "wall_seconds",
-            "peak_rss_bytes",
-            "tracemalloc_peak_bytes",
-        }
-
-    def test_validate_rejects_unknown_metric_and_nan(self):
-        baseline = record_baseline(trajectory())
-        baseline["entries"]["pipeline"]["gpu_seconds"] = 1.0
-        assert any(
-            "unknown metric name 'gpu_seconds'" in p
-            for p in validate_baseline(baseline)
-        )
-        baseline = record_baseline(trajectory())
-        baseline["entries"]["pipeline"]["wall_seconds"] = math.nan
-        assert any("finite" in p for p in validate_baseline(baseline))
-        baseline = record_baseline(trajectory())
-        del baseline["entries"]["pipeline"]["wall_seconds"]
-        assert any(
-            "missing metric 'wall_seconds'" in p
-            for p in validate_baseline(baseline)
-        )
-
-
-class TestCompare:
-    def test_identical_rerun_passes(self):
-        baseline = record_baseline(trajectory())
-        report = compare(baseline, trajectory())
-        assert isinstance(report, ComparisonReport)
-        assert report.passed
-        assert "verdict: PASS" in report.render()
-
-    def test_double_slowdown_fails(self):
-        baseline = record_baseline(trajectory(record(wall=2.0)))
-        report = compare(baseline, trajectory(record(wall=4.0)))
-        assert not report.passed
-        assert [v.metric for v in report.regressions] == ["wall_seconds"]
-        assert "verdict: FAIL (1 regression)" in report.render()
-
-    def test_improvement_never_fails(self):
-        baseline = record_baseline(trajectory(record(wall=2.0)))
-        report = compare(baseline, trajectory(record(wall=0.5)))
-        assert report.passed
-        assert any(v.status == "improved" for v in report.verdicts)
-
-    def test_memory_regression_fails(self):
-        baseline = record_baseline(trajectory(record(rss=50 << 20)))
-        report = compare(baseline, trajectory(record(rss=80 << 20)))
-        assert [v.metric for v in report.regressions] == [
-            "peak_rss_bytes"
-        ]
-
-    def test_only_intersection_gated(self):
-        baseline = record_baseline(
-            trajectory(record("alpha"), record("gamma"))
-        )
-        report = compare(
-            baseline,
-            trajectory(record("alpha", wall=100.0), record("beta")),
-        )
-        assert report.unmeasured == ["gamma"]
-        assert report.unbaselined == ["beta"]
-        assert {v.benchmark for v in report.verdicts} == {"alpha"}
-        assert not report.passed
-
-    def test_noise_floor_skips_tiny_baselines(self):
-        baseline = record_baseline(trajectory(record(wall=0.0003)))
-        report = compare(
-            baseline, trajectory(record(wall=0.03))
-        )  # 100x, but under the 1 ms floor
-        assert report.passed
-        wall = [
-            v for v in report.verdicts if v.metric == "wall_seconds"
-        ][0]
-        assert wall.status == "skipped"
-
-    def test_custom_tolerance(self):
-        baseline = record_baseline(trajectory(record(wall=2.0)))
-        current = trajectory(record(wall=2.4))  # +20%
-        assert not compare(baseline, current).passed
-        assert compare(
-            baseline, current, {"wall_seconds": 0.30}
-        ).passed
-
-
-class TestTrend:
-    def test_sparkline_over_runs(self, tmp_path):
-        old = build_trajectory(
-            [
-                build_bench_record(
-                    name="pipeline",
-                    wall_seconds=1.0,
-                    memory=sample(),
-                    counts={},
-                    git_version="v1",
-                    timestamp=100.0,
-                )
-            ],
-            "v1",
-        )
-        new = build_trajectory(
-            [
-                build_bench_record(
-                    name="pipeline",
-                    wall_seconds=3.0,
-                    memory=sample(),
-                    counts={},
-                    git_version="v2",
-                    timestamp=200.0,
-                )
-            ],
-            "v2",
-        )
-        a = tmp_path / "BENCH_v1.json"
-        b = tmp_path / "BENCH_v2.json"
-        a.write_text(json.dumps(old))
-        b.write_text(json.dumps(new))
-        assert discover_trajectories(tmp_path) == [a, b]
-        text = trend([b, a])  # order given should not matter
-        assert "benchmark trend over 2 runs" in text
-        assert "1000.0ms ->   3000.0ms" in text
