@@ -18,12 +18,9 @@ gauges. This module adds the wire-level parts:
   Any framing the reader cannot trust is answered with an error
   envelope and the connection is closed, so no byte of one request
   can be parsed as another.
-* **Serialized-body cache** — ``json.dumps`` dominates a cached hit
-  (~30µs vs ~2µs for the lookup), so rendered response *bytes* are
-  LRU-cached keyed by the identity of the service's cached response
-  dict. The service cache already owns correctness (generation
-  purges, degraded stamping happens on copies), so byte reuse is safe
-  exactly when the service returned its shared cached object.
+* **One routing table** — :data:`ROUTES` maps ``(method, path)`` to
+  its handler, whether admission gates it, and whether it runs in a
+  worker thread; the ungated paths are derived from it.
 * **Awaiting without blocking** — requests that must wait (a full
   admission queue) or that run blocking work (``/admin/reload``,
   ``/admin/ingest`` file IO) move to a task with ``pause_reading`` on
@@ -44,8 +41,7 @@ import signal
 import socket
 import sys
 import time
-from collections import OrderedDict
-from typing import Any, Callable
+from typing import Any, Callable, NamedTuple
 from urllib.parse import parse_qs
 
 from .admission import (
@@ -53,7 +49,7 @@ from .admission import (
     Deadline,
     DeadlineExceeded,
 )
-from .schema import error_response
+from .schema import error_response, render
 from .server import (
     DEFAULT_TOP,
     MAX_BODY_BYTES,
@@ -64,26 +60,9 @@ from .server import (
     new_request_id,
 )
 
-#: Paths that bypass admission control: health and telemetry must
-#: stay reachable exactly when the server is saturated, and the admin
-#: endpoints are the operator's way *out* of an incident — gating a
-#: rollback behind the overload it is meant to fix would be
-#: self-defeating.
-UNGATED = ("/healthz", "/metrics", "/admin/reload",
-           "/admin/rollback", "/admin/ingest")
-
-#: Admin routes whose handlers do blocking file IO; they run in a
-#: worker thread so the event loop keeps answering queries during a
-#: reload or an ingest refit.
-_THREAD_ROUTES = ("/admin/reload", "/admin/ingest")
-
 #: Request heads larger than this are rejected outright (no
 #: legitimate client sends kilobytes of headers to this API).
 MAX_HEADER_BYTES = 64 * 1024
-
-#: Rendered-body LRU entries (each pins its response dict alive, so
-#: ids can never collide while an entry is live).
-DEFAULT_BODY_CACHE = 4096
 
 _CRLF = b"\r\n"
 _HEAD_END = b"\r\n\r\n"
@@ -114,6 +93,15 @@ def _status_line(status: int) -> bytes:
         line = b"HTTP/1.1 %d Status" % status
         _STATUS_LINES[status] = line
     return line
+
+
+def _request_id(headers: dict[bytes, bytes]) -> str:
+    """The client's ``X-Request-Id`` when it looks like an id, else a
+    fresh one."""
+    supplied = headers.get(b"x-request-id", b"").decode("latin-1")
+    if _REQUEST_ID_RE.match(supplied):
+        return supplied
+    return new_request_id()
 
 
 class _Request:
@@ -266,7 +254,11 @@ class HttpProtocol(asyncio.Protocol):
             if length > MAX_BODY_BYTES:
                 # The unread body cannot be skipped safely, so the
                 # connection closes after the 413.
-                self._oversized_body(parts, headers, length)
+                self._protocol_error(
+                    413,
+                    f"body of {length} bytes exceeds {MAX_BODY_BYTES}",
+                    request_id=_request_id(headers),
+                )
                 return
             body_start = head_end + 4
             if len(self.buf) - body_start < length:
@@ -322,14 +314,7 @@ class HttpProtocol(asyncio.Protocol):
             path, query = target, ""
         else:
             path, query = target[:q], target[q + 1:]
-        raw_id = headers.get(b"x-request-id")
-        request_id = ""
-        if raw_id:
-            supplied = raw_id.decode("latin-1")
-            if _REQUEST_ID_RE.match(supplied):
-                request_id = supplied
-        if not request_id:
-            request_id = new_request_id()
+        request_id = _request_id(headers)
         raw_client = headers.get(b"x-client-id")
         client = (
             raw_client.decode("latin-1")
@@ -352,34 +337,35 @@ class HttpProtocol(asyncio.Protocol):
             )
             self._observe(ctx, 501, None, "not_implemented")
             return True
-        service = self.service
+        route = ROUTES.get((method, path))
         gated = path not in UNGATED
         if gated:
             decision = self.server.admission.poll(client)
             if decision is None:
-                self._start_task(self._queued(ctx))
+                self._start_task(self._queued(ctx, route))
                 return False
             if not decision.admitted:
                 self._reject(ctx, decision)
                 return True
-        elif ctx.method == "POST" and path in _THREAD_ROUTES:
-            self._start_task(self._admin(ctx))
+        if (route is not None and route.threaded) or (
+            gated and self.service.faults is not None
+        ):
+            # Blocking admin IO, and under chaos mode the injected
+            # sleeps/disconnects, must not stall the event loop (they
+            # would serialise every connection and defer signal
+            # delivery), so those requests run on worker threads.
+            self._start_task(self._offloaded(ctx, route, gated))
             return False
-        if gated and service.faults is not None:
-            # Chaos mode: injected sleeps/disconnects must not stall
-            # the event loop (they would serialise every connection
-            # and defer signal delivery), so admitted requests run on
-            # worker threads.
-            self._start_task(self._offloaded(ctx))
-            return False
-        self._finish(ctx, gated)
+        self._finish(ctx, route, gated)
         return True
 
-    async def _offloaded(self, ctx: _Request) -> None:
-        """Continuation for an admitted request under fault injection:
-        the whole state machine runs on a worker thread."""
+    async def _offloaded(
+        self, ctx: _Request, route: _Route | None, gated: bool
+    ) -> None:
+        """Continuation for a request the loop must not run: the
+        whole state machine runs on a worker thread."""
         try:
-            await asyncio.to_thread(self._finish, ctx, True)
+            await asyncio.to_thread(self._finish, ctx, route, gated)
         finally:
             if not self.closed:
                 self._resume()
@@ -408,13 +394,18 @@ class HttpProtocol(asyncio.Protocol):
         status: int = decision.status
         code: str | None = decision.code
         try:
-            self._send_decision(ctx, decision)
+            self._send_error(
+                ctx, status, decision.code, decision.message,
+                retry_after=decision.retry_after,
+            )
         except (BrokenPipeError, ConnectionResetError):
             status, code = 499, "client_disconnect"
             self._abort()
         self._observe(ctx, status, None, code)
 
-    async def _queued(self, ctx: _Request) -> None:
+    async def _queued(
+        self, ctx: _Request, route: _Route | None
+    ) -> None:
         """Continuation for a request parked in the admission queue."""
         try:
             decision = await self.server.admission.wait_for_slot()
@@ -422,9 +413,9 @@ class HttpProtocol(asyncio.Protocol):
                 self._reject(ctx, decision)
                 return
             if self.service.faults is not None:
-                await asyncio.to_thread(self._finish, ctx, True)
+                await asyncio.to_thread(self._finish, ctx, route, True)
             else:
-                self._finish(ctx, gated=True)
+                self._finish(ctx, route, True)
         except asyncio.CancelledError:
             # Connection lost while queued; nothing to answer.
             raise
@@ -432,60 +423,9 @@ class HttpProtocol(asyncio.Protocol):
             if not self.closed:
                 self._resume()
 
-    async def _admin(self, ctx: _Request) -> None:
-        """Continuation for /admin/reload and /admin/ingest: blocking
-        artefact IO runs in a thread so queries keep flowing."""
-        service = self.service
-        status = 500
-        code: str | None = None
-        try:
-            payload = self._json_body(ctx)
-            if ctx.path == "/admin/reload":
-                path = payload.get("path")
-                if path is not None and not isinstance(path, str):
-                    raise ServeError("reload path must be a string")
-                summary = await asyncio.to_thread(
-                    self.server.run_reload, path
-                )
-            else:
-                documents = documents_from_payload(payload)
-                ctx.batch_items = len(documents)
-                summary = await asyncio.to_thread(
-                    self.server.run_ingest,
-                    documents,
-                    ctx.request_id or None,
-                )
-            status = 200
-            self._send_json(ctx, 200, summary)
-        except asyncio.CancelledError:
-            raise
-        except ServeError as error:
-            status = error.status
-            code = error.code
-            self._send_error(
-                ctx, status, error.code, str(error),
-                retry_after=error.retry_after,
-            )
-        except (BrokenPipeError, ConnectionResetError):
-            status = 499
-            code = "client_disconnect"
-            self._abort()
-        except Exception as error:  # pragma: no cover - defensive
-            status = 500
-            code = "internal"
-            try:
-                self._send_error(
-                    ctx, 500, "internal",
-                    f"{type(error).__name__}: {error}",
-                )
-            except OSError:
-                pass
-        finally:
-            self._observe(ctx, status, None, code)
-            if not self.closed:
-                self._resume()
-
-    def _finish(self, ctx: _Request, gated: bool) -> None:
+    def _finish(
+        self, ctx: _Request, route: _Route | None, gated: bool
+    ) -> None:
         """The request state machine (statuses, codes, metrics, and
         the observe-in-finally ordering are contract)."""
         service = self.service
@@ -496,7 +436,13 @@ class HttpProtocol(asyncio.Protocol):
             Deadline(service.request_deadline) if gated else None
         )
         try:
-            status, cached = self._route(ctx, deadline)
+            if route is None:
+                raise ServeError(
+                    f"no route for {ctx.method} {ctx.path}",
+                    status=404,
+                    code="not_found",
+                )
+            status, cached = route.handler(self, ctx, deadline)
         except DeadlineExceeded as error:
             status = 503
             code = "deadline_exceeded"
@@ -542,32 +488,7 @@ class HttpProtocol(asyncio.Protocol):
         else:
             self.server.loop.call_soon_threadsafe(admission.release)
 
-    # -- routing --------------------------------------------------------
-    def _route(
-        self, ctx: _Request, deadline: Deadline | None
-    ) -> tuple[int, bool | None]:
-        method, path = ctx.method, ctx.path
-        service = self.service
-        if method == "GET" and path == "/query":
-            return self._get_query(ctx, deadline)
-        if method == "GET" and path == "/explain":
-            return self._get_explain(ctx, deadline)
-        if method == "GET" and path == "/healthz":
-            self._send_json(ctx, 200, service.healthz())
-            return 200, None
-        if method == "GET" and path == "/metrics":
-            self._send_text(200, ctx, self.server.render_metrics())
-            return 200, None
-        if method == "POST" and path == "/batch":
-            return self._post_batch(ctx, deadline)
-        if method == "POST" and path == "/admin/rollback":
-            self._send_json(ctx, 200, service.rollback())
-            return 200, None
-        raise ServeError(
-            f"no route for {method} {path}", status=404,
-            code="not_found",
-        )
-
+    # -- route handlers (see ROUTES) -----------------------------------
     def _params(self, ctx: _Request) -> dict[str, str]:
         if not ctx.query:
             return {}
@@ -583,7 +504,7 @@ class HttpProtocol(asyncio.Protocol):
         top = params.get("top", DEFAULT_TOP)
         service = self.service
         if "q" in params:
-            response, cached = service.ask(
+            entry, cached = service.ask_entry(
                 params["q"], top=top, deadline=deadline
             )
         elif "property" in params and "type" in params:
@@ -595,7 +516,7 @@ class HttpProtocol(asyncio.Protocol):
                 raise ServeError(
                     "min_probability must be a number"
                 )
-            response, cached = service.listing(
+            entry, cached = service.listing_entry(
                 params["property"],
                 params["type"],
                 negative=params.get("negative", "")
@@ -610,7 +531,7 @@ class HttpProtocol(asyncio.Protocol):
                 "?property=<adj>&type=<entity type>"
             )
         service.fault_response("/query")
-        self._send_response(ctx, response, cached)
+        self._write(ctx, 200, _CT_JSON, entry.body, cached=cached)
         return 200, cached
 
     def _get_explain(
@@ -624,14 +545,14 @@ class HttpProtocol(asyncio.Protocol):
                 "need entity=<id> and property=<adjective> "
                 "(optional type=<entity type>)"
             )
-        response, cached = self.service.explain(
+        entry, cached = self.service.explain_entry(
             entity,
             prop,
             entity_type=params.get("type"),
             deadline=deadline,
         )
         self.service.fault_response("/explain")
-        self._send_response(ctx, response, cached)
+        self._write(ctx, 200, _CT_JSON, entry.body, cached=cached)
         return 200, cached
 
     def _post_batch(
@@ -656,6 +577,44 @@ class HttpProtocol(asyncio.Protocol):
         self._send_json(ctx, 200, response)
         return 200, None
 
+    def _get_healthz(
+        self, ctx: _Request, deadline: Deadline | None
+    ) -> tuple[int, None]:
+        self._send_json(ctx, 200, self.service.healthz())
+        return 200, None
+
+    def _get_metrics(
+        self, ctx: _Request, deadline: Deadline | None
+    ) -> tuple[int, None]:
+        self._send_text(200, ctx, self.server.render_metrics())
+        return 200, None
+
+    def _post_rollback(
+        self, ctx: _Request, deadline: Deadline | None
+    ) -> tuple[int, None]:
+        self._send_json(ctx, 200, self.service.rollback())
+        return 200, None
+
+    def _post_reload(
+        self, ctx: _Request, deadline: Deadline | None
+    ) -> tuple[int, None]:
+        path = self._json_body(ctx).get("path")
+        if path is not None and not isinstance(path, str):
+            raise ServeError("reload path must be a string")
+        self._send_json(ctx, 200, self.server.run_reload(path))
+        return 200, None
+
+    def _post_ingest(
+        self, ctx: _Request, deadline: Deadline | None
+    ) -> tuple[int, None]:
+        documents = documents_from_payload(self._json_body(ctx))
+        ctx.batch_items = len(documents)
+        summary = self.server.run_ingest(
+            documents, ctx.request_id or None
+        )
+        self._send_json(ctx, 200, summary)
+        return 200, None
+
     def _json_body(self, ctx: _Request) -> dict[str, Any]:
         if not ctx.body:
             return {}
@@ -668,34 +627,6 @@ class HttpProtocol(asyncio.Protocol):
         return payload
 
     # -- responses ------------------------------------------------------
-    def _send_response(
-        self, ctx: _Request, response: dict[str, Any], cached: bool
-    ) -> None:
-        """Send a query/listing/explain 200, reusing rendered bytes.
-
-        The service returns its *shared* cached dict on a healthy hit
-        (degraded stamping copies, so a degraded response is never the
-        shared object); bytes keyed by that object's identity are
-        exact for as long as the entry pins the dict alive."""
-        body: bytes | None = None
-        cache = self.server.body_cache
-        if not self.service.degraded and self._on_loop():
-            key = id(response)
-            entry = cache.get(key)
-            if entry is not None and entry[0] is response:
-                cache.move_to_end(key)
-                body = entry[1]
-            else:
-                body = json.dumps(
-                    response, sort_keys=True
-                ).encode()
-                cache[key] = (response, body)
-                if len(cache) > self.server.body_cache_size:
-                    cache.popitem(last=False)
-        if body is None:
-            body = json.dumps(response, sort_keys=True).encode()
-        self._write(ctx, 200, _CT_JSON, body, cached=cached)
-
     def _send_json(
         self,
         ctx: _Request,
@@ -705,9 +636,8 @@ class HttpProtocol(asyncio.Protocol):
         cached: bool | None = None,
         retry_after: float | None = None,
     ) -> None:
-        body = json.dumps(payload, sort_keys=True).encode()
         self._write(
-            ctx, status, _CT_JSON, body,
+            ctx, status, _CT_JSON, render(payload),
             cached=cached, retry_after=retry_after,
         )
 
@@ -736,17 +666,6 @@ class HttpProtocol(asyncio.Protocol):
                 request_id=ctx.request_id or None,
             ),
             retry_after=retry_after,
-        )
-
-    def _send_decision(
-        self, ctx: _Request, decision: AdmissionDecision
-    ) -> None:
-        self._send_error(
-            ctx,
-            decision.status,
-            decision.code,
-            decision.message,
-            retry_after=decision.retry_after,
         )
 
     def _write(
@@ -835,47 +754,21 @@ class HttpProtocol(asyncio.Protocol):
             self.server.loop.call_soon_threadsafe(transport.close)
 
     def _protocol_error(
-        self, status: int, message: str, code: str = "bad_request"
+        self,
+        status: int,
+        message: str,
+        code: str = "bad_request",
+        *,
+        request_id: str | None = None,
     ) -> None:
         """Unparseable framing: answer an envelope and close (the
         byte stream cannot be trusted for another request)."""
         ctx = _Request(
-            "", "", "", b"", new_request_id(), self.peer_host,
-            time.perf_counter(), True,
+            "", "", "", b"", request_id or new_request_id(),
+            self.peer_host, time.perf_counter(), True,
         )
         try:
             self._send_error(ctx, status, code, message)
-        except (BrokenPipeError, OSError):
-            pass
-        self.closed = True
-        if self.transport is not None:
-            self.transport.close()
-
-    def _oversized_body(
-        self,
-        parts: list[bytes],
-        headers: dict[bytes, bytes],
-        length: int,
-    ) -> None:
-        """413 for a declared body over ``MAX_BODY_BYTES``."""
-        raw_id = headers.get(b"x-request-id", b"")
-        supplied = raw_id.decode("latin-1") if raw_id else ""
-        request_id = (
-            supplied
-            if supplied and _REQUEST_ID_RE.match(supplied)
-            else new_request_id()
-        )
-        ctx = _Request(
-            parts[0].decode("ascii", "replace"),
-            "", "", b"", request_id, self.peer_host,
-            time.perf_counter(), True,
-        )
-        try:
-            self._send_error(
-                ctx, 413, "bad_request",
-                f"body of {length} bytes exceeds "
-                f"{MAX_BODY_BYTES}",
-            )
         except (BrokenPipeError, OSError):
             pass
         self.closed = True
@@ -903,14 +796,58 @@ class HttpProtocol(asyncio.Protocol):
         )
 
 
+class _Route(NamedTuple):
+    """One row of the routing table."""
+
+    handler: Callable[
+        [HttpProtocol, _Request, Deadline | None],
+        tuple[int, bool | None],
+    ]
+    #: Whether admission control gates the route. Health and
+    #: telemetry must stay reachable exactly when the server is
+    #: saturated, and the admin endpoints are the operator's way *out*
+    #: of an incident — gating a rollback behind the overload it is
+    #: meant to fix would be self-defeating.
+    gated: bool = True
+    #: Whether the handler does blocking file IO and so runs in a
+    #: worker thread, keeping queries flowing during a reload or an
+    #: ingest refit.
+    threaded: bool = False
+
+
+#: The one routing table: ``(method, path)`` -> route.
+ROUTES: dict[tuple[str, str], _Route] = {
+    ("GET", "/query"): _Route(HttpProtocol._get_query),
+    ("GET", "/explain"): _Route(HttpProtocol._get_explain),
+    ("POST", "/batch"): _Route(HttpProtocol._post_batch),
+    ("GET", "/healthz"): _Route(HttpProtocol._get_healthz, gated=False),
+    ("GET", "/metrics"): _Route(HttpProtocol._get_metrics, gated=False),
+    ("POST", "/admin/rollback"): _Route(
+        HttpProtocol._post_rollback, gated=False
+    ),
+    ("POST", "/admin/reload"): _Route(
+        HttpProtocol._post_reload, gated=False, threaded=True
+    ),
+    ("POST", "/admin/ingest"): _Route(
+        HttpProtocol._post_ingest, gated=False, threaded=True
+    ),
+}
+
+#: Paths that bypass admission. A request no route matches is gated
+#: unless its path is an ungated route's path; either way it gets 404.
+UNGATED = frozenset(
+    path for (_, path), route in ROUTES.items() if not route.gated
+)
+
+
 class AsyncReproServer:
     """The asyncio server: one listener, one service, N connections.
 
     Owns the loop-side plumbing the protocol instances share: the
-    lock-free admission controller, the rendered-body cache, the
-    reload/ingest bridges (with multi-worker epoch hooks), and the
-    merged ``/metrics`` view. Start with :meth:`start`; stop with
-    :meth:`close_listener` + :meth:`wait_connections_closed`.
+    lock-free admission controller, the reload/ingest bridges (with
+    multi-worker epoch hooks), and the merged ``/metrics`` view.
+    Start with :meth:`start`; stop with :meth:`close_listener` +
+    :meth:`wait_connections_closed`.
     """
 
     def __init__(
@@ -919,16 +856,11 @@ class AsyncReproServer:
         *,
         runtime: Any | None = None,
         ingest_factory: Callable[[], Any] | None = None,
-        body_cache_size: int = DEFAULT_BODY_CACHE,
     ) -> None:
         self.service = service
         self.admission = service.admission
         self.runtime = runtime
         self.ingest_factory = ingest_factory
-        self.body_cache: OrderedDict[int, tuple[dict, bytes]] = (
-            OrderedDict()
-        )
-        self.body_cache_size = int(body_cache_size)
         self.connections: set[HttpProtocol] = set()
         self.loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.base_events.Server | None = None

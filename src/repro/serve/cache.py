@@ -2,8 +2,11 @@
 
 Subjective-query traffic is Zipfian — "cute animals" is asked far more
 often than "not quiet very young celebrities" — so a small LRU over
-fully-rendered responses absorbs most of the load. Design points:
+fully rendered responses absorbs most of the load. Design points:
 
+* **Rendered once.** The service stores a :class:`CacheEntry`: the
+  response dict and its wire bytes, rendered when the entry is made.
+  A hit hands the HTTP core those bytes; it keeps no store of its own.
 * **Bounded.** At most ``max_entries`` responses; inserting past the
   bound evicts the least-recently-used entry.
 * **Generation-scoped.** Every key carries the index generation it was
@@ -23,11 +26,24 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any, Hashable, NamedTuple
 
 from ..obs.metrics import MetricsRegistry
+from .schema import render
 
 DEFAULT_MAX_ENTRIES = 1024
+
+
+class CacheEntry(NamedTuple):
+    """One answer as served: the response dict and its wire bytes."""
+
+    response: dict[str, Any]
+    body: bytes
+
+    @classmethod
+    def of(cls, response: dict[str, Any]) -> "CacheEntry":
+        """Render ``response`` once, by the one wire rule."""
+        return cls(response, render(response))
 
 
 class QueryCache:

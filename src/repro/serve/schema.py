@@ -22,10 +22,13 @@ conflated:
   breaker is open (version 2 addition; see "Serving resilience" in
   docs/robustness.md). Builders always emit ``false``; the server
   stamps ``true`` post-cache so cached entries stay state-free.
+
+Every JSON body the server sends is :func:`render` of its payload.
 """
 
 from __future__ import annotations
 
+import json
 from typing import Any, Iterable
 
 from ..core.params import ModelParameters
@@ -35,6 +38,12 @@ from ..extraction.provenance import PairProvenance
 from .index import OpinionIndex
 
 SERVE_SCHEMA_VERSION = 2
+
+
+def render(payload: dict[str, Any]) -> bytes:
+    """The wire bytes of a JSON payload (sorted keys, default
+    separators); the one rule for every JSON body served."""
+    return json.dumps(payload, sort_keys=True).encode()
 
 
 def ask_response(

@@ -51,7 +51,7 @@ import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from ..core.query import QueryError, SubjectiveQuery
 from ..core.result import OpinionTable
@@ -79,7 +79,7 @@ from .admission import (
     CircuitBreaker,
     Deadline,
 )
-from .cache import DEFAULT_MAX_ENTRIES, QueryCache
+from .cache import DEFAULT_MAX_ENTRIES, CacheEntry, QueryCache
 from .faults import InjectedDisconnect, ServeFaultInjector
 from .index import OpinionIndex
 from .schema import (
@@ -217,12 +217,23 @@ def load_provenance_sidecar(
     return sidecar
 
 
+class Generation(NamedTuple):
+    """One served generation: its index and what it was built from."""
+
+    index: OpinionIndex
+    table: OpinionTable
+    source: Path | None
+    provenance: ProvenanceIndex | None
+
+
 class OpinionService:
     """The query engine behind the HTTP API (usable standalone).
 
-    ``ask``/``listing`` return ``(response_dict, cached)``. Queries run
-    against a single index snapshot taken at entry, so a concurrent
-    :meth:`swap` can never hand a request half of each table.
+    ``ask``/``listing``/``explain`` return ``(response_dict, cached)``;
+    their ``*_entry`` forms return the :class:`CacheEntry` with the
+    rendered bytes. Queries run against a single generation read at
+    entry, so a concurrent :meth:`swap` can never hand a request half
+    of each table.
     """
 
     def __init__(
@@ -316,22 +327,16 @@ class OpinionService:
         generation = 1
         if ingest_pipeline is not None:
             generation = max(1, ingest_pipeline.state.generation)
-        self._index = OpinionIndex(table, generation=generation)
-        self._current_table = table
-        self._current_source = self.source_path
-        self._current_provenance = provenance
         # One atomic attribute carrying the whole serving snapshot, so
-        # /explain never reads the new table against the old sidecar
-        # mid-swap.
-        self._live: tuple[
-            OpinionIndex, OpinionTable, ProvenanceIndex | None
-        ] = (self._index, table, provenance)
-        self._previous: (
-            tuple[
-                OpinionTable, Path | None, ProvenanceIndex | None
-            ]
-            | None
-        ) = None
+        # a reader never pairs one generation's index with another's
+        # table or sidecar mid-swap.
+        self._live = Generation(
+            OpinionIndex(table, generation=generation),
+            table,
+            self.source_path,
+            provenance,
+        )
+        self._previous: Generation | None = None
         self._degraded_reason: str | None = None
         self._quarantine: list[dict[str, Any]] = []
         self.drift_guard_fraction = drift_guard_fraction
@@ -342,7 +347,7 @@ class OpinionService:
         # while a rewritten sidecar (new mtime/size) is re-read and
         # /explain lineage follows the new generation. The loaded
         # index is cached alongside the signature — never resolved
-        # through _current_provenance — so rollback or an intervening
+        # through the live generation — so rollback or an intervening
         # swap cannot alias the cache onto the wrong generation.
         self._sidecar_cache: (
             tuple[tuple[str, int, int], ProvenanceIndex | None] | None
@@ -375,7 +380,12 @@ class OpinionService:
     @property
     def index(self) -> OpinionIndex:
         """The live snapshot (one atomic attribute read)."""
-        return self._index
+        return self._live.index
+
+    def _next_index(self, table: OpinionTable) -> OpinionIndex:
+        return OpinionIndex(
+            table, generation=self._live.index.generation + 1
+        )
 
     def swap(
         self,
@@ -392,42 +402,36 @@ class OpinionService:
         answers no one can receive anymore. The outgoing generation is
         retained for one-step :meth:`rollback`.
         """
+        source = Path(source) if source is not None else None
         with self._swap_lock:
-            index = OpinionIndex(
-                table, generation=self._index.generation + 1
-            )
-            self._publish(table, source, index, provenance)
+            index = self._next_index(table)
+            live = Generation(index, table, source, provenance)
+            self._install(live, "reload")
             return index
 
-    def _publish(
-        self,
-        table: OpinionTable,
-        source: str | Path | None,
-        index: OpinionIndex,
-        provenance: ProvenanceIndex | None = None,
-        trigger: str = "reload",
-    ) -> DriftReport:
-        """Install a validated (table, index) pair; callers hold
-        ``_swap_lock``. Returns the generation-drift report against
-        the table being retired."""
-        drift = compare_tables(self._current_table, table)
-        self._previous = (
-            self._current_table,
-            self._current_source,
-            self._current_provenance,
-        )
-        self._current_table = table
-        self._current_source = (
-            Path(source) if source is not None else None
-        )
-        self._current_provenance = provenance
-        self._index = index
-        self._live = (index, table, provenance)
-        self.cache.purge_generations(index.generation)
-        self.registry.inc("repro_serve_reloads_total")
+    def _install(self, live: Generation, trigger: str) -> DriftReport:
+        """Serve ``live`` from now on; callers hold ``_swap_lock``.
+
+        The one install path for swap, reload, ingest and rollback:
+        drift against the retiring generation, a cache purge, the
+        degraded flag cleared, the drift noted and gauges published.
+        A rollback consumes the previous generation; every other
+        trigger keeps the retiring one for :meth:`rollback`.
+        """
+        retiring = self._live
+        drift = compare_tables(retiring.table, live.table)
+        rollback = trigger == "rollback"
+        self._previous = None if rollback else retiring
+        self._live = live
+        self.cache.purge_generations(live.index.generation)
         self._degraded_reason = None
-        self.reload_breaker.record_success()
-        self._note_drift(drift, trigger, index.generation)
+        if rollback:
+            self.registry.inc("repro_serve_rollbacks_total")
+            self.reload_breaker.reset()
+        else:
+            self.registry.inc("repro_serve_reloads_total")
+            self.reload_breaker.record_success()
+        self._note_drift(drift, trigger, live.index.generation)
         self._publish_gauges()
         return drift
 
@@ -517,9 +521,7 @@ class OpinionService:
                     f"{source} has a posterior outside [0, 1] for "
                     f"entity {opinion.entity_id!r}"
                 )
-        index = OpinionIndex(
-            table, generation=self._index.generation + 1
-        )
+        index = self._next_index(table)
         smoke_key = table.keys()[0]
         if not (
             index.entities_with(smoke_key, Polarity.POSITIVE)
@@ -551,7 +553,7 @@ class OpinionService:
                     "event": "serve.reload_failed",
                     "source": str(source),
                     "reason": reason,
-                    "live_generation": self._index.generation,
+                    "live_generation": self._live.index.generation,
                     "breaker": self.reload_breaker.state,
                 },
                 sort_keys=True,
@@ -642,8 +644,11 @@ class OpinionService:
                     status=500,
                     code="reload_failed",
                 ) from None
-            drift = self._publish(
-                table, source, index, self._load_sidecar(source)
+            drift = self._install(
+                Generation(
+                    index, table, source, self._load_sidecar(source)
+                ),
+                "reload",
             )
         return {
             "status": "reloaded",
@@ -657,33 +662,18 @@ class OpinionService:
         """Return to the previous generation (one step), or clear a
         degraded flag when there is nothing to return to."""
         with self._swap_lock:
-            if self._previous is not None:
-                table, source, provenance = self._previous
-                index = OpinionIndex(
-                    table, generation=self._index.generation + 1
+            previous = self._previous
+            if previous is not None:
+                live = previous._replace(
+                    index=self._next_index(previous.table)
                 )
-                drift = compare_tables(self._current_table, table)
-                self._previous = None
-                self._current_table = table
-                self._current_source = source
-                self._current_provenance = provenance
-                self._index = index
-                self._live = (index, table, provenance)
-                self.cache.purge_generations(index.generation)
-                self._degraded_reason = None
-                self.reload_breaker.reset()
-                self.registry.inc("repro_serve_rollbacks_total")
-                self._note_drift(
-                    drift, "rollback", index.generation
-                )
-                self._publish_gauges()
+                drift = self._install(live, "rollback")
+                source = live.source
                 return {
                     "status": "rolled_back",
-                    "source": (
-                        str(source) if source is not None else None
-                    ),
-                    "generation": index.generation,
-                    "opinions": index.n_opinions,
+                    "source": None if source is None else str(source),
+                    "generation": live.index.generation,
+                    "opinions": live.index.n_opinions,
                     "drift": drift.summary(),
                 }
             if self._degraded_reason is not None:
@@ -694,10 +684,11 @@ class OpinionService:
                 self.reload_breaker.reset()
                 self.registry.inc("repro_serve_rollbacks_total")
                 self._publish_gauges()
+                index = self._live.index
                 return {
                     "status": "cleared",
-                    "generation": self._index.generation,
-                    "opinions": self._index.n_opinions,
+                    "generation": index.generation,
+                    "opinions": index.n_opinions,
                 }
         raise ServeError(
             "no previous generation to roll back to",
@@ -739,7 +730,7 @@ class OpinionService:
             out = self.source_path
             swapped = False
             drift: DriftReport | None = None
-            index = self._index
+            index = self._live.index
             if len(report.table) > 0:
                 if out is not None:
                     pipeline.publish(
@@ -775,12 +766,11 @@ class OpinionService:
                             status=500,
                             code="ingest_failed",
                         ) from None
-                    drift = self._publish(
-                        report.table,
-                        out,
-                        index,
-                        report.provenance,
-                        trigger="ingest",
+                    drift = self._install(
+                        Generation(
+                            index, report.table, out, report.provenance
+                        ),
+                        "ingest",
                     )
                 swapped = True
         freshness = time.perf_counter() - started
@@ -803,11 +793,12 @@ class OpinionService:
         }
 
     def _publish_gauges(self) -> None:
+        index = self._live.index
         self.registry.set_gauge(
-            "repro_serve_index_generation", self._index.generation
+            "repro_serve_index_generation", index.generation
         )
         self.registry.set_gauge(
-            "repro_serve_index_opinions", self._index.n_opinions
+            "repro_serve_index_opinions", index.n_opinions
         )
         self.registry.set_gauge(
             "repro_serve_health_state",
@@ -836,42 +827,71 @@ class OpinionService:
         stamped["degraded_mode"] = True
         return stamped
 
-    def ask(
+    def _respond(
+        self, key: tuple, build: Callable[[], dict[str, Any]]
+    ) -> tuple[CacheEntry, bool]:
+        """The one cache path of ask, listing and explain.
+
+        A hit skips ``build``; a miss renders its response once and
+        stores the entry. In degraded mode the answer is a stamped
+        copy rendered fresh, so cached entries stay unstamped."""
+        entry = self.cache.get(key)
+        cached = entry is not None
+        if entry is None:
+            entry = CacheEntry.of(build())
+            self.cache.put(key, entry)
+        if self._degraded_reason is not None:
+            entry = CacheEntry.of(self._stamp(entry.response))
+        return entry, cached
+
+    def ask(self, *args: Any, **kwargs: Any) -> tuple[dict, bool]:
+        """:meth:`ask_entry`, answering with the response dict."""
+        entry, cached = self.ask_entry(*args, **kwargs)
+        return entry.response, cached
+
+    def ask_entry(
         self,
         text: str,
         top: int = DEFAULT_TOP,
         index: OpinionIndex | None = None,
         deadline: Deadline | None = None,
-    ) -> tuple[dict[str, Any], bool]:
+    ) -> tuple[CacheEntry, bool]:
         """Answer a free-text query, via the cache when possible.
 
         The cache key uses the whitespace-normalised raw text, so a
         hit skips even query parsing.
         """
         top = _check_top(top)
-        index = index if index is not None else self._index
+        index = index if index is not None else self._live.index
         normalized = " ".join(text.lower().split())
-        key = (index.generation, "ask", normalized, top)
-        cached = self.cache.get(key)
-        if cached is not None:
-            return self._stamp(cached), True
-        if self.faults is not None and self.faults.on_query(
-            normalized
-        ):
-            self.registry.inc("repro_serve_faults_injected_total")
-        try:
-            query = SubjectiveQuery.parse(text)
-        except QueryError as error:
-            raise ServeError(f"cannot parse query: {error}") from None
-        response = ask_response(
-            query,
-            index.answer(query, top=top, deadline=deadline),
-            index,
-        )
-        self.cache.put(key, response)
-        return self._stamp(response), False
 
-    def listing(
+        def build() -> dict[str, Any]:
+            if self.faults is not None and self.faults.on_query(
+                normalized
+            ):
+                self.registry.inc("repro_serve_faults_injected_total")
+            try:
+                query = SubjectiveQuery.parse(text)
+            except QueryError as error:
+                raise ServeError(
+                    f"cannot parse query: {error}"
+                ) from None
+            return ask_response(
+                query,
+                index.answer(query, top=top, deadline=deadline),
+                index,
+            )
+
+        return self._respond(
+            (index.generation, "ask", normalized, top), build
+        )
+
+    def listing(self, *args: Any, **kwargs: Any) -> tuple[dict, bool]:
+        """:meth:`listing_entry`, answering with the response dict."""
+        entry, cached = self.listing_entry(*args, **kwargs)
+        return entry.response, cached
+
+    def listing_entry(
         self,
         property_text: str,
         entity_type: str,
@@ -881,7 +901,7 @@ class OpinionService:
         top: int = DEFAULT_TOP,
         index: OpinionIndex | None = None,
         deadline: Deadline | None = None,
-    ) -> tuple[dict[str, Any], bool]:
+    ) -> tuple[CacheEntry, bool]:
         """Single-combination listing (the ``repro query`` semantics)."""
         top = _check_top(top)
         if not 0.0 <= min_probability <= 1.0:
@@ -889,7 +909,10 @@ class OpinionService:
                 "min_probability must be in [0, 1], "
                 f"got {min_probability}"
             )
-        index = index if index is not None else self._index
+        # -0.0 == 0.0 shares a cache key, so the echoed value must not
+        # keep the sign either: + 0.0 folds -0.0 into 0.0.
+        min_probability = float(min_probability) + 0.0
+        index = index if index is not None else self._live.index
         try:
             key = PropertyTypeKey(
                 property=SubjectiveProperty.parse(property_text),
@@ -897,38 +920,44 @@ class OpinionService:
             )
         except ValueError as error:
             raise ServeError(str(error)) from None
-        cache_key = (
-            index.generation,
-            "listing",
-            str(key),
-            bool(negative),
-            float(min_probability),
-            top,
-        )
-        cached = self.cache.get(cache_key)
-        if cached is not None:
-            return self._stamp(cached), True
-        if deadline is not None:
-            deadline.checkpoint("listing")
-        polarity = (
-            Polarity.NEGATIVE if negative else Polarity.POSITIVE
-        )
-        opinions = index.entities_with(
-            key, polarity, min_probability=min_probability
-        )[:top]
-        response = listing_response(
-            key, negative, min_probability, opinions, index
-        )
-        self.cache.put(cache_key, response)
-        return self._stamp(response), False
 
-    def explain(
+        def build() -> dict[str, Any]:
+            if deadline is not None:
+                deadline.checkpoint("listing")
+            polarity = (
+                Polarity.NEGATIVE if negative else Polarity.POSITIVE
+            )
+            opinions = index.entities_with(
+                key, polarity, min_probability=min_probability
+            )[:top]
+            return listing_response(
+                key, negative, min_probability, opinions, index
+            )
+
+        return self._respond(
+            (
+                index.generation,
+                "listing",
+                str(key),
+                bool(negative),
+                min_probability,
+                top,
+            ),
+            build,
+        )
+
+    def explain(self, *args: Any, **kwargs: Any) -> tuple[dict, bool]:
+        """:meth:`explain_entry`, answering with the response dict."""
+        entry, cached = self.explain_entry(*args, **kwargs)
+        return entry.response, cached
+
+    def explain_entry(
         self,
         entity_id: str,
         property_text: str,
         entity_type: str | None = None,
         deadline: Deadline | None = None,
-    ) -> tuple[dict[str, Any], bool]:
+    ) -> tuple[CacheEntry, bool]:
         """Full lineage for one answer (``GET /explain``).
 
         Resolves the (entity, property[, type]) target against the
@@ -938,47 +967,47 @@ class OpinionService:
         one atomic attribute, so a concurrent swap can never pair the
         new table with the old sidecar.
         """
-        index, table, provenance = self._live
-        normalized = " ".join(property_text.lower().split())
-        cache_key = (
-            index.generation,
-            "explain",
-            entity_id,
-            normalized,
-            entity_type or "",
-        )
-        cached = self.cache.get(cache_key)
-        if cached is not None:
-            return self._stamp(cached), True
-        if deadline is not None:
-            deadline.checkpoint("explain")
-        key, opinion = resolve_opinion(
-            table, entity_id, property_text, entity_type
-        )
-        response = explain_response(
-            entity_id,
-            key,
-            opinion,
-            index,
-            pair=(
-                provenance.for_pair(key, entity_id)
-                if provenance is not None
-                else None
+        index, table, _, provenance = self._live
+
+        def build() -> dict[str, Any]:
+            if deadline is not None:
+                deadline.checkpoint("explain")
+            key, opinion = resolve_opinion(
+                table, entity_id, property_text, entity_type
+            )
+            return explain_response(
+                entity_id,
+                key,
+                opinion,
+                index,
+                pair=(
+                    provenance.for_pair(key, entity_id)
+                    if provenance is not None
+                    else None
+                ),
+                model=(
+                    provenance.model_for(key)
+                    if provenance is not None
+                    else None
+                ),
+                convergence=(
+                    provenance.convergence_for(key)
+                    if provenance is not None
+                    else None
+                ),
+                lineage_available=provenance is not None,
+            )
+
+        return self._respond(
+            (
+                index.generation,
+                "explain",
+                entity_id,
+                " ".join(property_text.lower().split()),
+                entity_type or "",
             ),
-            model=(
-                provenance.model_for(key)
-                if provenance is not None
-                else None
-            ),
-            convergence=(
-                provenance.convergence_for(key)
-                if provenance is not None
-                else None
-            ),
-            lineage_available=provenance is not None,
+            build,
         )
-        self.cache.put(cache_key, response)
-        return self._stamp(response), False
 
     def batch(
         self,
@@ -999,7 +1028,7 @@ class OpinionService:
                 f"batch of {len(queries)} exceeds the limit of "
                 f"{MAX_BATCH_QUERIES}"
             )
-        index = self._index
+        index = self._live.index
         results: list[dict[str, Any]] = []
         for text in queries:
             if deadline is not None:
@@ -1068,7 +1097,7 @@ class OpinionService:
                 cached=cached,
                 code=code,
                 client=client,
-                generation=self._index.generation,
+                generation=self._live.index.generation,
                 items=items,
             )
         tracer = self.tracer
@@ -1151,7 +1180,7 @@ class OpinionService:
         }
 
     def healthz(self) -> dict[str, Any]:
-        index = self._index
+        index = self._live.index
         return {
             "status": self.health_state(),
             "generation": index.generation,

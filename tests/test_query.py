@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     EvidenceCounts,
@@ -16,6 +18,7 @@ from repro.core.query import (
     QueryError,
     SubjectiveQuery,
 )
+from repro.nlp import lexicon
 
 CALM = PropertyTypeKey(SubjectiveProperty("calm"), "city")
 CHEAP = PropertyTypeKey(SubjectiveProperty("cheap"), "city")
@@ -160,3 +163,62 @@ class TestAnswer:
             h for h in hits if h.entity_id == "/city/bruges"
         )
         assert not bruges.confident  # cheap is only 0.30
+
+
+class TestParseHardening:
+    """The grammar under arbitrary text, and the property the serving
+    cache relies on: two texts with one cache key parse alike, so a
+    cache hit may skip parsing."""
+
+    #: Mostly grammar words (so generated queries often parse), now
+    #: and then arbitrary text (so they often do not).
+    modifier = st.sampled_from(
+        sorted(lexicon.ADVERBS) + sorted(lexicon.ADJECTIVES) + ["not"]
+    )
+    noun = st.sampled_from(sorted(lexicon.TYPE_NOUNS))
+    junk = st.text(max_size=6)
+    words = st.tuples(
+        st.lists(
+            st.one_of(*[modifier] * 5, junk), min_size=1, max_size=4
+        ),
+        st.one_of(*[noun] * 4, junk),
+    ).map(lambda parts: parts[0] + [parts[1]])
+    #: Unicode whitespace included: ``str.split`` splits on all of it.
+    spaces = st.text(
+        alphabet=" \t\n\r\x0b\x0c\x1c\x85\xa0\u2003\u3000",
+        min_size=1,
+        max_size=3,
+    )
+
+    @staticmethod
+    def outcome(text):
+        try:
+            return SubjectiveQuery.parse(text)
+        except QueryError as error:
+            return ("error", str(error))
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(text=st.text(max_size=80))
+    def test_arbitrary_text_raises_only_query_error(self, text):
+        self.outcome(text)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(data=st.data(), tokens=words)
+    def test_same_cache_key_parses_alike(self, data, tokens):
+        def spell():
+            cased = [
+                data.draw(st.sampled_from([w, w.upper(), w.title()]))
+                for w in tokens
+            ]
+            gaps = [
+                data.draw(self.spaces) for _ in range(len(tokens) + 1)
+            ]
+            return gaps[0] + "".join(
+                word + gap for word, gap in zip(cased, gaps[1:])
+            )
+
+        first, second = spell(), spell()
+        key = " ".join(first.lower().split())
+        if key != " ".join(second.lower().split()):
+            return  # casing changed a token (e.g. "ß" -> "SS")
+        assert self.outcome(first) == self.outcome(second)

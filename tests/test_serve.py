@@ -298,6 +298,24 @@ class TestOpinionService:
         degraded, _ = service.listing("big", "animal")
         assert degraded["degraded"] is True
 
+    def test_negative_zero_floor_renders_like_zero(self):
+        # -0.0 == 0.0 shares a cache key, so a listing's bytes must not
+        # depend on which of the two filled the cache first.
+        def body(service, floor):
+            response, cached = service.listing(
+                "cute", "animal", min_probability=floor
+            )
+            return json.dumps(response, sort_keys=True), cached
+
+        cold, cached = body(OpinionService(demo_table()), -0.0)
+        assert not cached
+        warm_service = OpinionService(demo_table())
+        body(warm_service, 0.0)
+        warm, cached = body(warm_service, -0.0)
+        assert cached
+        assert cold == warm
+        assert '"min_probability": 0.0' in cold
+
     def test_swap_bumps_generation_and_purges(self):
         service = OpinionService(demo_table())
         before, _ = service.ask("cute animals")

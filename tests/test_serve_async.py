@@ -4,7 +4,9 @@ Wire bytes are pinned by ``tests/data/serve_wire.golden``: status,
 body, and the contract headers of every route in ``PARITY_CASES``,
 the ``/healthz`` shape, and the 429 envelope (recorded from the
 thread-per-connection server this core replaced, so the switch
-changed no byte a client sees). Then the HTTP/1.1 reader under
+changed no byte a client sees). Replayed twice, every request gets
+the same bytes again (a hit repeats what a cold miss rendered), and
+only the query cache keeps answers alive. Then the HTTP/1.1 reader under
 hostile framing (sign/underscore and conflicting ``Content-Length``,
 ``Transfer-Encoding``) and at every byte boundary, keep-alive
 semantics, ungated probe routes under a saturated admission queue,
@@ -15,6 +17,7 @@ and the :class:`WorkerRuntime` epoch/metrics protocol behind
 from __future__ import annotations
 
 import asyncio
+import gc
 import json
 import pickle
 import socket
@@ -23,7 +26,7 @@ from pathlib import Path
 import pytest
 
 from repro.obs import MetricsRegistry
-from repro.serve import AsyncReproServer, OpinionService
+from repro.serve import AsyncReproServer, OpinionService, ServeError
 from repro.serve.aio import MAX_HEADER_BYTES, HttpProtocol
 from repro.serve.workers import (
     WorkerRuntime,
@@ -233,6 +236,132 @@ class TestAsyncCore:
         status, _, body = http(harness.port, "GET", "/healthz")
         assert status == 200
         assert json.loads(body)["status"] == "draining"
+
+
+# ---------------------------------------------------------------------------
+# One response cache: a hit sends the bytes a cold miss rendered
+# ---------------------------------------------------------------------------
+
+PIN = {"X-Request-Id": "pin-0001"}
+
+
+def _twice(port, method, target, body=None, headers=PIN):
+    """The same request sent twice on one server."""
+    first = http(port, method, target, body, headers)
+    return first, http(port, method, target, body, headers)
+
+
+def _assert_repeats(first, second):
+    """Same status, headers and body, except that a cacheable reply is
+    a hit the second time."""
+    expected = dict(first[1])
+    if "x-cache" in expected:
+        expected["x-cache"] = "hit"
+    assert second == (first[0], expected, first[2])
+
+
+def _live_ask_responses() -> int:
+    gc.collect()
+    return sum(
+        1
+        for obj in gc.get_objects()
+        if isinstance(obj, dict)
+        and dict.get(obj, "format") == "serve_ask"
+    )
+
+
+class TestOneResponseCache:
+    def test_golden_requests_repeat_byte_for_byte(self, harness):
+        # The 429 line never reaches the cache (admission rejects it
+        # first); test_rate_limit_envelope_identical pins it.
+        for line in _wire_golden():
+            if "envelope" in line:
+                continue
+            first, second = _twice(harness.port, *line["request"])
+            assert first[0] == second[0] == line["status"]
+            if "keys" in line:  # /healthz: counters move, shape not
+                for reply in (first, second):
+                    health = json.loads(reply[2])
+                    assert sorted(health) == line["keys"]
+                    for key, value in line["fields"].items():
+                        assert health[key] == value, key
+                continue
+            assert first[2] == line["body"].encode("utf-8")
+            for name in WIRE_HEADERS:
+                assert first[1].get(name) == line["headers"][name]
+            _assert_repeats(first, second)
+
+    @pytest.mark.parametrize(
+        "target",
+        [
+            "/query?q=",
+            "/query?property=&type=",
+            "/explain",
+            "/query?property=cute&type=animal",
+            "/query?property=cute&type=animal&negative=1"
+            "&min_probability=0.5&top=2",
+            "/explain?entity=/animal/kitten&property=cute",
+        ],
+    )
+    def test_route_repeats_byte_for_byte(self, harness, target):
+        first, second = _twice(harness.port, "GET", target)
+        _assert_repeats(first, second)
+
+    def test_degraded_hit_is_stamped_but_entry_is_not(self, tmp_path):
+        service = _demo_service()
+        with pytest.raises(ServeError):
+            service.reload(tmp_path / "missing.json")
+        assert service.degraded
+        with AsyncHarness(service) as served:
+            first, second = _twice(
+                served.port, "GET", "/query?q=cute+animals"
+            )
+            assert first[1]["x-cache"] == "miss"
+            _assert_repeats(first, second)
+            assert json.loads(second[2])["degraded_mode"] is True
+            entry = service.cache.get((1, "ask", "cute animals", 10))
+            assert entry.response["degraded_mode"] is False
+            assert json.loads(entry.body)["degraded_mode"] is False
+            service.rollback()  # clears the degraded flag
+            _, headers, body = http(
+                served.port, "GET", "/query?q=cute+animals", headers=PIN
+            )
+        assert headers["x-cache"] == "hit"
+        assert body == entry.body
+
+    def test_batch_items_carry_request_id_entries_stay_id_free(
+        self, harness
+    ):
+        batch = {"queries": ["cute animals", "calm cities"]}
+        for request_id in ("batch-1", "batch-2"):
+            _, _, body = http(
+                harness.port, "POST", "/batch", batch,
+                {"X-Request-Id": request_id},
+            )
+            results = json.loads(body)["results"]
+            assert [item["request_id"] for item in results] == [
+                request_id, request_id,
+            ]
+        _, headers, body = http(
+            harness.port, "GET", "/query?q=cute+animals", headers=PIN
+        )
+        assert headers["x-cache"] == "hit"
+        assert "request_id" not in json.loads(body)
+        entry = harness.service.cache.get((1, "ask", "cute animals", 10))
+        assert "request_id" not in entry.response
+
+    def test_only_the_query_cache_keeps_answers_alive(self):
+        cache_size = 8
+        service = OpinionService(demo_table(), cache_size=cache_size)
+        before = _live_ask_responses()
+        with AsyncHarness(service) as served:
+            for top in range(1, 3 * cache_size + 1):
+                status, headers, _ = http(
+                    served.port, "GET", f"/query?q=cute+animals&top={top}"
+                )
+                assert (status, headers["x-cache"]) == (200, "miss")
+            assert _live_ask_responses() - before <= cache_size
+        assert len(service.cache) == cache_size
 
 
 # ---------------------------------------------------------------------------
