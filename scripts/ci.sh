@@ -80,6 +80,29 @@ if result["correct"] is not True or result["failed"] != 0:
 '
 done
 
+# The same check under the process executor: shards mined in worker
+# processes (each with its own annotation memo) must reduce to the
+# serial reference table.
+python3 - <<'PYEOF'
+import sys
+
+sys.path.insert(0, "perfbench")
+import worlds  # noqa: E402
+from repro.pipeline import SurveyorPipeline  # noqa: E402
+
+kb, corpus = worlds.WORLDS["mine_longtail"](worlds.world_seed(7))
+report = SurveyorPipeline(
+    kb=kb,
+    occurrence_threshold=worlds.OCCURRENCE_THRESHOLD,
+    executor="process",
+    n_workers=2,
+).run(corpus)
+if worlds.table_digest(report.opinions) != worlds.stored_digest(
+    "mine_longtail", 7
+):
+    sys.exit("reference parity failed under the process executor")
+PYEOF
+
 echo "== serve lane (async core smoke: boot, query, observability, reload, shutdown) =="
 # `repro serve` defaults to the asyncio event-loop core, so this lane
 # exercises the async single-worker server end to end.

@@ -103,11 +103,11 @@ class EvidenceExtractor:
     ) -> list[EvidenceStatement]:
         statements = []
         try:
-            text = annotated.text()
-            for match in find_matches(annotated, self.config):
-                negations = negation_count(
-                    annotated.tree, match.property_node
-                )
+            sentence = annotated.sentence
+            matches = find_matches(annotated, self.config)
+            text = sentence.text() if matches else ""
+            for match in matches:
+                negations = negation_count(sentence, match.property_index)
                 statements.append(
                     EvidenceStatement(
                         entity_id=match.mention.entity_id,
@@ -129,7 +129,7 @@ class EvidenceExtractor:
         except Exception as error:
             raise ExtractionError(
                 f"extraction failed in document {doc_id!r} "
-                f"(sentence {annotated.text()[:60]!r}): {error}"
+                f"(sentence {annotated.sentence.text()[:60]!r}): {error}"
             ) from error
         return statements
 

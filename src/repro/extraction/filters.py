@@ -20,15 +20,18 @@ significantly; Table 4 quantifies the recall cost.
 from __future__ import annotations
 
 from ..nlp import lexicon
-from ..nlp.deptree import DepNode, PREP
+from ..nlp.deptree import REL_PREP, child_with
+from ..nlp.tokens import Sentence
 
 
-def has_constriction(predicate_root: DepNode) -> bool:
+def has_constriction(sentence: Sentence, predicate: int) -> bool:
     """Whether the predicate carries a restricting prepositional subtree."""
-    return any(child.deprel == PREP for child in predicate_root.children)
+    return child_with(sentence, predicate, REL_PREP) >= 0
 
 
-def is_coreferential_amod(head_noun: DepNode, entity_type: str) -> bool:
+def is_coreferential_amod(
+    sentence: Sentence, head_noun: int, entity_type: str
+) -> bool:
     """Whether an amod head noun corefers with the entity mention.
 
     True when the noun names the entity's own type (``city`` for a
@@ -36,5 +39,5 @@ def is_coreferential_amod(head_noun: DepNode, entity_type: str) -> bool:
     a whole. Plural and synonym forms resolve through the type-noun
     lexicon.
     """
-    indicated = lexicon.TYPE_NOUNS.get(head_noun.token.lemma)
+    indicated = lexicon.TYPE_NOUNS.get(sentence.lemmas[head_noun])
     return indicated == entity_type

@@ -24,16 +24,10 @@ from ..core.types import SubjectiveProperty
 from ..nlp import lexicon
 from ..nlp.annotate import AnnotatedSentence
 from ..nlp.deptree import (
-    ADVMOD,
-    AMOD,
-    APPOS,
-    CONJ,
-    COP,
-    DepNode,
-    NSUBJ,
-    XCOMP,
+    REL_ADVMOD, REL_AMOD, REL_APPOS, REL_COMPOUND, REL_CONJ, REL_COP,
+    REL_NSUBJ, REL_XCOMP, child_with, children_with,
 )
-from ..nlp.tokens import EntityMention, POS
+from ..nlp.tokens import ADJ, ADV, EntityMention, Sentence
 from . import filters
 
 
@@ -92,10 +86,11 @@ DEFAULT_PATTERNS = PATTERN_VERSIONS[4]
 
 @dataclass(frozen=True, slots=True)
 class PatternMatch:
-    """One pattern instance: an entity tied to a property node."""
+    """One pattern instance: an entity tied to a property token."""
 
     mention: EntityMention
-    property_node: DepNode
+    #: Token index of the property's adjective.
+    property_index: int
     property: SubjectiveProperty
     pattern: str
 
@@ -104,20 +99,35 @@ def find_matches(
     annotated: AnnotatedSentence,
     config: PatternConfig = DEFAULT_PATTERNS,
 ) -> list[PatternMatch]:
-    """All pattern instances in one annotated sentence."""
+    """All pattern instances in one annotated sentence.
+
+    ``ADJ`` tokens are visited in the tree's pre-order, the acomp
+    pattern before the amod one for each; conjunction expansions come
+    last. Statement order follows, and provenance keeps the first
+    statements in that order.
+    """
     sentence = annotated.sentence
-    if not sentence.mentions or annotated.tree is None:
+    if (
+        not annotated.mentions
+        or sentence.order is None
+        or ADJ not in sentence.tags
+    ):
         return []
+    tags = sentence.tags
     matches: list[PatternMatch] = []
-    for node in annotated.tree.all_nodes():
-        if node.token.pos is not POS.ADJ:
+    for node in sentence.order:
+        if tags[node] != ADJ:
             continue
         if config.use_acomp:
-            matches.extend(_match_acomp(annotated, node, config))
+            match = _match_acomp(annotated, node, config)
+            if match is not None:
+                matches.append(match)
         if config.use_amod:
-            matches.extend(_match_amod(annotated, node, config))
-    if config.use_conjunction:
-        matches.extend(_expand_conjunctions(matches))
+            match = _match_amod(annotated, node, config)
+            if match is not None:
+                matches.append(match)
+    if config.use_conjunction and matches:
+        matches.extend(_expand_conjunctions(sentence, matches))
     return matches
 
 
@@ -126,34 +136,28 @@ def find_matches(
 # ---------------------------------------------------------------------------
 
 def _match_acomp(
-    annotated: AnnotatedSentence, node: DepNode, config: PatternConfig
-) -> list[PatternMatch]:
-    cop = node.child_by_rel(COP)
-    subject = node.child_by_rel(NSUBJ)
-    if subject is None:
-        return []
-    if cop is not None:
-        cop_lemma = lexicon.COPULA_FORMS.get(cop.token.lemma)
-        if cop_lemma not in config.verbs:
-            return []
-    else:
+    annotated: AnnotatedSentence, node: int, config: PatternConfig
+) -> PatternMatch | None:
+    sentence = annotated.sentence
+    subject = child_with(sentence, node, REL_NSUBJ)
+    if subject < 0:
+        return None
+    cop = child_with(sentence, node, REL_COP)
+    if cop >= 0:
+        if _copula(sentence, cop) not in config.verbs:
+            return None
+    elif sentence.labels[node] != REL_XCOMP or not config.broad_verbs:
         # Small clause under an attitude verb ("I find kittens cute"):
         # only the broad-verb configurations accept it.
-        if node.deprel != XCOMP or not config.broad_verbs:
-            return []
+        return None
     mention = _mention_for(annotated, subject)
     if mention is None:
-        return []
-    if config.intrinsic_checks and filters.has_constriction(node):
-        return []
-    return [
-        PatternMatch(
-            mention=mention,
-            property_node=node,
-            property=_property_of(node),
-            pattern="acomp",
-        )
-    ]
+        return None
+    if config.intrinsic_checks and filters.has_constriction(
+        sentence, node
+    ):
+        return None
+    return _match(mention, sentence, node, "acomp")
 
 
 # ---------------------------------------------------------------------------
@@ -161,81 +165,44 @@ def _match_acomp(
 # ---------------------------------------------------------------------------
 
 def _match_amod(
-    annotated: AnnotatedSentence, node: DepNode, config: PatternConfig
-) -> list[PatternMatch]:
-    if node.deprel != AMOD:
-        return []
-    tree = annotated.tree
-    head = tree.parent_of(node)
-    if head is None:
-        return []
-
-    # Case (b): predicate nominal coreferential with the subject
-    # mention — "Snakes are dangerous animals".
-    cop = head.child_by_rel(COP)
-    subject = head.child_by_rel(NSUBJ)
-    if cop is not None and subject is not None:
-        cop_lemma = lexicon.COPULA_FORMS.get(cop.token.lemma)
-        if cop_lemma not in config.verbs:
-            return []
-        mention = _mention_for(annotated, subject)
-        if mention is None:
-            return []
-        if config.intrinsic_checks:
-            if not filters.is_coreferential_amod(
-                head, mention.entity_type
-            ):
-                return []
-            if filters.has_constriction(head):
-                return []
-        return [
-            PatternMatch(
-                mention=mention,
-                property_node=node,
-                property=_property_of(node),
-                pattern="amod",
-            )
-        ]
-
-    # Case (b'): appositive nominal — "Tokyo , a big city , is ...".
-    # The appositive noun corefers with its governor by construction;
-    # the same type check applies under intrinsicness checking.
-    governor = tree.parent_of(head) if head.deprel == APPOS else None
-    if governor is not None:
-        mention = _mention_for(annotated, governor)
-        if mention is None:
-            return []
-        if config.intrinsic_checks:
-            if not filters.is_coreferential_amod(
-                head, mention.entity_type
-            ):
-                return []
-            if filters.has_constriction(head):
-                return []
-        return [
-            PatternMatch(
-                mention=mention,
-                property_node=node,
-                property=_property_of(node),
-                pattern="amod-appos",
-            )
-        ]
-
-    # Case (a): direct modifier on the mention itself — "the cute cat",
-    # "Southern France is warm". Dropped by the coreference check.
-    if config.intrinsic_checks:
-        return []
-    mention = _mention_for(annotated, head)
+    annotated: AnnotatedSentence, node: int, config: PatternConfig
+) -> PatternMatch | None:
+    sentence = annotated.sentence
+    if sentence.labels[node] != REL_AMOD:
+        return None
+    head = sentence.heads[node]
+    cop = child_with(sentence, head, REL_COP)
+    subject = child_with(sentence, head, REL_NSUBJ)
+    if cop >= 0 and subject >= 0:
+        # Case (b): predicate nominal coreferential with the subject
+        # mention — "Snakes are dangerous animals".
+        if _copula(sentence, cop) not in config.verbs:
+            return None
+        anchor, pattern = subject, "amod"
+    elif sentence.labels[head] == REL_APPOS:
+        # Case (b'): appositive nominal — "Tokyo , a big city , is
+        # ...". The appositive noun corefers with its governor by
+        # construction; the same type check applies under
+        # intrinsicness checking.
+        anchor, pattern = sentence.heads[head], "amod-appos"
+    elif config.intrinsic_checks:
+        # Case (a): direct modifier on the mention itself — "the cute
+        # cat", "Southern France is warm". Dropped by the coreference
+        # check.
+        return None
+    else:
+        anchor, pattern = head, "amod-direct"
+    mention = _mention_for(annotated, anchor)
     if mention is None:
-        return []
-    return [
-        PatternMatch(
-            mention=mention,
-            property_node=node,
-            property=_property_of(node),
-            pattern="amod-direct",
+        return None
+    if config.intrinsic_checks and (
+        not filters.is_coreferential_amod(
+            sentence, head, mention.entity_type
         )
-    ]
+        or filters.has_constriction(sentence, head)
+    ):
+        return None
+    return _match(mention, sentence, node, pattern)
 
 
 # ---------------------------------------------------------------------------
@@ -243,20 +210,17 @@ def _match_amod(
 # ---------------------------------------------------------------------------
 
 def _expand_conjunctions(
-    matches: list[PatternMatch],
+    sentence: Sentence, matches: list[PatternMatch]
 ) -> list[PatternMatch]:
     expansions: list[PatternMatch] = []
     for match in matches:
-        for conjunct in match.property_node.children_by_rel(CONJ):
-            if conjunct.token.pos is not POS.ADJ:
+        for conjunct in children_with(
+            sentence, match.property_index, REL_CONJ
+        ):
+            if sentence.tags[conjunct] != ADJ:
                 continue
             expansions.append(
-                PatternMatch(
-                    mention=match.mention,
-                    property_node=conjunct,
-                    property=_property_of(conjunct),
-                    pattern="conj",
-                )
+                _match(match.mention, sentence, conjunct, "conj")
             )
     return expansions
 
@@ -265,31 +229,45 @@ def _expand_conjunctions(
 # Helpers
 # ---------------------------------------------------------------------------
 
+def _match(
+    mention: EntityMention, sentence: Sentence, node: int, pattern: str
+) -> PatternMatch:
+    return PatternMatch(
+        mention=mention,
+        property_index=node,
+        property=_property_of(sentence, node),
+        pattern=pattern,
+    )
+
+
+def _copula(sentence: Sentence, cop: int) -> str | None:
+    """The copula lemma ("be", "seem", ...) of token ``cop``."""
+    return lexicon.COPULA_FORMS.get(sentence.lemmas[cop])
+
+
 def _mention_for(
-    annotated: AnnotatedSentence, node: DepNode
+    annotated: AnnotatedSentence, node: int
 ) -> EntityMention | None:
     """The entity mention covering a node or its compound children."""
-    mention = annotated.sentence.mention_at(node.token.index)
+    mention = annotated.mention_at(node)
     if mention is not None:
         return mention
-    for child in node.children_by_rel("compound"):
-        mention = annotated.sentence.mention_at(child.token.index)
+    for child in children_with(annotated.sentence, node, REL_COMPOUND):
+        mention = annotated.mention_at(child)
         if mention is not None:
             return mention
     return None
 
 
-def _property_of(node: DepNode) -> SubjectiveProperty:
+def _property_of(sentence: Sentence, node: int) -> SubjectiveProperty:
     """Adjective plus its degree-adverb modifiers, in surface order."""
-    adverbs = sorted(
-        (
-            child.token
-            for child in node.children_by_rel(ADVMOD)
-            if child.token.pos is POS.ADV
-        ),
-        key=lambda token: token.index,
-    )
+    lemmas = sentence.lemmas
+    tags = sentence.tags
     return SubjectiveProperty(
-        adjective=node.token.lemma,
-        adverbs=tuple(token.lemma for token in adverbs),
+        adjective=lemmas[node],
+        adverbs=tuple(
+            lemmas[child]
+            for child in children_with(sentence, node, REL_ADVMOD)
+            if tags[child] == ADV
+        ),
     )

@@ -10,25 +10,28 @@ think that snakes are never dangerous") resolve back to positive.
 from __future__ import annotations
 
 from ..core.types import Polarity
-from ..nlp.deptree import DepNode, DepTree, NEG
+from ..nlp.deptree import REL_NEG, children_with
+from ..nlp.tokens import Sentence
 
 
-def negation_count(tree: DepTree, property_node: DepNode) -> int:
-    """Number of negations on the path from the property to the root
-    of its ``tree``.
+def negation_count(sentence: Sentence, node: int) -> int:
+    """Number of negations on the path from token ``node`` to the root
+    of its sentence's parse.
 
     Counts individual negation children rather than negated tokens so
     the (rare) stacked case "isn't never" flips twice on one node;
     for the paper's examples the two formulations coincide.
     """
-    return sum(
-        len(node.children_by_rel(NEG))
-        for node in tree.path_to_root(property_node)
-    )
+    heads = sentence.heads
+    count = 0
+    while node >= 0:
+        count += len(children_with(sentence, node, REL_NEG))
+        node = heads[node]
+    return count
 
 
-def statement_polarity(tree: DepTree, property_node: DepNode) -> Polarity:
-    """Polarity of the statement anchored at ``property_node``."""
-    if negation_count(tree, property_node) % 2 == 1:
+def statement_polarity(sentence: Sentence, node: int) -> Polarity:
+    """Polarity of the statement anchored at token ``node``."""
+    if negation_count(sentence, node) % 2 == 1:
         return Polarity.NEGATIVE
     return Polarity.POSITIVE

@@ -12,10 +12,10 @@ single-node WAL uses:
   happened.
 * **Torn-tail truncation.** A crash mid-write leaves a partial record
   at the end of the newest segment only (records are appended
-  sequentially). Opening a journal scans every segment; an incomplete
-  or unparsable tail on the last segment is truncated back to the last
-  whole record, while damage anywhere else is real corruption and
-  raises :class:`JournalError`.
+  sequentially). Opening a journal scans every segment; a torn tail on
+  the last segment is truncated back to the last whole record, while
+  damage anywhere else is real corruption and raises
+  :class:`JournalError`.
 * **Monotonic offsets.** Every record carries the next integer offset;
   ``replay(after=n)`` resumes exactly where a consumer's applied
   watermark left off. Appending at-or-below the committed tail raises
@@ -27,10 +27,25 @@ Record wire format (one record)::
     <payload-byte-length as ASCII decimal>\\n
     <payload: JSON {"offset", "doc_id", "text", "region"}>\\n
 
-The length prefix is what makes torn-tail detection exact: a partial
-write can only ever truncate a record, never masquerade as a complete
-one, so JSON that fails to decode inside a complete frame is
-corruption, not a crash artefact.
+Guarantees / Invariants
+-----------------------
+
+* A torn write can only cut the file short. Opening therefore treats
+  a frame as torn in exactly two cases: its length prefix parses and
+  the frame (payload plus terminator) runs past end-of-file with no
+  newline after the prefix, or the rest of the file is a partial,
+  digits-only length prefix. Payloads are ASCII-escaped JSON, so a
+  frame cut short never holds a raw newline. Only such a tail, on the
+  last segment, is truncated.
+* Every other bad frame is corruption: a malformed length prefix with
+  more bytes after it, a length that runs past end-of-file across a
+  later newline (it swallowed the frames after it), a full-length
+  frame whose terminator is not ``\\n``, or a complete frame whose
+  JSON does not decode. Opening raises :class:`JournalError` and
+  leaves every segment's bytes as they were, so a damaged length
+  prefix never deletes the committed records after it.
+* Frames carry no checksum: a bit flip inside a payload that still
+  decodes is not detected.
 
 Crash simulation reuses the pipeline's
 :class:`~repro.pipeline.faults.FaultInjector`: when one is attached,
@@ -124,36 +139,44 @@ def _scan_segment(
 
     Returns ``(entries, clean_length)`` where each entry is
     ``(record_start_byte, record)`` and ``clean_length`` is the byte
-    length of the whole-record prefix. With ``allow_torn_tail`` an
-    incomplete trailer is tolerated (clean_length < len(data));
-    otherwise it raises.
+    length of the whole-record prefix. A frame counts as torn — cut
+    short by a crash mid-append — only when the data ends inside it:
+    its length prefix parses and the frame runs past the end with no
+    newline after the prefix, or what is left is a partial,
+    digits-only prefix. With ``allow_torn_tail``
+    a torn frame ends the scan (clean_length < len(data)); otherwise
+    it raises. Any other bad frame is corruption and always raises.
     """
     records: list[tuple[int, JournalRecord]] = []
     position = start
     size = len(data)
     while position < size:
         newline = data.find(b"\n", position)
-        prefix_ok = (
-            newline != -1
-            and newline > position
-            and data[position:newline].isdigit()
-        )
-        if prefix_ok:
-            length = int(data[position:newline])
-            body_start = newline + 1
-            body_end = body_start + length
-            complete = (
-                body_end < size and data[body_end:body_end + 1] == b"\n"
-            )
+        if newline == -1:
+            if not data[position:].isdigit():
+                raise _corrupt(context, position, "malformed length prefix")
+            torn = True
         else:
-            complete = False
-        if not complete:
+            prefix = data[position:newline]
+            if not prefix.isdigit():
+                raise _corrupt(context, position, "malformed length prefix")
+            body_start = newline + 1
+            body_end = body_start + int(prefix)
+            torn = body_end >= size
+            if torn and data.find(b"\n", body_start) != -1:
+                # Payloads are ASCII-escaped JSON with no raw newline,
+                # so a frame cut short holds none after its prefix; a
+                # later terminator means the length itself is wrong.
+                raise _corrupt(context, position, "length runs past a frame")
+        if torn:
             if allow_torn_tail:
                 return records, position
             raise JournalError(
                 f"{context}: torn record at byte {position} of a "
                 "non-final segment"
             )
+        if data[body_end] != 0x0A:
+            raise _corrupt(context, position, "frame not terminated")
         records.append(
             (
                 position,
@@ -162,6 +185,12 @@ def _scan_segment(
         )
         position = body_end + 1
     return records, position
+
+
+def _corrupt(context: str, position: int, reason: str) -> JournalError:
+    return JournalError(
+        f"{context}: corrupt journal frame at byte {position}: {reason}"
+    )
 
 
 def _fsync_dir(directory: Path) -> None:

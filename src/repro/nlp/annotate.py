@@ -1,9 +1,10 @@
 """Document annotation driver: tokenize, tag, link, parse.
 
 Produces the "annotated Web snapshot" representation the extraction
-stage consumes — each sentence carries its typed dependency tree plus
-its linked entity mentions, mirroring the preprocessed corpus the
-paper's pipeline starts from.
+stage consumes — each sentence carries its typed dependency parse (the
+head and label columns of its :class:`~repro.nlp.tokens.Sentence`
+record) plus its linked entity mentions, mirroring the preprocessed
+corpus the paper's pipeline starts from.
 
 Two execution paths produce bit-identical output:
 
@@ -21,8 +22,8 @@ The skip decisions are proven sound case by case:
   would appear as a substring of the raw text), so mentions, linker
   stats, and coreference antecedent state are untouched;
 * *no possible adjective* → no extraction pattern can fire (they all
-  anchor on an ``ADJ`` tree node), so the parse is never consulted and
-  ``tree`` may stay ``None``;
+  anchor on an ``ADJ`` token), so the parse is never consulted and
+  the record may stay unparsed;
 * *no coreference pronoun* → coreference cannot add mentions, and it
   only updates antecedents from *linked* mentions, which requires an
   alias hit.
@@ -34,13 +35,12 @@ both paths and asserts identical output.
 from __future__ import annotations
 
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from ..core.errors import ExtractionError
 from ..kb.knowledge_base import KnowledgeBase
-from . import lexicon
 from .coref import PronounResolver
-from .deptree import DepTree
 from .entity_linker import EntityLinker, LinkerStats, document_type_context
 from .parser import DependencyParser
 from .prefilter import (
@@ -54,35 +54,35 @@ from .prefilter import (
 )
 from .tagger import tag
 from .tokenizer import split_sentences, tokenize, tokenize_document
-from .tokens import Sentence
+from .tokens import EntityMention, Sentence
 
 
 @dataclass(slots=True)
 class AnnotatedSentence:
-    """One sentence with its parse and mentions.
+    """One sentence of one document: its record and its mentions.
 
-    ``tree`` is ``None`` when the fast path proved no extraction
-    pattern could fire (no possible adjective); ``find_matches``
-    treats that the same as a tree without ``ADJ`` nodes.
+    The record (tokens, tags, parse) may be shared with every other
+    document repeating the sentence; the mentions belong to this
+    document, because coreference depends on what came before. An
+    unparsed record (``sentence.order is None``) means the fast path
+    proved no extraction pattern could fire (no possible adjective);
+    ``find_matches`` treats it as a tree without ``ADJ`` nodes.
     """
 
     sentence: Sentence
-    tree: DepTree | None
-    cached_text: str | None = None
+    mentions: Sequence[EntityMention] = ()
     #: Shared scratch dict for extractors, present only when the
     #: sentence's pattern matches are a pure function of (text, link
     #: context) — i.e. coreference cannot contribute mentions. Keyed by
     #: pattern config; see ``EvidenceExtractor.extract_sentence``.
     extraction_cache: dict | None = None
 
-    @property
-    def mentions(self):
-        return self.sentence.mentions
-
-    def text(self) -> str:
-        if self.cached_text is None:
-            self.cached_text = self.sentence.text()
-        return self.cached_text
+    def mention_at(self, index: int) -> EntityMention | None:
+        """The mention covering a token index, if any."""
+        for mention in self.mentions:
+            if mention.start <= index < mention.end:
+                return mention
+        return None
 
 
 @dataclass(slots=True)
@@ -94,26 +94,6 @@ class AnnotatedDocument:
 
     def mention_count(self) -> int:
         return sum(len(s.mentions) for s in self.sentences)
-
-
-@dataclass(slots=True)
-class _SentenceEntry:
-    """Memoized per-sentence work, pure functions of the raw text.
-
-    The token prototype is tagged at most once and never mutated
-    afterwards; per-document state (mentions, coreference) always
-    lands on a fresh :class:`Sentence` wrapping the shared tokens.
-    """
-
-    sentence: Sentence  # prototype; its mentions list stays empty
-    text: str  # cached token join (statement context)
-    contribution: dict[str, int]  # document_type_context share
-    matches: tuple  # linker scan results (alias candidates)
-    ambiguous_types: tuple[str, ...]  # context slice linking reads
-    tree: DepTree | None
-    needs_coref: bool
-    pron_possible: bool
-    full_skip: bool
 
 
 #: Process-local share of memoized work between annotators over the
@@ -255,13 +235,11 @@ class Annotator:
         )
         annotated: list[AnnotatedSentence] = []
         for sentence in sentences:
-            self.linker.link_sentence(sentence, context)
+            mentions = self.linker.link_sentence(sentence, context)
             if resolver is not None:
-                resolver.resolve_sentence(sentence)
-            tree = self.parser.parse(sentence)
-            annotated.append(
-                AnnotatedSentence(sentence=sentence, tree=tree)
-            )
+                resolver.resolve_sentence(sentence, mentions)
+            self.parser.parse(sentence)
+            annotated.append(AnnotatedSentence(sentence, mentions))
         return annotated
 
     # ------------------------------------------------------------------
@@ -271,27 +249,26 @@ class Annotator:
         memo = self.memo
         stats = self._stats
         raws = split_sentences(text)
-        entries: list[_SentenceEntry] = []
+        records: list[Sentence] = []
         for raw in raws:
-            entry = memo.get(raw)
-            if entry is None:
+            record = memo.get(raw)
+            if record is None:
                 stats.memo_misses += 1
-                entry = self._build_entry(raw)
-                if memo.put(raw, entry):
+                record = self._build_record(raw)
+                if memo.put(raw, record):
                     stats.memo_evictions += 1
             else:
                 stats.memo_hits += 1
-            entries.append(entry)
-        stats.sentences += len(entries)
+            records.append(record)
+        stats.sentences += len(records)
 
         # The document type context must cover *all* sentences —
         # including skipped ones — because any sentence's
-        # disambiguation may read it. Tags never affect it (punctuation
-        # lemmas are not type nouns), so cached contributions suffice.
+        # disambiguation may read it.
         context: dict[str, int] = {}
-        for entry in entries:
-            for indicated, count in entry.contribution.items():
-                context[indicated] = context.get(indicated, 0) + count
+        for record in records:
+            for indicated in record.type_nouns:
+                context[indicated] = context.get(indicated, 0) + 1
 
         # A resolver only has observable effects when some sentence in
         # the document contains a resolvable pronoun — otherwise it
@@ -299,128 +276,92 @@ class Annotator:
         resolver = (
             PronounResolver()
             if self.resolve_pronouns
-            and any(entry.pron_possible for entry in entries)
+            and any(record.pron_possible for record in records)
             else None
         )
         annotated: list[AnnotatedSentence] = []
-        for raw, entry in zip(raws, entries):
-            if entry.full_skip:
+        for raw, record in zip(raws, records):
+            if not (record.matches or record.pron_possible):
+                # Nothing to link and no pronoun to resolve.
                 stats.skipped += 1
-                annotated.append(
-                    AnnotatedSentence(
-                        sentence=entry.sentence,
-                        tree=None,
-                        cached_text=entry.text,
-                    )
-                )
+                annotated.append(AnnotatedSentence(record))
                 continue
-            sentence = Sentence(tokens=entry.sentence.tokens)
+            mentions: list[EntityMention] = []
             extraction_cache = None
-            if entry.matches:
-                mentions, linked, dropped, cache = (
-                    self._memoized_links(raw, entry, context)
+            if record.matches:
+                cached, linked, dropped, cache = self._memoized_links(
+                    raw, record, context
                 )
-                sentence.mentions = list(mentions)
+                mentions.extend(cached)
                 self.linker.stats.linked += linked
                 self.linker.stats.ambiguous_dropped += dropped
-                if not entry.pron_possible:
+                if not record.pron_possible:
                     extraction_cache = cache
-            if resolver is not None and entry.needs_coref:
-                resolver.resolve_sentence(sentence)
+            # Coreference runs whenever linked mentions may update the
+            # antecedent state, or a resolvable pronoun could gain a
+            # mention (which counts toward mention telemetry even when
+            # no adjective pattern can use it).
+            if resolver is not None:
+                resolver.resolve_sentence(record, mentions)
             annotated.append(
-                AnnotatedSentence(
-                    sentence=sentence,
-                    tree=entry.tree,
-                    cached_text=entry.text,
-                    extraction_cache=extraction_cache,
-                )
+                AnnotatedSentence(record, mentions, extraction_cache)
             )
         return annotated
 
-    def _build_entry(self, raw: str) -> _SentenceEntry:
+    def _build_record(self, raw: str) -> Sentence:
         """Do the text-determined annotation work for one sentence."""
-        sentence = tokenize(raw)
-        tokens = sentence.tokens
-        contribution: dict[str, int] = {}
-        for token in tokens:
-            indicated = lexicon.TYPE_NOUNS.get(token.lemma)
-            if indicated is not None:
-                contribution[indicated] = (
-                    contribution.get(indicated, 0) + 1
-                )
-        adj_possible = any(
-            could_be_adjective(token.lemma) for token in tokens
+        record = tokenize(raw)
+        lemmas = record.lemmas
+        pron_possible = self.resolve_pronouns and not (
+            COREF_PRONOUNS.isdisjoint(lemmas)
         )
-        pron_possible = self.resolve_pronouns and any(
-            token.lemma in COREF_PRONOUNS for token in tokens
+        matches = (
+            self.linker.scan(record)
+            if self.prefilter.alias_hit(raw)
+            else ()
         )
-        matches: tuple = ()
-        if self.prefilter.alias_hit(raw):
-            matches = tuple(self.linker.scan(sentence))
-        # Coreference must run whenever linked mentions may update the
-        # antecedent state, or a resolvable pronoun could gain a
-        # mention (which counts toward mention telemetry even when no
-        # adjective pattern can use it).
-        needs_coref = bool(matches) or pron_possible
-        # A parse only matters if an ADJ node could meet a mention.
-        needs_parse = adj_possible and (bool(matches) or pron_possible)
-        if matches or needs_coref or needs_parse:
-            tag(sentence)
-        tree = self.parser.parse(sentence) if needs_parse else None
-        ambiguous_types = tuple(
-            sorted(
-                {
-                    entity_type
-                    for _span, candidates in matches
-                    if len(candidates) > 1
-                    for entity in candidates
-                    for entity_type in entity.all_types
-                }
-            )
-        )
-        return _SentenceEntry(
-            sentence=sentence,
-            text=sentence.text(),
-            contribution=contribution,
-            matches=matches,
-            ambiguous_types=ambiguous_types,
-            tree=tree,
-            needs_coref=needs_coref,
-            pron_possible=pron_possible,
-            full_skip=not (matches or needs_coref or needs_parse),
-        )
+        if matches or pron_possible:
+            tag(record)
+            # A parse only matters if an ADJ node could meet a mention.
+            if any(map(could_be_adjective, lemmas)):
+                self.parser.parse(record)
+        if matches:
+            record.matches = matches
+            record.ambiguous_types = self.linker.context_types(matches)
+        record.pron_possible = pron_possible
+        return record
 
     def _memoized_links(
         self,
         raw: str,
-        entry: _SentenceEntry,
+        record: Sentence,
         context: dict[str, int],
     ) -> tuple[tuple, int, int, dict]:
         """Link results for one sentence under one document context.
 
         Keyed on the raw text plus the clamped context counts of the
         types disambiguation would actually consult, so documents with
-        irrelevant context differences share cache lines. The sentence
-        context reuses the cached type-noun contribution (identical
-        counts: punctuation lemmas are never type nouns).
+        irrelevant context differences share cache lines; a sentence
+        without ambiguous matches is keyed on its text alone.
 
         The fourth element is the shared extraction scratch dict for
         this (sentence, context) cache line.
         """
         key = (
-            raw,
-            tuple(
-                min(context.get(entity_type, 0), 999)
-                for entity_type in entry.ambiguous_types
-            ),
+            (
+                raw,
+                tuple(
+                    min(context.get(entity_type, 0), 999)
+                    for entity_type in record.ambiguous_types
+                ),
+            )
+            if record.ambiguous_types
+            else raw
         )
         cached = self.memo.get_links(key)
         if cached is None:
             mentions, linked, dropped = self.linker.resolve(
-                entry.sentence,
-                entry.matches,
-                context,
-                sentence_context=entry.contribution,
+                record, record.matches, context
             )
             cached = (tuple(mentions), linked, dropped, {})
             if self.memo.put_links(key, cached):

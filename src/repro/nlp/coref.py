@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .tokens import EntityMention, POS, Sentence, Span
+from .tokens import PRON, EntityMention, Sentence
 
 #: Entity types treated as human for pronoun agreement.
 HUMAN_TYPES: frozenset[str] = frozenset({"celebrity", "profession"})
@@ -41,34 +41,42 @@ class PronounResolver:
         default=None, init=False, repr=False
     )
 
-    def resolve_sentence(self, sentence: Sentence) -> int:
-        """Add mentions for resolvable pronouns; returns how many.
+    def resolve_sentence(
+        self, sentence: Sentence, mentions: list[EntityMention]
+    ) -> int:
+        """Append mentions for the sentence's resolvable pronouns to
+        ``mentions`` (its linked mentions); returns how many.
 
         Antecedent bookkeeping is updated *after* resolution so a
         pronoun never resolves to a mention later in its own sentence.
         """
-        resolved = 0
-        additions: list[EntityMention] = []
-        for token in sentence.tokens:
-            if token.pos is not POS.PRON:
-                continue
-            antecedent = self._antecedent_for(token.lemma)
-            if antecedent is None:
-                continue
-            if sentence.mention_at(token.index) is not None:
-                continue
-            additions.append(
-                EntityMention(
-                    span=Span(token.index, token.index + 1),
-                    entity_id=antecedent.entity_id,
-                    entity_type=antecedent.entity_type,
-                    surface=token.text,
+        linked = len(mentions)
+        tags = sentence.tags
+        index = tags.find(PRON)
+        while index >= 0:
+            antecedent = self._antecedent_for(sentence.lemmas[index])
+            if antecedent is not None and not any(
+                mention.start <= index < mention.end
+                for mention in mentions
+            ):
+                mentions.append(
+                    EntityMention(
+                        index,
+                        index + 1,
+                        antecedent.entity_id,
+                        antecedent.entity_type,
+                        sentence.texts[index],
+                    )
                 )
-            )
-            resolved += 1
-        sentence.mentions.extend(additions)
-        self._observe(sentence, additions)
-        return resolved
+            index = tags.find(PRON, index + 1)
+        # Pronoun-derived mentions do not overwrite the antecedent — a
+        # chain of "it ... it" keeps pointing at the original entity.
+        for mention in mentions[:linked]:
+            if mention.entity_type in self.human_types:
+                self._last_human = mention
+            else:
+                self._last_neutral = mention
+        return len(mentions) - linked
 
     def _antecedent_for(self, lemma: str) -> EntityMention | None:
         if lemma in _NEUTRAL_PRONOUNS:
@@ -76,20 +84,3 @@ class PronounResolver:
         if lemma in _PERSONAL_PRONOUNS:
             return self._last_human
         return None
-
-    def _observe(
-        self, sentence: Sentence, resolved: list[EntityMention]
-    ) -> None:
-        """Update antecedents from this sentence's *linked* mentions.
-
-        Pronoun-derived mentions do not overwrite the antecedent — a
-        chain of "it ... it" keeps pointing at the original entity.
-        """
-        resolved_ids = {id(m) for m in resolved}
-        for mention in sentence.mentions:
-            if id(mention) in resolved_ids:
-                continue
-            if mention.entity_type in self.human_types:
-                self._last_human = mention
-            else:
-                self._last_neutral = mention

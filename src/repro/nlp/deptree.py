@@ -1,19 +1,23 @@
-"""Typed dependency trees in the Stanford style.
-
-The extraction patterns of the paper (Figure 4) are defined over
-Stanford typed dependencies; this module provides the tree structure
-plus the traversals the pattern matchers and the polarity walk
-(Figure 5) rely on.
+"""Stanford-style typed dependencies (the relations the Figure 4
+patterns are defined over), lookups over a parsed
+:class:`~repro.nlp.tokens.Sentence`'s head and label columns, and
+node views built on demand for tests, debugging and rendering.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .tokens import Token
 
+if TYPE_CHECKING:  # pragma: no cover
+    from .tokens import Sentence
+
 #: Relation labels used by the parser (subset of Stanford dependencies).
+DEP = "dep"
+ROOT = "root"
 NSUBJ = "nsubj"
 COP = "cop"
 AMOD = "amod"
@@ -29,32 +33,56 @@ MARK = "mark"
 CCOMP = "ccomp"
 XCOMP = "xcomp"
 AUX = "aux"
-DOBJ = "dobj"
-ROOT = "root"
 PUNCT = "punct"
-DEP = "dep"
+COMPOUND = "compound"
+
+#: Labels by relation code: ``sentence.labels[i]`` indexes this tuple.
+#: Tokens outside the tree carry ``REL_DEP`` with head ``-1``.
+LABELS: tuple[str, ...] = (
+    DEP, ROOT, NSUBJ, COP, AMOD, APPOS, ADVMOD, CONJ, CC, NEG, DET, PREP,
+    POBJ, MARK, CCOMP, XCOMP, AUX, PUNCT, COMPOUND,
+)
+(
+    REL_DEP, REL_ROOT, REL_NSUBJ, REL_COP, REL_AMOD, REL_APPOS, REL_ADVMOD,
+    REL_CONJ, REL_CC, REL_NEG, REL_DET, REL_PREP, REL_POBJ, REL_MARK,
+    REL_CCOMP, REL_XCOMP, REL_AUX, REL_PUNCT, REL_COMPOUND,
+) = range(len(LABELS))
+
+
+def child_with(sentence: "Sentence", node: int, label: int) -> int:
+    """The first child of ``node`` with relation ``label``, or -1."""
+    children = children_with(sentence, node, label)
+    return children[0] if children else -1
+
+
+def children_with(
+    sentence: "Sentence", node: int, label: int
+) -> list[int]:
+    """The children of ``node`` with relation ``label``, in token order.
+
+    Siblings sharing a relation (conjuncts, compounds, adverbs,
+    negations) are attached in token order, so this is also their
+    attachment order.
+    """
+    labels = sentence.labels
+    heads = sentence.heads
+    found = []
+    index = labels.find(label)
+    while index >= 0:
+        if heads[index] == node:
+            found.append(index)
+        index = labels.find(label, index + 1)
+    return found
 
 
 @dataclass(slots=True)
 class DepNode:
-    """One node of the dependency tree."""
+    """A view of one tree node: its token, relation and children."""
 
     token: Token
     deprel: str = DEP
     children: list["DepNode"] = field(default_factory=list)
 
-    # ------------------------------------------------------------------
-    # Construction
-    # ------------------------------------------------------------------
-    def attach(self, child: "DepNode", deprel: str) -> "DepNode":
-        """Attach ``child`` under this node with the given relation."""
-        child.deprel = deprel
-        self.children.append(child)
-        return child
-
-    # ------------------------------------------------------------------
-    # Traversal
-    # ------------------------------------------------------------------
     def child_by_rel(self, deprel: str) -> "DepNode | None":
         for child in self.children:
             if child.deprel == deprel:
@@ -63,9 +91,6 @@ class DepNode:
 
     def children_by_rel(self, deprel: str) -> list["DepNode"]:
         return [c for c in self.children if c.deprel == deprel]
-
-    def has_child(self, deprel: str) -> bool:
-        return self.child_by_rel(deprel) is not None
 
     def subtree(self) -> Iterator["DepNode"]:
         """Depth-first iteration over this node and its descendants."""
@@ -76,7 +101,7 @@ class DepNode:
     @property
     def is_negated(self) -> bool:
         """Whether this token has a negation child (Figure 5's marker)."""
-        return self.has_child(NEG)
+        return self.child_by_rel(NEG) is not None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DepNode({self.token.text}/{self.deprel})"
@@ -84,52 +109,48 @@ class DepNode:
 
 @dataclass(slots=True)
 class DepTree:
-    """A parsed sentence: a root node, an index-to-node map, and the
-    parent of each node by token index.
-
-    Nodes point only down (to their children); the tree owns the
-    upward links. Nothing a parse builds is therefore cyclic, and a
-    discarded tree — or a partial one the parser backtracked out of —
-    is freed by reference counting alone.
-    """
+    """A view of a parsed sentence: the root node, the nodes by token
+    index in pre-order, and the head array they were built from."""
 
     root: DepNode
     nodes: dict[int, DepNode]
-    #: ``parents[i]`` governs the node of token ``i``; ``None`` for the
-    #: root and for tokens outside the tree.
-    parents: list[DepNode | None]
+    heads: tuple[int, ...]
 
     @classmethod
-    def from_root(cls, root: DepNode) -> "DepTree":
-        # Pre-order, children in attachment order: the node map's
-        # iteration order is the order pattern matching visits nodes.
+    def of(cls, sentence: "Sentence") -> "DepTree | None":
+        """Build the view of a parsed sentence; ``None`` when the
+        sentence is unparsed or has no tokens."""
+        order = sentence.order
+        if not order:
+            return None
+        tokens = sentence.tokens
+        heads = sentence.heads
+        labels = sentence.labels
         nodes: dict[int, DepNode] = {}
-        stack = [root]
-        while stack:
-            node = stack.pop()
-            nodes[node.token.index] = node
-            stack.extend(reversed(node.children))
-        parents: list[DepNode | None] = [None] * (max(nodes) + 1)
-        for node in nodes.values():
-            for child in node.children:
-                parents[child.token.index] = node
-        return cls(root=root, nodes=nodes, parents=parents)
+        for index in order:
+            node = DepNode(tokens[index], LABELS[labels[index]])
+            nodes[index] = node
+            head = heads[index]
+            if head >= 0:
+                # Pre-order puts a head before its children, and
+                # children in attachment order.
+                nodes[head].children.append(node)
+        return cls(root=nodes[order[0]], nodes=nodes, heads=heads)
 
     def node_at(self, token_index: int) -> DepNode | None:
         return self.nodes.get(token_index)
 
     def parent_of(self, node: DepNode) -> DepNode | None:
         """The node governing ``node``; ``None`` for the root."""
-        return self.parents[node.token.index]
+        return self.nodes.get(self.heads[node.token.index])
 
     def path_to_root(self, node: DepNode) -> list[DepNode]:
         """Nodes from ``node`` (inclusive) up to the root (inclusive)."""
         path = [node]
-        parents = self.parents
-        parent = parents[node.token.index]
+        parent = self.parent_of(node)
         while parent is not None:
             path.append(parent)
-            parent = parents[parent.token.index]
+            parent = self.parent_of(parent)
         return path
 
     def all_nodes(self) -> Iterator[DepNode]:

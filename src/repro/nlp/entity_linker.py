@@ -26,8 +26,7 @@ from dataclasses import dataclass, field
 
 from ..kb.entity import Entity
 from ..kb.knowledge_base import KnowledgeBase
-from . import lexicon
-from .tokens import EntityMention, POS, Sentence, Span
+from .tokens import EntityMention, Sentence
 
 _MAX_MENTION_TOKENS = 4
 
@@ -53,8 +52,8 @@ class EntityLinker:
 
     def link_sentence(
         self, sentence: Sentence, document_context: Counter | None = None
-    ) -> Sentence:
-        """Detect and link mentions in place; returns the sentence.
+    ) -> list[EntityMention]:
+        """Detect and link the sentence's mentions and return them.
 
         ``document_context`` is a counter of type-indicator hits for
         the whole document, used as a fallback disambiguation signal.
@@ -62,22 +61,22 @@ class EntityLinker:
         mentions, linked, dropped = self.resolve(
             sentence, self.scan(sentence), document_context
         )
-        sentence.mentions = mentions
         self.stats.linked += linked
         self.stats.ambiguous_dropped += dropped
-        return sentence
+        return mentions
 
-    def scan(
-        self, sentence: Sentence
-    ) -> list[tuple[Span, tuple[Entity, ...]]]:
-        """The matching pass: greedy left-to-right longest matches.
+    def scan(self, sentence: Sentence) -> tuple:
+        """The matching pass: greedy left-to-right longest matches,
+        flat as ``(start, end, key)`` per match, where ``key`` is the
+        knowledge base's surface form the tokens ``[start, end)``
+        matched.
 
         Pure function of the sentence's token texts (disambiguation
         never moves the scan cursor), which is what lets the fast path
         cache scan results per unique sentence text.
         """
-        matches: list[tuple[Span, tuple[Entity, ...]]] = []
-        lowered = [token.text.lower() for token in sentence.tokens]
+        lowered = [text.lower() for text in sentence.texts]
+        matches: list = []
         heads = self.kb._head_widths
         index = 0
         n_tokens = len(lowered)
@@ -91,43 +90,58 @@ class EntityLinker:
             if match is None:
                 index += 1
                 continue
-            span, candidates = match
-            matches.append((span, tuple(candidates)))
-            index = span.end
-        return matches
+            end, key = match
+            matches += (index, end, key)
+            index = end
+        return tuple(matches)
+
+    def context_types(self, matches: tuple) -> tuple[str, ...]:
+        """The entity types whose document-context counts can decide
+        between the candidates of ambiguous ``matches``, sorted."""
+        by_surface = self.kb._by_surface
+        return tuple(
+            sorted(
+                {
+                    entity_type
+                    for key in matches[2::3]
+                    if len(by_surface.get(key, ())) > 1
+                    for entity in by_surface[key]
+                    for entity_type in entity.all_types
+                }
+            )
+        )
 
     def resolve(
         self,
         sentence: Sentence,
-        matches: Iterable[tuple[Span, tuple[Entity, ...]]],
+        matches: tuple,
         document_context: Counter | None = None,
-        sentence_context: Counter | None = None,
     ) -> tuple[list[EntityMention], int, int]:
         """The disambiguation pass over scanned matches.
 
-        Returns ``(mentions, linked, dropped)`` without touching the
-        sentence or ``self.stats`` — the caller (or the fast path's
-        memo, replaying cached results) applies them.
+        Returns ``(mentions, linked, dropped)`` without touching
+        ``self.stats`` — the caller (or the fast path's memo, replaying
+        cached results) applies them.
         """
-        if sentence_context is None:
-            sentence_context = self._sentence_context(sentence)
+        by_surface = self.kb._by_surface
+        texts = sentence.texts
+        type_nouns = sentence.type_nouns
         mentions: list[EntityMention] = []
         linked = 0
         dropped = 0
-        for span, candidates in matches:
+        flat = iter(matches)
+        for start, end, key in zip(flat, flat, flat):
             entity = self._disambiguate(
-                candidates, sentence_context, document_context
+                by_surface.get(key, ()), type_nouns, document_context
             )
             if entity is not None:
                 mentions.append(
                     EntityMention(
-                        span=span,
-                        entity_id=entity.id,
-                        entity_type=entity.entity_type,
-                        surface=" ".join(
-                            sentence.tokens[i].text
-                            for i in range(span.start, span.end)
-                        ),
+                        start,
+                        end,
+                        entity.id,
+                        entity.entity_type,
+                        " ".join(texts[start:end]),
                     )
                 )
                 linked += 1
@@ -139,9 +153,10 @@ class EntityLinker:
     # Matching
     # ------------------------------------------------------------------
     def _longest_match(
-        self, lowered: list[str], start: int
-    ) -> tuple[Span, list[Entity]] | None:
-        """Longest alias match beginning at token ``start``.
+        self, lowered: Sequence[str], start: int
+    ) -> tuple[int, str] | None:
+        """``(end, key)`` of the longest alias match beginning at token
+        ``start``.
 
         ``lowered`` is the sentence's token texts, lower-cased once by
         the caller (:meth:`scan`) instead of per candidate span. Tokens
@@ -158,15 +173,14 @@ class EntityLinker:
             start + min(width, _MAX_MENTION_TOKENS), len(lowered)
         )
         for end in range(max_end, start + 1, -1):
-            candidates = by_surface.get(" ".join(lowered[start:end]))
-            if candidates:
-                return Span(start, end), candidates
-        candidates = by_surface.get(word) if width else None
+            key = " ".join(lowered[start:end])
+            if by_surface.get(key):
+                return end, key
+        if width and by_surface.get(word):
+            return start + 1, word
         # Naive plural back-off: "kittens" -> "kitten".
-        if not candidates and word.endswith("s"):
-            candidates = by_surface.get(word[:-1])
-        if candidates:
-            return Span(start, start + 1), candidates
+        if word.endswith("s") and by_surface.get(word[:-1]):
+            return start + 1, word[:-1]
         return None
 
     # ------------------------------------------------------------------
@@ -175,7 +189,7 @@ class EntityLinker:
     def _disambiguate(
         self,
         candidates: Sequence[Entity],
-        sentence_context: Counter,
+        type_nouns: tuple[str, ...],
         document_context: Counter | None,
     ) -> Entity | None:
         if len(candidates) == 1:
@@ -190,11 +204,7 @@ class EntityLinker:
                 (1.0, *(0.5,) * len(entity.other_types)),
                 entity.all_types,
             ):
-                score += (
-                    1000.0
-                    * weight
-                    * sentence_context.get(entity_type, 0)
-                )
+                score += 1000.0 * weight * type_nouns.count(entity_type)
                 if document_context is not None:
                     score += weight * min(
                         document_context.get(entity_type, 0), 999
@@ -206,25 +216,10 @@ class EntityLinker:
             return winners[0]
         return None
 
-    @staticmethod
-    def _sentence_context(sentence: Sentence) -> Counter:
-        """Type-indicator hits within the sentence itself."""
-        context: Counter = Counter()
-        for token in sentence.tokens:
-            indicated = lexicon.TYPE_NOUNS.get(token.lemma)
-            if indicated is not None:
-                context[indicated] += 1
-        return context
 
-
-def document_type_context(sentences: list[Sentence]) -> Counter:
+def document_type_context(sentences: Iterable[Sentence]) -> Counter:
     """Aggregate type-indicator hits across a document's sentences."""
     context: Counter = Counter()
     for sentence in sentences:
-        for token in sentence.tokens:
-            if token.pos is POS.PUNCT:
-                continue
-            indicated = lexicon.TYPE_NOUNS.get(token.lemma)
-            if indicated is not None:
-                context[indicated] += 1
+        context.update(sentence.type_nouns)
     return context

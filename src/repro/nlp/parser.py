@@ -21,50 +21,63 @@ sentences simply contain no pattern instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import lexicon
 from .deptree import (
-    ADVMOD,
-    AMOD,
-    APPOS,
-    AUX,
-    CC,
-    CCOMP,
-    CONJ,
-    COP,
-    DEP,
-    DET,
-    DepNode,
-    DepTree,
-    MARK,
-    NEG,
-    NSUBJ,
-    POBJ,
-    PREP,
-    PUNCT,
-    XCOMP,
+    REL_ADVMOD, REL_AMOD, REL_APPOS, REL_AUX, REL_CC, REL_CCOMP,
+    REL_COMPOUND, REL_CONJ, REL_COP, REL_DEP, REL_DET, REL_MARK, REL_NEG,
+    REL_NSUBJ, REL_POBJ, REL_PREP, REL_PUNCT, REL_ROOT, REL_XCOMP,
 )
 from .tagger import tag
-from .tokens import POS, Sentence, Token
+from .tokens import (
+    ADJ, ADV, AUX, CONJ, DET, MARK, NEG, NOUN, PREP, PRON, PROPN, PUNCT,
+    VERB, X, Sentence,
+)
 
-_NOMINAL_TAGS = (POS.NOUN, POS.PROPN, POS.X)
+#: The tag the cursor reads past the last token.
+END = -1
+
+_NOMINAL_TAGS = frozenset((NOUN, PROPN, X))
+_LEAD_IN_TAGS = frozenset((DET, PRON, NOUN, PROPN))
 
 
-@dataclass(slots=True)
 class _Cursor:
-    """Position tracker over the token list."""
+    """The parse state: a position over the sentence's
+    non-punctuation tokens, and the attachments made so far.
 
-    tokens: list[Token]
-    index: int = 0
+    ``attach`` writes a token's head and label straight into the head
+    list and label buffer and logs the token; ``restore`` returns to a
+    saved position and resets every token attached since, so a branch
+    the parser backs out of leaves nothing behind.
+    """
 
-    def peek(self, offset: int = 0) -> Token | None:
+    __slots__ = (
+        "tokens", "content_tags", "tags", "lemmas", "index", "heads",
+        "labels", "attached",
+    )
+
+    def __init__(self, sentence: Sentence) -> None:
+        tags = sentence.tags
+        self.tokens = [i for i, code in enumerate(tags) if code != PUNCT]
+        self.content_tags = tags.replace(bytes((PUNCT,)), b"")
+        self.tags = tags
+        self.lemmas = sentence.lemmas
+        self.index = 0
+        size = len(sentence.texts)
+        self.heads = [-1] * size
+        self.labels = bytearray(size)
+        self.attached: list[int] = []
+
+    def tag(self, offset: int = 0) -> int:
+        """The tag ``offset`` tokens ahead; ``END`` past the end."""
         position = self.index + offset
-        if 0 <= position < len(self.tokens):
-            return self.tokens[position]
-        return None
+        if position < len(self.content_tags):
+            return self.content_tags[position]
+        return END
 
-    def advance(self) -> Token:
+    def lemma(self) -> str:
+        return self.lemmas[self.tokens[self.index]]
+
+    def advance(self) -> int:
         token = self.tokens[self.index]
         self.index += 1
         return token
@@ -72,49 +85,56 @@ class _Cursor:
     def at_end(self) -> bool:
         return self.index >= len(self.tokens)
 
-    def save(self) -> int:
-        return self.index
+    def save(self) -> tuple[int, int]:
+        return self.index, len(self.attached)
 
-    def restore(self, state: int) -> None:
-        self.index = state
+    def restore(self, state: tuple[int, int]) -> None:
+        self.index, kept = state
+        attached = self.attached
+        if len(attached) > kept:
+            heads, labels = self.heads, self.labels
+            for token in attached[kept:]:
+                heads[token] = -1
+                labels[token] = REL_DEP
+            del attached[kept:]
 
-
-@dataclass(slots=True)
-class _NounPhrase:
-    """Parsed NP: head node with det/amod/advmod children attached."""
-
-    head: DepNode
-    start: int
-    end: int
+    def attach(self, head: int, token: int, label: int) -> None:
+        self.heads[token] = head
+        self.labels[token] = label
+        self.attached.append(token)
 
 
 class DependencyParser:
-    """Parses tagged sentences into :class:`DepTree` objects."""
+    """Parses tagged sentences into dependency columns."""
 
-    def parse(self, sentence: Sentence) -> DepTree:
-        """Tag (if needed) and parse one sentence."""
-        if all(token.pos is POS.X for token in sentence.tokens):
+    def parse(self, sentence: Sentence) -> Sentence:
+        """Tag (if needed) and parse one sentence: fill its ``heads``,
+        ``labels`` and ``order`` and return it."""
+        if sentence.tags is None:
             tag(sentence)
-        content = [
-            token for token in sentence.tokens if token.pos is not POS.PUNCT
-        ]
-        if not content:
-            return _flat_tree(sentence)
-        cursor = _Cursor(content)
-        root = self._parse_sentence(cursor)
+        cursor = _Cursor(sentence)
+        root = self._parse_sentence(cursor) if cursor.tokens else None
         if root is None or not cursor.at_end():
-            return _flat_tree(sentence)
-        for token in sentence.tokens:
-            if token.pos is POS.PUNCT:
-                root.attach(DepNode(token), PUNCT)
-        return DepTree.from_root(root)
+            cursor.restore((0, 0))
+            root = _attach_flat(cursor)
+        else:
+            for index, code in enumerate(sentence.tags):
+                if code == PUNCT:
+                    cursor.attach(root, index, REL_PUNCT)
+        if root is None:
+            sentence.order = ()
+        else:
+            cursor.labels[root] = REL_ROOT
+            sentence.order = _preorder(root, cursor.heads, cursor.attached)
+        sentence.heads = tuple(cursor.heads)
+        sentence.labels = bytes(cursor.labels)
+        return sentence
 
     # ------------------------------------------------------------------
     # Sentence level
     # ------------------------------------------------------------------
-    def _parse_sentence(self, cursor: _Cursor) -> DepNode | None:
-        first = cursor.peek()
-        if first is not None and first.pos is POS.MARK:
+    def _parse_sentence(self, cursor: _Cursor) -> int | None:
+        if cursor.tag() == MARK:
             # A sentence-initial subordinator ("If only Chicago were
             # warm") signals a hypothetical — no assertive clause to
             # extract from; fall back to the flat tree.
@@ -134,30 +154,21 @@ class DependencyParser:
         participate in any pattern and carry no negation.
         """
         state = cursor.save()
-        first = cursor.peek()
-        if first is None:
+        first = cursor.tag()
+        if first == END:
             return
-        second = cursor.peek(1)
+        second = cursor.tag(1)
         # A sentence-initial adverb that does not modify a following
         # adjective is a discourse opener ("Honestly , kittens ...").
-        if (
-            first.pos is POS.ADV
-            and second is not None
-            and second.pos is not POS.ADJ
-        ):
+        if first == ADV and second != END and second != ADJ:
             cursor.advance()
             return
-        if first.pos is POS.PREP:
+        if first == PREP:
             cursor.advance()
             depth = 0
-            while not cursor.at_end() and depth < 4:
-                token = cursor.peek()
-                assert token is not None
-                if token.pos in (POS.DET, POS.PRON, POS.NOUN, POS.PROPN):
-                    cursor.advance()
-                    depth += 1
-                    continue
-                break
+            while depth < 4 and cursor.tag() in _LEAD_IN_TAGS:
+                cursor.advance()
+                depth += 1
             if depth > 0:
                 return
             cursor.restore(state)
@@ -165,55 +176,52 @@ class DependencyParser:
     # ------------------------------------------------------------------
     # Matrix clauses: "I (do n't) think that <clause>", "I find NP ADJ"
     # ------------------------------------------------------------------
-    def _parse_matrix(self, cursor: _Cursor) -> DepNode | None:
+    def _parse_matrix(self, cursor: _Cursor) -> int | None:
         subject = self._parse_noun_phrase(cursor)
         if subject is None:
             return None
-        aux_token: Token | None = None
-        neg_token: Token | None = None
-        token = cursor.peek()
-        if token is not None and token.pos is POS.AUX:
-            aux_token = cursor.advance()
-            token = cursor.peek()
-        if token is not None and token.pos is POS.NEG:
-            neg_token = cursor.advance()
-            token = cursor.peek()
-        if token is None or token.pos is not POS.VERB:
+        aux = neg = None
+        code = cursor.tag()
+        if code == AUX:
+            aux = cursor.advance()
+            code = cursor.tag()
+        if code == NEG:
+            neg = cursor.advance()
+            code = cursor.tag()
+        if code != VERB:
             return None
-        lemma = lexicon.OPINION_VERB_FORMS.get(token.lemma)
+        lemma = lexicon.OPINION_VERB_FORMS.get(cursor.lemma())
         if lemma is None:
             return None
-        verb_token = cursor.advance()
-        verb = DepNode(verb_token)
-        verb.attach(subject.head, NSUBJ)
-        if aux_token is not None:
-            verb.attach(DepNode(aux_token), AUX)
-        if neg_token is not None:
-            verb.attach(DepNode(neg_token), NEG)
+        verb = cursor.advance()
+        cursor.attach(verb, subject, REL_NSUBJ)
+        if aux is not None:
+            cursor.attach(verb, aux, REL_AUX)
+        if neg is not None:
+            cursor.attach(verb, neg, REL_NEG)
 
-        nxt = cursor.peek()
-        if nxt is not None and nxt.pos is POS.MARK:
-            mark_token = cursor.advance()
+        if cursor.tag() == MARK:
+            mark = cursor.advance()
             clause = self._parse_clause(cursor)
             if clause is None:
                 return None
-            clause.attach(DepNode(mark_token), MARK)
-            verb.attach(clause, CCOMP)
+            cursor.attach(clause, mark, REL_MARK)
+            cursor.attach(verb, clause, REL_CCOMP)
             return verb
         if lemma in ("find", "consider"):
             small = self._parse_small_clause(cursor)
             if small is None:
                 return None
-            verb.attach(small, XCOMP)
+            cursor.attach(verb, small, REL_XCOMP)
             return verb
         # "I think snakes are dangerous" — bare ccomp without "that".
         clause = self._parse_clause(cursor)
         if clause is None:
             return None
-        verb.attach(clause, CCOMP)
+        cursor.attach(verb, clause, REL_CCOMP)
         return verb
 
-    def _parse_small_clause(self, cursor: _Cursor) -> DepNode | None:
+    def _parse_small_clause(self, cursor: _Cursor) -> int | None:
         """``find kittens (very) cute`` — adjective with internal subject."""
         subject = self._parse_noun_phrase(cursor)
         if subject is None:
@@ -221,62 +229,54 @@ class DependencyParser:
         adjective = self._parse_adjective_group(cursor)
         if adjective is None:
             return None
-        adjective.attach(subject.head, NSUBJ)
+        cursor.attach(adjective, subject, REL_NSUBJ)
         return adjective
 
     # ------------------------------------------------------------------
     # Core copular clause
     # ------------------------------------------------------------------
-    def _parse_clause(self, cursor: _Cursor) -> DepNode | None:
+    def _parse_clause(self, cursor: _Cursor) -> int | None:
         subject = self._parse_noun_phrase(cursor)
         if subject is None:
             return None
-        self._maybe_attach_appositive(cursor, subject.head)
+        self._maybe_attach_appositive(cursor, subject)
         if cursor.at_end():
             # Bare NP sentence (a mention with no claim), possibly
             # with an appositive ("Tokyo , a big city .").
-            return subject.head
+            return subject
 
-        pre_negs: list[Token] = []
-        token = cursor.peek()
-        while token is not None and token.pos is POS.NEG:
-            pre_negs.append(cursor.advance())
-            token = cursor.peek()
-
-        if token is None or token.pos is not POS.VERB:
+        negs: list[int] = []
+        code = cursor.tag()
+        while code == NEG:
+            negs.append(cursor.advance())
+            code = cursor.tag()
+        if code != VERB:
             return None
-        if token.lemma not in lexicon.COPULA_FORMS:
+        cop_lemma = lexicon.COPULA_FORMS.get(cursor.lemma())
+        if cop_lemma is None:
             return None
-        cop_token = cursor.advance()
-        cop_lemma = lexicon.COPULA_FORMS[cop_token.lemma]
+        cop = cursor.advance()
 
-        post_negs: list[Token] = []
-        token = cursor.peek()
-        while token is not None and token.pos is POS.NEG:
-            post_negs.append(cursor.advance())
-            token = cursor.peek()
+        code = cursor.tag()
+        while code == NEG:
+            negs.append(cursor.advance())
+            code = cursor.tag()
         # "seems like a big city" — transparent "like".
-        if (
-            token is not None
-            and token.lemma == "like"
-            and cop_lemma != "be"
-        ):
+        if code != END and cop_lemma != "be" and cursor.lemma() == "like":
             cursor.advance()
-            token = cursor.peek()
 
         predicate = self._parse_predicate(cursor)
         if predicate is None:
             return None
-        predicate.attach(subject.head, NSUBJ)
-        cop_node = DepNode(cop_token)
-        predicate.attach(cop_node, COP)
-        for neg_token in (*pre_negs, *post_negs):
-            predicate.attach(DepNode(neg_token), NEG)
+        cursor.attach(predicate, subject, REL_NSUBJ)
+        cursor.attach(predicate, cop, REL_COP)
+        for neg in negs:
+            cursor.attach(predicate, neg, REL_NEG)
         self._parse_trailing_preps(cursor, predicate)
         return predicate
 
     def _maybe_attach_appositive(
-        self, cursor: _Cursor, subject_head: DepNode
+        self, cursor: _Cursor, subject: int
     ) -> None:
         """Attach "Tokyo , a big city , ..." style appositives.
 
@@ -285,216 +285,212 @@ class DependencyParser:
         committed when what follows is a copula or the sentence end —
         otherwise the tokens are left for the clause parser.
         """
-        token = cursor.peek()
-        if token is None or token.pos is not POS.DET:
+        if cursor.tag() != DET:
             return
         state = cursor.save()
         appositive = self._parse_noun_phrase(cursor)
         if appositive is None:
             cursor.restore(state)
             return
-        nxt = cursor.peek()
-        if nxt is None or (
-            nxt.pos is POS.VERB and nxt.lemma in lexicon.COPULA_FORMS
+        code = cursor.tag()
+        if code == END or (
+            code == VERB and cursor.lemma() in lexicon.COPULA_FORMS
         ):
-            subject_head.attach(appositive.head, APPOS)
+            cursor.attach(subject, appositive, REL_APPOS)
             return
         cursor.restore(state)
 
-    def _parse_predicate(self, cursor: _Cursor) -> DepNode | None:
+    def _parse_predicate(self, cursor: _Cursor) -> int | None:
         """Either a predicate nominal (``a big city``) or an adjective
         group (``very cute and friendly``)."""
         state = cursor.save()
         nominal = self._parse_noun_phrase(cursor)
-        if nominal is not None and nominal.head.token.pos in (
-            POS.NOUN,
-            POS.PROPN,
-            POS.X,
-        ):
-            return nominal.head
+        if nominal is not None and cursor.tags[nominal] in _NOMINAL_TAGS:
+            return nominal
         cursor.restore(state)
         return self._parse_adjective_group(cursor)
 
-    def _parse_adjective_group(self, cursor: _Cursor) -> DepNode | None:
+    def _parse_adjective_group(self, cursor: _Cursor) -> int | None:
         """``(adv*) ADJ ((, ADJ)* (and ADJ))?`` with conj attachments."""
-        adverbs: list[Token] = []
-        token = cursor.peek()
-        while token is not None and token.pos in (POS.ADV, POS.NEG):
-            if token.pos is POS.NEG:
-                break
+        adverbs: list[int] = []
+        code = cursor.tag()
+        while code == ADV:
             adverbs.append(cursor.advance())
-            token = cursor.peek()
-        if token is None or token.pos is not POS.ADJ:
+            code = cursor.tag()
+        if code != ADJ:
             return None
-        head = DepNode(cursor.advance())
+        head = cursor.advance()
         for adverb in adverbs:
-            head.attach(DepNode(adverb), ADVMOD)
+            cursor.attach(head, adverb, REL_ADVMOD)
         # Conjoined adjectives: "fast and exciting".
-        while True:
-            nxt = cursor.peek()
-            if nxt is None:
+        while cursor.tag() == CONJ:
+            cc = cursor.advance()
+            conjunct = self._parse_adjective_atom(cursor)
+            if conjunct is None:
+                cursor.index -= 1
                 break
-            if nxt.pos is POS.CONJ:
-                cc_token = cursor.advance()
-                conjunct = self._parse_adjective_atom(cursor)
-                if conjunct is None:
-                    cursor.index -= 1
-                    break
-                head.attach(DepNode(cc_token), CC)
-                head.attach(conjunct, CONJ)
-                continue
-            break
+            cursor.attach(head, cc, REL_CC)
+            cursor.attach(head, conjunct, REL_CONJ)
         return head
 
-    def _parse_adjective_atom(self, cursor: _Cursor) -> DepNode | None:
-        adverbs: list[Token] = []
-        token = cursor.peek()
-        while token is not None and token.pos is POS.ADV:
+    def _parse_adjective_atom(self, cursor: _Cursor) -> int | None:
+        adverbs: list[int] = []
+        while cursor.tag() == ADV:
             adverbs.append(cursor.advance())
-            token = cursor.peek()
-        if token is None or token.pos is not POS.ADJ:
-            for _ in adverbs:
-                cursor.index -= 1
+        if cursor.tag() != ADJ:
+            cursor.index -= len(adverbs)
             return None
-        node = DepNode(cursor.advance())
+        node = cursor.advance()
         for adverb in adverbs:
-            node.attach(DepNode(adverb), ADVMOD)
+            cursor.attach(node, adverb, REL_ADVMOD)
         return node
 
     # ------------------------------------------------------------------
     # Noun phrases and PPs
     # ------------------------------------------------------------------
-    def _parse_noun_phrase(self, cursor: _Cursor) -> _NounPhrase | None:
+    def _parse_noun_phrase(self, cursor: _Cursor) -> int | None:
+        """An NP's head, with its det/amod/advmod/compound children
+        attached."""
         start = cursor.save()
-        det_token: Token | None = None
-        token = cursor.peek()
-        if token is not None and token.pos is POS.DET:
-            det_token = cursor.advance()
-            token = cursor.peek()
+        det = None
+        code = cursor.tag()
+        if code == DET:
+            det = cursor.advance()
+            code = cursor.tag()
 
         # Each modifier is (adjective, adverbs, conjuncts) where
         # conjuncts carries coordinated adjectives with their cc token:
         # "a fast and exciting sport" -> fast with conj child exciting.
-        modifiers: list[tuple[Token, list[Token], list[tuple[Token, Token]]]] = []
-        while token is not None:
-            if token.pos is POS.ADJ:
-                adj_token = cursor.advance()
+        modifiers: list[tuple[int, list[int], list[tuple[int, int]]]] = []
+        while True:
+            if code == ADJ:
+                adjective = cursor.advance()
                 conjuncts = self._parse_amod_conjuncts(cursor)
-                modifiers.append((adj_token, [], conjuncts))
-                token = cursor.peek()
+                modifiers.append((adjective, [], conjuncts))
+                code = cursor.tag()
                 continue
-            if token.pos is POS.ADV:
+            if code == ADV:
                 # Adverb(s) then adjective: "densely populated area".
                 adverb_state = cursor.save()
                 adverbs = [cursor.advance()]
-                inner = cursor.peek()
-                while inner is not None and inner.pos is POS.ADV:
+                while cursor.tag() == ADV:
                     adverbs.append(cursor.advance())
-                    inner = cursor.peek()
-                if inner is not None and inner.pos is POS.ADJ:
-                    adj_token = cursor.advance()
+                if cursor.tag() == ADJ:
+                    adjective = cursor.advance()
                     conjuncts = self._parse_amod_conjuncts(cursor)
-                    modifiers.append((adj_token, adverbs, conjuncts))
-                    token = cursor.peek()
+                    modifiers.append((adjective, adverbs, conjuncts))
+                    code = cursor.tag()
                     continue
                 cursor.restore(adverb_state)
             break
 
-        if token is not None and token.pos is POS.PRON:
-            head = DepNode(cursor.advance())
-            if det_token is not None or modifiers:
+        if code == PRON:
+            head = cursor.advance()
+            if det is not None or modifiers:
                 cursor.restore(start)
                 return None
-            return _NounPhrase(head=head, start=start, end=cursor.save())
+            return head
 
-        nominals: list[Token] = []
-        while token is not None and token.pos in _NOMINAL_TAGS:
+        nominals: list[int] = []
+        while code in _NOMINAL_TAGS:
             nominals.append(cursor.advance())
-            token = cursor.peek()
+            code = cursor.tag()
         if not nominals:
             cursor.restore(start)
             return None
-        head = DepNode(nominals[-1])
-        for other in nominals[:-1]:
-            head.attach(DepNode(other), "compound")
-        if det_token is not None:
-            head.attach(DepNode(det_token), DET)
-        for adj_token, adverbs, conjuncts in modifiers:
-            adj_node = head.attach(DepNode(adj_token), AMOD)
+        head = nominals.pop()
+        for other in nominals:
+            cursor.attach(head, other, REL_COMPOUND)
+        if det is not None:
+            cursor.attach(head, det, REL_DET)
+        for adjective, adverbs, conjuncts in modifiers:
+            cursor.attach(head, adjective, REL_AMOD)
             for adverb in adverbs:
-                adj_node.attach(DepNode(adverb), ADVMOD)
-            for cc_token, conj_token in conjuncts:
-                adj_node.attach(DepNode(cc_token), CC)
-                adj_node.attach(DepNode(conj_token), CONJ)
-        return _NounPhrase(head=head, start=start, end=cursor.save())
+                cursor.attach(adjective, adverb, REL_ADVMOD)
+            for cc, conjunct in conjuncts:
+                cursor.attach(adjective, cc, REL_CC)
+                cursor.attach(adjective, conjunct, REL_CONJ)
+        return head
 
     def _parse_amod_conjuncts(
         self, cursor: _Cursor
-    ) -> list[tuple[Token, Token]]:
+    ) -> list[tuple[int, int]]:
         """Coordinated attributive adjectives after an amod adjective.
 
         Only commits when the coordination is followed by another
         adjective and, further on, a nominal — so the clause-level
         coordination in "X is big and Y is small" is left alone.
         """
-        conjuncts: list[tuple[Token, Token]] = []
-        while True:
-            token = cursor.peek()
-            nxt = cursor.peek(1)
-            after = cursor.peek(2)
-            if (
-                token is None
-                or token.pos is not POS.CONJ
-                or nxt is None
-                or nxt.pos is not POS.ADJ
-                or after is None
-                or after.pos not in _NOMINAL_TAGS
-            ):
-                return conjuncts
-            cc_token = cursor.advance()
-            conjuncts.append((cc_token, cursor.advance()))
+        conjuncts: list[tuple[int, int]] = []
+        while (
+            cursor.tag() == CONJ
+            and cursor.tag(1) == ADJ
+            and cursor.tag(2) in _NOMINAL_TAGS
+        ):
+            cc = cursor.advance()
+            conjuncts.append((cc, cursor.advance()))
+        return conjuncts
 
     def _parse_trailing_preps(
-        self, cursor: _Cursor, predicate: DepNode
+        self, cursor: _Cursor, predicate: int
     ) -> None:
         """Attach trailing PPs (``for parking``) under the predicate."""
-        while True:
-            token = cursor.peek()
-            if token is None or token.pos is not POS.PREP:
-                return
-            prep_node = DepNode(cursor.advance())
+        while cursor.tag() == PREP:
+            prep = cursor.advance()
             np = self._parse_noun_phrase(cursor)
             if np is None:
-                inner = cursor.peek()
-                if inner is not None and inner.pos in (POS.VERB, POS.ADJ):
-                    prep_node.attach(DepNode(cursor.advance()), POBJ)
+                code = cursor.tag()
+                if code == VERB or code == ADJ:
+                    cursor.attach(prep, cursor.advance(), REL_POBJ)
                 else:
                     cursor.index -= 1
                     return
             else:
-                prep_node.attach(np.head, POBJ)
-            predicate.attach(prep_node, PREP)
+                cursor.attach(prep, np, REL_POBJ)
+            cursor.attach(predicate, prep, REL_PREP)
 
 
-def _flat_tree(sentence: Sentence) -> DepTree:
+def _attach_flat(cursor: _Cursor) -> int | None:
     """Fallback parse: first token is root, the rest are flat deps.
 
     Negation children are still attached to the directly preceding
     token so the polarity walk remains meaningful even for sentences
-    outside the supported grammar.
+    outside the supported grammar. ``None`` for an empty sentence.
     """
-    tokens = sentence.tokens
-    root = DepNode(tokens[0], deprel="root") if tokens else DepNode(
-        Token(0, "")
-    )
-    previous = root
-    for token in tokens[1:]:
-        node = DepNode(token)
-        if token.pos is POS.NEG:
-            previous.attach(node, NEG)
-        elif token.pos is POS.PUNCT:
-            root.attach(node, PUNCT)
+    tags = cursor.tags
+    if not tags:
+        return None
+    previous = 0
+    for index in range(1, len(tags)):
+        code = tags[index]
+        if code == NEG:
+            cursor.attach(previous, index, REL_NEG)
+        elif code == PUNCT:
+            cursor.attach(0, index, REL_PUNCT)
         else:
-            root.attach(node, DEP)
-            previous = node
-    return DepTree.from_root(root)
+            cursor.attach(0, index, REL_DEP)
+            previous = index
+    return 0
+
+
+def _preorder(
+    root: int, heads: list[int], attached: list[int]
+) -> tuple[int, ...]:
+    """The tree's tokens in pre-order, children in attachment order."""
+    # Each node's children, last attached first: the order the stack
+    # below must push them in.
+    children: dict[int, list[int]] = {}
+    for token in reversed(attached):
+        head = heads[token]
+        if head in children:
+            children[head].append(token)
+        else:
+            children[head] = [token]
+    order = []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        order.append(node)
+        if node in children:
+            stack.extend(children[node])
+    return tuple(order)

@@ -239,10 +239,11 @@ class FastPathStats:
 class AnnotationMemo:
     """Bounded LRU memo for per-sentence annotation work.
 
-    Two keyspaces: sentence entries keyed on the raw sentence text
-    (tokens, tags, screens, parse tree — all pure functions of the
-    text), and link results keyed on (text, context slice) because
-    disambiguation also reads the document's type-indicator counts.
+    Two keyspaces: sentence records keyed on the raw sentence text
+    (tokens, tags, scan, parse — all pure functions of the text), and
+    link results keyed on (text, context slice) because disambiguation
+    also reads the document's type-indicator counts (on the text alone
+    when no match is ambiguous).
     The link table gets twice the entry bound; both evict
     least-recently-used and report evictions to the caller, which owns
     the counters (one memo may serve several annotators).
@@ -251,7 +252,7 @@ class AnnotationMemo:
     def __init__(self, max_entries: int = DEFAULT_MEMO_SIZE) -> None:
         self.max_entries = max(1, int(max_entries))
         self._entries: OrderedDict[str, Any] = OrderedDict()
-        self._links: OrderedDict[tuple, Any] = OrderedDict()
+        self._links: OrderedDict[tuple | str, Any] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -270,13 +271,13 @@ class AnnotationMemo:
             return True
         return False
 
-    def get_links(self, key: tuple) -> Any | None:
+    def get_links(self, key: tuple | str) -> Any | None:
         links = self._links.get(key)
         if links is not None:
             self._links.move_to_end(key)
         return links
 
-    def put_links(self, key: tuple, links: Any) -> bool:
+    def put_links(self, key: tuple | str, links: Any) -> bool:
         """Store one link result; returns whether one was evicted."""
         self._links[key] = links
         if len(self._links) > 2 * self.max_entries:

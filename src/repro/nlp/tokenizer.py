@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 
-from .tokens import Sentence, Token
+from .tokens import Sentence
 
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+")
 _TOKEN = re.compile(
@@ -27,17 +27,19 @@ def split_sentences(text: str) -> list[str]:
 
 
 def tokenize(sentence_text: str) -> Sentence:
-    """Tokenize one sentence string into a :class:`Sentence`.
+    """Tokenize one sentence string into a :class:`Sentence` record.
 
     Contracted negations are split into the host verb and ``n't``
     (lemma ``not``) so the parser sees a dedicated negation token, as
     Stanford-style pipelines do.
     """
-    tokens: list[Token] = []
+    texts: list[str] = []
+    lemmas: list[str] = []
     for chunk in sentence_text.split():
         if chunk.isalpha() and chunk.isascii():
             # A plain word is its own single token.
-            tokens.append(Token(len(tokens), chunk, chunk.lower()))
+            texts.append(chunk)
+            lemmas.append(chunk.lower())
             continue
         clitic = _CLITIC_SPLIT.match(chunk.strip("\"'().,!?;:"))
         if clitic:
@@ -51,8 +53,9 @@ def tokenize(sentence_text: str) -> Sentence:
             lemma = text.lower()
             if lemma == "n't":
                 lemma = "not"
-            tokens.append(Token(len(tokens), text, lemma))
-    return Sentence(tokens=tokens)
+            texts.append(text)
+            lemmas.append(lemma)
+    return Sentence(tuple(texts), tuple(lemmas))
 
 
 def tokenize_document(text: str) -> list[Sentence]:

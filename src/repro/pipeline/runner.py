@@ -92,10 +92,10 @@ from .resilience import (
 class _CollectorPause:
     """Pause the automatic cyclic collector while any run is inside.
 
-    A run builds hundreds of thousands of long-lived containers
-    (memoized tokens and trees, evidence, opinions) and no cyclic
-    garbage (dependency trees hold no parent pointers), so every
-    automatic full collection would re-walk that heap for nothing.
+    A run builds tens of thousands of long-lived containers (memoized
+    sentence records, evidence, opinions) and no cyclic garbage, so
+    every automatic full collection would re-walk that heap for
+    nothing.
     Entries are counted under a lock: concurrent runs share one pause,
     and the last one out restores the state the first one found — a
     caller that had disabled the collector keeps it disabled.

@@ -4,13 +4,23 @@ always restores the caller's collector state."""
 from __future__ import annotations
 
 import gc
+import pickle
 import sys
 import threading
 
 import pytest
 
 from repro.corpus import CorpusGenerator
-from repro.nlp import DependencyParser, tag, tokenize
+from repro.evaluation.harness import EvaluationHarness
+from repro.extraction import EvidenceExtractor, find_matches
+from repro.kb.seeds import evaluation_kb
+from repro.nlp import (
+    AnnotatedSentence,
+    Annotator,
+    DependencyParser,
+    tag,
+    tokenize,
+)
 from repro.pipeline import FaultInjector, InjectedFault, SurveyorPipeline
 from repro.pipeline.runner import _COLLECTOR_PAUSE
 
@@ -66,25 +76,77 @@ class TestAcyclicTrees:
         self, collector_disabled
     ):
         parser = DependencyParser()
-        trees = [
+        parsed = [
             parser.parse(tag(tokenize(text)))
             for _ in range(5)
             for text in SENTENCES
         ]
-        assert all(tree.nodes for tree in trees)
-        del trees
+        assert all(sentence.order for sentence in parsed)
+        del parsed
         assert gc.collect() == 0
 
     def test_parent_map_matches_children(self, parser):
         for text in SENTENCES:
-            tree = parser.parse(tag(tokenize(text)))
+            sentence = parser.parse(tag(tokenize(text)))
+            tree = sentence.tree()
             for node in tree.all_nodes():
                 for child in node.children:
                     assert tree.parent_of(child) is node
+                    assert sentence.heads[child.token.index] == (
+                        node.token.index
+                    )
             assert tree.parent_of(tree.root) is None
-            assert sum(p is not None for p in tree.parents) == (
+            assert sum(h >= 0 for h in sentence.heads) == (
                 len(tree.nodes) - 1
             )
+
+
+class TestMemoFootprint:
+    """A memoized sentence is one flat record: the annotation memo
+    holds a few tracked objects per sentence, not a graph of tokens
+    and tree nodes (which cost ~30 per sentence)."""
+
+    @pytest.fixture(scope="class")
+    def documents(self):
+        harness = EvaluationHarness()
+        corpus = CorpusGenerator(seed=13).generate(harness.scenarios()[0])
+        return corpus.documents[:2000]
+
+    @pytest.mark.parametrize("extract", [False, True])
+    def test_tracked_objects_per_memo_entry(self, documents, extract):
+        kb = evaluation_kb()
+        # Warm the process-wide caches (regexes, the shared prefilter)
+        # outside the count.
+        EvidenceExtractor().extract_document(
+            Annotator(kb, share_memo=False).annotate("warm", "Kittens.")
+        )
+        annotator = Annotator(kb, share_memo=False)
+        extractor = EvidenceExtractor()
+        gc.collect()
+        before = len(gc.get_objects())
+        for document in documents:
+            annotated = annotator.annotate(document.doc_id, document.text)
+            if extract:
+                extractor.extract_document(annotated)
+        del annotated
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        assert added / len(annotator.memo) <= 9
+
+    def test_pickled_record_matches_alike(self, documents):
+        annotator = Annotator(evaluation_kb(), share_memo=False)
+        checked = 0
+        for document in documents[:300]:
+            for annotated in annotator.annotate(
+                document.doc_id, document.text
+            ).sentences:
+                copy = pickle.loads(pickle.dumps(annotated.sentence))
+                matches = find_matches(annotated)
+                assert find_matches(
+                    AnnotatedSentence(copy, annotated.mentions)
+                ) == matches
+                checked += bool(matches)
+        assert checked > 100
 
 
 class TestClosingCollection:

@@ -7,15 +7,21 @@ from collections import Counter
 import pytest
 
 from repro.kb import Entity, KnowledgeBase
-from repro.nlp import Annotator, EntityLinker, tag, tokenize
+from repro.nlp import (
+    AnnotatedSentence,
+    Annotator,
+    EntityLinker,
+    tag,
+    tokenize,
+)
 from repro.nlp.entity_linker import document_type_context
 
 
 def link(kb, text: str, context: Counter | None = None):
     linker = EntityLinker(kb)
     sentence = tag(tokenize(text))
-    linker.link_sentence(sentence, context)
-    return sentence, linker
+    mentions = linker.link_sentence(sentence, context)
+    return AnnotatedSentence(sentence, mentions), linker
 
 
 class TestMatching:

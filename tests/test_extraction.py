@@ -215,10 +215,10 @@ class TestPolarityWalk:
     def test_negation_count_zero(self, annotate):
         annotated = annotate("Kittens are cute.")
         match = find_matches(annotated)[0]
-        tree = annotated.tree
-        assert negation_count(tree, match.property_node) == 0
+        sentence = annotated.sentence
+        assert negation_count(sentence, match.property_index) == 0
         assert (
-            statement_polarity(tree, match.property_node)
+            statement_polarity(sentence, match.property_index)
             is Polarity.POSITIVE
         )
 
@@ -227,7 +227,9 @@ class TestPolarityWalk:
             "I don't think that snakes are never dangerous."
         )
         match = find_matches(annotated)[0]
-        assert negation_count(annotated.tree, match.property_node) == 2
+        assert (
+            negation_count(annotated.sentence, match.property_index) == 2
+        )
 
 
 class TestExtractorDriver:

@@ -78,6 +78,18 @@ def journal_bytes(journal: CorpusJournal) -> bytes:
     )
 
 
+def journal_frames(data: bytes) -> list[tuple[int, int]]:
+    """``(start, end)`` byte ranges of the whole frames in ``data``."""
+    frames = []
+    position = 0
+    while position < len(data):
+        newline = data.index(b"\n", position)
+        end = newline + 1 + int(data[position:newline]) + 1
+        frames.append((position, end))
+        position = end
+    return frames
+
+
 def fingerprint(table) -> str:
     return json.dumps(opinions_to_dict(table), sort_keys=True)
 
@@ -165,6 +177,33 @@ class TestJournal:
             handle.write(b"7\nnotjson\n")
         with pytest.raises(JournalError, match="corrupt"):
             CorpusJournal(tmp_path / "j")
+
+    @pytest.mark.parametrize(
+        "damage",
+        [
+            # n -> n + 1: the frame still lies inside the file.
+            lambda prefix: b"%d" % (int(prefix) + 1),
+            # A digit put in front: the frame runs past end-of-file,
+            # but across the later frames' newlines, which no
+            # cut-short write leaves behind.
+            lambda prefix: b"9" + prefix,
+        ],
+        ids=["one-longer", "past-the-end"],
+    )
+    def test_damaged_length_prefix_is_corruption_not_a_torn_tail(
+        self, tmp_path, damage
+    ):
+        journal = CorpusJournal(tmp_path / "j")
+        journal.append(docs("a", "b", "c", "d", "e", "f"))
+        segment = journal._segments()[-1]
+        data = segment.read_bytes()
+        start = journal_frames(data)[2][0]
+        newline = data.index(b"\n", start)
+        damaged = data[:start] + damage(data[start:newline]) + data[newline:]
+        segment.write_bytes(damaged)
+        with pytest.raises(JournalError, match="corrupt"):
+            CorpusJournal(tmp_path / "j")
+        assert segment.read_bytes() == damaged
 
     def test_duplicate_offset_rejected_and_nothing_written(
         self, tmp_path

@@ -23,7 +23,7 @@ def parse():
     parser = DependencyParser()
 
     def _parse(text: str) -> DepTree:
-        return parser.parse(tag(tokenize(text)))
+        return parser.parse(tag(tokenize(text))).tree()
 
     return _parse
 

@@ -200,7 +200,7 @@ class TestTokenizerInvariants:
         from repro.nlp import DependencyParser, tag, tokenize
 
         sentence = tag(tokenize(" ".join(words) + " ."))
-        tree = DependencyParser().parse(sentence)
+        tree = DependencyParser().parse(sentence).tree()
         assert tree.root is not None
         # All non-dropped nodes map back to token indices.
         for index, node in tree.nodes.items():

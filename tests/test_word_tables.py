@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from repro.kb import Entity, KnowledgeBase
 from repro.nlp import EntityLinker, lexicon, tag
-from repro.nlp.tokens import POS, Sentence, Span, Token
+from repro.nlp.tokens import POS, Sentence, Token
 
 # ---------------------------------------------------------------------------
 # Tagger oracle: the lexicon pass as a precedence chain
@@ -113,10 +113,7 @@ def _oracle_tags(texts: list[str]) -> list[POS]:
 
 
 def _tags(texts: list[str]) -> list[POS]:
-    sentence = Sentence(
-        [Token(index, text) for index, text in enumerate(texts)]
-    )
-    return [token.pos for token in tag(sentence).tokens]
+    return [token.pos for token in tag(Sentence(tuple(texts))).tokens]
 
 
 LEXICON_WORDS = sorted(
@@ -220,26 +217,29 @@ def _oracle_scan(kb: KnowledgeBase, texts: list[str]):
             surface = " ".join(lowered[index:end])
             candidates = kb.candidates(surface)
             if candidates:
-                match = Span(index, end), tuple(candidates)
+                match = index, end, tuple(candidates)
                 break
             if end == index + 1 and surface.endswith("s"):
                 candidates = kb.candidates(surface[:-1])
                 if candidates:
-                    match = Span(index, end), tuple(candidates)
+                    match = index, end, tuple(candidates)
                     break
         if match is None:
             index += 1
             continue
         matches.append(match)
-        index = match[0].end
+        index = match[1]
     return matches
 
 
 def _scan(linker: EntityLinker, texts: list[str]):
-    sentence = Sentence(
-        [Token(index, text) for index, text in enumerate(texts)]
-    )
-    return linker.scan(sentence)
+    """The scan's flat ``(start, end, key)`` matches, with each key
+    looked up to its candidates."""
+    flat = iter(linker.scan(Sentence(tuple(texts))))
+    return [
+        (start, end, tuple(linker.kb.candidates(key)))
+        for start, end, key in zip(flat, flat, flat)
+    ]
 
 
 #: A small vocabulary so aliases share heads, nest, and collide.
