@@ -63,6 +63,12 @@ printf '%s\n' \
 python -m repro mine "$PARITY_DIR/docs.txt" \
     --out "$PARITY_DIR/opinions.json" --threshold 1 \
     --strict --strict-parity > /dev/null
+# The same smoke through the process executor: shards mapped in worker
+# processes must give the serial run's bytes.
+python -m repro mine "$PARITY_DIR/docs.txt" \
+    --out "$PARITY_DIR/opinions-process.json" --threshold 1 \
+    --strict --strict-parity --executor process --workers 2 > /dev/null
+cmp "$PARITY_DIR/opinions.json" "$PARITY_DIR/opinions-process.json"
 
 echo "== reference parity on both mining worlds (stored digests) =="
 # The smoke above compares two paths built from the same code, so a bug

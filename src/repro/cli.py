@@ -62,12 +62,7 @@ from .obs import (
 from .pipeline.mapreduce import EXECUTORS
 from .pipeline.resilience import RetryPolicy
 from .pipeline.runner import SurveyorPipeline
-from .storage import (
-    FormatError,
-    load,
-    provenance_path_for,
-    save,
-)
+from .storage import load, provenance_path_for, save
 
 #: Exit code for operational failures (bad input files, corrupt
 #: artefacts); distinct from 1, which subcommands use for "ran fine
@@ -238,9 +233,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
         shard_timeout=args.shard_timeout,
         tracer=tracer,
         registry=registry,
-        fast_path=False if args.no_fast_path else None,
-        strict_parity=True if args.strict_parity else None,
-        provenance=False if args.no_provenance else None,
+        fast_path=not args.no_fast_path,
+        strict_parity=args.strict_parity,
+        provenance=not args.no_provenance,
     )
     report = pipeline.run(corpus)
     _finish_obs(args, tracer, registry, report.convergence)
@@ -331,8 +326,8 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         kb=kb,
         journal=journal,
         occurrence_threshold=args.threshold,
-        fast_path=False if args.no_fast_path else None,
-        provenance=False if args.no_provenance else None,
+        fast_path=not args.no_fast_path,
+        provenance=not args.no_provenance,
         warm_start=args.warm_start,
     )
     started_unix = time.time()
@@ -1022,23 +1017,21 @@ def build_parser() -> argparse.ArgumentParser:
                            "(default 3)")
     mine.add_argument("--shard-timeout", type=float,
                       help="per-shard wall-clock budget in seconds "
-                           "(thread/process executors)")
+                           "(process executor only; the run still "
+                           "waits for an abandoned attempt)")
     mine.add_argument("--executor", choices=EXECUTORS,
                       default="serial",
                       help="shard executor (default serial)")
     mine.add_argument("--no-fast-path", action="store_true",
                       help="run the reference extraction path instead "
-                           "of the prefilter+memo fast path "
-                           "(REPRO_FAST_PATH also controls this)")
+                           "of the prefilter+memo fast path")
     mine.add_argument("--strict-parity", action="store_true",
                       help="run BOTH extraction paths and fail on any "
                            "output divergence (roughly doubles map "
-                           "cost; REPRO_STRICT_PARITY also controls "
-                           "this)")
+                           "cost)")
     mine.add_argument("--no-provenance", action="store_true",
                       help="skip evidence-lineage capture and the "
-                           "<out>.provenance.json sidecar "
-                           "(REPRO_PROVENANCE also controls this)")
+                           "<out>.provenance.json sidecar")
     _add_obs_flags(mine)
     mine.set_defaults(func=cmd_mine)
 
@@ -1063,12 +1056,10 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--region", default="",
                         help="tag appended documents with this region")
     ingest.add_argument("--no-fast-path", action="store_true",
-                        help="run the reference extraction path "
-                             "(REPRO_FAST_PATH also controls this)")
+                        help="run the reference extraction path")
     ingest.add_argument("--no-provenance", action="store_true",
                         help="skip evidence-lineage capture and the "
-                             "<out>.provenance.json sidecar "
-                             "(REPRO_PROVENANCE also controls this)")
+                             "<out>.provenance.json sidecar")
     ingest.add_argument("--warm-start", action="store_true",
                         help="seed dirty refits from cached "
                              "parameters: much faster on small "
@@ -1285,7 +1276,6 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except (
         ReproError,
-        FormatError,
         json.JSONDecodeError,
         OSError,
     ) as error:

@@ -16,7 +16,6 @@ from .provenance import (
     ProvenanceIndex,
     ProvenanceLedger,
     ProvenanceSample,
-    provenance_default,
 )
 from .statement import EvidenceCounter, EvidenceStatement
 
@@ -26,7 +25,6 @@ __all__ = [
     "ProvenanceIndex",
     "ProvenanceLedger",
     "ProvenanceSample",
-    "provenance_default",
     "ANTONYMS",
     "DEFAULT_PATTERNS",
     "EvidenceCounter",

@@ -41,7 +41,7 @@ surface serialize.
 
 from __future__ import annotations
 
-import os
+from collections import defaultdict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Iterator
 
@@ -53,23 +53,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.surveyor import SurveyorResult
     from ..obs.convergence import ConvergenceRecord
 
-PROVENANCE_ENV = "REPRO_PROVENANCE"
-
-_FALSEY = frozenset({"", "0", "false", "no", "off"})
-
 #: Sampled statements kept per polarity per (entity, property) pair.
 DEFAULT_SAMPLES_PER_POLARITY = 3
 
 #: Sentence text is truncated to this many characters in samples.
 MAX_SENTENCE_CHARS = 240
-
-
-def provenance_default() -> bool:
-    """Whether lineage capture is on by default (``REPRO_PROVENANCE``)."""
-    value = os.environ.get(PROVENANCE_ENV)
-    if value is None:
-        return True
-    return value.strip().lower() not in _FALSEY
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,6 +118,26 @@ def _raw_from_sample(sample: ProvenanceSample) -> tuple:
     )
 
 
+def _empty_slot() -> list[Any]:
+    """A pair's slot before any statement: ``[positive_seen,
+    negative_seen, pos_samples, neg_samples]``."""
+    return [0, 0, [], []]
+
+
+def _sample(
+    statement: EvidenceStatement, sentence_index: int, polarity: str
+) -> tuple:
+    """Internal slot entry for one statement (field order matches)."""
+    return (
+        statement.doc_id,
+        sentence_index,
+        statement.pattern,
+        polarity,
+        statement.negations,
+        statement.sentence[:MAX_SENTENCE_CHARS],
+    )
+
+
 def _pair_from_slot(slot: list[Any]) -> PairProvenance:
     """Materialize a slot's raw tuples into the read-side view."""
     return PairProvenance(
@@ -171,14 +179,17 @@ class ProvenanceLedger:
         self.samples_per_polarity = int(samples_per_polarity)
         # One flat dict keyed by (property, entity_type, entity_id),
         # value [positive_seen, negative_seen, pos_samples,
-        # neg_samples]. The flat tuple key hashes several times
-        # cheaper than constructing a PropertyTypeKey per statement,
-        # and the split sample lists turn the per-polarity cap check
-        # into one len(). Samples are held as plain field tuples
-        # (:class:`ProvenanceSample` construction costs ~5x a tuple;
-        # per-shard ledgers build several times more samples than
-        # survive the merge cap) and materialized by the views.
-        self._slots: dict[tuple[Any, str, str], list[Any]] = {}
+        # neg_samples], created empty on first touch. The flat tuple
+        # key hashes several times cheaper than constructing a
+        # PropertyTypeKey per statement, and the split sample lists
+        # turn the per-polarity cap check into one len(). Samples are
+        # held as plain field tuples (:class:`ProvenanceSample`
+        # construction costs ~5x a tuple; per-shard ledgers build
+        # several times more samples than survive the merge cap) and
+        # materialized by the views.
+        self._slots: defaultdict[tuple[Any, str, str], list[Any]] = (
+            defaultdict(_empty_slot)
+        )
         # Memoized statement-proto tuples already sampled, keyed by
         # identity. The value keeps a strong reference so the id can
         # never be recycled for a different live line. Repeat visits
@@ -204,16 +215,9 @@ class ProvenanceLedger:
         seen once. The fast path uses :meth:`sample_line` plus
         :meth:`seed_totals` instead.
         """
-        slots = self._slots
-        pair_key = (
-            statement.property,
-            statement.entity_type,
-            statement.entity_id,
-        )
-        slot = slots.get(pair_key)
-        if slot is None:
-            slot = [0, 0, [], []]
-            slots[pair_key] = slot
+        slot = self._slots[
+            statement.property, statement.entity_type, statement.entity_id
+        ]
         if statement.polarity is Polarity.POSITIVE:
             slot[0] += 1
             samples: list[tuple] = slot[2]
@@ -222,16 +226,8 @@ class ProvenanceLedger:
             slot[1] += 1
             samples = slot[3]
             polarity = "negative"
-        if len(samples) >= self.samples_per_polarity:
-            return
-        samples.append((
-            statement.doc_id,
-            sentence_index,
-            statement.pattern,
-            polarity,
-            statement.negations,
-            statement.sentence[:MAX_SENTENCE_CHARS],
-        ))
+        if len(samples) < self.samples_per_polarity:
+            samples.append(_sample(statement, sentence_index, polarity))
 
     def sample_line(
         self,
@@ -252,31 +248,21 @@ class ProvenanceLedger:
         cap = self.samples_per_polarity
         slots = self._slots
         for statement in statements:
-            pair_key = (
+            slot = slots[
                 statement.property,
                 statement.entity_type,
                 statement.entity_id,
-            )
-            slot = slots.get(pair_key)
-            if slot is None:
-                slot = [0, 0, [], []]
-                slots[pair_key] = slot
+            ]
             if statement.polarity is Polarity.POSITIVE:
                 samples: list[tuple] = slot[2]
                 polarity = "positive"
             else:
                 samples = slot[3]
                 polarity = "negative"
-            if len(samples) >= cap:
-                continue
-            samples.append((
-                statement.doc_id,
-                sentence_index,
-                statement.pattern,
-                polarity,
-                statement.negations,
-                statement.sentence[:MAX_SENTENCE_CHARS],
-            ))
+            if len(samples) < cap:
+                samples.append(
+                    _sample(statement, sentence_index, polarity)
+                )
 
     def seed_totals(self, counter: Any) -> None:
         """Copy exact per-pair totals from an ``EvidenceCounter``.
@@ -292,23 +278,9 @@ class ProvenanceLedger:
             prop = key.property
             entity_type = key.entity_type
             for entity_id, counts in per_entity.items():
-                pair_key = (prop, entity_type, entity_id)
-                slot = slots.get(pair_key)
-                if slot is None:
-                    slot = [0, 0, [], []]
-                    slots[pair_key] = slot
+                slot = slots[prop, entity_type, entity_id]
                 slot[0] = counts.positive
                 slot[1] = counts.negative
-
-    def _seed_slot(
-        self, key: PropertyTypeKey, entity_id: str
-    ) -> list[Any]:
-        pair_key = (key.property, key.entity_type, entity_id)
-        slot = self._slots.get(pair_key)
-        if slot is None:
-            slot = [0, 0, [], []]
-            self._slots[pair_key] = slot
-        return slot
 
     def seed_pair(
         self,
@@ -317,7 +289,7 @@ class ProvenanceLedger:
         pair: PairProvenance,
     ) -> None:
         """Load one pair's persisted lineage (checkpoint read path)."""
-        slot = self._seed_slot(key, entity_id)
+        slot = self._slots[key.property, key.entity_type, entity_id]
         slot[0] = pair.positive_seen
         slot[1] = pair.negative_seen
         slot[2] = [
@@ -340,10 +312,7 @@ class ProvenanceLedger:
         """
         cap = self.samples_per_polarity
         for pair_key, (pos, neg, pos_s, neg_s) in other._slots.items():
-            slot = self._slots.get(pair_key)
-            if slot is None:
-                slot = [0, 0, [], []]
-                self._slots[pair_key] = slot
+            slot = self._slots[pair_key]
             slot[0] += pos
             slot[1] += neg
             room = cap - len(slot[2])

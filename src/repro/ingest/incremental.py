@@ -49,15 +49,11 @@ from ..core.surveyor import (
 from ..core.types import PropertyTypeKey
 from ..corpus.document import Document
 from ..extraction.extractor import EvidenceExtractor
-from ..extraction.provenance import (
-    ProvenanceIndex,
-    ProvenanceLedger,
-    provenance_default,
-)
+from ..extraction.provenance import ProvenanceIndex, ProvenanceLedger
 from ..extraction.statement import EvidenceCounter
 from ..kb.knowledge_base import KnowledgeBase
 from ..nlp.annotate import Annotator
-from ..nlp.prefilter import DEFAULT_MEMO_SIZE, fast_path_default
+from ..nlp.prefilter import DEFAULT_MEMO_SIZE
 from ..obs.convergence import records_from_result
 from ..obs.manifest import (
     build_manifest,
@@ -106,9 +102,8 @@ class IngestPipeline:
     learner:
         EM configuration shared by every (cold) refit.
     fast_path / provenance:
-        ``None`` defers to the ``REPRO_FAST_PATH`` /
-        ``REPRO_PROVENANCE`` environment defaults, exactly as
-        ``SurveyorPipeline`` does.
+        Extraction fast path and lineage capture, both default on as
+        in ``SurveyorPipeline``.
     warm_start:
         Seed dirty refits from cached parameters (see module
         docstring for the bit-parity trade-off).
@@ -121,18 +116,14 @@ class IngestPipeline:
     journal: CorpusJournal
     occurrence_threshold: int = DEFAULT_OCCURRENCE_THRESHOLD
     learner: EMLearner = field(default_factory=EMLearner)
-    fast_path: bool | None = None
-    provenance: bool | None = None
+    fast_path: bool = True
+    provenance: bool = True
     warm_start: bool = False
     registry: Any | None = field(default=None, repr=False)
     annotation_memo_size: int = DEFAULT_MEMO_SIZE
     state: IngestState = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.fast_path is None:
-            self.fast_path = fast_path_default()
-        if self.provenance is None:
-            self.provenance = provenance_default()
         self.state = load_state(self.journal.directory)
         if self.provenance and self.state.ledger is None:
             self.state.ledger = ProvenanceLedger()
@@ -300,8 +291,8 @@ class IngestPipeline:
                 "generation": report.generation,
                 "incremental": True,
                 "occurrence_threshold": self.occurrence_threshold,
-                "fast_path": bool(self.fast_path),
-                "provenance": bool(self.provenance),
+                "fast_path": self.fast_path,
+                "provenance": self.provenance,
                 "warm_start": bool(self.warm_start),
             },
             started_unix=(

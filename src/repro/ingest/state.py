@@ -41,6 +41,7 @@ from ..extraction.extractor import ExtractionStats
 from ..extraction.provenance import ProvenanceLedger
 from ..extraction.statement import EvidenceCounter
 from ..storage.serialize import (
+    _MALFORMED,
     FormatError,
     _atomic_write_json,
     _key_from_str,
@@ -156,31 +157,38 @@ class IngestState:
                 f"{STATE_FORMAT}: unsupported version "
                 f"{payload.get('version')!r}"
             )
-        stats_row = payload.get("stats", {})
-        raw_ledger = payload.get("ledger")
-        return cls(
-            applied_offset=int(payload["applied_offset"]),
-            generation=int(payload.get("generation", 0)),
-            evidence=evidence_from_dict(payload["evidence"]),
-            ledger=(
-                None
-                if raw_ledger is None
-                else ledger_from_dict(raw_ledger)
-            ),
-            stats=ExtractionStats(
-                documents=int(stats_row.get("documents", 0)),
-                sentences=int(stats_row.get("sentences", 0)),
-                statements=int(stats_row.get("statements", 0)),
-                positive=int(stats_row.get("positive", 0)),
-                negative=int(stats_row.get("negative", 0)),
-            ),
-            fits={
-                (key := _key_from_str(key_text)): _fit_from_dict(
-                    key, row
-                )
-                for key_text, row in payload.get("fits", {}).items()
-            },
-        )
+        try:
+            stats_row = payload.get("stats", {})
+            raw_ledger = payload.get("ledger")
+            return cls(
+                applied_offset=int(payload["applied_offset"]),
+                generation=int(payload.get("generation", 0)),
+                evidence=evidence_from_dict(payload["evidence"]),
+                ledger=(
+                    None
+                    if raw_ledger is None
+                    else ledger_from_dict(raw_ledger)
+                ),
+                stats=ExtractionStats(
+                    documents=int(stats_row.get("documents", 0)),
+                    sentences=int(stats_row.get("sentences", 0)),
+                    statements=int(stats_row.get("statements", 0)),
+                    positive=int(stats_row.get("positive", 0)),
+                    negative=int(stats_row.get("negative", 0)),
+                ),
+                fits={
+                    (key := _key_from_str(key_text)): _fit_from_dict(
+                        key, row
+                    )
+                    for key_text, row in payload.get("fits", {}).items()
+                },
+            )
+        except FormatError:
+            raise
+        except _MALFORMED as error:
+            raise FormatError(
+                f"malformed ingest state: {error!r}"
+            ) from error
 
 
 def state_path_for(journal_dir: str | Path) -> Path:
@@ -206,7 +214,5 @@ def load_state(journal_dir: str | Path) -> IngestState:
         ) from error
     try:
         return IngestState.from_dict(payload)
-    except (KeyError, TypeError, ValueError) as error:
-        raise FormatError(
-            f"{path}: malformed ingest state: {error}"
-        ) from error
+    except FormatError as error:
+        raise FormatError(f"{path}: {error}") from error

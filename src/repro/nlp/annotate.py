@@ -50,7 +50,6 @@ from .prefilter import (
     FastPathStats,
     SentencePrefilter,
     could_be_adjective,
-    fast_path_default,
 )
 from .tagger import tag
 from .tokenizer import split_sentences, tokenize, tokenize_document
@@ -146,8 +145,8 @@ class Annotator:
     coreference: "We visited Tokyo. It is hectic." links ``It`` to
     Tokyo before extraction.
 
-    ``fast_path`` selects the prefilter+memo path (``None`` defers to
-    ``REPRO_FAST_PATH``, default on). A shared :class:`SentencePrefilter`
+    ``fast_path`` selects the prefilter+memo path (default on). A
+    shared :class:`SentencePrefilter`
     may be injected so pool workers reuse the parent's automaton;
     otherwise one is compiled once per KB and shared process-locally.
     ``memo_size`` bounds the annotation memo, which ``share_memo``
@@ -159,7 +158,7 @@ class Annotator:
     kb: KnowledgeBase
     parser: DependencyParser = field(default_factory=DependencyParser)
     resolve_pronouns: bool = True
-    fast_path: bool | None = None
+    fast_path: bool = True
     prefilter: SentencePrefilter | None = None
     memo_size: int = DEFAULT_MEMO_SIZE
     share_memo: bool = True
@@ -173,8 +172,6 @@ class Annotator:
 
     def __post_init__(self) -> None:
         self.linker = EntityLinker(self.kb)
-        if self.fast_path is None:
-            self.fast_path = fast_path_default()
         if self.fast_path:
             if self.prefilter is None:
                 self.prefilter = _shared_cache(

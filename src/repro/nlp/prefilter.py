@@ -33,7 +33,6 @@ and asserts it.
 
 from __future__ import annotations
 
-import os
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 from typing import Any, Iterable
@@ -43,12 +42,6 @@ from . import lexicon
 
 #: Default bound on memoized sentences per shard worker.
 DEFAULT_MEMO_SIZE = 65536
-
-#: Environment switches — flags on the CLI/pipeline override these.
-FAST_PATH_ENV = "REPRO_FAST_PATH"
-STRICT_PARITY_ENV = "REPRO_STRICT_PARITY"
-
-_FALSEY = frozenset({"", "0", "false", "no", "off"})
 
 #: Pronouns the coreference resolver can resolve (see
 #: :mod:`repro.nlp.coref`); a sentence without any of them can never
@@ -74,22 +67,6 @@ _ADJ_SHADOW: frozenset[str] = frozenset(
     | set(lexicon.TYPE_NOUNS)
     | set(lexicon.COMMON_NOUNS)
 )
-
-
-def fast_path_default() -> bool:
-    """Whether the fast path is on by default (``REPRO_FAST_PATH``)."""
-    value = os.environ.get(FAST_PATH_ENV)
-    if value is None:
-        return True
-    return value.strip().lower() not in _FALSEY
-
-
-def strict_parity_default() -> bool:
-    """Whether strict parity is on by default (``REPRO_STRICT_PARITY``)."""
-    value = os.environ.get(STRICT_PARITY_ENV)
-    if value is None:
-        return False
-    return value.strip().lower() not in _FALSEY
 
 
 def could_be_adjective(lemma: str) -> bool:

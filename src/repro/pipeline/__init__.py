@@ -14,7 +14,6 @@ from .resilience import (
     ShardFailure,
     ShardTimeoutError,
     WorkerTelemetry,
-    call_with_retry,
 )
 from .runner import PipelineReport, SurveyorPipeline
 
@@ -35,6 +34,5 @@ __all__ = [
     "StageMetrics",
     "SurveyorPipeline",
     "WorkerTelemetry",
-    "call_with_retry",
     "shard_items",
 ]

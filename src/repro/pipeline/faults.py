@@ -16,20 +16,17 @@ deterministically:
   then succeeds, exercising the retry path end to end.
 
 The flaky decision is a pure function of the *attempt number* the
-runner threads through the task (``on_shard_start(shard_id,
-attempt=n)``), so all three executors — including ``process``, whose
-workers hold pickled copies of this injector and share no memory —
-behave identically. When a legacy caller omits the attempt, an
-in-memory per-shard counter supplies it (correct for ``serial`` and
-``thread`` only).
+executor threads through the task (``on_shard_start(shard_id,
+attempt)``), so both executors — including ``process``, whose workers
+hold pickled copies of this injector and share no memory — behave
+identically.
 """
 
 from __future__ import annotations
 
-import threading
 import time
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..core.errors import ExtractionError
 
@@ -49,29 +46,6 @@ class FaultInjector:
     slow_seconds: float = 0.05
     flaky_shards: tuple[int, ...] = ()
     flaky_failures: int = 1
-    _attempts: dict[int, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, init=False, repr=False,
-        compare=False,
-    )
-
-    def __getstate__(self):
-        state = {
-            name: getattr(self, name)
-            for name in (
-                "seed", "fail_every_nth", "poison_shards", "slow_shards",
-                "slow_seconds", "flaky_shards", "flaky_failures",
-                "_attempts",
-            )
-        }
-        return state
-
-    def __setstate__(self, state):
-        for name, value in state.items():
-            setattr(self, name, value)
-        self._lock = threading.Lock()
 
     # ------------------------------------------------------------------
     # Selection rules (pure, so tests can predict the injected set)
@@ -86,31 +60,24 @@ class FaultInjector:
     # ------------------------------------------------------------------
     # Hooks called by the pipeline mapper
     # ------------------------------------------------------------------
-    def on_shard_start(
-        self, shard_id: int, attempt: int | None = None
-    ) -> None:
+    def on_shard_start(self, shard_id: int, attempt: int) -> None:
         """Shard-level faults; called once per shard attempt.
 
-        ``attempt`` is the 1-based attempt number the runner threads
-        through the task; with it the flaky decision is stateless
-        (``attempt <= flaky_failures`` fails), so it holds across
-        process boundaries. Without it (legacy callers) an in-memory
-        counter stands in — correct only when every attempt sees this
-        same injector object.
+        ``attempt`` is the 1-based attempt number the executor threads
+        through the task, so the flaky decision is stateless
+        (``attempt <= flaky_failures`` fails) and holds across process
+        boundaries.
         """
         if shard_id in self.slow_shards and self.slow_seconds > 0:
             time.sleep(self.slow_seconds)
         if shard_id in self.poison_shards:
             raise InjectedFault(f"poisoned shard {shard_id}")
-        if shard_id in self.flaky_shards:
-            if attempt is None:
-                with self._lock:
-                    attempt = self._attempts.get(shard_id, 0) + 1
-                    self._attempts[shard_id] = attempt
-            if attempt <= self.flaky_failures:
-                raise InjectedFault(
-                    f"flaky shard {shard_id}, attempt {attempt}"
-                )
+        if shard_id in self.flaky_shards and (
+            attempt <= self.flaky_failures
+        ):
+            raise InjectedFault(
+                f"flaky shard {shard_id}, attempt {attempt}"
+            )
 
     def on_document(self, doc_id: str) -> None:
         """Document-level faults; called once per document."""

@@ -5,15 +5,17 @@ on up to 5000 nodes. This executor reproduces the *dataflow* at
 single-machine scale: the corpus is split into shards, a mapper runs
 per shard producing partial results, per-shard combiners pre-aggregate,
 and a reducer folds the partials into the final result. Workers can be
-simulated sequentially (deterministic, default) or run on a thread
+simulated sequentially (deterministic, default) or run on a process
 pool.
 
 The executor is also where the resilience layer lives: a shard attempt
 that raises is retried under the job's :class:`RetryPolicy`, a shard
-that exceeds ``shard_timeout`` on a pooled executor is treated as
+that exceeds ``shard_timeout`` on the process executor is treated as
 failed (and retried), and — with ``skip_failed_shards`` — a shard that
 exhausts its attempts is dropped from the run instead of aborting it,
-with the skip recorded in the metrics' health ledger.
+with the skip recorded in the metrics' health ledger. Both executors
+go through one dispatch loop; they differ only in how many attempts
+it keeps in flight.
 
 The abstraction is deliberately generic — the extraction stage maps
 documents to statements and reduces evidence counters (each shard's
@@ -26,12 +28,12 @@ tests also exercise word-count-style jobs.
 from __future__ import annotations
 
 import time
+from collections import deque
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import (
     FIRST_COMPLETED,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from dataclasses import dataclass
@@ -44,7 +46,6 @@ from .resilience import (
     RetryPolicy,
     ShardFailure,
     ShardTimeoutError,
-    call_with_retry,
 )
 
 Item = TypeVar("Item")
@@ -52,7 +53,26 @@ Partial = TypeVar("Partial")
 Result = TypeVar("Result")
 
 #: Accepted executor names.
-EXECUTORS = ("serial", "thread", "process")
+EXECUTORS = ("serial", "process")
+
+
+class _InlineExecutor:
+    """The serial executor: ``submit`` runs the call on the spot and
+    returns its already finished :class:`Future`."""
+
+    def __enter__(self) -> "_InlineExecutor":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        return None
+
+    def submit(self, fn: Callable, *args) -> Future:
+        future: Future = Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as error:
+            future.set_exception(error)
+        return future
 
 
 @dataclass
@@ -62,28 +82,37 @@ class MapReduceJob(Generic[Item, Partial, Result]):
     Parameters
     ----------
     mapper:
-        Turns one shard (an iterable of items) into a partial result.
+        Called as ``mapper(shard, attempt)`` with the 1-based attempt
+        number; turns one shard (an iterable of items) into a partial
+        result. Only the executor knows the attempt count, and on the
+        ``process`` executor the workers share no memory with the
+        coordinator, so anything attempt-dependent (e.g. flaky fault
+        injection) receives the number through the task itself.
     reducer:
         Folds a sequence of partial results into the final result.
     n_workers:
-        Simulated cluster width; with a non-serial executor, also the
-        pool size. Must be at least 1.
+        Simulated cluster width; with the process executor, also the
+        pool size and the number of attempts in flight. Must be at
+        least 1.
     executor:
         ``serial`` (default, deterministic and fastest for small
-        inputs), ``thread`` (identical dataflow on a thread pool), or
-        ``process`` (true parallelism; the mapper, the shards, and the
-        partial results must be picklable, and pool startup costs a
-        few hundred milliseconds — worth it only for large corpora).
-    parallel:
-        Back-compat alias: ``True`` selects the thread executor.
+        inputs: shard *k*, retries included, finishes before shard
+        *k+1* starts) or ``process`` (true parallelism; the mapper,
+        the shards, and the partial results must be picklable, and
+        pool startup costs a few hundred milliseconds — worth it only
+        for large corpora). A job with at most one non-empty shard
+        runs serially either way.
     retry_policy:
         Per-shard retry configuration; ``None`` keeps the historical
         fail-fast single attempt.
     shard_timeout:
-        Wall-clock budget per shard attempt, in seconds. Enforced on
-        the ``thread`` and ``process`` executors (a timed-out attempt
-        counts as a retryable :class:`ShardTimeoutError`); the serial
-        executor cannot preempt a running mapper and ignores it.
+        Wall-clock budget per shard attempt, in seconds, counted from
+        the attempt's dispatch to a worker. Process executor only: a
+        timed-out attempt counts as a retryable
+        :class:`ShardTimeoutError`, but it is abandoned, not killed —
+        it keeps its worker until it returns, and ``run`` still waits
+        for it before returning. The serial executor cannot preempt a
+        running mapper and ignores the setting.
     skip_failed_shards:
         When true, a shard that fails after all attempts is recorded
         in the health ledger and dropped; the job continues on the
@@ -92,38 +121,27 @@ class MapReduceJob(Generic[Item, Partial, Result]):
     shard_observer:
         Optional callback ``(shard_id, seconds, attempts)`` fired when
         a shard succeeds, with the wall-clock latency of its whole
-        attempt chain (first submission to success, retries and
-        backoff included). The pipeline runner wires this into the
-        metrics registry's per-shard latency histogram; it lives here
-        because only the executor can see the full chain — a worker
-        timing itself would miss queueing, retries, and timeouts.
-    pass_attempt:
-        When true, the mapper is called as ``mapper(shard, attempt)``
-        with the 1-based attempt number instead of ``mapper(shard)``.
-        Only the executor knows the attempt count, and on the
-        ``process`` executor the workers share no memory with the
-        coordinator — anything attempt-dependent (e.g. flaky fault
-        injection) must receive the number through the task itself.
+        attempt chain (first dispatch to success, retries and backoff
+        included). The pipeline runner wires this into the metrics
+        registry's per-shard latency histogram; it lives here because
+        only the executor can see the full chain — a worker timing
+        itself would miss queueing, retries, and timeouts.
 
     Empty shards are never dispatched to the mapper: they contribute
-    nothing to the reduction and, on a pooled executor, would only pay
-    scheduling overhead. The skip is counted in the health ledger.
+    nothing to the reduction and, on a pool, would only pay scheduling
+    overhead. The skip is counted in the health ledger.
     """
 
-    mapper: Callable[[Sequence[Item]], Partial]
+    mapper: Callable[[Sequence[Item], int], Partial]
     reducer: Callable[[Sequence[Partial]], Result]
     n_workers: int = 4
     executor: str = "serial"
-    parallel: bool = False
     retry_policy: RetryPolicy | None = None
     shard_timeout: float | None = None
     skip_failed_shards: bool = False
     shard_observer: Callable[[int, float, int], None] | None = None
-    pass_attempt: bool = False
 
     def __post_init__(self) -> None:
-        if self.parallel and self.executor == "serial":
-            self.executor = "thread"
         if self.executor not in EXECUTORS:
             raise ValueError(
                 f"executor must be one of {EXECUTORS}, "
@@ -156,12 +174,6 @@ class MapReduceJob(Generic[Item, Partial, Result]):
             stage.bump("partials", len(partials))
         return result
 
-    def _observe_shard(
-        self, index: int, seconds: float, attempts: int
-    ) -> None:
-        if self.shard_observer is not None:
-            self.shard_observer(index, seconds, attempts)
-
     # ------------------------------------------------------------------
     # Mapping with retries, timeouts, and shard quarantine
     # ------------------------------------------------------------------
@@ -176,139 +188,78 @@ class MapReduceJob(Generic[Item, Partial, Result]):
             if len(shard) > 0
         ]
         health.empty_shards += len(shards) - len(live)
-        if self.executor == "serial" or len(live) <= 1:
-            return self._map_serial(live, health)
-        return self._map_pooled(live, health)
-
-    def _map_serial(
-        self,
-        live: list[tuple[int, Sequence[Item]]],
-        health: PipelineHealth,
-    ) -> list[Partial]:
         policy = self.retry_policy or NO_RETRY
-        results: list[Partial] = []
-        for index, shard in live:
-            attempts = 0
-            chain_started = time.perf_counter()
-
-            def attempt(shard=shard):
-                nonlocal attempts
-                attempts += 1
-                if self.pass_attempt:
-                    return self.mapper(shard, attempts)
-                return self.mapper(shard)
-
-            def count_retry(_attempt, _error):
-                health.retries += 1
-
-            try:
-                results.append(
-                    call_with_retry(
-                        attempt, policy, key=index, on_retry=count_retry
-                    )
-                )
-                self._observe_shard(
-                    index,
-                    time.perf_counter() - chain_started,
-                    attempts,
-                )
-            except Exception as error:
-                if not self.skip_failed_shards:
-                    raise
-                health.failed_shards.append(
-                    ShardFailure(
-                        shard_id=index,
-                        attempts=attempts,
-                        error=f"{type(error).__name__}: {error}",
-                    )
-                )
-        return results
-
-    def _map_pooled(
-        self,
-        live: list[tuple[int, Sequence[Item]]],
-        health: PipelineHealth,
-    ) -> list[Partial]:
-        policy = self.retry_policy or NO_RETRY
-        pool_cls = (
-            ThreadPoolExecutor
-            if self.executor == "thread"
-            else ProcessPoolExecutor
-        )
-        results: dict[int, Partial] = {}
+        inline = self.executor == "serial" or len(live) <= 1
+        width = 1 if inline else self.n_workers
+        timeout = None if inline else self.shard_timeout
+        # Attempts waiting for a slot, in dispatch order; a retry goes
+        # to the front, so serially a shard's whole chain runs before
+        # the next shard's first attempt.
+        queue = deque((index, shard, 1) for index, shard in live)
+        running: dict[
+            Future, tuple[int, Sequence[Item], int, float]
+        ] = {}
+        # Timed-out attempts still hold their worker until they return.
+        abandoned: set[Future] = set()
         chain_started: dict[int, float] = {}
-        with pool_cls(max_workers=self.n_workers) as pool:
-            pending: dict[Future, tuple[int, Sequence[Item], int]] = {}
-            deadlines: dict[Future, float] = {}
-
-            def submit(index, shard, attempt):
-                chain_started.setdefault(index, time.perf_counter())
-                if self.pass_attempt:
+        results: dict[int, Partial] = {}
+        pool = (
+            _InlineExecutor()
+            if inline
+            else ProcessPoolExecutor(max_workers=self.n_workers)
+        )
+        with pool:
+            while queue or running:
+                while queue and len(running) + len(abandoned) < width:
+                    index, shard, attempt = queue.popleft()
+                    chain_started.setdefault(
+                        index, time.perf_counter()
+                    )
                     future = pool.submit(self.mapper, shard, attempt)
-                else:
-                    future = pool.submit(self.mapper, shard)
-                pending[future] = (index, shard, attempt)
-                if self.shard_timeout is not None:
-                    deadlines[future] = (
-                        time.monotonic() + self.shard_timeout
+                    deadline = (
+                        time.monotonic() + timeout
+                        if timeout is not None
+                        else float("inf")
                     )
-
-            for index, shard in live:
-                submit(index, shard, 1)
-
-            while pending:
-                wait_timeout = None
-                if deadlines:
-                    wait_timeout = max(
-                        0.0,
-                        min(deadlines.values()) - time.monotonic(),
+                    running[future] = (index, shard, attempt, deadline)
+                wait_for = None
+                if timeout is not None and running:
+                    earliest = min(
+                        entry[3] for entry in running.values()
                     )
+                    wait_for = max(0.0, earliest - time.monotonic())
                 done, _ = wait(
-                    set(pending),
-                    timeout=wait_timeout,
+                    [*running, *abandoned],
+                    timeout=wait_for,
                     return_when=FIRST_COMPLETED,
                 )
+                abandoned -= done
                 now = time.monotonic()
-                finished: list[tuple[Future, BaseException | None]] = [
-                    (future, None) for future in done
-                ]
-                if self.shard_timeout is not None:
-                    for future in list(pending):
-                        if future in done:
-                            continue
-                        if deadlines.get(future, now) <= now:
-                            finished.append(
-                                (
-                                    future,
-                                    ShardTimeoutError(
-                                        "shard attempt exceeded "
-                                        f"{self.shard_timeout}s"
-                                    ),
-                                )
-                            )
-                for future, timeout_error in finished:
-                    index, shard, attempt = pending.pop(future)
-                    deadlines.pop(future, None)
-                    if timeout_error is not None:
-                        # A timed-out thread cannot be interrupted;
-                        # cancel() stops it only if still queued. Its
-                        # eventual result is discarded either way.
-                        future.cancel()
-                        error: BaseException = timeout_error
-                    else:
-                        try:
-                            partial = future.result()
-                        except Exception as raised:
-                            error = raised
-                        else:
-                            results[index] = partial
-                            self._observe_shard(
+                finished = sorted(
+                    (
+                        future
+                        for future, entry in running.items()
+                        if future in done or entry[3] <= now
+                    ),
+                    key=lambda future: running[future][0],
+                )
+                for future in finished:
+                    index, shard, attempt, _ = running.pop(future)
+                    if future not in done:
+                        abandoned.add(future)
+                        error: BaseException = ShardTimeoutError(
+                            f"shard attempt exceeded {timeout}s"
+                        )
+                    elif (error := future.exception()) is None:
+                        results[index] = future.result()
+                        if self.shard_observer is not None:
+                            self.shard_observer(
                                 index,
                                 time.perf_counter()
                                 - chain_started[index],
                                 attempt,
                             )
-                            continue
+                        continue
                     if attempt < policy.max_attempts and (
                         policy.is_retryable(error)
                     ):
@@ -316,7 +267,7 @@ class MapReduceJob(Generic[Item, Partial, Result]):
                         pause = policy.delay(attempt, index)
                         if pause > 0:
                             time.sleep(pause)
-                        submit(index, shard, attempt + 1)
+                        queue.appendleft((index, shard, attempt + 1))
                     elif self.skip_failed_shards:
                         health.failed_shards.append(
                             ShardFailure(

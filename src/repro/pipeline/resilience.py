@@ -19,16 +19,11 @@ single-machine executor uses to reproduce that operational posture:
 from __future__ import annotations
 
 import random
-import time
-from collections.abc import Callable
 from dataclasses import dataclass, field
-from typing import TypeVar
 
 from ..core.errors import ReproError
 from ..extraction.provenance import ProvenanceLedger
 from ..extraction.statement import EvidenceCounter
-
-T = TypeVar("T")
 
 #: How much quarantined document text is kept for post-mortems.
 DEAD_LETTER_TEXT_LIMIT = 120
@@ -101,35 +96,6 @@ NO_RETRY = RetryPolicy(max_attempts=1, base_delay=0.0, jitter=0.0)
 
 #: Default for the pipeline runner: three attempts, short backoff.
 DEFAULT_RETRY_POLICY = RetryPolicy(max_attempts=3, base_delay=0.02)
-
-
-def call_with_retry(
-    fn: Callable[[], T],
-    policy: RetryPolicy,
-    *,
-    key: int = 0,
-    sleep: Callable[[float], None] = time.sleep,
-    on_retry: Callable[[int, BaseException], None] | None = None,
-) -> T:
-    """Run ``fn`` under ``policy``; raise the last error when exhausted.
-
-    ``on_retry(attempt, error)`` fires before each re-attempt, letting
-    callers count retries in their health ledger.
-    """
-    for attempt in range(1, policy.max_attempts + 1):
-        try:
-            return fn()
-        except BaseException as error:
-            if attempt >= policy.max_attempts or not policy.is_retryable(
-                error
-            ):
-                raise
-            if on_retry is not None:
-                on_retry(attempt, error)
-            pause = policy.delay(attempt, key)
-            if pause > 0:
-                sleep(pause)
-    raise AssertionError("unreachable")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

@@ -49,20 +49,11 @@ from ..core.surveyor import (
 from ..corpus.document import CorpusShard, WebCorpus
 from ..extraction.extractor import EvidenceExtractor
 from ..extraction.patterns import DEFAULT_PATTERNS, PatternConfig
-from ..extraction.provenance import (
-    ProvenanceIndex,
-    ProvenanceLedger,
-    provenance_default,
-)
+from ..extraction.provenance import ProvenanceIndex, ProvenanceLedger
 from ..extraction.statement import EvidenceCounter
 from ..kb.knowledge_base import KnowledgeBase
 from ..nlp.annotate import Annotator
-from ..nlp.prefilter import (
-    DEFAULT_MEMO_SIZE,
-    SentencePrefilter,
-    fast_path_default,
-    strict_parity_default,
-)
+from ..nlp.prefilter import DEFAULT_MEMO_SIZE, SentencePrefilter
 from ..obs.convergence import (
     CONVERGENCE_BASENAME,
     ConvergenceRecord,
@@ -167,8 +158,10 @@ class SurveyorPipeline:
         Per-shard retry configuration (defaults to three attempts with
         short seeded backoff).
     shard_timeout:
-        Wall-clock budget per shard attempt; enforced on the pooled
-        executors.
+        Wall-clock budget per shard attempt, counted from its dispatch
+        to a worker. Process executor only: a timed-out attempt is
+        abandoned (and retried), not killed, so the run still waits
+        for it to return. The serial executor ignores the setting.
     strict:
         Fail fast: per-document exceptions propagate and a failed
         shard aborts the run, as before the resilience layer existed.
@@ -184,16 +177,15 @@ class SurveyorPipeline:
     ---------------
     fast_path:
         Run extraction through the prefilter+memo fast path
-        (:mod:`repro.nlp.prefilter`). ``None`` defers to
-        ``REPRO_FAST_PATH`` (default on); output is bit-identical to
-        the reference path either way. The prefilter automaton is
+        (:mod:`repro.nlp.prefilter`; default on). Output is
+        bit-identical to the reference path either way. The prefilter automaton is
         compiled once in the parent and shipped to workers with the
         pickled pipeline — once per shard, never per document.
     provenance:
         Capture bounded-sample evidence lineage per (entity,
         property) pair during extraction (see
-        :mod:`repro.extraction.provenance`). ``None`` defers to
-        ``REPRO_PROVENANCE`` (default on). Ledgers ride back on each
+        :mod:`repro.extraction.provenance`; default on). Ledgers ride
+        back on each
         shard's result, persist into shard checkpoints, and merge in
         shard order; the report links the merged ledger to the run's
         fits and convergence records as a
@@ -201,9 +193,9 @@ class SurveyorPipeline:
     strict_parity:
         Map every shard through *both* paths and raise
         :class:`~repro.core.errors.ParityError` on any divergence in
-        statements, evidence counts, or linker/extraction statistics.
-        ``None`` defers to ``REPRO_STRICT_PARITY`` (default off). Used
-        by CI and the differential tests; roughly doubles map cost.
+        statements, evidence counts, or linker/extraction statistics
+        (default off). Used by CI and the differential tests; roughly
+        doubles map cost.
         Parity runs are fail-fast at the shard level (no retries, no
         shard skipping): a divergence is deterministic, so resilience
         machinery would only bury it.
@@ -226,7 +218,6 @@ class SurveyorPipeline:
     pattern_config: PatternConfig = DEFAULT_PATTERNS
     occurrence_threshold: int = DEFAULT_OCCURRENCE_THRESHOLD
     n_workers: int = 4
-    parallel: bool = False
     executor: str = "serial"
     learner: EMLearner = field(default_factory=EMLearner)
     retry_policy: RetryPolicy | None = None
@@ -236,31 +227,13 @@ class SurveyorPipeline:
     fault_injector: FaultInjector | None = None
     tracer: Tracer | None = None
     registry: MetricsRegistry | None = None
-    fast_path: bool | None = None
-    strict_parity: bool | None = None
-    provenance: bool | None = None
+    fast_path: bool = True
+    strict_parity: bool = False
+    provenance: bool = True
     annotation_memo_size: int = DEFAULT_MEMO_SIZE
     _prefilter: SentencePrefilter | None = field(
         init=False, default=None, repr=False
     )
-
-    @property
-    def _fast(self) -> bool:
-        if self.fast_path is None:
-            return fast_path_default()
-        return self.fast_path
-
-    @property
-    def _parity(self) -> bool:
-        if self.strict_parity is None:
-            return strict_parity_default()
-        return self.strict_parity
-
-    @property
-    def _provenance(self) -> bool:
-        if self.provenance is None:
-            return provenance_default()
-        return self.provenance
 
     @property
     def _tracing(self) -> bool:
@@ -408,7 +381,7 @@ class SurveyorPipeline:
     ) -> tuple[EvidenceCounter, ProvenanceLedger | None]:
         health = metrics.health
         registry = self.registry
-        if self._fast and self._prefilter is None:
+        if self.fast_path and self._prefilter is None:
             # Compiled once here in the parent; workers receive it with
             # the pickled pipeline — per shard, never per document.
             self._prefilter = SentencePrefilter.from_kb(self.kb)
@@ -450,20 +423,20 @@ class SurveyorPipeline:
                 reducer=list,
                 n_workers=self.n_workers,
                 executor=self.executor,
-                parallel=self.parallel,
                 # Parity runs are fail-fast like strict ones: a
                 # ParityError is deterministic, so retrying the shard
                 # or skipping it would bury a soundness violation.
                 retry_policy=self.retry_policy
                 or (
                     NO_RETRY
-                    if self.strict or self._parity
+                    if self.strict or self.strict_parity
                     else DEFAULT_RETRY_POLICY
                 ),
                 shard_timeout=self.shard_timeout,
-                skip_failed_shards=not (self.strict or self._parity),
+                skip_failed_shards=not (
+                    self.strict or self.strict_parity
+                ),
                 shard_observer=observe_shard,
-                pass_attempt=True,
             )
             fresh = job.run(pending, metrics)
             if run_dir is not None:
@@ -475,7 +448,7 @@ class SurveyorPipeline:
             else None
         )
         evidence = EvidenceCounter()
-        ledger = ProvenanceLedger() if self._provenance else None
+        ledger = ProvenanceLedger() if self.provenance else None
         map_stage = metrics.stage("map")
         for part in sorted(
             [*resumed, *fresh], key=lambda p: p.shard_id
@@ -571,7 +544,7 @@ class SurveyorPipeline:
             )
 
     def _map_shard(
-        self, shard: CorpusShard, attempt: int = 1
+        self, shard: CorpusShard, attempt: int
     ) -> ShardEvidence:
         """One worker: annotate and extract a shard of documents.
 
@@ -583,10 +556,9 @@ class SurveyorPipeline:
         executor's retry loop. On success the shard checkpoints its
         own output, so a later resume skips it.
 
-        ``attempt`` is the executor's 1-based attempt number
-        (``pass_attempt=True`` on the job); the fault injector needs
-        it to make flaky-then-succeed decisions that survive the
-        ``process`` executor's memory isolation.
+        ``attempt`` is the executor's 1-based attempt number; the
+        fault injector needs it to make flaky-then-succeed decisions
+        that survive the ``process`` executor's memory isolation.
 
         The worker also traces itself (shard and document spans) and
         counts its work; both ride back on the returned
@@ -596,7 +568,7 @@ class SurveyorPipeline:
         injector = self.fault_injector
         if injector is not None:
             injector.on_shard_start(shard.shard_id, attempt)
-        fast = self._fast
+        fast = self.fast_path
         annotator = Annotator(
             self.kb,
             fast_path=fast,
@@ -606,10 +578,10 @@ class SurveyorPipeline:
         extractor = EvidenceExtractor(
             config=self.pattern_config,
             provenance=(
-                ProvenanceLedger() if self._provenance else None
+                ProvenanceLedger() if self.provenance else None
             ),
         )
-        parity = self._parity
+        parity = self.strict_parity
         if parity:
             # The reference extractor gets no ledger: lineage is not
             # part of the statement-equality contract, and a second
@@ -783,10 +755,11 @@ class SurveyorPipeline:
             loaded_id, counter, letters, ledger = (
                 load_shard_checkpoint(path)
             )
-        except CheckpointError:
-            health.corrupt_checkpoints += 1
-            path.unlink(missing_ok=True)
-            return None
+            dead_letters = tuple(
+                DeadLetter.from_dict(letter) for letter in letters
+            )
+        except (CheckpointError, KeyError):
+            loaded_id = None
         if loaded_id != shard_id:
             health.corrupt_checkpoints += 1
             path.unlink(missing_ok=True)
@@ -795,8 +768,6 @@ class SurveyorPipeline:
         return ShardEvidence(
             shard_id=shard_id,
             counter=counter,
-            dead_letters=tuple(
-                DeadLetter.from_dict(letter) for letter in letters
-            ),
+            dead_letters=dead_letters,
             provenance=ledger,
         )

@@ -16,7 +16,7 @@ import os
 from pathlib import Path
 from typing import Any
 
-from ..core.errors import CheckpointError
+from ..core.errors import CheckpointError, ReproError
 from ..core.params import ModelParameters
 from ..core.result import OpinionTable
 from ..core.types import (
@@ -38,8 +38,20 @@ from ..kb.knowledge_base import KnowledgeBase
 FORMAT_VERSION = 1
 
 
-class FormatError(ValueError):
-    """Raised when a payload does not match the expected format."""
+class FormatError(ReproError, ValueError):
+    """Raised when a payload does not match the expected format.
+
+    Subclasses :class:`ValueError` for backwards compatibility, as
+    :class:`~repro.core.errors.ModelFitError` does.
+    """
+
+
+#: What a decoder raises when a field holds the wrong shape of value
+#: (a missing key, a string where a number belongs, ...). The entry
+#: points convert these to :class:`FormatError`.
+_MALFORMED = (
+    LookupError, TypeError, ValueError, AttributeError, ArithmeticError,
+)
 
 
 def _check_version(payload: dict, kind: str) -> None:
@@ -377,9 +389,9 @@ def shard_checkpoint_from_dict(
         # shard contributes no samples.
         raw = payload.get("provenance")
         ledger = ledger_from_dict(raw) if raw is not None else None
-    except (KeyError, TypeError, ValueError) as error:
+    except _MALFORMED as error:
         raise CheckpointError(
-            f"malformed shard checkpoint: {error}"
+            f"malformed shard checkpoint: {error!r}"
         ) from error
     return shard_id, counter, dead_letters, ledger
 
@@ -540,11 +552,21 @@ def save(obj: Any, path: str | Path) -> Path:
 
 def load(path: str | Path) -> Any:
     """Load any artefact saved by :func:`save`; dispatches on the
-    embedded format tag."""
+    embedded format tag. A payload that does not decode raises
+    :class:`FormatError` (:class:`CheckpointError` for a shard
+    checkpoint), never a bare ``KeyError``/``TypeError``."""
     payload = json.loads(Path(path).read_text())
     if not isinstance(payload, dict) or "format" not in payload:
         raise FormatError(f"{path}: not a repro artefact")
-    loader = _LOADERS.get(payload["format"])
+    kind = payload["format"]
+    loader = _LOADERS.get(kind) if isinstance(kind, str) else None
     if loader is None:
-        raise FormatError(f"unknown format {payload['format']!r}")
-    return loader(payload)
+        raise FormatError(f"unknown format {kind!r}")
+    try:
+        return loader(payload)
+    except ReproError:
+        raise
+    except _MALFORMED as error:
+        raise FormatError(
+            f"{path}: malformed {kind} artefact: {error!r}"
+        ) from error

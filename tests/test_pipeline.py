@@ -28,17 +28,21 @@ class TestShardItems:
             shard_items([1], 0)
 
 
+def _count_words(shard, attempt):
+    return sum(len(s.split()) for s in shard)
+
+
 class TestMapReduceJob:
-    def word_count_job(self, parallel: bool) -> MapReduceJob:
+    def word_count_job(self, executor: str = "serial") -> MapReduceJob:
         return MapReduceJob(
-            mapper=lambda shard: sum(len(s.split()) for s in shard),
-            reducer=lambda partials: sum(partials),
+            mapper=_count_words,
+            reducer=sum,
             n_workers=3,
-            parallel=parallel,
+            executor=executor,
         )
 
     def test_sequential_word_count(self):
-        job = self.word_count_job(parallel=False)
+        job = self.word_count_job()
         shards = shard_items(
             ["a b c", "d e", "f", "g h i j"], 3
         )
@@ -46,13 +50,13 @@ class TestMapReduceJob:
 
     def test_parallel_equals_sequential(self):
         shards = shard_items([f"w{i} w{i}" for i in range(20)], 4)
-        sequential = self.word_count_job(parallel=False).run(shards)
-        parallel = self.word_count_job(parallel=True).run(shards)
+        sequential = self.word_count_job().run(shards)
+        parallel = self.word_count_job("process").run(shards)
         assert sequential == parallel == 40
 
     def test_metrics_recorded(self):
         metrics = PipelineMetrics()
-        job = self.word_count_job(parallel=False)
+        job = self.word_count_job()
         job.run(shard_items(["a b", "c"], 2), metrics)
         assert metrics.stage("map").counters["shards"] == 2
         assert metrics.stage("map").counters["items"] == 2
@@ -61,7 +65,7 @@ class TestMapReduceJob:
 
     def test_metrics_report_readable(self):
         metrics = PipelineMetrics()
-        job = self.word_count_job(parallel=False)
+        job = self.word_count_job()
         job.run(shard_items(["a"], 1), metrics)
         report = metrics.report()
         assert "map" in report
@@ -104,10 +108,10 @@ class TestSurveyorPipeline:
     def test_parallel_run_equals_sequential(self, small_kb, cute_scenario):
         corpus = CorpusGenerator(seed=22).generate(cute_scenario)
         sequential = SurveyorPipeline(
-            kb=small_kb, occurrence_threshold=10, parallel=False
+            kb=small_kb, occurrence_threshold=10
         ).run(corpus)
         parallel = SurveyorPipeline(
-            kb=small_kb, occurrence_threshold=10, parallel=True,
+            kb=small_kb, occurrence_threshold=10, executor="process",
             n_workers=4,
         ).run(corpus)
         key = PropertyTypeKey(SubjectiveProperty("cute"), "animal")
@@ -155,16 +159,11 @@ class TestSurveyorPipeline:
 
         import pytest
 
-        with pytest.raises(ValueError):
-            MapReduceJob(
-                mapper=len, reducer=sum, executor="quantum"
-            )
-
-    def test_parallel_alias_selects_thread(self):
-        from repro.pipeline import MapReduceJob
-
-        job = MapReduceJob(mapper=len, reducer=sum, parallel=True)
-        assert job.executor == "thread"
+        for executor in ("quantum", "thread"):
+            with pytest.raises(ValueError):
+                MapReduceJob(
+                    mapper=len, reducer=sum, executor=executor
+                )
 
 
 class TestTimedStage:
@@ -231,19 +230,6 @@ class TestObservabilityIntegration:
                 "statements_positive", "statements_negative",
             )
         }
-
-    def test_worker_counters_survive_thread_pool(
-        self, small_kb, cute_scenario
-    ):
-        serial, _, _ = self.run_with_executor(
-            small_kb, cute_scenario, "serial"
-        )
-        threaded, _, _ = self.run_with_executor(
-            small_kb, cute_scenario, "thread"
-        )
-        expected = self.worker_counters(serial)
-        assert expected["documents"] > 0
-        assert self.worker_counters(threaded) == expected
 
     @pytest.mark.trace
     def test_worker_counters_survive_process_pool(

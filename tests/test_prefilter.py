@@ -27,15 +27,11 @@ from repro.kb import Entity, KnowledgeBase
 from repro.nlp import POS, Annotator, tag, tokenize, tokenize_document
 from repro.nlp.prefilter import (
     COREF_PRONOUNS,
-    FAST_PATH_ENV,
-    STRICT_PARITY_ENV,
     AhoCorasick,
     AnnotationMemo,
     SentencePrefilter,
     alias_patterns,
     could_be_adjective,
-    fast_path_default,
-    strict_parity_default,
 )
 from repro.pipeline import SurveyorPipeline
 
@@ -193,28 +189,17 @@ class TestAnnotationMemo:
 
 
 class TestEnvDefaults:
-    def test_fast_path_on_by_default(self, monkeypatch):
-        monkeypatch.delenv(FAST_PATH_ENV, raising=False)
-        assert fast_path_default() is True
+    """Defaults are plain field values; the environment variables that
+    used to override them are no longer read."""
 
-    @pytest.mark.parametrize("value", ["0", "false", "no", "off", ""])
-    def test_fast_path_falsey_values(self, monkeypatch, value):
-        monkeypatch.setenv(FAST_PATH_ENV, value)
-        assert fast_path_default() is False
+    def test_fast_path_on_by_default(self, small_kb, monkeypatch):
+        monkeypatch.setenv("REPRO_FAST_PATH", "0")
+        assert Annotator(small_kb, share_memo=False).fast_path is True
+        assert SurveyorPipeline(kb=small_kb).fast_path is True
 
-    def test_fast_path_truthy_value(self, monkeypatch):
-        monkeypatch.setenv(FAST_PATH_ENV, "1")
-        assert fast_path_default() is True
-
-    def test_strict_parity_off_by_default(self, monkeypatch):
-        monkeypatch.delenv(STRICT_PARITY_ENV, raising=False)
-        assert strict_parity_default() is False
-
-    def test_strict_parity_env_enables(self, monkeypatch):
-        monkeypatch.setenv(STRICT_PARITY_ENV, "1")
-        assert strict_parity_default() is True
-        monkeypatch.setenv(STRICT_PARITY_ENV, "off")
-        assert strict_parity_default() is False
+    def test_strict_parity_off_by_default(self, small_kb, monkeypatch):
+        monkeypatch.setenv("REPRO_STRICT_PARITY", "1")
+        assert SurveyorPipeline(kb=small_kb).strict_parity is False
 
 
 class TestFastPathStats:

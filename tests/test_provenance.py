@@ -17,12 +17,8 @@ from repro.extraction import (
     ProvenanceIndex,
     ProvenanceLedger,
     ProvenanceSample,
-    provenance_default,
 )
-from repro.extraction.provenance import (
-    MAX_SENTENCE_CHARS,
-    PROVENANCE_ENV,
-)
+from repro.extraction.provenance import MAX_SENTENCE_CHARS
 from repro.nlp import reset_shared_annotation_state
 from repro.pipeline import SurveyorPipeline
 from repro.storage import (
@@ -154,14 +150,6 @@ class TestProvenanceLedger:
         with pytest.raises(ValueError):
             ProvenanceLedger(samples_per_polarity=0)
 
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv(PROVENANCE_ENV, raising=False)
-        assert provenance_default() is True
-        monkeypatch.setenv(PROVENANCE_ENV, "0")
-        assert provenance_default() is False
-        monkeypatch.setenv(PROVENANCE_ENV, "yes")
-        assert provenance_default() is True
-
 
 @pytest.fixture()
 def mined(small_kb, cute_scenario):
@@ -212,16 +200,18 @@ class TestPipelineLineage:
     def test_off_switch_and_env_gate(
         self, small_kb, cute_scenario, monkeypatch
     ):
+        """``provenance=False`` is the one off switch: the environment
+        variable that used to gate capture is no longer read."""
         corpus = CorpusGenerator(seed=21).generate(cute_scenario)
         off = SurveyorPipeline(
             kb=small_kb, occurrence_threshold=10, provenance=False
         ).run(corpus)
         assert off.provenance is None
-        monkeypatch.setenv(PROVENANCE_ENV, "0")
-        gated = SurveyorPipeline(
+        monkeypatch.setenv("REPRO_PROVENANCE", "0")
+        on = SurveyorPipeline(
             kb=small_kb, occurrence_threshold=10
         ).run(corpus)
-        assert gated.provenance is None
+        assert on.provenance is not None
 
     def test_cold_and_warm_runs_byte_identical(
         self, small_kb, cute_scenario
@@ -247,16 +237,16 @@ class TestPipelineLineage:
     ):
         corpus = CorpusGenerator(seed=21).generate(cute_scenario)
 
-        def run(parallel):
+        def run(executor):
             report = SurveyorPipeline(
                 kb=small_kb,
                 occurrence_threshold=10,
                 n_workers=3,
-                parallel=parallel,
+                executor=executor,
             ).run(corpus)
             return provenance_to_dict(report.provenance)
 
-        assert run(False) == run(True)
+        assert run("serial") == run("process")
 
 
 class TestSidecarRoundTrip:

@@ -27,7 +27,6 @@ from repro.pipeline import (
     RetryPolicy,
     ShardTimeoutError,
     SurveyorPipeline,
-    call_with_retry,
     shard_items,
 )
 from repro.storage import load_shard_checkpoint, save
@@ -35,8 +34,33 @@ from repro.storage import load_shard_checkpoint, save
 CUTE_ANIMAL = PropertyTypeKey(SubjectiveProperty("cute"), "animal")
 
 
+# Process-executor mappers live at module level so workers can unpickle
+# them; each is called as ``mapper(shard, attempt)``.
+def _sum_unless_two(shard, attempt):
+    if 2 in shard:
+        raise RuntimeError("always down")
+    return sum(shard)
+
+
+def _len_after_slow(shard, attempt):
+    if "slow" in shard:
+        time.sleep(0.3)
+    return len(shard)
+
+
+def _len_after_nap(shard, attempt):
+    time.sleep(0.3)
+    return len(shard)
+
+
+def _single_shard_job(mapper, policy):
+    return MapReduceJob(
+        mapper=mapper, reducer=sum, retry_policy=policy
+    )
+
+
 # ---------------------------------------------------------------------------
-# RetryPolicy / call_with_retry
+# RetryPolicy under the executor's retry loop
 # ---------------------------------------------------------------------------
 
 class TestRetryPolicy:
@@ -69,36 +93,34 @@ class TestRetryPolicy:
         assert first != policy.delay(1, key=8)
 
     def test_succeeds_after_transient_failures(self):
-        calls = {"n": 0}
+        attempts = []
 
-        def flaky():
-            calls["n"] += 1
-            if calls["n"] < 3:
+        def flaky(shard, attempt):
+            attempts.append(attempt)
+            if attempt < 3:
                 raise RuntimeError("transient")
-            return "ok"
+            return sum(shard)
 
         policy = RetryPolicy(max_attempts=3, base_delay=0.0, jitter=0.0)
-        retries = []
-        value = call_with_retry(
-            flaky, policy,
-            on_retry=lambda attempt, error: retries.append(attempt),
-        )
-        assert value == "ok"
-        assert retries == [1, 2]
+        metrics = PipelineMetrics()
+        job = _single_shard_job(flaky, policy)
+        assert job.run([[5]], metrics) == 5
+        assert attempts == [1, 2, 3]
+        assert metrics.health.retries == 2
 
     def test_exhaustion_raises_last_error(self):
-        def always():
-            raise RuntimeError("permanent")
+        def always(shard, attempt):
+            raise RuntimeError(f"permanent {attempt}")
 
         policy = RetryPolicy(max_attempts=2, base_delay=0.0, jitter=0.0)
-        with pytest.raises(RuntimeError, match="permanent"):
-            call_with_retry(always, policy)
+        with pytest.raises(RuntimeError, match="permanent 2"):
+            _single_shard_job(always, policy).run([[1]])
 
     def test_non_retryable_raises_immediately(self):
-        calls = {"n": 0}
+        attempts = []
 
-        def fails():
-            calls["n"] += 1
+        def fails(shard, attempt):
+            attempts.append(attempt)
             raise KeyError("not retryable")
 
         policy = RetryPolicy(
@@ -106,8 +128,8 @@ class TestRetryPolicy:
             retryable=(RuntimeError,),
         )
         with pytest.raises(KeyError):
-            call_with_retry(fails, policy)
-        assert calls["n"] == 1
+            _single_shard_job(fails, policy).run([[1]])
+        assert attempts == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +150,7 @@ class TestMapReduceResilience:
     def test_empty_shards_not_dispatched(self):
         seen = []
 
-        def mapper(shard):
+        def mapper(shard, attempt):
             seen.append(list(shard))
             return len(shard)
 
@@ -140,12 +162,11 @@ class TestMapReduceResilience:
         assert metrics.health.empty_shards == 3
 
     def test_serial_retry_then_success(self):
-        attempts = {}
+        calls = []
 
-        def mapper(shard):
-            key = tuple(shard)
-            attempts[key] = attempts.get(key, 0) + 1
-            if key == (2,) and attempts[key] == 1:
+        def mapper(shard, attempt):
+            calls.append((shard[0], attempt))
+            if shard == [2] and attempt == 1:
                 raise RuntimeError("flaky shard")
             return sum(shard)
 
@@ -158,11 +179,13 @@ class TestMapReduceResilience:
             ),
         )
         assert job.run([[1], [2], [3]], metrics) == 6
+        # Serially a shard's retries run before the next shard starts.
+        assert calls == [(1, 1), (2, 1), (2, 2), (3, 1)]
         assert metrics.health.retries == 1
         assert not metrics.health.failed_shards
 
     def test_failed_shard_skipped_and_recorded(self):
-        def mapper(shard):
+        def mapper(shard, attempt):
             if 2 in shard:
                 raise RuntimeError("poisoned")
             return sum(shard)
@@ -184,24 +207,40 @@ class TestMapReduceResilience:
         assert metrics.health.retries == 1
 
     def test_failed_shard_raises_without_skip(self):
-        def mapper(shard):
+        def mapper(shard, attempt):
             raise RuntimeError("boom")
 
         job = MapReduceJob(mapper=mapper, reducer=sum)
         with pytest.raises(RuntimeError, match="boom"):
             job.run([[1], [2]])
 
-    def test_thread_executor_retries_and_skips(self):
-        def mapper(shard):
-            if 2 in shard:
-                raise RuntimeError("always down")
+    def test_serial_failure_maps_no_later_shard(self):
+        seen = []
+
+        def mapper(shard, attempt):
+            seen.append((shard[0], attempt))
+            if shard == [2]:
+                raise RuntimeError("down")
             return sum(shard)
 
-        metrics = PipelineMetrics()
         job = MapReduceJob(
             mapper=mapper,
             reducer=sum,
-            executor="thread",
+            retry_policy=RetryPolicy(
+                max_attempts=2, base_delay=0.0, jitter=0.0
+            ),
+        )
+        with pytest.raises(RuntimeError, match="down"):
+            job.run([[1], [2], [3], [4]])
+        assert seen == [(1, 1), (2, 1), (2, 2)]
+
+    @pytest.mark.slow
+    def test_process_executor_retries_and_skips(self):
+        metrics = PipelineMetrics()
+        job = MapReduceJob(
+            mapper=_sum_unless_two,
+            reducer=sum,
+            executor="process",
             n_workers=2,
             retry_policy=RetryPolicy(
                 max_attempts=3, base_delay=0.0, jitter=0.0
@@ -213,17 +252,12 @@ class TestMapReduceResilience:
         assert [f.shard_id for f in metrics.health.failed_shards] == [1]
 
     @pytest.mark.slow
-    def test_thread_executor_shard_timeout(self):
-        def mapper(shard):
-            if "slow" in shard:
-                time.sleep(0.5)
-            return len(shard)
-
+    def test_process_executor_shard_timeout(self):
         metrics = PipelineMetrics()
         job = MapReduceJob(
-            mapper=mapper,
+            mapper=_len_after_slow,
             reducer=sum,
-            executor="thread",
+            executor="process",
             n_workers=2,
             shard_timeout=0.1,
             retry_policy=RetryPolicy(
@@ -235,6 +269,26 @@ class TestMapReduceResilience:
         failures = metrics.health.failed_shards
         assert [f.shard_id for f in failures] == [1]
         assert "ShardTimeoutError" in failures[0].error
+
+    @pytest.mark.slow
+    def test_queued_shard_deadline_starts_at_dispatch(self):
+        """Regression: every shard used to be submitted up front with
+        its deadline already running, so shards still waiting for a
+        free worker timed out before they started."""
+        metrics = PipelineMetrics()
+        job = MapReduceJob(
+            mapper=_len_after_nap,
+            reducer=sum,
+            executor="process",
+            n_workers=2,
+            shard_timeout=0.5,
+            retry_policy=RetryPolicy(
+                max_attempts=1, base_delay=0.0, jitter=0.0
+            ),
+            skip_failed_shards=True,
+        )
+        assert job.run([[i] for i in range(6)], metrics) == 6
+        assert metrics.health.failed_shards == []
 
     def test_shard_timeout_error_is_repro_error(self):
         assert issubclass(ShardTimeoutError, ReproError)
@@ -260,18 +314,18 @@ class TestFaultInjector:
 
     def test_poison_shard_always_raises(self):
         injector = FaultInjector(poison_shards=(2,))
-        injector.on_shard_start(1)
-        for _ in range(3):
+        injector.on_shard_start(1, 1)
+        for attempt in (1, 2, 3):
             with pytest.raises(InjectedFault):
-                injector.on_shard_start(2)
+                injector.on_shard_start(2, attempt)
 
     def test_flaky_shard_fails_then_succeeds(self):
         injector = FaultInjector(flaky_shards=(0,), flaky_failures=2)
         with pytest.raises(InjectedFault):
-            injector.on_shard_start(0)
+            injector.on_shard_start(0, 1)
         with pytest.raises(InjectedFault):
-            injector.on_shard_start(0)
-        injector.on_shard_start(0)  # third attempt succeeds
+            injector.on_shard_start(0, 2)
+        injector.on_shard_start(0, 3)  # third attempt succeeds
 
     def test_flaky_decision_is_stateless_with_explicit_attempt(self):
         """With the attempt number threaded through, flakiness is a
@@ -386,11 +440,7 @@ class TestPipelineFaultInjection:
 
     @pytest.mark.parametrize(
         "executor",
-        [
-            "serial",
-            "thread",
-            pytest.param("process", marks=pytest.mark.slow),
-        ],
+        ["serial", pytest.param("process", marks=pytest.mark.slow)],
     )
     def test_flaky_recovery_identical_across_executors(
         self, small_kb, corpus, executor
@@ -432,23 +482,25 @@ class TestPipelineFaultInjection:
         with pytest.raises(InjectedFault):
             pipeline.run(corpus)
 
-    def test_quarantine_survives_thread_executor(self, small_kb, corpus):
+    def test_quarantine_survives_process_executor(
+        self, small_kb, corpus
+    ):
         injector = FaultInjector(seed=7, fail_every_nth=10)
         serial = SurveyorPipeline(
             kb=small_kb, occurrence_threshold=10,
             fault_injector=injector,
         ).run(corpus)
-        threaded = SurveyorPipeline(
-            kb=small_kb, occurrence_threshold=10, executor="thread",
+        pooled = SurveyorPipeline(
+            kb=small_kb, occurrence_threshold=10, executor="process",
             n_workers=4,
             fault_injector=FaultInjector(seed=7, fail_every_nth=10),
         ).run(corpus)
         assert {d.doc_id for d in serial.health.quarantined} == {
-            d.doc_id for d in threaded.health.quarantined
+            d.doc_id for d in pooled.health.quarantined
         }
         assert (
             serial.evidence.n_statements
-            == threaded.evidence.n_statements
+            == pooled.evidence.n_statements
         )
 
 
