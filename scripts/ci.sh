@@ -33,6 +33,32 @@ python -m repro demo \
 # missing from repro.obs.metrics.CATALOG
 python -m repro stats "$OBS_DIR/trace.jsonl" \
     --metrics "$OBS_DIR/metrics.json" --validate > /dev/null
+# An artefact of the wrong kind or with non-UTF-8 bytes is one
+# "repro: error:" line and exit 2 (exit 1 means "ran fine, found
+# nothing"), never a traceback.
+printf 'Kittens are cute.\n' > "$OBS_DIR/docs.txt"
+python -m repro mine "$OBS_DIR/docs.txt" \
+    --out "$OBS_DIR/opinions.json" --threshold 1 > /dev/null 2>&1
+python -c 'import sys
+from repro.kb.seeds import evaluation_kb
+from repro.storage import save
+save(evaluation_kb(), sys.argv[1])' "$OBS_DIR/kb.json"
+printf '{"format": "caf\351"}' > "$OBS_DIR/latin1.json"
+expect_exit_2() {
+    local status=0
+    python -m repro "$@" > /dev/null 2> "$OBS_DIR/err.txt" || status=$?
+    if [ "$status" -ne 2 ] || grep -q Traceback "$OBS_DIR/err.txt"; then
+        echo "repro $*: expected exit 2 and no traceback, got $status" >&2
+        cat "$OBS_DIR/err.txt" >&2
+        exit 1
+    fi
+}
+for artefact in kb.json latin1.json; do
+    expect_exit_2 query "$OBS_DIR/$artefact" cute animal
+    expect_exit_2 diff "$OBS_DIR/opinions.json" "$OBS_DIR/$artefact"
+done
+expect_exit_2 stats "$OBS_DIR/trace.jsonl" \
+    --convergence "$OBS_DIR/opinions.json"
 
 echo "== in-bench gates (scale, serving, overhead budgets, provenance) =="
 # Each bench asserts relative figures measured in its own process:

@@ -35,7 +35,6 @@ import time
 from pathlib import Path
 
 from .core.errors import ReproError
-from .core.result import OpinionTable
 from .core.types import Polarity, PropertyTypeKey, SubjectiveProperty
 from .corpus.document import Document, WebCorpus
 from .extraction.patterns import PATTERN_VERSIONS
@@ -43,7 +42,6 @@ from .kb.knowledge_base import KnowledgeBase
 from .kb.seeds import evaluation_kb
 from .obs import (
     CATALOG,
-    ConvergenceRecord,
     MetricsRegistry,
     Tracer,
     build_manifest,
@@ -110,10 +108,7 @@ def _read_corpus(path: Path, region: str = "") -> WebCorpus:
 def _load_kb(path: str | None) -> KnowledgeBase:
     if path is None:
         return evaluation_kb()
-    kb = load(path)
-    if not isinstance(kb, KnowledgeBase):
-        raise SystemExit(f"{path} is not a knowledge-base artefact")
-    return kb
+    return load(path, "knowledge_base")
 
 
 # ---------------------------------------------------------------------------
@@ -354,9 +349,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
-    table = load(args.opinions)
-    if not isinstance(table, OpinionTable):
-        raise SystemExit(f"{args.opinions} is not an opinions artefact")
+    table = load(args.opinions, "opinions")
     try:
         key = PropertyTypeKey(
             property=SubjectiveProperty.parse(args.property),
@@ -411,9 +404,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 def cmd_ask(args: argparse.Namespace) -> int:
     from .core.query import QueryEngine, QueryError, SubjectiveQuery
 
-    table = load(args.opinions)
-    if not isinstance(table, OpinionTable):
-        raise SystemExit(f"{args.opinions} is not an opinions artefact")
+    table = load(args.opinions, "opinions")
     if args.format == "json":
         from .serve import OpinionIndex, ask_response, error_response
 
@@ -472,9 +463,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
         resolve_opinion,
     )
 
-    table = load(args.opinions)
-    if not isinstance(table, OpinionTable):
-        raise SystemExit(f"{args.opinions} is not an opinions artefact")
+    table = load(args.opinions, "opinions")
     index = OpinionIndex(table)
     provenance = load_provenance_sidecar(args.opinions)
     try:
@@ -493,26 +482,7 @@ def cmd_explain(args: argparse.Namespace) -> int:
             print(f"repro explain: {error}", file=sys.stderr)
         return 1 if error.code == "not_found" else EXIT_USAGE
     payload = explain_response(
-        args.entity,
-        key,
-        opinion,
-        index,
-        pair=(
-            provenance.for_pair(key, args.entity)
-            if provenance is not None
-            else None
-        ),
-        model=(
-            provenance.model_for(key)
-            if provenance is not None
-            else None
-        ),
-        convergence=(
-            provenance.convergence_for(key)
-            if provenance is not None
-            else None
-        ),
-        lineage_available=provenance is not None,
+        args.entity, key, opinion, index, provenance
     )
     if args.format == "json":
         print(json.dumps(payload, sort_keys=True))
@@ -571,12 +541,9 @@ def cmd_diff(args: argparse.Namespace) -> int:
     """
     from .obs.drift import compare_tables
 
-    before = load(args.before)
-    after = load(args.after)
-    for path, table in ((args.before, before), (args.after, after)):
-        if not isinstance(table, OpinionTable):
-            raise SystemExit(f"{path} is not an opinions artefact")
-    report = compare_tables(before, after)
+    report = compare_tables(
+        load(args.before, "opinions"), load(args.after, "opinions")
+    )
     if args.format == "json":
         print(json.dumps(report.to_dict(), sort_keys=True))
     else:
@@ -607,9 +574,7 @@ def _build_serve_components(
     """
     from .serve import OpinionService, load_provenance_sidecar
 
-    table = load(args.opinions)
-    if not isinstance(table, OpinionTable):
-        raise SystemExit(f"{args.opinions} is not an opinions artefact")
+    table = load(args.opinions, "opinions")
     fault_injector = None
     if args.fault_inject:
         from .serve import ServeFaultInjector
@@ -777,9 +742,7 @@ def _serve_multiworker(args: argparse.Namespace) -> int:
         supervise,
     )
 
-    table = load(args.opinions)
-    if not isinstance(table, OpinionTable):
-        raise SystemExit(f"{args.opinions} is not an opinions artefact")
+    table = load(args.opinions, "opinions")
     if args.fault_inject:
         from .serve import ServeFaultInjector
 
@@ -923,14 +886,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         embedded = payload.get("em_convergence")
         if embedded:
             print()
-            print(
-                render_convergence(
-                    [
-                        ConvergenceRecord.from_dict(row)
-                        for row in embedded
-                    ]
-                )
-            )
+            print(render_convergence(embedded))
     if args.convergence:
         print()
         print(
@@ -944,7 +900,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     from .core.calibration import fit_link
 
-    table = load(args.opinions)
+    table = load(args.opinions, "opinions")
     kb = _load_kb(args.kb)
     key = PropertyTypeKey(
         property=SubjectiveProperty.parse(args.property),

@@ -43,7 +43,16 @@ class ModelFitError(ReproError, ValueError):
     """
 
 
-class CheckpointError(ReproError):
+class FormatError(ReproError, ValueError):
+    """A JSON artefact is undecodable, malformed, or of the wrong kind.
+
+    Raised by :func:`repro.storage.serialize.load`, the one reader of
+    every artefact. Subclasses :class:`ValueError` for backwards
+    compatibility, as :class:`ModelFitError` does.
+    """
+
+
+class CheckpointError(FormatError):
     """A shard checkpoint is missing fields, corrupt, or unreadable.
 
     The pipeline treats a corrupt checkpoint as absent (the shard is

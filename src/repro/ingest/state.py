@@ -28,7 +28,6 @@ run byte for byte. The only lossy field is the EM ``parameters_path``
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
@@ -41,8 +40,7 @@ from ..extraction.extractor import ExtractionStats
 from ..extraction.provenance import ProvenanceLedger
 from ..extraction.statement import EvidenceCounter
 from ..storage.serialize import (
-    _MALFORMED,
-    FormatError,
+    FORMAT_VERSION,
     _atomic_write_json,
     _key_from_str,
     _key_to_str,
@@ -50,11 +48,10 @@ from ..storage.serialize import (
     evidence_to_dict,
     ledger_from_dict,
     ledger_to_dict,
+    load,
 )
 
 STATE_BASENAME = "state.json"
-STATE_FORMAT = "ingest_state"
-STATE_VERSION = 1
 
 
 def _fit_to_dict(fit: FittedCombination) -> dict[str, Any]:
@@ -115,8 +112,8 @@ class IngestState:
 
     def to_dict(self) -> dict[str, Any]:
         return {
-            "format": STATE_FORMAT,
-            "version": STATE_VERSION,
+            "format": "ingest_state",
+            "version": FORMAT_VERSION,
             "applied_offset": int(self.applied_offset),
             "generation": int(self.generation),
             "stats": {
@@ -142,53 +139,33 @@ class IngestState:
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "IngestState":
-        if (
-            not isinstance(payload, dict)
-            or payload.get("format") != STATE_FORMAT
-        ):
-            raise FormatError(
-                "expected format "
-                f"{STATE_FORMAT!r}, got {payload.get('format')!r}"
-                if isinstance(payload, dict)
-                else f"{STATE_FORMAT}: expected a JSON object"
-            )
-        if payload.get("version") != STATE_VERSION:
-            raise FormatError(
-                f"{STATE_FORMAT}: unsupported version "
-                f"{payload.get('version')!r}"
-            )
-        try:
-            stats_row = payload.get("stats", {})
-            raw_ledger = payload.get("ledger")
-            return cls(
-                applied_offset=int(payload["applied_offset"]),
-                generation=int(payload.get("generation", 0)),
-                evidence=evidence_from_dict(payload["evidence"]),
-                ledger=(
-                    None
-                    if raw_ledger is None
-                    else ledger_from_dict(raw_ledger)
-                ),
-                stats=ExtractionStats(
-                    documents=int(stats_row.get("documents", 0)),
-                    sentences=int(stats_row.get("sentences", 0)),
-                    statements=int(stats_row.get("statements", 0)),
-                    positive=int(stats_row.get("positive", 0)),
-                    negative=int(stats_row.get("negative", 0)),
-                ),
-                fits={
-                    (key := _key_from_str(key_text)): _fit_from_dict(
-                        key, row
-                    )
-                    for key_text, row in payload.get("fits", {}).items()
-                },
-            )
-        except FormatError:
-            raise
-        except _MALFORMED as error:
-            raise FormatError(
-                f"malformed ingest state: {error!r}"
-            ) from error
+        """Decode the payload :func:`~repro.storage.serialize.load`
+        opens (it checks the envelope and reports malformed fields)."""
+        stats_row = payload.get("stats", {})
+        raw_ledger = payload.get("ledger")
+        return cls(
+            applied_offset=int(payload["applied_offset"]),
+            generation=int(payload.get("generation", 0)),
+            evidence=evidence_from_dict(payload["evidence"]),
+            ledger=(
+                None
+                if raw_ledger is None
+                else ledger_from_dict(raw_ledger)
+            ),
+            stats=ExtractionStats(
+                documents=int(stats_row.get("documents", 0)),
+                sentences=int(stats_row.get("sentences", 0)),
+                statements=int(stats_row.get("statements", 0)),
+                positive=int(stats_row.get("positive", 0)),
+                negative=int(stats_row.get("negative", 0)),
+            ),
+            fits={
+                (key := _key_from_str(key_text)): _fit_from_dict(
+                    key, row
+                )
+                for key_text, row in payload.get("fits", {}).items()
+            },
+        )
 
 
 def state_path_for(journal_dir: str | Path) -> Path:
@@ -206,13 +183,4 @@ def load_state(journal_dir: str | Path) -> IngestState:
     path = state_path_for(journal_dir)
     if not path.exists():
         return IngestState()
-    try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as error:
-        raise FormatError(
-            f"{path}: unreadable ingest state: {error}"
-        ) from error
-    try:
-        return IngestState.from_dict(payload)
-    except FormatError as error:
-        raise FormatError(f"{path}: {error}") from error
+    return load(path, "ingest_state")

@@ -19,13 +19,11 @@ Rendering (sparklines) lives in :mod:`repro.obs.stats`.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Any
 
-CONVERGENCE_FORMAT = "em_convergence"
-CONVERGENCE_VERSION = 1
+from ..storage.serialize import FORMAT_VERSION, _atomic_write_json, load
 
 #: Filename used when records are persisted next to shard checkpoints.
 CONVERGENCE_BASENAME = "em-convergence.json"
@@ -77,17 +75,15 @@ class ConvergenceRecord:
             final_log_likelihood=float(
                 payload.get("final_log_likelihood", float("nan"))
             ),
-            log_likelihoods=tuple(
-                payload.get("log_likelihoods", ())
-            ),
-            agreement_path=tuple(payload.get("agreement_path", ())),
-            rate_positive_path=tuple(
-                payload.get("rate_positive_path", ())
-            ),
-            rate_negative_path=tuple(
-                payload.get("rate_negative_path", ())
-            ),
+            log_likelihoods=_floats(payload, "log_likelihoods"),
+            agreement_path=_floats(payload, "agreement_path"),
+            rate_positive_path=_floats(payload, "rate_positive_path"),
+            rate_negative_path=_floats(payload, "rate_negative_path"),
         )
+
+
+def _floats(payload: dict[str, Any], name: str) -> tuple[float, ...]:
+    return tuple(float(value) for value in payload.get(name, ()))
 
 
 def record_from_fit(fit: Any) -> ConvergenceRecord:
@@ -136,31 +132,31 @@ def records_to_payload(
     return [record.to_dict() for record in records]
 
 
-def save_convergence(
-    records: list[ConvergenceRecord], path: str | Path
-) -> Path:
-    """Persist records (e.g. next to the run's shard checkpoints)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "format": CONVERGENCE_FORMAT,
-        "version": CONVERGENCE_VERSION,
+def convergence_to_dict(
+    records: list[ConvergenceRecord],
+) -> dict[str, Any]:
+    return {
+        "format": "em_convergence",
+        "version": FORMAT_VERSION,
         "combinations": records_to_payload(records),
     }
-    path.write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n"
-    )
-    return path
 
 
-def load_convergence(path: str | Path) -> list[ConvergenceRecord]:
-    payload = json.loads(Path(path).read_text())
-    if payload.get("format") != CONVERGENCE_FORMAT:
-        raise ValueError(
-            f"{path}: not an EM convergence artefact "
-            f"(format={payload.get('format')!r})"
-        )
+def convergence_from_dict(
+    payload: dict[str, Any],
+) -> list[ConvergenceRecord]:
     return [
         ConvergenceRecord.from_dict(row)
         for row in payload["combinations"]
     ]
+
+
+def save_convergence(
+    records: list[ConvergenceRecord], path: str | Path
+) -> Path:
+    """Persist records (e.g. next to the run's shard checkpoints)."""
+    return _atomic_write_json(path, convergence_to_dict(records))
+
+
+def load_convergence(path: str | Path) -> list[ConvergenceRecord]:
+    return load(path, "em_convergence")

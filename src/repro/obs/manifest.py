@@ -11,17 +11,13 @@ summary.
 from __future__ import annotations
 
 import functools
-import json
 import subprocess
 import sys
 import time
 from pathlib import Path
 from typing import Any
 
-from ..storage.serialize import _atomic_write_json
-
-MANIFEST_FORMAT = "run_manifest"
-MANIFEST_VERSION = 1
+from ..storage.serialize import FORMAT_VERSION, _atomic_write_json, load
 
 
 @functools.cache
@@ -74,8 +70,8 @@ def build_manifest(
     """Assemble the manifest payload (pure; no filesystem access
     beyond ``git describe``)."""
     return {
-        "format": MANIFEST_FORMAT,
-        "version": MANIFEST_VERSION,
+        "format": "run_manifest",
+        "version": FORMAT_VERSION,
         "command": command,
         "config": config,
         "git_describe": git_describe(),
@@ -104,23 +100,6 @@ def write_manifest(
 
 
 def read_manifest(path: str | Path) -> dict[str, Any]:
-    """Load a manifest written by :func:`write_manifest`.
-
-    Validates the format tag and version; extra keys pass through
-    untouched so newer writers stay readable.
-    """
-    path = Path(path)
-    payload = json.loads(path.read_text())
-    if not isinstance(payload, dict):
-        raise ValueError(f"{path}: manifest is not a JSON object")
-    if payload.get("format") != MANIFEST_FORMAT:
-        raise ValueError(
-            f"{path}: expected format {MANIFEST_FORMAT!r}, got "
-            f"{payload.get('format')!r}"
-        )
-    if payload.get("version") != MANIFEST_VERSION:
-        raise ValueError(
-            f"{path}: unsupported manifest version "
-            f"{payload.get('version')!r}"
-        )
-    return payload
+    """Load a manifest written by :func:`write_manifest`; extra keys
+    pass through untouched so newer writers stay readable."""
+    return load(path, "run_manifest")

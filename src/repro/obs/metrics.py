@@ -24,22 +24,20 @@ names, ``%.10g`` floats) so golden-file tests are byte-stable.
 
 from __future__ import annotations
 
-import json
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 
-from ..core.errors import ReproError
+from ..core.errors import FormatError, ReproError
+from ..storage.serialize import FORMAT_VERSION, _atomic_write_json, load
+from .convergence import ConvergenceRecord
 from .histogram import StreamingHistogram
-
-METRICS_FORMAT = "metrics"
-METRICS_VERSION = 1
 
 
 class MetricsError(ReproError):
-    """An undeclared metric name or a malformed metrics payload."""
+    """An undeclared metric name, or a registry used against it."""
 
 
 @dataclass(frozen=True, slots=True)
@@ -527,8 +525,8 @@ class MetricsRegistry:
                     "count": state["count"],
                 }
         return {
-            "format": METRICS_FORMAT,
-            "version": METRICS_VERSION,
+            "format": "metrics",
+            "version": FORMAT_VERSION,
             "metrics": metrics,
         }
 
@@ -536,46 +534,25 @@ class MetricsRegistry:
         self, path: str | Path, extra: dict[str, Any] | None = None
     ) -> Path:
         """Persist :meth:`to_dict` (plus optional extra sections)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         payload = self.to_dict()
         if extra:
             payload.update(extra)
-        path.write_text(
-            json.dumps(payload, indent=1, sort_keys=True) + "\n"
-        )
-        return path
+        return _atomic_write_json(path, payload)
 
 
 def validate_metrics_payload(
-    payload: Any, catalog: dict[str, MetricSpec] | None = None
+    payload: dict[str, Any], catalog: dict[str, MetricSpec] | None = None
 ) -> list[str]:
-    """Check a ``--metrics-out`` payload: shape, and that every metric
-    name is declared with the right kind. Returns violations."""
+    """Check that every metric of a ``--metrics-out`` payload (as
+    :func:`load_metrics_file` decodes it, or :meth:`MetricsRegistry.
+    to_dict` builds it) is declared with the right kind. Returns
+    violations."""
     catalog = CATALOG if catalog is None else catalog
     errors: list[str] = []
-    if not isinstance(payload, dict):
-        return ["metrics payload is not a JSON object"]
-    if payload.get("format") != METRICS_FORMAT:
-        errors.append(
-            f"format must be {METRICS_FORMAT!r}, "
-            f"got {payload.get('format')!r}"
-        )
-    if payload.get("version") != METRICS_VERSION:
-        errors.append(
-            f"unsupported metrics version {payload.get('version')!r}"
-        )
-    metrics = payload.get("metrics")
-    if not isinstance(metrics, dict):
-        errors.append("missing 'metrics' object")
-        return errors
-    for name, row in sorted(metrics.items()):
+    for name, row in sorted(payload["metrics"].items()):
         spec = catalog.get(name)
         if spec is None:
             errors.append(f"undeclared metric name {name!r}")
-            continue
-        if not isinstance(row, dict):
-            errors.append(f"{name}: entry is not an object")
             continue
         if row.get("type") != spec.kind:
             errors.append(
@@ -585,12 +562,21 @@ def validate_metrics_payload(
     return errors
 
 
-def load_metrics_file(path: str | Path) -> dict[str, Any]:
-    """Read a metrics JSON file; malformed files raise MetricsError."""
-    try:
-        payload = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as error:
-        raise MetricsError(
-            f"{path}: unreadable metrics file: {error}"
-        ) from error
+def metrics_from_dict(payload: dict[str, Any]) -> dict[str, Any]:
+    """Decode a ``--metrics-out`` payload: ``metrics`` must map each
+    name to an object; embedded EM convergence rows become records."""
+    metrics = payload["metrics"]
+    if not isinstance(metrics, dict) or not all(
+        isinstance(row, dict) for row in metrics.values()
+    ):
+        raise FormatError("'metrics' must map each name to an object")
+    if "em_convergence" in payload:
+        payload["em_convergence"] = [
+            ConvergenceRecord.from_dict(row)
+            for row in payload["em_convergence"]
+        ]
     return payload
+
+
+def load_metrics_file(path: str | Path) -> dict[str, Any]:
+    return load(path, "metrics")

@@ -267,7 +267,7 @@ def read_trace(path: str | Path) -> list[dict[str, Any]]:
     path = Path(path)
     try:
         lines = path.read_text().splitlines()
-    except OSError as error:
+    except (OSError, UnicodeDecodeError) as error:
         raise TraceError(f"{path}: unreadable trace: {error}") from error
     if not lines:
         raise TraceError(f"{path}: empty trace file")
@@ -287,11 +287,16 @@ def read_trace(path: str | Path) -> list[dict[str, Any]]:
         if not line.strip():
             continue
         try:
-            spans.append(json.loads(line))
+            span = json.loads(line)
         except json.JSONDecodeError as error:
             raise TraceError(
                 f"{path}:{number}: malformed span: {error}"
             ) from error
+        if not isinstance(span, dict):
+            raise TraceError(
+                f"{path}:{number}: span is not a JSON object"
+            )
+        spans.append(span)
     return spans
 
 

@@ -758,7 +758,7 @@ class SurveyorPipeline:
             dead_letters = tuple(
                 DeadLetter.from_dict(letter) for letter in letters
             )
-        except (CheckpointError, KeyError):
+        except CheckpointError:
             loaded_id = None
         if loaded_id != shard_id:
             health.corrupt_checkpoints += 1

@@ -31,10 +31,9 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
-from ..core.params import ModelParameters
 from ..core.query import QueryHit, SubjectiveQuery
 from ..core.types import Opinion, PropertyTypeKey
-from ..extraction.provenance import PairProvenance
+from ..extraction.provenance import ProvenanceIndex
 from .index import OpinionIndex
 
 SERVE_SCHEMA_VERSION = 2
@@ -116,23 +115,25 @@ def explain_response(
     key: PropertyTypeKey,
     opinion: Opinion,
     index: OpinionIndex,
-    *,
-    pair: PairProvenance | None = None,
-    model: ModelParameters | None = None,
-    convergence: dict[str, Any] | None = None,
-    lineage_available: bool = False,
+    provenance: ProvenanceIndex | None,
 ) -> dict[str, Any]:
     """Full lineage for one answer (``repro explain`` / ``GET
     /explain``).
 
     The posterior and counts come from the opinion table; ``model``
     is the combination's learned ``(pA, p+S, p-S)``, ``convergence``
-    its EM verdict, and ``pair`` the bounded statement samples — all
-    three from the provenance sidecar, each ``null`` when the sidecar
-    (or that pair's entry) is absent. ``lineage_available`` reports
-    whether a sidecar was loaded at all, so clients can distinguish
-    "no provenance captured" from "this pair had no evidence".
+    its EM verdict, and the lineage the pair's bounded statement
+    samples — all three from the ``provenance`` sidecar, each ``null``
+    when the sidecar (or that pair's entry) is absent.
+    ``lineage.available`` reports whether a sidecar was loaded at all,
+    so clients can distinguish "no provenance captured" from "this
+    pair had no evidence".
     """
+    pair = model = convergence = None
+    if provenance is not None:
+        pair = provenance.for_pair(key, entity_id)
+        model = provenance.model_for(key)
+        convergence = provenance.convergence_for(key)
     return {
         "format": "serve_explain",
         "version": SERVE_SCHEMA_VERSION,
@@ -162,7 +163,7 @@ def explain_response(
             None if convergence is None else dict(convergence)
         ),
         "lineage": {
-            "available": bool(lineage_available),
+            "available": provenance is not None,
             "positive_seen": (
                 None if pair is None else pair.positive_seen
             ),

@@ -209,12 +209,9 @@ def load_provenance_sidecar(
     if not path.exists():
         return None
     try:
-        sidecar = load(path)
+        return load(path, "provenance")
     except Exception:
         return None
-    if not isinstance(sidecar, ProvenanceIndex):
-        return None
-    return sidecar
 
 
 class Generation(NamedTuple):
@@ -493,21 +490,18 @@ class OpinionService:
         )
 
     def _validate_candidate(
-        self, table: Any, source: Path
+        self, table: OpinionTable, source: Path
     ) -> OpinionIndex:
         """Vet a candidate artefact before it can touch live traffic.
 
-        Checks the artefact kind, rejects empty tables (a truncated
-        file decodes to nothing), scans every posterior for NaN/Inf
-        leaks, then builds the replacement index off to the side and
-        smoke-queries it. Raises ``ValueError`` with a reason on any
-        failure; nothing observable changes until the caller publishes
-        the returned index.
+        Rejects empty tables (a truncated file decodes to nothing),
+        scans every posterior for NaN/Inf leaks, then builds the
+        replacement index off to the side and smoke-queries it (the
+        artefact kind was checked when the table was loaded). Raises
+        ``ValueError`` with a reason on any failure; nothing
+        observable changes until the caller publishes the returned
+        index.
         """
-        if not isinstance(table, OpinionTable):
-            raise ValueError(
-                f"{source} is not an opinions artefact"
-            )
         if len(table) == 0:
             raise ValueError(
                 f"{source} holds no opinions (truncated artefact?)"
@@ -630,7 +624,7 @@ class OpinionService:
                     raise ValueError(
                         "injected fault: artefact unreadable"
                     )
-                table = load(source)
+                table = load(source, "opinions")
                 if fault == "truncate":
                     table = OpinionTable()
                 index = self._validate_candidate(table, source)
@@ -976,26 +970,7 @@ class OpinionService:
                 table, entity_id, property_text, entity_type
             )
             return explain_response(
-                entity_id,
-                key,
-                opinion,
-                index,
-                pair=(
-                    provenance.for_pair(key, entity_id)
-                    if provenance is not None
-                    else None
-                ),
-                model=(
-                    provenance.model_for(key)
-                    if provenance is not None
-                    else None
-                ),
-                convergence=(
-                    provenance.convergence_for(key)
-                    if provenance is not None
-                    else None
-                ),
-                lineage_available=provenance is not None,
+                entity_id, key, opinion, index, provenance
             )
 
         return self._respond(

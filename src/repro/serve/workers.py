@@ -51,6 +51,8 @@ import traceback
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
+from ..storage.serialize import _atomic_write_json
+
 #: Seconds between periodic per-worker metrics snapshot dumps.
 DEFAULT_DUMP_INTERVAL = 0.5
 
@@ -121,10 +123,10 @@ def publish_epoch(
     with _locked(directory / "epoch.lock"):
         current = read_epoch(directory)
         epoch = (current.get("epoch", 0) if current else 0) + 1
-        record = {"epoch": epoch, "kind": kind, "path": path}
-        tmp = directory / "epoch.json.tmp"
-        tmp.write_text(json.dumps(record, sort_keys=True))
-        os.replace(tmp, _epoch_path(directory))
+        _atomic_write_json(
+            _epoch_path(directory),
+            {"epoch": epoch, "kind": kind, "path": path},
+        )
     return epoch
 
 

@@ -7,16 +7,24 @@ table. Payloads are plain dicts (no custom classes), written as compact
 JSON with sorted keys: deterministic, language-agnostic, and readable
 through ``python -m json.tool``. Loaders ignore whitespace, so files
 written in the older indented layout still load.
+
+Every JSON artefact of the library, including the ones whose codecs
+live in other layers (ingest state, EM convergence, run manifests,
+metrics), is written by :func:`_atomic_write_json` and opened by
+:func:`load`, which turns anything undecodable, malformed or of the
+wrong kind into one :class:`FormatError` naming the file.
 """
 
 from __future__ import annotations
 
+import importlib
 import json
 import os
+from operator import attrgetter
 from pathlib import Path
 from typing import Any
 
-from ..core.errors import CheckpointError, ReproError
+from ..core.errors import CheckpointError, FormatError
 from ..core.params import ModelParameters
 from ..core.result import OpinionTable
 from ..core.types import (
@@ -35,26 +43,21 @@ from ..extraction.statement import EvidenceCounter
 from ..kb.entity import Entity
 from ..kb.knowledge_base import KnowledgeBase
 
+#: The one envelope version every artefact kind is written with.
 FORMAT_VERSION = 1
 
-
-class FormatError(ReproError, ValueError):
-    """Raised when a payload does not match the expected format.
-
-    Subclasses :class:`ValueError` for backwards compatibility, as
-    :class:`~repro.core.errors.ModelFitError` does.
-    """
-
-
 #: What a decoder raises when a field holds the wrong shape of value
-#: (a missing key, a string where a number belongs, ...). The entry
-#: points convert these to :class:`FormatError`.
+#: (a missing key, a string where a number belongs, ...). :func:`load`
+#: converts these to :class:`FormatError`.
 _MALFORMED = (
     LookupError, TypeError, ValueError, AttributeError, ArithmeticError,
 )
 
 
 def _check_version(payload: dict, kind: str) -> None:
+    """The ``format``/``version`` envelope check, for the payloads
+    embedded inside another artefact; :func:`load` checks the outer
+    one."""
     if not isinstance(payload, dict):
         raise FormatError(f"{kind}: expected a JSON object")
     if payload.get("format") != kind:
@@ -103,7 +106,6 @@ def kb_to_dict(kb: KnowledgeBase) -> dict[str, Any]:
 
 
 def kb_from_dict(payload: dict[str, Any]) -> KnowledgeBase:
-    _check_version(payload, "knowledge_base")
     entities = []
     for row in payload["entities"]:
         entities.append(
@@ -155,7 +157,8 @@ def _evidence_count(value: Any) -> int:
 def evidence_from_dict(payload: dict[str, Any]) -> EvidenceCounter:
     """Rebuild a counter in one step per pair (not per statement), so
     loading costs O(pairs) whatever the counts; malformed counts raise
-    :class:`FormatError`."""
+    :class:`FormatError`. Checks its own envelope, since checkpoints
+    and ingest state embed it."""
     _check_version(payload, "evidence")
     counter = EvidenceCounter()
     for key_text, per_entity in payload["combinations"].items():
@@ -203,7 +206,6 @@ def parameters_to_dict(
 def parameters_from_dict(
     payload: dict[str, Any],
 ) -> dict[PropertyTypeKey, ModelParameters]:
-    _check_version(payload, "parameters")
     return {
         _key_from_str(key_text): ModelParameters(
             agreement=row["agreement"],
@@ -271,7 +273,6 @@ def provenance_to_dict(index: ProvenanceIndex) -> dict[str, Any]:
 
 
 def provenance_from_dict(payload: dict[str, Any]) -> ProvenanceIndex:
-    _check_version(payload, "provenance")
     pairs: dict[PropertyTypeKey, dict[str, PairProvenance]] = {}
     for key_text, per_entity in payload.get("pairs", {}).items():
         key = _key_from_str(key_text)
@@ -377,23 +378,27 @@ def shard_checkpoint_from_dict(
     list[dict[str, str]],
     ProvenanceLedger | None,
 ]:
-    _check_version(payload, "shard_checkpoint")
-    try:
-        shard_id = int(payload["shard_id"])
-        counter = evidence_from_dict(payload["evidence"])
-        dead_letters = [
-            dict(letter) for letter in payload.get("dead_letters", ())
-        ]
-        # Checkpoints written before lineage capture existed simply
-        # lack the key; they load with no ledger and the resumed
-        # shard contributes no samples.
-        raw = payload.get("provenance")
-        ledger = ledger_from_dict(raw) if raw is not None else None
-    except _MALFORMED as error:
-        raise CheckpointError(
-            f"malformed shard checkpoint: {error!r}"
-        ) from error
+    shard_id = int(payload["shard_id"])
+    counter = evidence_from_dict(payload["evidence"])
+    dead_letters = [
+        _dead_letter(row) for row in payload.get("dead_letters", ())
+    ]
+    # Checkpoints written before lineage capture existed simply lack
+    # the key; they load with no ledger and the resumed shard
+    # contributes no samples.
+    raw = payload.get("provenance")
+    ledger = ledger_from_dict(raw) if raw is not None else None
     return shard_id, counter, dead_letters, ledger
+
+
+def _dead_letter(row: dict[str, Any]) -> dict[str, str]:
+    """A quarantined document's record, with the fields a resumed run
+    needs to rebuild its ``DeadLetter``."""
+    letter = {name: str(value) for name, value in row.items()}
+    for name in ("doc_id", "stage", "error"):
+        if name not in letter:
+            raise FormatError(f"dead letter without {name!r}")
+    return letter
 
 
 def save_shard_checkpoint(
@@ -425,18 +430,12 @@ def load_shard_checkpoint(
     list[dict[str, str]],
     ProvenanceLedger | None,
 ]:
-    """Load one shard checkpoint; corruption raises :class:`CheckpointError`."""
-    path = Path(path)
+    """Load one shard checkpoint; an unreadable or corrupt file raises
+    :class:`CheckpointError` (a :class:`FormatError`)."""
     try:
-        payload = json.loads(path.read_text())
-    except (OSError, json.JSONDecodeError, UnicodeDecodeError) as error:
-        raise CheckpointError(
-            f"{path}: unreadable shard checkpoint: {error}"
-        ) from error
-    try:
-        return shard_checkpoint_from_dict(payload)
-    except FormatError as error:
-        raise CheckpointError(f"{path}: {error}") from error
+        return load(path, "shard_checkpoint")
+    except (FormatError, OSError) as error:
+        raise CheckpointError(str(error)) from error
 
 
 # ---------------------------------------------------------------------------
@@ -469,7 +468,6 @@ def opinions_to_dict(table: OpinionTable) -> dict[str, Any]:
 
 
 def opinions_from_dict(payload: dict[str, Any]) -> OpinionTable:
-    _check_version(payload, "opinions")
     table = OpinionTable()
     for row in payload["opinions"]:
         table.add(
@@ -499,13 +497,26 @@ _SAVERS = {
     ProvenanceIndex: provenance_to_dict,
 }
 
-_LOADERS = {
-    "knowledge_base": kb_from_dict,
-    "evidence": evidence_from_dict,
-    "parameters": parameters_from_dict,
-    "opinions": opinions_from_dict,
-    "shard_checkpoint": shard_checkpoint_from_dict,
-    "provenance": provenance_from_dict,
+#: Every artefact kind :func:`load` opens: its ``format`` tag, what an
+#: error calls it, and its decoder. Decoders that live in layers above
+#: this one (and import it for the writer) are named
+#: ``"module:attribute"`` and imported on first use.
+_KINDS: dict[str, tuple[str, Any]] = {
+    "knowledge_base": ("a knowledge-base", kb_from_dict),
+    "evidence": ("an evidence", evidence_from_dict),
+    "parameters": ("a parameters", parameters_from_dict),
+    "opinions": ("an opinions", opinions_from_dict),
+    "shard_checkpoint": ("a shard checkpoint", shard_checkpoint_from_dict),
+    "provenance": ("a provenance", provenance_from_dict),
+    "ingest_state": (
+        "an ingest state", "repro.ingest.state:IngestState.from_dict"
+    ),
+    "em_convergence": (
+        "an EM convergence", "repro.obs.convergence:convergence_from_dict"
+    ),
+    # A manifest passes through whole, so newer writers stay readable.
+    "run_manifest": ("a run manifest", dict),
+    "metrics": ("a metrics", "repro.obs.metrics:metrics_from_dict"),
 }
 
 
@@ -550,22 +561,43 @@ def save(obj: Any, path: str | Path) -> Path:
     return _atomic_write_json(path, payload)
 
 
-def load(path: str | Path) -> Any:
-    """Load any artefact saved by :func:`save`; dispatches on the
-    embedded format tag. A payload that does not decode raises
-    :class:`FormatError` (:class:`CheckpointError` for a shard
-    checkpoint), never a bare ``KeyError``/``TypeError``."""
-    payload = json.loads(Path(path).read_text())
-    if not isinstance(payload, dict) or "format" not in payload:
-        raise FormatError(f"{path}: not a repro artefact")
-    kind = payload["format"]
-    loader = _LOADERS.get(kind) if isinstance(kind, str) else None
-    if loader is None:
-        raise FormatError(f"unknown format {kind!r}")
+def load(path: str | Path, kind: str | None = None) -> Any:
+    """Open a JSON artefact: the one reader of every kind in
+    :data:`_KINDS`.
+
+    Decodes the file's bytes as UTF-8 JSON, checks the ``format`` /
+    ``version`` envelope against ``kind`` (without one, dispatches on
+    the embedded tag), and runs that kind's decoder. Anything
+    undecodable, malformed or of the wrong kind raises
+    :class:`FormatError` naming the path, never a bare
+    ``KeyError``/``TypeError``; a missing file raises ``OSError``.
+    """
     try:
-        return loader(payload)
-    except ReproError:
-        raise
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as error:
+        raise FormatError(
+            f"{path}: undecodable artefact: {error}"
+        ) from error
+    found = payload.get("format") if isinstance(payload, dict) else None
+    if kind is None:
+        if not isinstance(found, str) or found not in _KINDS:
+            raise FormatError(f"{path}: not a repro artefact")
+        kind = found
+    label, decoder = _KINDS[kind]
+    if found != kind:
+        raise FormatError(
+            f"{path}: not {label} artefact (format {found!r})"
+        )
+    if payload.get("version") != FORMAT_VERSION:
+        raise FormatError(
+            f"{path}: unsupported {kind} version "
+            f"{payload.get('version')!r}"
+        )
+    if isinstance(decoder, str):
+        module, _, name = decoder.partition(":")
+        decoder = attrgetter(name)(importlib.import_module(module))
+    try:
+        return decoder(payload)
     except _MALFORMED as error:
         raise FormatError(
             f"{path}: malformed {kind} artefact: {error!r}"

@@ -128,10 +128,10 @@ class TestQuery:
         rc = main(["query", str(out), "cute", "animal"])
         assert rc == 1
 
-    def test_query_wrong_artefact_fails(self, tmp_path, small_kb):
+    def test_query_wrong_artefact_fails(self, tmp_path, small_kb, capsys):
         path = save(small_kb, tmp_path / "kb.json")
-        with pytest.raises(SystemExit):
-            main(["query", str(path), "cute", "animal"])
+        assert main(["query", str(path), "cute", "animal"]) == 2
+        assert "not an opinions artefact" in capsys.readouterr().err
 
     def test_query_json_format(self, corpus_file, tmp_path, capsys):
         import json
@@ -234,6 +234,111 @@ class TestCalibrate:
         )
         assert rc == 0
         assert "applies above" in capsys.readouterr().out
+
+
+class TestArtefactErrors:
+    """An undecodable, malformed or wrong-kind artefact is one
+    ``repro: error:`` line and exit code 2, never a traceback (exit 1
+    means "ran fine, found nothing")."""
+
+    @pytest.fixture()
+    def files(self, tmp_path, small_kb):
+        from repro.core import (
+            EvidenceCounts,
+            Opinion,
+            OpinionTable,
+            PropertyTypeKey,
+            SubjectiveProperty,
+        )
+
+        key = PropertyTypeKey(SubjectiveProperty("cute"), "animal")
+        opinion = Opinion("/animal/kitten", key, 0.9, EvidenceCounts(3, 0))
+        save(OpinionTable([opinion]), tmp_path / "opinions.json")
+        save(small_kb, tmp_path / "kb.json")
+        (tmp_path / "latin1.json").write_bytes(b'{"format": "caf\xe9"}')
+        (tmp_path / "trace.jsonl").write_text(
+            '{"trace_schema": 1, "n_spans": 0}\n'
+        )
+        (tmp_path / "list-span.jsonl").write_text(
+            '{"trace_schema": 1, "n_spans": 1}\n[1, 2]\n'
+        )
+        (tmp_path / "no-combinations.json").write_text(
+            '{"format": "em_convergence", "version": 1}'
+        )
+        (tmp_path / "list-metrics.json").write_text(
+            '{"format": "metrics", "version": 1, "metrics": {"a": [1]}}'
+        )
+        return tmp_path
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(
+                ["query", "kb.json", "cute", "animal"],
+                "not an opinions",
+                id="query-kb",
+            ),
+            pytest.param(
+                ["diff", "opinions.json", "kb.json"],
+                "not an opinions",
+                id="diff-kb",
+            ),
+            pytest.param(
+                ["calibrate", "kb.json", "cute", "animal", "population"],
+                "not an opinions",
+                id="calibrate-kb",
+            ),
+            pytest.param(
+                ["serve", "kb.json", "--port", "0"],
+                "not an opinions",
+                id="serve-kb",
+            ),
+            pytest.param(
+                ["query", "latin1.json", "cute", "animal"],
+                "undecodable",
+                id="query-non-utf8",
+            ),
+            pytest.param(
+                ["stats", "trace.jsonl", "--convergence", "opinions.json"],
+                "not an EM convergence",
+                id="stats-convergence-wrong-kind",
+            ),
+            pytest.param(
+                [
+                    "stats", "trace.jsonl",
+                    "--convergence", "no-combinations.json",
+                ],
+                "malformed em_convergence",
+                id="stats-convergence-no-combinations",
+            ),
+            pytest.param(
+                ["stats", "trace.jsonl", "--metrics", "list-metrics.json"],
+                "malformed metrics",
+                id="stats-metrics-not-objects",
+            ),
+            pytest.param(
+                ["stats", "list-span.jsonl"],
+                "list-span.jsonl:2:",
+                id="stats-trace-list-span",
+            ),
+            pytest.param(
+                ["stats", "latin1.json"],
+                "unreadable trace",
+                id="stats-trace-non-utf8",
+            ),
+        ],
+    )
+    def test_bad_artefact_exits_2(self, files, capsys, argv, message):
+        argv = [argv[0]] + [
+            str(files / arg) if (files / arg).exists() else arg
+            for arg in argv[1:]
+        ]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1
+        assert message in err
+        assert "Traceback" not in err
 
 
 class TestParser:

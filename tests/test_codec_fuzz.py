@@ -1,11 +1,11 @@
 """Malformed artefacts: one mutated field never escapes as a raw error.
 
-Each test takes a valid payload of one codec, changes one field (drops
-it, or swaps in a value of another JSON shape), and loads the result.
-It must either load or raise a :class:`~repro.core.errors.ReproError`
-(``FormatError`` for artefacts and ingest state, ``CheckpointError``
-for shard checkpoints), which the CLI reports as one ``repro: error:``
-line. Valid payloads round-trip unchanged.
+Each test takes a valid payload of one artefact kind, changes one field
+(drops it, or swaps in a value of another JSON shape), and opens the
+result with :func:`repro.storage.load`. It must either load or raise a
+:class:`~repro.core.errors.ReproError` (the reader's ``FormatError``),
+which the CLI reports as one ``repro: error:`` line. Valid payloads
+round-trip unchanged.
 """
 
 from __future__ import annotations
@@ -36,10 +36,12 @@ from repro.extraction import (
     ProvenanceIndex,
     ProvenanceLedger,
 )
-from repro.ingest.state import IngestState, load_state, save_state
+from repro.ingest.state import IngestState
 from repro.kb import Entity, KnowledgeBase
+from repro.obs import MetricsRegistry, build_manifest, records_to_payload
+from repro.obs.convergence import ConvergenceRecord, convergence_to_dict
 from repro.pipeline import SurveyorPipeline
-from repro.storage import load, load_shard_checkpoint
+from repro.storage import load
 from repro.storage.serialize import (
     evidence_to_dict,
     kb_to_dict,
@@ -101,26 +103,51 @@ def _payloads():
         ),
         Entity.create("tokyo", "city"),
     ])
+    letter = {"doc_id": "d9", "stage": "annotate", "error": "E: x"}
+    record = ConvergenceRecord(
+        key="cute animal",
+        verdict="converged",
+        iterations=2,
+        converged=True,
+        degraded=False,
+        n_entities=1,
+        n_statements=2,
+        final_log_likelihood=-1.5,
+        log_likelihoods=(-2.0, -1.5),
+        agreement_path=(0.7, 0.8),
+        rate_positive_path=(4.0, 5.0),
+        rate_negative_path=(1.0, 1.0),
+    )
+    registry = MetricsRegistry()
+    registry.inc("repro_opinions_total", 9)
+    registry.observe("repro_shard_seconds", 0.25)
+    registry.observe("repro_serve_request_seconds", 0.01, exemplar="t1")
     return {
         "opinions": opinions_to_dict(table),
         "parameters": parameters_to_dict({CUTE: model}),
         "kb": kb_to_dict(kb),
         "provenance": provenance_to_dict(lineage),
         "evidence": evidence_to_dict(counter),
+        "checkpoint": shard_checkpoint_to_dict(
+            3, counter, [letter], ledger
+        ),
+        "state": _state(counter, ledger).to_dict(),
+        "convergence": convergence_to_dict([record]),
+        "manifest": build_manifest(
+            command="mine",
+            config={"threshold": 1},
+            started_unix=0.0,
+            duration_seconds=1.0,
+            outputs={"opinions": "opinions.json"},
+        ),
+        "metrics": {
+            **registry.to_dict(),
+            "em_convergence": records_to_payload([record]),
+        },
     }
 
 
-PAYLOADS = _payloads()
-
-
-def _checkpoint_payload():
-    counter, ledger = _counter_and_ledger()
-    letter = {"doc_id": "d9", "stage": "annotate", "error": "E: x"}
-    return shard_checkpoint_to_dict(3, counter, [letter], ledger)
-
-
-def _state_payload():
-    counter, ledger = _counter_and_ledger()
+def _state(counter, ledger):
     fit = FittedCombination(
         key=CUTE,
         parameters=ModelParameters(0.8, 5.0, 1.0),
@@ -140,7 +167,27 @@ def _state_payload():
         ledger=ledger,
         stats=ExtractionStats(documents=2, sentences=3, statements=3),
         fits={CUTE: fit},
-    ).to_dict()
+    )
+
+
+PAYLOADS = _payloads()
+
+#: Turns what :func:`load` returns for each codec back into its payload.
+ENCODERS = {
+    "opinions": opinions_to_dict,
+    "parameters": parameters_to_dict,
+    "kb": kb_to_dict,
+    "provenance": provenance_to_dict,
+    "evidence": evidence_to_dict,
+    "checkpoint": lambda loaded: shard_checkpoint_to_dict(*loaded),
+    "state": IngestState.to_dict,
+    "convergence": convergence_to_dict,
+    "manifest": dict,
+    "metrics": lambda loaded: {
+        **loaded,
+        "em_convergence": records_to_payload(loaded["em_convergence"]),
+    },
+}
 
 
 def _paths(node, prefix=()):
@@ -186,74 +233,28 @@ def _mutated(draw, payload):
     return tree
 
 
-def _check_mutations(payload, path, loader):
-    """Write each mutation of ``payload`` to ``path``; ``loader()``,
-    which reads ``path``, must load it or raise a :class:`ReproError`."""
-
-    @FUZZ
-    @given(_mutated(payload))
-    def check(mutated):
-        path.write_text(json.dumps(mutated))
-        try:
-            loader()
-        except ReproError:
-            pass
-
-    check()
-
-
 @pytest.mark.parametrize("codec", sorted(PAYLOADS))
 def test_valid_payload_round_trips(codec, tmp_path):
     path = tmp_path / "artefact.json"
     path.write_text(json.dumps(PAYLOADS[codec]))
-    loaded = load(path)
-    resaved = {
-        "opinions": opinions_to_dict,
-        "parameters": parameters_to_dict,
-        "kb": kb_to_dict,
-        "provenance": provenance_to_dict,
-        "evidence": evidence_to_dict,
-    }[codec](loaded)
-    assert resaved == PAYLOADS[codec]
+    loaded = load(path, PAYLOADS[codec]["format"])
+    assert ENCODERS[codec](loaded) == PAYLOADS[codec]
 
 
 @pytest.mark.parametrize("codec", sorted(PAYLOADS))
 def test_one_mutated_field_loads_or_raises_repro_error(codec, tmp_path):
     path = tmp_path / "artefact.json"
-    _check_mutations(PAYLOADS[codec], path, lambda: load(path))
 
+    @FUZZ
+    @given(_mutated(PAYLOADS[codec]))
+    def check(mutated):
+        path.write_text(json.dumps(mutated))
+        try:
+            load(path, PAYLOADS[codec]["format"])
+        except ReproError:
+            pass
 
-def test_checkpoint_round_trips(tmp_path):
-    path = tmp_path / "shard.json"
-    payload = _checkpoint_payload()
-    path.write_text(json.dumps(payload))
-    shard_id, counter, letters, ledger = load_shard_checkpoint(path)
-    assert shard_checkpoint_to_dict(
-        shard_id, counter, letters, ledger
-    ) == payload
-
-
-def test_mutated_checkpoint_loads_or_raises_repro_error(tmp_path):
-    path = tmp_path / "shard.json"
-    _check_mutations(
-        _checkpoint_payload(), path, lambda: load_shard_checkpoint(path)
-    )
-
-
-def test_state_round_trips(tmp_path):
-    payload = _state_payload()
-    (tmp_path / "state.json").write_text(json.dumps(payload))
-    assert load_state(tmp_path).to_dict() == payload
-    save_state(load_state(tmp_path), tmp_path)
-    assert json.loads((tmp_path / "state.json").read_text()) == payload
-
-
-def test_mutated_state_loads_or_raises_repro_error(tmp_path):
-    _check_mutations(
-        _state_payload(),
-        tmp_path / "state.json",
-        lambda: load_state(tmp_path),
-    )
+    check()
 
 
 def test_opinion_row_without_entity_is_a_format_error(tmp_path):

@@ -15,6 +15,7 @@ from repro.core import EMLearner, Polarity, PropertyTypeKey, SubjectiveProperty
 from repro.core.errors import (
     CheckpointError,
     ExtractionError,
+    FormatError,
     ModelFitError,
     ReproError,
 )
@@ -707,10 +708,11 @@ class TestCliRobustness:
         corpus.write_text("Kittens are cute.\n")
         bad_kb = tmp_path / "kb.json"
         bad_kb.write_text("{broken")
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(FormatError) as raised:
             main(
                 ["mine", str(corpus), "--kb", str(bad_kb), "--strict"]
             )
+        assert isinstance(raised.value.__cause__, json.JSONDecodeError)
 
     def test_mine_with_checkpoints_and_summary_health(
         self, tmp_path, capsys
