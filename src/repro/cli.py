@@ -79,27 +79,20 @@ def _read_corpus(path: Path, region: str = "") -> WebCorpus:
     if not path.exists():
         raise _fail(f"corpus not found: {path}")
     corpus = WebCorpus()
-    if path.is_dir():
-        for index, file in enumerate(sorted(path.glob("*.txt"))):
-            corpus.add(
-                Document(
-                    doc_id=file.stem,
-                    text=file.read_text(),
-                    region=region,
-                )
-            )
-    else:
-        with path.open() as handle:
-            for index, line in enumerate(handle):
-                line = line.strip()
-                if line:
-                    corpus.add(
-                        Document(
-                            doc_id=f"line-{index:06d}",
-                            text=line,
-                            region=region,
-                        )
-                    )
+    source = path
+    try:
+        if path.is_dir():
+            for source in sorted(path.glob("*.txt")):
+                text = source.read_text(encoding="utf-8")
+                corpus.add(Document(source.stem, text, region))
+        else:
+            with path.open(encoding="utf-8") as handle:
+                for index, line in enumerate(handle):
+                    line = line.strip()
+                    if line:
+                        corpus.add(Document(f"line-{index:06d}", line, region))
+    except UnicodeDecodeError as error:
+        raise ReproError(f"{source}: undecodable corpus: {error}") from error
     if not len(corpus):
         raise _fail(f"no documents found under {path}")
     return corpus
@@ -109,6 +102,44 @@ def _load_kb(path: str | None) -> KnowledgeBase:
     if path is None:
         return evaluation_kb()
     return load(path, "knowledge_base")
+
+
+def _checked(cast, rule: str, holds):
+    """An argparse ``type=``: cast the flag value and check ``holds``,
+    so a bad value is a usage error naming the flag (exit 2) before
+    anything is loaded, bound or forked. NaN holds no rule."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not holds(value):
+            raise argparse.ArgumentTypeError(
+                f"must be {rule}, got {value}"
+            )
+        return value
+
+    parse.__name__ = cast.__name__  # "invalid int value: 'x'"
+    return parse
+
+
+_AT_LEAST_1 = _checked(int, "at least 1", lambda v: v >= 1)
+_COUNT = _checked(int, "non-negative", lambda v: v >= 0)
+_PORT = _checked(int, "in [0, 65535]", lambda v: 0 <= v <= 65535)
+_POSITIVE = _checked(float, "positive", lambda v: v > 0)
+_NON_NEGATIVE = _checked(float, "non-negative", lambda v: v >= 0)
+_BURST = _checked(float, "at least 1", lambda v: v >= 1)
+_FRACTION = _checked(float, "in (0, 1]", lambda v: 0 < v <= 1)
+
+
+def _fault_spec(text: str) -> str:
+    """``--fault-inject``: parsed once here for its errors; each
+    serving process parses its own injector from the spec."""
+    from .serve.faults import ServeFaultInjector
+
+    try:
+        ServeFaultInjector.parse(text)
+    except ValueError as error:
+        raise argparse.ArgumentTypeError(str(error)) from None
+    return text
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +228,6 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        raise _fail(f"--workers must be at least 1, got {args.workers}")
-    if args.retries is not None and args.retries < 1:
-        raise _fail(f"--retries must be at least 1, got {args.retries}")
-    if args.shard_timeout is not None and args.shard_timeout <= 0:
-        raise _fail(
-            f"--shard-timeout must be positive, got {args.shard_timeout}"
-        )
     kb = _load_kb(args.kb)
     corpus = _read_corpus(Path(args.corpus), region=args.region)
     if args.region:
@@ -304,10 +327,6 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     opinion table incrementally (see docs/ingestion.md)."""
     from .ingest import IngestPipeline, CorpusJournal
 
-    if args.threshold < 1:
-        raise _fail(
-            f"--threshold must be at least 1, got {args.threshold}"
-        )
     corpus = _read_corpus(Path(args.corpus), args.region)
     kb = _load_kb(args.kb)
     journal = CorpusJournal(args.journal)
@@ -348,44 +367,52 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_query(args: argparse.Namespace) -> int:
-    table = load(args.opinions, "opinions")
+def _service(opinions: str, *, lineage: bool = False):
+    """A plain :class:`~repro.serve.OpinionService` over the table: the
+    CLI's answers come from the HTTP routes' own methods."""
+    from .serve import OpinionService, load_provenance_sidecar
+
+    return OpinionService(
+        load(opinions, "opinions"),
+        provenance=(
+            load_provenance_sidecar(opinions) if lineage else None
+        ),
+    )
+
+
+def _print_json(answer) -> int:
+    """``--format json``: print what the HTTP route would send for
+    ``answer()``, the answer's body or the envelope of its 4xx. Exit
+    code 2 for a bad request, 1 for nothing found."""
+    from .serve import ServeError, error_response
+    from .serve.schema import render
+
     try:
-        key = PropertyTypeKey(
-            property=SubjectiveProperty.parse(args.property),
-            entity_type=args.type,
-        )
-    except ValueError as error:
-        if args.format == "json":
-            from .serve import error_response
+        entry, _ = answer()
+    except ServeError as error:
+        print(render(error_response(error.code, str(error))).decode())
+        return 1 if error.code == "not_found" else EXIT_USAGE
+    print(entry.body.decode())
+    return 0 if entry.response.get("hits", True) else 1
 
-            # Same envelope bytes as the HTTP server's 400 for this
-            # property (see cmd_ask).
-            print(
-                json.dumps(
-                    error_response("bad_request", str(error)),
-                    sort_keys=True,
-                )
-            )
-            return EXIT_USAGE
-        raise
+
+def cmd_query(args: argparse.Namespace) -> int:
     if args.format == "json":
-        # Same index + response builder as the HTTP server, so the two
-        # surfaces emit byte-identical payloads (see docs/serving.md).
-        from .serve import OpinionIndex, listing_response
-
-        index = OpinionIndex(table)
-        polarity = (
-            Polarity.NEGATIVE if args.negative else Polarity.POSITIVE
+        service = _service(args.opinions)
+        return _print_json(
+            lambda: service.listing_entry(
+                args.property,
+                args.type,
+                negative=args.negative,
+                min_probability=args.min_probability,
+                top=args.top,
+            )
         )
-        opinions = index.entities_with(
-            key, polarity, min_probability=args.min_probability
-        )[: args.top]
-        payload = listing_response(
-            key, args.negative, args.min_probability, opinions, index
-        )
-        print(json.dumps(payload, sort_keys=True))
-        return 0 if payload["hits"] else 1
+    table = load(args.opinions, "opinions")
+    key = PropertyTypeKey(
+        property=SubjectiveProperty.parse(args.property),
+        entity_type=args.type,
+    )
     polarity = Polarity.NEGATIVE if args.negative else Polarity.POSITIVE
     hits = table.entities_with(
         key, polarity, min_probability=args.min_probability
@@ -402,33 +429,14 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_ask(args: argparse.Namespace) -> int:
-    from .core.query import QueryEngine, QueryError, SubjectiveQuery
+    from .core.query import QueryEngine, QueryError
 
-    table = load(args.opinions, "opinions")
     if args.format == "json":
-        from .serve import OpinionIndex, ask_response, error_response
-
-        index = OpinionIndex(table)
-        try:
-            query = SubjectiveQuery.parse(args.query)
-        except QueryError as error:
-            # Same envelope bytes the HTTP server sends for a 400, so
-            # scripted consumers parse one shape (golden-file tested).
-            print(
-                json.dumps(
-                    error_response(
-                        "bad_request",
-                        f"cannot parse query: {error}",
-                    ),
-                    sort_keys=True,
-                )
-            )
-            return EXIT_USAGE
-        payload = ask_response(
-            query, index.answer(query, top=args.top), index
+        service = _service(args.opinions)
+        return _print_json(
+            lambda: service.ask_entry(args.query, top=args.top)
         )
-        print(json.dumps(payload, sort_keys=True))
-        return 0 if payload["hits"] else 1
+    table = load(args.opinions, "opinions")
     try:
         hits = QueryEngine(table).answer(args.query, top=args.top)
     except QueryError as error:
@@ -449,50 +457,35 @@ def cmd_ask(args: argparse.Namespace) -> int:
 def cmd_explain(args: argparse.Namespace) -> int:
     """Full lineage for one (entity, property) answer.
 
-    JSON mode goes through the same resolver and response builder as
-    the HTTP server's ``GET /explain``, so the two surfaces emit
-    byte-identical payloads (tested). Exit codes: 0 found, 1 no such
+    Both modes answer through ``GET /explain``'s own method, so JSON
+    mode prints its bytes (tested). Exit codes: 0 found, 1 no such
     answer, 2 bad request (e.g. ambiguous entity type).
     """
-    from .serve import (
-        OpinionIndex,
-        ServeError,
-        error_response,
-        explain_response,
-        load_provenance_sidecar,
-        resolve_opinion,
-    )
+    from .serve import ServeError
 
-    table = load(args.opinions, "opinions")
-    index = OpinionIndex(table)
-    provenance = load_provenance_sidecar(args.opinions)
-    try:
-        key, opinion = resolve_opinion(
-            table, args.entity, args.property, args.type
+    service = _service(args.opinions, lineage=True)
+
+    def answer():
+        return service.explain_entry(
+            args.entity, args.property, args.type
         )
-    except ServeError as error:
-        if args.format == "json":
-            print(
-                json.dumps(
-                    error_response(error.code, str(error)),
-                    sort_keys=True,
-                )
-            )
-        else:
-            print(f"repro explain: {error}", file=sys.stderr)
-        return 1 if error.code == "not_found" else EXIT_USAGE
-    payload = explain_response(
-        args.entity, key, opinion, index, provenance
-    )
+
     if args.format == "json":
-        print(json.dumps(payload, sort_keys=True))
-        return 0
+        return _print_json(answer)
+    try:
+        entry, _ = answer()
+    except ServeError as error:
+        print(f"repro explain: {error}", file=sys.stderr)
+        return 1 if error.code == "not_found" else EXIT_USAGE
+    payload = entry.response
     lineage = payload["lineage"]
+    evidence = payload["evidence"]
     print(
-        f"{args.entity} / {key.property.text} ({key.entity_type}): "
-        f"p={opinion.probability:.3f} "
+        f"{args.entity} / {payload['property']} "
+        f"({payload['entity_type']}): "
+        f"p={payload['posterior']:.3f} "
         f"polarity={payload['polarity']} "
-        f"(+{opinion.evidence.positive}/-{opinion.evidence.negative})"
+        f"(+{evidence['positive']}/-{evidence['negative']})"
         + ("  [degraded]" if payload["degraded"] else "")
     )
     model = payload["model"]
@@ -551,270 +544,17 @@ def cmd_diff(args: argparse.Namespace) -> int:
     return 1 if report.flips else 0
 
 
-def _worker_path(path: str | None, index: int | None) -> str | None:
-    """Per-worker sidecar path (worker 0 keeps the plain path)."""
-    if path is None or not index:
-        return path
-    return f"{path}.w{index}"
-
-
-def _build_serve_components(
-    args: argparse.Namespace,
-    *,
-    quiet: bool = False,
-    worker_index: int | None = None,
-):
-    """The ``OpinionService`` plus its observability sidecars.
-
-    One call per serving *process*: in ``--workers N`` mode every
-    forked worker builds its own service (own metrics registry, own
-    access-log / trace files via a ``.w<n>`` suffix) over the same
-    artefacts. Returns ``(service, table, tracer, access_log,
-    ingest_factory)``.
-    """
-    from .serve import OpinionService, load_provenance_sidecar
-
-    table = load(args.opinions, "opinions")
-    fault_injector = None
-    if args.fault_inject:
-        from .serve import ServeFaultInjector
-
-        try:
-            fault_injector = ServeFaultInjector.parse(
-                args.fault_inject
-            )
-        except ValueError as error:
-            raise _fail(str(error))
-    registry = MetricsRegistry()
-    # A server adopts one span per sampled request indefinitely, so
-    # cap retention to the most recent spans (batch runs stay
-    # uncapped — they want the full tree).
-    tracer = (
-        Tracer(enabled=True, max_spans=10_000)
-        if args.trace
-        else None
-    )
-    access_log = None
-    if args.access_log:
-        from .serve import AccessLog
-
-        access_log = AccessLog(
-            _worker_path(args.access_log, worker_index),
-            max_bytes=args.access_log_max_bytes,
-        )
-    provenance = load_provenance_sidecar(args.opinions)
-    if provenance is not None and not quiet:
-        print(
-            f"repro serve: loaded evidence lineage "
-            f"({provenance.n_pairs} pairs) for /explain",
-            file=sys.stderr,
-        )
-    ingest_pipeline = None
-    ingest_factory = None
-    if args.ingest_journal:
-        from .ingest import IngestPipeline, CorpusJournal
-
-        def ingest_factory() -> IngestPipeline:
-            # Rebuilds pick their persisted state back up from the
-            # journal directory (a sibling worker may have advanced
-            # it; see AsyncReproServer._resync_pipeline).
-            return IngestPipeline(
-                kb=_load_kb(args.ingest_kb),
-                journal=CorpusJournal(args.ingest_journal),
-                occurrence_threshold=args.ingest_threshold,
-                warm_start=args.ingest_warm_start,
-                registry=registry,
-            )
-
-        ingest_pipeline = ingest_factory()
-        journal = ingest_pipeline.journal
-        if quiet:
-            pass
-        elif ingest_pipeline.state.fresh:
-            # Accepted batches publish tables built from *journaled*
-            # evidence only; an empty journal would wipe the batch
-            # answers on the first POST /admin/ingest.
-            print(
-                f"repro serve: ingest state under {journal.directory}"
-                " is fresh — published generations will reflect only"
-                " journaled documents; bootstrap the journal with"
-                " 'repro ingest' over the full corpus first",
-                file=sys.stderr,
-            )
-        else:
-            print(
-                f"repro serve: ingest journal at {journal.directory} "
-                f"(offset {journal.last_offset}, generation "
-                f"{ingest_pipeline.state.generation}); "
-                "POST /admin/ingest accepts documents",
-                file=sys.stderr,
-            )
-    service = OpinionService(
-        table,
-        source_path=args.opinions,
-        provenance=provenance,
-        ingest_pipeline=ingest_pipeline,
-        drift_guard_fraction=args.drift_guard_fraction,
-        cache_size=args.cache_size,
-        max_inflight=args.max_inflight,
-        registry=registry,
-        tracer=tracer,
-        request_deadline=args.request_deadline_ms / 1000.0,
-        queue_depth=args.queue_depth,
-        client_rate=args.client_rate,
-        client_burst=args.client_burst,
-        fault_injector=fault_injector,
-        access_log=access_log,
-        trace_sample=args.trace_sample,
-        trace_slow_seconds=args.trace_slow_ms / 1000.0,
-    )
-    return service, table, tracer, access_log, ingest_factory
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
-    """Serve a mined opinion table over HTTP until SIGTERM/Ctrl-C.
+    """Serve a table over HTTP (see :mod:`repro.serve.launch`)."""
+    from .serve.launch import run
 
-    Two run modes share every request/response contract:
-
-    * default — the asyncio core (``repro.serve.aio``), one process;
-    * ``--workers N`` — N forked asyncio workers on ``SO_REUSEPORT``
-      sockets under a supervisor (``repro.serve.workers``).
-    """
-    if args.workers < 1:
-        raise _fail(f"--workers must be >= 1, got {args.workers}")
-    if args.workers > 1:
-        return _serve_multiworker(args)
-    service, table, tracer, access_log, ingest_factory = (
-        _build_serve_components(args)
-    )
-    import asyncio
-
-    from .serve.aio import serve_async
-
-    def _banner(port: int) -> None:
-        # Parsable by scripts (and tests): the bound port is
-        # authoritative when --port 0 asked for an ephemeral one.
-        print(
-            f"repro serve: serving {len(table)} opinions "
-            f"on http://{args.host}:{port}",
-            file=sys.stderr,
-            flush=True,
-        )
-
-    code = 0
-    try:
-        code = asyncio.run(
-            serve_async(
-                service,
-                host=args.host,
-                port=args.port,
-                drain_timeout=args.drain_timeout,
-                ingest_factory=ingest_factory,
-                on_started=_banner,
-            )
-        )
-    except KeyboardInterrupt:
-        pass
-    finally:
-        if tracer is not None and args.trace:
-            tracer.write_jsonl(args.trace)
-        if access_log is not None:
-            # After the drain: every in-flight request has logged its
-            # line, so closing here flushes a complete record.
-            access_log.close()
-        print("repro serve: shut down cleanly", file=sys.stderr)
-    return code
-
-
-def _serve_multiworker(args: argparse.Namespace) -> int:
-    """``--workers N``: fork N asyncio workers on one port.
-
-    The parent validates the artefact and flags once, binds the port
-    (so ``--port 0`` is reported exactly once, before any child
-    races it), prints the banner, and supervises; each worker then
-    builds its own service over the same artefacts.
-    """
-    import os
-
-    from .serve.workers import (
-        WorkerRuntime,
-        make_reuseport_socket,
-        supervise,
-    )
-
-    table = load(args.opinions, "opinions")
-    if args.fault_inject:
-        from .serve import ServeFaultInjector
-
-        try:
-            ServeFaultInjector.parse(args.fault_inject)
-        except ValueError as error:
-            raise _fail(str(error))
-    n_opinions = len(table)
-    parent_pid = os.getpid()
-
-    def child_main(
-        index: int, port: int, runtime_dir: str, ready_fd: int
-    ) -> int:
-        import asyncio
-
-        from .serve.aio import serve_async
-
-        runtime = WorkerRuntime(
-            runtime_dir, index, args.workers, parent_pid
-        )
-        service, _, tracer, access_log, ingest_factory = (
-            _build_serve_components(
-                args, quiet=True, worker_index=index
-            )
-        )
-        sock = make_reuseport_socket(args.host, port)
-        try:
-            return asyncio.run(
-                serve_async(
-                    service,
-                    sock=sock,
-                    drain_timeout=args.drain_timeout,
-                    runtime=runtime,
-                    ingest_factory=ingest_factory,
-                    quiet=True,
-                    on_started=lambda _port: os.write(
-                        ready_fd, b"1"
-                    ),
-                )
-            )
-        finally:
-            if tracer is not None and args.trace:
-                tracer.write_jsonl(_worker_path(args.trace, index))
-            if access_log is not None:
-                access_log.close()
-
-    def _banner(port: int) -> None:
-        print(
-            f"repro serve: serving {n_opinions} opinions "
-            f"on http://{args.host}:{port}",
-            file=sys.stderr,
-            flush=True,
-        )
-
-    return supervise(
-        args.host,
-        args.port,
-        args.workers,
-        args.drain_timeout,
-        child_main,
-        banner=_banner,
-    )
+    return run(args)
 
 
 def cmd_top(args: argparse.Namespace) -> int:
     """Live terminal dashboard over a running ``repro serve``."""
     from .obs.live import run_top
 
-    if args.interval <= 0:
-        raise _fail(
-            f"--interval must be positive, got {args.interval}"
-        )
     try:
         return run_top(
             args.url, interval=args.interval, once=args.once
@@ -961,17 +701,17 @@ def build_parser() -> argparse.ArgumentParser:
                       default=4, help="extraction pattern version")
     mine.add_argument("--region", default="",
                       help="restrict to documents of this region")
-    mine.add_argument("--workers", type=int, default=4)
+    mine.add_argument("--workers", type=_AT_LEAST_1, default=4)
     mine.add_argument("--strict", action="store_true",
                       help="fail fast: no retries, no document "
                            "quarantine, raw tracebacks")
     mine.add_argument("--checkpoint-dir",
                       help="persist per-shard checkpoints here and "
                            "resume from them on rerun")
-    mine.add_argument("--retries", type=int,
+    mine.add_argument("--retries", type=_AT_LEAST_1,
                       help="shard attempts before giving up "
                            "(default 3)")
-    mine.add_argument("--shard-timeout", type=float,
+    mine.add_argument("--shard-timeout", type=_POSITIVE,
                       help="per-shard wall-clock budget in seconds "
                            "(process executor only; the run still "
                            "waits for an abandoned attempt)")
@@ -1007,7 +747,7 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--out", default="opinions.json",
                         help="publish the refitted table here "
                              "(default opinions.json)")
-    ingest.add_argument("--threshold", type=int, default=100,
+    ingest.add_argument("--threshold", type=_AT_LEAST_1, default=100,
                         help="occurrence threshold rho (default 100)")
     ingest.add_argument("--region", default="",
                         help="tag appended documents with this region")
@@ -1086,37 +826,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument("opinions", help="opinions JSON from 'mine'")
     serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=8080,
+    serve.add_argument("--port", type=_PORT, default=8080,
                        help="0 binds an ephemeral port (printed on "
                             "stderr)")
-    serve.add_argument("--workers", type=int, default=1,
+    serve.add_argument("--workers", type=_AT_LEAST_1, default=1,
                        help="forked asyncio worker processes sharing "
                             "the port via SO_REUSEPORT (default 1 = "
                             "single process, no supervisor)")
-    serve.add_argument("--cache-size", type=int, default=1024,
+    serve.add_argument("--cache-size", type=_AT_LEAST_1, default=1024,
                        help="LRU result-cache entries (default 1024)")
-    serve.add_argument("--max-inflight", type=int, default=32,
+    serve.add_argument("--max-inflight", type=_AT_LEAST_1, default=32,
                        help="concurrent requests admitted before "
                             "queueing/shedding (default 32)")
-    serve.add_argument("--request-deadline-ms", type=float,
+    serve.add_argument("--request-deadline-ms", type=_POSITIVE,
                        default=250.0,
                        help="per-request wall-clock budget; past it "
                             "the request is shed with 503 "
                             "deadline_exceeded (default 250)")
-    serve.add_argument("--queue-depth", type=int, default=16,
+    serve.add_argument("--queue-depth", type=_COUNT, default=16,
                        help="requests allowed to wait briefly for an "
                             "in-flight slot before 503 (default 16)")
-    serve.add_argument("--client-rate", type=float, default=0.0,
+    serve.add_argument("--client-rate", type=_NON_NEGATIVE, default=0.0,
                        help="per-client sustained requests/second; "
                             "over it replies 429 (default 0 = "
                             "disabled)")
-    serve.add_argument("--client-burst", type=float, default=20.0,
+    serve.add_argument("--client-burst", type=_BURST, default=20.0,
                        help="per-client token-bucket burst "
                             "(default 20)")
-    serve.add_argument("--drain-timeout", type=float, default=5.0,
+    serve.add_argument("--drain-timeout", type=_NON_NEGATIVE,
+                       default=5.0,
                        help="seconds to wait for in-flight requests "
                             "after SIGTERM (default 5)")
-    serve.add_argument("--fault-inject", metavar="SPEC",
+    serve.add_argument("--fault-inject", metavar="SPEC", type=_fault_spec,
                        help="chaos testing: e.g. 'slow_every=5,"
                             "slow_ms=300,corrupt_every=2,"
                             "corrupt_mode=truncate,"
@@ -1127,19 +868,19 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--access-log", metavar="PATH",
                        help="append one JSONL line per request here "
                             "(flushed on drain)")
-    serve.add_argument("--access-log-max-bytes", type=int,
+    serve.add_argument("--access-log-max-bytes", type=_AT_LEAST_1,
                        metavar="N",
                        help="rotate the access log when the live file "
                             "would exceed N bytes (rotated parts are "
                             "named <path>.<n>; default: no rotation)")
-    serve.add_argument("--drift-guard-fraction", type=float,
+    serve.add_argument("--drift-guard-fraction", type=_FRACTION,
                        metavar="F",
                        help="warn (stderr + /healthz drift_alarm + "
                             "repro_serve_drift_alarms_total) when a "
                             "reload/rollback flips more than this "
                             "fraction of common answers, e.g. 0.2 "
                             "(default: disabled)")
-    serve.add_argument("--trace-sample", type=int, default=1,
+    serve.add_argument("--trace-sample", type=_AT_LEAST_1, default=1,
                        help="head-sample spans: keep every Nth "
                             "request (default 1 = all; slow and "
                             "failed requests are always kept)")
@@ -1154,7 +895,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--ingest-kb",
                        help="knowledge base for incremental "
                             "extraction (default: built-in)")
-    serve.add_argument("--ingest-threshold", type=int, default=100,
+    serve.add_argument("--ingest-threshold", type=_AT_LEAST_1,
+                       default=100,
                        help="occurrence threshold rho for ingest "
                             "refits (default 100)")
     serve.add_argument("--ingest-warm-start", action="store_true",
@@ -1171,7 +913,7 @@ def build_parser() -> argparse.ArgumentParser:
     top.add_argument("--url", default="http://127.0.0.1:8080",
                      help="base URL of the server "
                           "(default http://127.0.0.1:8080)")
-    top.add_argument("--interval", type=float, default=2.0,
+    top.add_argument("--interval", type=_POSITIVE, default=2.0,
                      help="seconds between refreshes (default 2)")
     top.add_argument("--once", action="store_true",
                      help="render a single frame and exit (two "

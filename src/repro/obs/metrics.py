@@ -562,14 +562,30 @@ def validate_metrics_payload(
     return errors
 
 
+_NUMBER = (int, float)
+#: The fields each metric type carries in a ``--metrics-out`` file.
+_FIELDS = {"counter": {"value": _NUMBER}, "gauge": {"value": _NUMBER}}
+_FIELDS["histogram"] = _FIELDS["streamhist"] = {
+    "count": _NUMBER, "sum": _NUMBER, "buckets": list, "counts": list,
+}
+
+
 def metrics_from_dict(payload: dict[str, Any]) -> dict[str, Any]:
     """Decode a ``--metrics-out`` payload: ``metrics`` must map each
-    name to an object; embedded EM convergence rows become records."""
+    name to an object carrying its type's fields; embedded EM
+    convergence rows become records."""
     metrics = payload["metrics"]
     if not isinstance(metrics, dict) or not all(
         isinstance(row, dict) for row in metrics.values()
     ):
         raise FormatError("'metrics' must map each name to an object")
+    for name, row in metrics.items():
+        kind = row.get("type")
+        for field, shape in _FIELDS.get(kind, {}).items():
+            if not isinstance(row.get(field), shape):
+                raise FormatError(
+                    f"{kind} {name!r} lacks a well-formed {field!r}"
+                )
     if "em_convergence" in payload:
         payload["em_convergence"] = [
             ConvergenceRecord.from_dict(row)

@@ -1,6 +1,6 @@
 """Query-serving subsystem: index, cache, and concurrent HTTP API.
 
-Mine once with ``repro run``, then serve many low-latency subjective
+Mine once with ``repro mine``, then serve many low-latency subjective
 queries: :class:`OpinionIndex` answers conjunctive/negated top-k queries
 from pre-built posting structures (bit-identical to the one-shot
 :class:`~repro.core.query.QueryEngine`), :class:`QueryCache` absorbs
@@ -10,7 +10,8 @@ queue), per-request deadlines, safe hot-reload with one-step
 rollback, and a seeded chaos injector. The front end is the asyncio
 event loop (:class:`AsyncReproServer` / :func:`serve_async`, with
 ``--workers N`` forking SO_REUSEPORT workers via
-:mod:`repro.serve.workers`).
+:mod:`repro.serve.workers`); :mod:`repro.serve.launch` assembles
+``repro serve`` in both run modes.
 Every request carries an ``X-Request-Id`` joining its access-log line
 (:class:`AccessLog`), histogram exemplar, and trace span; SLO burn
 rates surface in ``/healthz`` and ``/metrics``. See docs/serving.md,
@@ -41,14 +42,7 @@ from .faults import (
     ServeFaultInjector,
 )
 from .index import AGNOSTIC_PRIOR, OpinionIndex
-from .schema import (
-    SERVE_SCHEMA_VERSION,
-    ask_response,
-    batch_response,
-    error_response,
-    explain_response,
-    listing_response,
-)
+from .schema import SERVE_SCHEMA_VERSION, error_response
 from .server import (
     DEFAULT_MAX_INFLIGHT,
     HEALTH_STATES,
@@ -57,7 +51,6 @@ from .server import (
     documents_from_payload,
     load_provenance_sidecar,
     new_request_id,
-    resolve_opinion,
 )
 from .workers import WorkerRuntime, make_reuseport_socket, supervise
 
@@ -86,17 +79,12 @@ __all__ = [
     "ServeFaultInjector",
     "TokenBucket",
     "WorkerRuntime",
-    "ask_response",
-    "batch_response",
     "documents_from_payload",
     "error_response",
-    "explain_response",
-    "listing_response",
     "load_provenance_sidecar",
     "make_reuseport_socket",
     "new_request_id",
     "read_access_log",
-    "resolve_opinion",
     "serve_async",
     "supervise",
 ]

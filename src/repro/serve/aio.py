@@ -993,16 +993,17 @@ async def serve_async(
     drain_timeout: float = 5.0,
     runtime: Any | None = None,
     ingest_factory: Callable[[], Any] | None = None,
-    quiet: bool = False,
     on_started: Callable[[int], None] | None = None,
 ) -> int:
     """Run the async core until SIGTERM/SIGINT, with graceful drain.
 
-    SIGHUP hot-swaps (via the shared epoch file when a worker ``runtime`` is attached,
-    so sibling workers converge on the same generation), SIGTERM
-    flips the service to draining, stops the listener, and waits up
-    to ``drain_timeout`` for in-flight requests. ``on_started``
-    receives the bound port (authoritative for ``--port 0``).
+    SIGHUP hot-swaps (via the shared epoch file when a worker
+    ``runtime`` is attached, so sibling workers converge on the same
+    generation), SIGTERM flips the service to draining, stops the
+    listener, and waits up to ``drain_timeout`` for in-flight
+    requests. ``on_started`` receives the bound port (authoritative
+    for ``--port 0``). A worker (``runtime`` attached) prints no drain
+    notices: its supervisor speaks for the fleet.
     """
     server = AsyncReproServer(
         service,
@@ -1020,7 +1021,7 @@ async def serve_async(
     def _terminate() -> None:
         if not service.admission.draining:
             service.begin_drain()
-            if not quiet:
+            if runtime is None:
                 print(
                     "repro serve: draining (finishing in-flight "
                     "requests)",
@@ -1088,7 +1089,7 @@ async def serve_async(
     server.close_listener()
     admission = server.admission
     drained = await admission.wait_idle_async(drain_timeout)
-    if not drained and not quiet:
+    if not drained and runtime is None:
         print(
             "repro serve: drain timeout reached with "
             f"{admission.inflight} request(s) still "

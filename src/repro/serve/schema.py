@@ -1,12 +1,12 @@
 """The machine-readable response schema shared by CLI and HTTP.
 
-``repro ask --format json`` / ``repro query --format json`` and the
-HTTP server's ``GET /query`` build their payloads through the same
-functions, so the two surfaces cannot drift apart — one test asserts
-they are byte-identical over the same opinion table. The same holds
-for failures: every 4xx/5xx body (and the CLI's JSON-mode error
-output) goes through :func:`error_response`, pinned by a golden-file
-test.
+The HTTP routes build their payloads through these functions, and
+``repro query|ask|explain --format json`` call the routes' own
+``OpinionService`` methods, so the two surfaces cannot drift apart —
+tests assert they are byte-identical over the same opinion table. The
+same holds for failures: every 4xx/5xx body (and the CLI's JSON-mode
+error output) goes through :func:`error_response`, pinned by a
+golden-file test.
 
 All payload kinds are format-tagged like every other artefact in the
 repo (``serve_ask`` / ``serve_query`` / ``serve_batch`` /

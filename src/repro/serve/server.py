@@ -153,8 +153,8 @@ def resolve_opinion(
     With an explicit ``entity_type`` the lookup is exact; without one
     the property must resolve to a single combination across the
     entity's opinions — ambiguity is a 400 listing the candidate
-    types, absence a 404. Shared by the CLI and the HTTP route so
-    both surfaces resolve identically.
+    types, absence a 404. :meth:`OpinionService.explain_entry` runs
+    it for ``GET /explain`` and ``repro explain`` alike.
     """
     try:
         prop = SubjectiveProperty.parse(property_text)

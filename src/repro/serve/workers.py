@@ -225,8 +225,9 @@ def supervise(
     ``os._exit``\\ s. The child writes one byte to ``ready_fd`` once
     it is listening; the banner (port report) only prints after every
     worker is ready, so the advertised address accepts connections
-    immediately. Returns the supervisor exit code: 0 after a clean
-    drain, 1 when a worker died unexpectedly.
+    immediately; a fleet that never got ready is shut down without
+    one. Returns the supervisor exit code: 0 after a clean drain, 1
+    when a worker died unexpectedly or never got ready.
     """
     if workers < 2:
         raise ValueError(
@@ -254,7 +255,7 @@ def supervise(
                 code = child_main(
                     index, bound_port, runtime_dir, ready_write
                 )
-            except SystemExit as exit_:  # argparse/_fail inside child
+            except SystemExit as exit_:  # sys.exit inside the child
                 code = (
                     exit_.code if isinstance(exit_.code, int) else 1
                 )
@@ -267,12 +268,12 @@ def supervise(
                 os._exit(code)
         children[pid] = index
     os.close(ready_write)
-    _await_ready(ready_read, workers)
+    ready = _await_ready(ready_read, workers)
     os.close(ready_read)
-    if banner is not None:
+    # A fleet that did not come up is torn down below, unadvertised.
+    flags = {"term": not ready, "hup": False, "usr1": False}
+    if ready and banner is not None:
         banner(bound_port)
-
-    flags = {"term": False, "hup": False, "usr1": False}
 
     def _on_term(signum: int, frame: Any) -> None:
         flags["term"] = True
@@ -290,7 +291,7 @@ def supervise(
 
     draining = False
     kill_at: float | None = None
-    exit_code = 0
+    exit_code = 0 if ready else 1
     try:
         while children:
             try:
@@ -362,10 +363,12 @@ def _kill(pid: int, signum: int) -> None:
 
 def _await_ready(
     fd: int, workers: int, timeout: float = 30.0
-) -> None:
-    """Block until every worker wrote its ready byte (or ``timeout``
-    passed / a worker died and closed its end) so the banner never
-    advertises an address that refuses connections."""
+) -> bool:
+    """Whether every worker wrote its ready byte before ``timeout``.
+
+    False as soon as every worker closed its end without it (they
+    died at boot), so the banner never advertises an address that
+    refuses connections."""
     import select
 
     seen = 0
@@ -373,11 +376,12 @@ def _await_ready(
     while seen < workers:
         remaining = deadline - time.monotonic()
         if remaining <= 0:
-            return
+            return False
         readable, _, _ = select.select([fd], [], [], remaining)
         if not readable:
-            return
+            return False
         chunk = os.read(fd, workers - seen)
         if not chunk:  # every writer gone (workers died at boot)
-            return
+            return False
         seen += len(chunk)
+    return True

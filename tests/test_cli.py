@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import os
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -268,6 +271,13 @@ class TestArtefactErrors:
         (tmp_path / "list-metrics.json").write_text(
             '{"format": "metrics", "version": 1, "metrics": {"a": [1]}}'
         )
+        (tmp_path / "valueless-metrics.json").write_text(
+            '{"format": "metrics", "version": 1, "metrics": '
+            '{"repro_opinions_total": {"type": "counter"}}}'
+        )
+        (tmp_path / "latin1.txt").write_bytes(
+            b"Kittens are cute.\n\xe9t\xe9 kittens are cute.\n"
+        )
         return tmp_path
 
     @pytest.mark.parametrize(
@@ -317,6 +327,19 @@ class TestArtefactErrors:
                 id="stats-metrics-not-objects",
             ),
             pytest.param(
+                [
+                    "stats", "trace.jsonl",
+                    "--metrics", "valueless-metrics.json",
+                ],
+                "counter 'repro_opinions_total' lacks",
+                id="stats-metrics-counter-without-value",
+            ),
+            pytest.param(
+                ["mine", "latin1.txt"],
+                "undecodable corpus",
+                id="mine-non-utf8-corpus",
+            ),
+            pytest.param(
                 ["stats", "list-span.jsonl"],
                 "list-span.jsonl:2:",
                 id="stats-trace-list-span",
@@ -349,6 +372,71 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_help_matches_golden(self, monkeypatch, capsys):
+        """`repro --help` and every `repro <cmd> --help` at 80 columns
+        are pinned byte for byte by tests/data/cli_help.golden."""
+        monkeypatch.setenv("COLUMNS", "80")
+        rendered = []
+        for argv in [[]] + [[command] for command in HELP_COMMANDS]:
+            with pytest.raises(SystemExit) as exit_:
+                main([*argv, "--help"])
+            assert exit_.value.code == 0
+            rendered.append(
+                f"$ repro {' '.join([*argv, '--help'])}\n"
+                + capsys.readouterr().out
+            )
+        assert "".join(rendered) == HELP_GOLDEN.read_text()
+
+
+HELP_GOLDEN = Path(__file__).parent / "data" / "cli_help.golden"
+HELP_COMMANDS = (
+    "demo", "mine", "ingest", "query", "ask", "explain", "diff", "serve",
+    "top", "eval", "reproduce", "stats", "calibrate",
+)
+
+
+class TestServeFlagValues:
+    """A bad `repro serve` flag value is a usage error naming the flag,
+    exit 2, raised while parsing: no traceback, no banner, nothing
+    loaded, bound or forked, in either run mode."""
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--max-inflight", "0"),
+            ("--cache-size", "0"),
+            ("--trace-sample", "0"),
+            ("--request-deadline-ms", "0"),
+            ("--queue-depth", "-1"),
+            ("--client-rate", "-1"),
+            ("--drift-guard-fraction", "2"),
+            ("--access-log-max-bytes", "0"),
+        ],
+    )
+    def test_bad_value_exits_2_before_serving(
+        self, monkeypatch, capsys, flag, value, workers
+    ):
+        import repro.serve.launch
+
+        def launched(*args, **kwargs):
+            raise AssertionError("serve started on a bad flag value")
+
+        monkeypatch.setattr(repro.serve.launch, "run", launched)
+        monkeypatch.setattr(os, "fork", launched)
+        with pytest.raises(SystemExit) as exit_:
+            main(
+                [
+                    "serve", "missing.json", "--port", "0",
+                    "--workers", workers, flag, value,
+                ]
+            )
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}: must be" in err
+        assert "Traceback" not in err
+        assert "serving" not in err
 
 
 class TestObservabilityFlags:

@@ -937,8 +937,7 @@ class TestSidecarCache:
             started = asyncio.Event()
             server = asyncio.ensure_future(
                 serve_async(
-                    service, quiet=True,
-                    on_started=lambda port: started.set(),
+                    service, on_started=lambda port: started.set()
                 )
             )
             await started.wait()

@@ -796,6 +796,71 @@ class TestCLIServerParity:
         assert cli_body == http_body.decode()
         assert json.loads(cli_body)["lineage"]["samples"]
 
+    @pytest.mark.parametrize(
+        "argv, route",
+        [
+            pytest.param(
+                ["query", "big", "animal", "--top", "0"],
+                "/query?property=big&type=animal&top=0",
+                id="query-top-0",
+            ),
+            pytest.param(
+                ["query", "big", "animal", "--top", "5000"],
+                "/query?property=big&type=animal&top=5000",
+                id="query-top-5000",
+            ),
+            pytest.param(
+                ["ask", "cute animals", "--top", "0"],
+                "/query?q=cute+animals&top=0",
+                id="ask-top-0",
+            ),
+            pytest.param(
+                ["ask", "cute animals", "--top", "5000"],
+                "/query?q=cute+animals&top=5000",
+                id="ask-top-5000",
+            ),
+            pytest.param(
+                ["query", "big", "animal", "--min-probability", "-0.0"],
+                "/query?property=big&type=animal&min_probability=-0.0",
+                id="query-min-probability-negative-zero",
+            ),
+            pytest.param(
+                ["query", "big", "animal", "--min-probability", "1.5"],
+                "/query?property=big&type=animal&min_probability=1.5",
+                id="query-min-probability-1.5",
+            ),
+            pytest.param(
+                ["query", " ", "animal"],
+                "/query?property=+&type=animal",
+                id="query-unparsable-property",
+            ),
+            pytest.param(
+                ["explain", "/animal/kitten", " "],
+                "/explain?entity=/animal/kitten&property=+",
+                id="explain-unparsable-property",
+            ),
+        ],
+    )
+    def test_edge_input_identical_to_http(
+        self, served, tmp_path, capsys, argv, route
+    ):
+        """Inputs the route rejects are the same 400 envelope (exit 2)
+        on the CLI; the HTTP side's request id is set back to null."""
+        path = save(demo_table(), tmp_path / "cli.json")
+        _, base = served
+        rc = main([argv[0], str(path), *argv[1:], "--format", "json"])
+        cli_body = capsys.readouterr().out.strip()
+        try:
+            status, _, http_body = get(f"{base}{route}")
+        except urllib.error.HTTPError as error:
+            status, http_body = error.code, error.read()
+        if status == 400:
+            payload = json.loads(http_body)
+            payload["request_id"] = None
+            http_body = json.dumps(payload, sort_keys=True).encode()
+        assert rc == (2 if status == 400 else 0)
+        assert cli_body == http_body.decode()
+
 
 # ---------------------------------------------------------------------------
 # The `repro serve` process (signals, clean shutdown)
@@ -805,6 +870,49 @@ class TestCLIServerParity:
     not hasattr(signal, "SIGHUP"), reason="POSIX signals required"
 )
 class TestServeProcess:
+    def test_workers_2_serves_like_workers_1(self, tmp_path):
+        """Both run modes: one banner, the fresh-ingest warning once,
+        the same /query bytes, and a clean SIGTERM; with two workers
+        /metrics reports both, and worker 1 traces to `<path>.w1`."""
+        path = save(demo_table(), tmp_path / "op.json")
+        processes = {}
+        try:
+            for workers in ("1", "2"):
+                journal = tmp_path / f"journal-{workers}"
+                journal.mkdir()
+                processes[workers] = _spawn_serve(
+                    path,
+                    "--workers", workers,
+                    "--ingest-journal", str(journal),
+                    "--trace", str(tmp_path / f"trace-{workers}.jsonl"),
+                )
+            boots = {w: _read_banner(p) for w, p in processes.items()}
+            bodies = {
+                workers: get(f"{base}/query?q=cute+animals")[2]
+                for workers, (base, _) in boots.items()
+            }
+            assert bodies["1"] == bodies["2"]
+            _, _, metrics = get(f"{boots['2'][0]}/metrics")
+            assert b"\nrepro_serve_workers 2\n" in metrics
+            for process in processes.values():
+                process.terminate()  # SIGTERM
+            for workers, process in processes.items():
+                stderr = boots[workers][1] + process.communicate(
+                    timeout=20
+                )[1]
+                assert process.returncode == 0, stderr
+                assert stderr.count("serving 6 opinions") == 1, stderr
+                assert stderr.count("is fresh") == 1, stderr
+                assert "shut down cleanly" in stderr
+        finally:
+            for process in processes.values():
+                if process.poll() is None:
+                    process.kill()
+                    process.wait(timeout=10)
+        assert sorted(p.name for p in tmp_path.glob("trace-*")) == [
+            "trace-1.jsonl", "trace-2.jsonl", "trace-2.jsonl.w1",
+        ]
+
     def test_sighup_reload_and_sigterm_shutdown(self, tmp_path):
         path = save(demo_table(), tmp_path / "op.json")
         env = dict(os.environ)
@@ -857,3 +965,31 @@ class TestServeProcess:
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=10)
+
+
+def _spawn_serve(path, *flags):
+    """Start `repro serve PATH --port 0 FLAGS` in a subprocess."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = "src" + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    return subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve", str(path),
+            "--port", "0", *flags,
+        ],
+        stderr=subprocess.PIPE,
+        text=True,
+        env=env,
+    )
+
+
+def _read_banner(process):
+    """(base url, stderr up to and including the serving banner)."""
+    boot = ""
+    while "serving" not in boot:
+        line = process.stderr.readline()
+        assert line, f"no banner before exit: {boot}"
+        boot += line
+    port = int(boot.rstrip().rsplit(":", 1)[1])
+    return f"http://127.0.0.1:{port}", boot

@@ -20,6 +20,7 @@ import asyncio
 import gc
 import json
 import pickle
+import signal
 import socket
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from repro.serve.workers import (
     make_reuseport_socket,
     publish_epoch,
     read_epoch,
+    supervise,
 )
 
 from .conftest import AsyncHarness
@@ -678,6 +680,29 @@ class TestWorkerRuntime:
         exposition = server.render_metrics()
         assert "repro_serve_requests_total 8" in exposition
         assert "repro_serve_workers 2" in exposition
+
+    @pytest.mark.skipif(
+        not hasattr(signal, "SIGHUP"), reason="POSIX signals required"
+    )
+    def test_fleet_that_never_gets_ready_is_not_advertised(self):
+        """Workers that exit before their ready byte: the supervisor
+        prints no banner for the dead address and exits 1."""
+        banners = []
+        handlers = {
+            signum: signal.getsignal(signum)
+            for signum in (
+                signal.SIGTERM, signal.SIGINT, signal.SIGHUP, signal.SIGUSR1
+            )
+        }
+        try:
+            code = supervise(
+                "127.0.0.1", 0, 2, 1.0, lambda *args: 1,
+                banner=banners.append,
+            )
+        finally:
+            for signum, handler in handlers.items():
+                signal.signal(signum, handler)
+        assert (code, banners) == (1, [])
 
     def test_reuseport_sockets_share_a_port(self):
         first = make_reuseport_socket("127.0.0.1", 0)
