@@ -59,6 +59,10 @@ for artefact in kb.json latin1.json; do
 done
 expect_exit_2 stats "$OBS_DIR/trace.jsonl" \
     --convergence "$OBS_DIR/opinions.json"
+# An ingest journal path that is a regular file fails before any worker
+# is forked, as it does with one worker.
+expect_exit_2 serve "$OBS_DIR/opinions.json" --port 0 --workers 2 \
+    --ingest-journal "$OBS_DIR/docs.txt"
 
 echo "== in-bench gates (scale, serving, overhead budgets, provenance) =="
 # Each bench asserts relative figures measured in its own process:

@@ -15,50 +15,71 @@ Quickstart::
     )
 
 See ``examples/quickstart.py`` for a runnable end-to-end walkthrough.
+
+Imports: a process imports only the code its command runs. The names
+above, and those of ``repro.core`` and ``repro.pipeline``, resolve on
+first access (:mod:`repro._exports`), and ``repro.cli`` imports a
+command's modules inside that command. Two rules keep it so:
+
+* nothing on the ``mine`` or ``serve`` path imports scipy outside
+  ``core/em.py`` (which needs ``scipy.special`` for every fit);
+  ``scipy.optimize`` and ``scipy.stats`` are imported inside
+  ``calibration._fit_logistic`` and ``correlation.correlation_report``,
+  their one caller each. ``repro serve`` without ``--ingest-journal``
+  imports no numpy at all;
+* ``repro.obs`` never imports ``repro.evaluation`` at module level. The
+  harness imports the pipeline, which imports obs, so such an import
+  is circular when ``repro.pipeline`` is imported first.
+
+``tests/test_imports.py`` checks both in a fresh interpreter.
 """
 
-from .baselines import (
-    MajorityVote,
-    ScaledMajorityVote,
-    SurveyorInterpreter,
-    WebChildLike,
-    standard_interpreters,
-)
-from .analysis import find_controversial
-from .core import (
-    EMLearner,
-    QueryEngine,
-    SubjectiveQuery,
-    fit_link,
-    SubjectiveObjectiveLink,
-    EvidenceCounts,
-    ModelParameters,
-    Opinion,
-    OpinionTable,
-    Polarity,
-    PropertyTypeKey,
-    SubjectiveProperty,
-    Surveyor,
-    SurveyorResult,
-    UserBehaviorModel,
-)
-from .corpus import (
-    CorpusGenerator,
-    NoiseProfile,
-    Scenario,
-    TrueParameters,
-    WebCorpus,
-    covariate_scenario,
-    curated_scenario,
-)
-from .crowd import SurveyRunner, curated_cases
-from .evaluation import EvaluationHarness, evaluate_table
-from .extraction import EvidenceCounter, EvidenceExtractor
-from .kb import Entity, KnowledgeBase, evaluation_kb, full_kb, load_tsv
-from .nlp import Annotator
-from .pipeline import SurveyorPipeline
-from .serve import OpinionIndex, OpinionService, QueryCache
-from .storage import load, save
+from ._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".baselines": (
+        "MajorityVote",
+        "ScaledMajorityVote",
+        "SurveyorInterpreter",
+        "WebChildLike",
+        "standard_interpreters",
+    ),
+    ".analysis": ("find_controversial",),
+    ".core": (
+        "EMLearner",
+        "QueryEngine",
+        "SubjectiveQuery",
+        "fit_link",
+        "SubjectiveObjectiveLink",
+        "EvidenceCounts",
+        "ModelParameters",
+        "Opinion",
+        "OpinionTable",
+        "Polarity",
+        "PropertyTypeKey",
+        "SubjectiveProperty",
+        "Surveyor",
+        "SurveyorResult",
+        "UserBehaviorModel",
+    ),
+    ".corpus": (
+        "CorpusGenerator",
+        "NoiseProfile",
+        "Scenario",
+        "TrueParameters",
+        "WebCorpus",
+        "covariate_scenario",
+        "curated_scenario",
+    ),
+    ".crowd": ("SurveyRunner", "curated_cases"),
+    ".evaluation": ("EvaluationHarness", "evaluate_table"),
+    ".extraction": ("EvidenceCounter", "EvidenceExtractor"),
+    ".kb": ("Entity", "KnowledgeBase", "evaluation_kb", "full_kb", "load_tsv"),
+    ".nlp": ("Annotator",),
+    ".pipeline": ("SurveyorPipeline",),
+    ".serve": ("OpinionIndex", "OpinionService", "QueryCache"),
+    ".storage": ("load", "save"),
+})
 
 __version__ = "1.0.0"
 

@@ -37,7 +37,6 @@ from pathlib import Path
 from .core.errors import ReproError
 from .core.types import Polarity, PropertyTypeKey, SubjectiveProperty
 from .corpus.document import Document, WebCorpus
-from .extraction.patterns import PATTERN_VERSIONS
 from .kb.knowledge_base import KnowledgeBase
 from .kb.seeds import evaluation_kb
 from .obs import (
@@ -58,8 +57,6 @@ from .obs import (
     write_manifest,
 )
 from .pipeline.mapreduce import EXECUTORS
-from .pipeline.resilience import RetryPolicy
-from .pipeline.runner import SurveyorPipeline
 from .storage import load, provenance_path_for, save
 
 #: Exit code for operational failures (bad input files, corrupt
@@ -202,6 +199,7 @@ def _finish_obs(
 def cmd_demo(args: argparse.Namespace) -> int:
     from .corpus.generator import CorpusGenerator
     from .evaluation.harness import EvaluationHarness
+    from .pipeline.runner import SurveyorPipeline
 
     harness = EvaluationHarness(seed=args.seed)
     corpus = CorpusGenerator(seed=args.seed).generate(
@@ -228,6 +226,10 @@ def cmd_demo(args: argparse.Namespace) -> int:
 
 
 def cmd_mine(args: argparse.Namespace) -> int:
+    from .extraction.patterns import PATTERN_VERSIONS
+    from .pipeline.resilience import RetryPolicy
+    from .pipeline.runner import SurveyorPipeline
+
     kb = _load_kb(args.kb)
     corpus = _read_corpus(Path(args.corpus), region=args.region)
     if args.region:

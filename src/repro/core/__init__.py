@@ -1,44 +1,48 @@
 """Core of the reproduction: the Surveyor probabilistic model and driver."""
 
-from .calibration import (
-    CalibrationError,
-    SubjectiveObjectiveLink,
-    fit_link,
-)
-from .em import EMLearner, EMResult, EMTrace
-from .errors import (
-    CheckpointError,
-    ExtractionError,
-    ModelFitError,
-    ReproError,
-)
-from .model import UserBehaviorModel
-from .params import (
-    DEFAULT_AGREEMENT_GRID,
-    DEFAULT_INITIAL_PARAMETERS,
-    ModelParameters,
-    PoissonRates,
-)
-from .query import (
-    QueryEngine,
-    QueryError,
-    QueryHit,
-    SubjectiveQuery,
-)
-from .result import OpinionTable
-from .surveyor import (
-    DEFAULT_OCCURRENCE_THRESHOLD,
-    FittedCombination,
-    Surveyor,
-    SurveyorResult,
-)
-from .types import (
-    EvidenceCounts,
-    Opinion,
-    Polarity,
-    PropertyTypeKey,
-    SubjectiveProperty,
-)
+from .._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".calibration": (
+        "CalibrationError",
+        "SubjectiveObjectiveLink",
+        "fit_link",
+    ),
+    ".em": ("EMLearner", "EMResult", "EMTrace"),
+    ".errors": (
+        "CheckpointError",
+        "ExtractionError",
+        "ModelFitError",
+        "ReproError",
+    ),
+    ".model": ("UserBehaviorModel",),
+    ".params": (
+        "DEFAULT_AGREEMENT_GRID",
+        "DEFAULT_INITIAL_PARAMETERS",
+        "ModelParameters",
+        "PoissonRates",
+    ),
+    ".query": (
+        "QueryEngine",
+        "QueryError",
+        "QueryHit",
+        "SubjectiveQuery",
+    ),
+    ".result": ("OpinionTable",),
+    ".surveyor": (
+        "DEFAULT_OCCURRENCE_THRESHOLD",
+        "FittedCombination",
+        "Surveyor",
+        "SurveyorResult",
+    ),
+    ".types": (
+        "EvidenceCounts",
+        "Opinion",
+        "Polarity",
+        "PropertyTypeKey",
+        "SubjectiveProperty",
+    ),
+})
 
 __all__ = [
     "CalibrationError",

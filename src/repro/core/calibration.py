@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from ..kb.entity import Entity
 from .result import OpinionTable
@@ -161,6 +160,8 @@ def _fit_logistic(
     values: list[float], labels: list[int]
 ) -> tuple[float, float]:
     """Maximum-likelihood 1-D logistic regression on log10(covariate)."""
+    from scipy import optimize
+
     x = np.log10(np.maximum(np.asarray(values, dtype=float), 1e-12))
     y = np.asarray(labels, dtype=float)
 

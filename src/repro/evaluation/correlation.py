@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from ..core.result import OpinionTable
 from ..core.types import Polarity, PropertyTypeKey
@@ -95,6 +94,8 @@ def correlation_report(
     name: str, points: list[PolarityPoint]
 ) -> CorrelationReport:
     """Point-biserial correlation of decided polarity vs log-covariate."""
+    from scipy import stats
+
     decided = [p for p in points if p.polarity is not Polarity.NEUTRAL]
     positive_values = [
         p.covariate for p in decided if p.polarity is Polarity.POSITIVE

@@ -32,8 +32,6 @@ import urllib.request
 from dataclasses import dataclass, field
 from typing import Any
 
-from ..evaluation.ascii_plots import sparkline
-
 #: Seconds between the two samples of a --once frame: long enough for
 #: a counter delta to mean something, short enough for CI.
 ONCE_SPACING = 0.5
@@ -186,6 +184,8 @@ class BurnHistory:
                 del history[:-HISTORY_FRAMES]
 
     def spark(self, key: str) -> str:
+        from ..evaluation.ascii_plots import sparkline
+
         history = self.values.get(key, [])
         return sparkline(history) if history else ""
 

@@ -7,9 +7,10 @@ metrics/convergence file is supplied — per-combination EM convergence
 sparklines.
 
 The heavy lifting (bars, sparklines) reuses
-:mod:`repro.evaluation.ascii_plots`, imported lazily so this module
-stays importable from anywhere without dragging the evaluation stack
-into the pipeline's import graph.
+:mod:`repro.evaluation.ascii_plots`, imported inside the functions that
+draw, as :mod:`repro.obs.live` does: ``repro.obs`` never imports
+``repro.evaluation`` at module level, because the evaluation harness
+imports the pipeline, which imports ``repro.obs``.
 """
 
 from __future__ import annotations

@@ -1,21 +1,25 @@
 """Sharded pipeline substrate: map/reduce executor, fault-tolerant
 runtime, and the full runner."""
 
-from .counters import PipelineMetrics, StageMetrics
-from .faults import FaultInjector, InjectedFault
-from .mapreduce import MapReduceJob, shard_items
-from .resilience import (
-    DEFAULT_RETRY_POLICY,
-    NO_RETRY,
-    DeadLetter,
-    PipelineHealth,
-    RetryPolicy,
-    ShardEvidence,
-    ShardFailure,
-    ShardTimeoutError,
-    WorkerTelemetry,
-)
-from .runner import PipelineReport, SurveyorPipeline
+from .._exports import lazy_exports
+
+__getattr__, __dir__ = lazy_exports(__name__, {
+    ".counters": ("PipelineMetrics", "StageMetrics"),
+    ".faults": ("FaultInjector", "InjectedFault"),
+    ".mapreduce": ("MapReduceJob", "shard_items"),
+    ".resilience": (
+        "DEFAULT_RETRY_POLICY",
+        "NO_RETRY",
+        "DeadLetter",
+        "PipelineHealth",
+        "RetryPolicy",
+        "ShardEvidence",
+        "ShardFailure",
+        "ShardTimeoutError",
+        "WorkerTelemetry",
+    ),
+    ".runner": ("PipelineReport", "SurveyorPipeline"),
+})
 
 __all__ = [
     "DEFAULT_RETRY_POLICY",

@@ -7,13 +7,16 @@ asyncio workers on ``SO_REUSEPORT`` sockets under
 :func:`~repro.serve.workers.supervise`; they serve the table loaded
 here.
 
-Flag values are range-checked when the command line is parsed; the
-opinions artefact and the ingest knowledge base are read by
-:func:`run` before any socket is bound or worker forked. Every serving
-process then builds its service (:func:`build_service`), serves until
-SIGTERM, and flushes its trace and access log after the drain. The
-startup notices print once, from the lone process or worker 0; the
-banner prints once, when the address accepts connections.
+Flag values are range-checked when the command line is parsed. What
+the flags name on disk is opened by :func:`run` before any socket is
+bound or worker forked: the opinions artefact and its lineage sidecar,
+and with ``--ingest-journal`` the knowledge base, the journal and its
+state. A bad path is then one ``repro: error:`` line in both run
+modes, and the workers inherit what was read. Every serving process
+then builds its service (:func:`build_service`), serves until SIGTERM,
+and flushes its trace and access log after the drain. The startup
+notices print once, from the lone process or worker 0; the banner
+prints once, when the address accepts connections.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import sys
 from typing import Callable
 
 from ..core.result import OpinionTable
-from ..kb.knowledge_base import KnowledgeBase
+from ..extraction.provenance import ProvenanceIndex
 from ..kb.seeds import evaluation_kb
 from ..obs import MetricsRegistry, Tracer
 from ..storage import load
@@ -40,12 +43,17 @@ from .workers import WorkerRuntime, make_reuseport_socket, supervise
 def run(args: argparse.Namespace) -> int:
     """Serve ``args.opinions`` until SIGTERM/Ctrl-C; the exit code."""
     table = load(args.opinions, "opinions")
-    kb = None
+    provenance = load_provenance_sidecar(args.opinions)
+    # One registry per process: each worker gets its own copy at fork.
+    registry = MetricsRegistry()
+    ingest_factory = pipeline = None
     if args.ingest_journal:
-        kb = (
-            load(args.ingest_kb, "knowledge_base")
-            if args.ingest_kb
-            else evaluation_kb()
+        ingest_factory = _ingest_factory(args, registry)
+        pipeline = ingest_factory()
+
+    def service_for(index: int | None) -> OpinionService:
+        return build_service(
+            args, table, provenance, registry, pipeline, index
         )
 
     def banner(port: int) -> None:
@@ -59,14 +67,16 @@ def run(args: argparse.Namespace) -> int:
         )
 
     if args.workers == 1:
-        return _serve_process(args, table, kb, on_started=banner)
+        return _serve_process(
+            args, service_for(None), ingest_factory, on_started=banner
+        )
     parent_pid = os.getpid()
 
     def child_main(
         index: int, port: int, runtime_dir: str, ready_fd: int
     ) -> int:
         return _serve_process(
-            args, table, kb,
+            args, service_for(index), ingest_factory,
             index=index,
             runtime=WorkerRuntime(
                 runtime_dir, index, args.workers, parent_pid
@@ -81,18 +91,46 @@ def run(args: argparse.Namespace) -> int:
     )
 
 
+def _ingest_factory(
+    args: argparse.Namespace, registry: MetricsRegistry
+) -> Callable[[], object]:
+    """The factory that builds, and after a sibling's ingest rebuilds,
+    the pipeline over ``--ingest-journal``; the knowledge base is read
+    once, here."""
+    from ..ingest import CorpusJournal, IngestPipeline
+
+    kb = (
+        load(args.ingest_kb, "knowledge_base")
+        if args.ingest_kb
+        else evaluation_kb()
+    )
+
+    def ingest_factory() -> IngestPipeline:
+        # Rebuilds pick their persisted state back up from the
+        # journal directory (a sibling worker may have advanced it;
+        # see AsyncReproServer._resync_pipeline).
+        return IngestPipeline(
+            kb=kb,
+            journal=CorpusJournal(args.ingest_journal),
+            occurrence_threshold=args.ingest_threshold,
+            warm_start=args.ingest_warm_start,
+            registry=registry,
+        )
+
+    return ingest_factory
+
+
 def _serve_process(
     args: argparse.Namespace,
-    table: OpinionTable,
-    kb: KnowledgeBase | None,
+    service: OpinionService,
+    ingest_factory: Callable[[], object] | None,
     *,
     on_started: Callable[[int], object],
     index: int | None = None,
     runtime: WorkerRuntime | None = None,
     sock: socket.socket | None = None,
 ) -> int:
-    """One serving process, from build to the shutdown flush."""
-    service, ingest_factory = build_service(args, table, kb, index)
+    """One serving process, from serving to the shutdown flush."""
     try:
         return asyncio.run(
             serve_async(
@@ -129,40 +167,23 @@ def _worker_path(path: str | None, index: int | None) -> str | None:
 def build_service(
     args: argparse.Namespace,
     table: OpinionTable,
-    kb: KnowledgeBase | None = None,
+    provenance: ProvenanceIndex | None,
+    registry: MetricsRegistry,
+    pipeline: object | None = None,
     index: int | None = None,
-) -> tuple[OpinionService, Callable[[], object] | None]:
-    """One serving process's service over ``table``, and the factory
-    that rebuilds its ingest pipeline over ``kb`` (None without a
-    journal). Each process has its own metrics registry; worker
-    ``index`` writes its access log and trace under ``.w<index>``."""
-    notices = not index  # the lone process, or worker 0
-    registry = MetricsRegistry()
-    provenance = load_provenance_sidecar(args.opinions)
-    if provenance is not None and notices:
-        print(
-            f"repro serve: loaded evidence lineage "
-            f"({provenance.n_pairs} pairs) for /explain",
-            file=sys.stderr,
-        )
-    pipeline = ingest_factory = None
-    if args.ingest_journal:
-        from ..ingest import CorpusJournal, IngestPipeline
-
-        def ingest_factory() -> IngestPipeline:
-            # Rebuilds pick their persisted state back up from the
-            # journal directory (a sibling worker may have advanced
-            # it; see AsyncReproServer._resync_pipeline).
-            return IngestPipeline(
-                kb=kb,
-                journal=CorpusJournal(args.ingest_journal),
-                occurrence_threshold=args.ingest_threshold,
-                warm_start=args.ingest_warm_start,
-                registry=registry,
+) -> OpinionService:
+    """One serving process's service over ``table``, recording into
+    ``registry`` and ingesting through ``pipeline`` (None without a
+    journal). Worker ``index`` writes its access log and trace under
+    ``.w<index>``."""
+    if not index:  # the lone process, or worker 0
+        if provenance is not None:
+            print(
+                f"repro serve: loaded evidence lineage "
+                f"({provenance.n_pairs} pairs) for /explain",
+                file=sys.stderr,
             )
-
-        pipeline = ingest_factory()
-        if notices:
+        if pipeline is not None:
             _ingest_notice(pipeline)
     access_log = None
     if args.access_log:
@@ -170,7 +191,7 @@ def build_service(
             _worker_path(args.access_log, index),
             max_bytes=args.access_log_max_bytes,
         )
-    service = OpinionService(
+    return OpinionService(
         table,
         source_path=args.opinions,
         provenance=provenance,
@@ -198,7 +219,6 @@ def build_service(
         trace_sample=args.trace_sample,
         trace_slow_seconds=args.trace_slow_ms / 1000.0,
     )
-    return service, ingest_factory
 
 
 def _ingest_notice(pipeline) -> None:

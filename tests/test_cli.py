@@ -438,6 +438,33 @@ class TestServeFlagValues:
         assert "Traceback" not in err
         assert "serving" not in err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_unusable_ingest_journal_exits_2_before_forking(
+        self, tmp_path, monkeypatch, capsys, workers
+    ):
+        """An `--ingest-journal` path that is a regular file is opened
+        before any worker forks: one error line, exit 2, no banner."""
+        from repro.core import OpinionTable
+
+        def forked():
+            raise AssertionError("a worker forked before the journal")
+
+        monkeypatch.setattr(os, "fork", forked)
+        table = save(OpinionTable(), tmp_path / "op.json")
+        journal = tmp_path / "journal"
+        journal.write_text("not a directory\n")
+        rc = main(
+            [
+                "serve", str(table), "--port", "0", "--workers", workers,
+                "--ingest-journal", str(journal),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1
+        assert "File exists" in err
+
 
 class TestObservabilityFlags:
     def mine_with_telemetry(self, corpus_file, tmp_path):

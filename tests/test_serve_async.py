@@ -8,10 +8,10 @@ changed no byte a client sees). Replayed twice, every request gets
 the same bytes again (a hit repeats what a cold miss rendered), and
 only the query cache keeps answers alive. Then the HTTP/1.1 reader under
 hostile framing (sign/underscore and conflicting ``Content-Length``,
-``Transfer-Encoding``) and at every byte boundary, keep-alive
-semantics, ungated probe routes under a saturated admission queue,
-and the :class:`WorkerRuntime` epoch/metrics protocol behind
-``--workers N``.
+``Transfer-Encoding``), at every byte boundary and over random header
+sets and pipelined request mixes, keep-alive semantics, ungated probe
+routes under a saturated admission queue, and the
+:class:`WorkerRuntime` epoch/metrics protocol behind ``--workers N``.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ import socket
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import MetricsRegistry
 from repro.serve import AsyncReproServer, OpinionService, ServeError
@@ -557,6 +559,114 @@ class TestByteBoundaries:
         assert _feed(
             [PIPELINED[i:i + 1] for i in range(len(PIPELINED))]
         ) == _feed([PIPELINED])
+
+
+# Headers the reader must pass over: names that steer nothing, in any
+# case, with any visible value (a colon included) and optional spaces.
+_JUNK_NAMES = st.sampled_from(
+    ["Accept", "User-Agent", "Accept-Encoding", "Cookie", "X-Pad"]
+) | st.text(
+    alphabet="abcdefghijklmnopqrstuvwxyz0123456789-",
+    min_size=1, max_size=12,
+).map(lambda name: "X-Junk-" + name)
+_JUNK_VALUES = st.text(
+    alphabet=st.characters(min_codepoint=0x21, max_codepoint=0x7E),
+    max_size=40,
+)
+_SPACES = st.sampled_from(["", " ", "  ", "\t"])
+
+
+def _cased(draw, name: str) -> str:
+    return "".join(
+        char.upper() if draw(st.booleans()) else char.lower()
+        for char in name
+    )
+
+
+@st.composite
+def _golden_request(draw, line: dict, close: bool) -> bytes:
+    """``line``'s request with a random header set."""
+    method, target, body = line["request"]
+    headers = [("Host", "test")] if draw(st.booleans()) else []
+    headers += [
+        (_cased(draw, name), value)
+        for name, value in draw(
+            st.lists(st.tuples(_JUNK_NAMES, _JUNK_VALUES), max_size=6)
+        )
+    ]
+    headers.insert(
+        draw(st.integers(0, len(headers))),
+        (_cased(draw, "X-Request-Id"), "pin-0001"),
+    )
+    payload = b""
+    if body is not None:
+        payload = (
+            body if isinstance(body, str) else json.dumps(body)
+        ).encode()
+        headers.append(("Content-Length", str(len(payload))))
+    if close:
+        headers.append((_cased(draw, "Connection"), "close"))
+    head = [f"{method} {target} HTTP/1.1"] + [
+        f"{name}:{draw(_SPACES)}{value}{draw(_SPACES)}"
+        for name, value in headers
+    ]
+    return ("\r\n".join(head) + "\r\n\r\n").encode() + payload
+
+
+@st.composite
+def _pipelined_mix(draw):
+    """Golden requests with random header sets, pipelined and cut into
+    random chunks; (chunks, the same requests with plain headers in
+    one piece, their golden lines, closes after the last)."""
+    golden = [line for line in _wire_golden() if "body" in line]
+    lines = draw(st.lists(st.sampled_from(golden), min_size=1, max_size=5))
+    close = draw(st.booleans())
+    last = len(lines) - 1
+    stream = b"".join(
+        draw(_golden_request(line, close and i == last))
+        for i, line in enumerate(lines)
+    )
+    plain = b"".join(
+        _request_bytes(
+            *line["request"], headers=PIN, keep=not (close and i == last)
+        )
+        for i, line in enumerate(lines)
+    )
+    cuts = sorted(
+        draw(st.sets(st.integers(1, len(stream) - 1), max_size=8))
+    )
+    chunks = [
+        stream[start:end]
+        for start, end in zip([0, *cuts], [*cuts, len(stream)])
+    ]
+    return chunks, plain, lines, close
+
+
+class TestReaderProperties:
+    """Random header sets and pipelined request mixes, fed in random
+    chunks: the same bytes as the plain requests sent whole, and in
+    order the golden status, body and contract headers (a cacheable
+    answer may be a hit, when an earlier request in the mix rendered
+    it)."""
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(mix=_pipelined_mix())
+    def test_pipelined_mix_matches_golden(self, mix):
+        chunks, plain, lines, close = mix
+        written = _feed(chunks)
+        assert written == _feed([plain])
+        responses = _parse_responses(written)
+        assert len(responses) == len(lines)
+        for (status, headers, body), line in zip(responses, lines):
+            assert status == line["status"]
+            assert body == line["body"].encode("utf-8")
+            for name in WIRE_HEADERS:
+                expected = line["headers"][name]
+                if name == "x-cache" and expected == "miss":
+                    assert headers.get(name) in ("miss", "hit")
+                else:
+                    assert headers.get(name) == expected, name
+        assert (responses[-1][1].get("connection") == "close") == close
 
 
 # ---------------------------------------------------------------------------
