@@ -63,6 +63,11 @@ expect_exit_2 stats "$OBS_DIR/trace.jsonl" \
 # is forked, as it does with one worker.
 expect_exit_2 serve "$OBS_DIR/opinions.json" --port 0 --workers 2 \
     --ingest-journal "$OBS_DIR/docs.txt"
+# So is every worker's access log in a directory that does not exist.
+for workers in 1 2; do
+    expect_exit_2 serve "$OBS_DIR/opinions.json" --port 0 \
+        --workers "$workers" --access-log "$OBS_DIR/missing/a.log"
+done
 
 echo "== in-bench gates (scale, serving, overhead budgets, provenance) =="
 # Each bench asserts relative figures measured in its own process:
@@ -590,8 +595,10 @@ echo "== ingest lane (journal bootstrap, live append, hot publish) =="
 # bootstrap with `repro ingest`, a live POST /admin/ingest whose new
 # answer must be served as soon as the call returns, a second
 # CLI-journal publish picked up by /admin/reload (which must re-read
-# the rewritten provenance sidecar), and a restart on the same journal
-# that must come back at the same generation with the same answers.
+# the rewritten provenance sidecar), a restart on the same journal
+# that must come back at the same generation with the same answers, and
+# the restarted server's next publish, whose state.json and sidecar
+# must be the bytes a cold ledger encodes for the same state.
 INGEST_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_DIR" "$PARITY_DIR" "$SERVE_DIR" "$INGEST_DIR"' EXIT
 printf '%s\n' \
@@ -724,6 +731,15 @@ try:
     assert health["generation"] == 3, health
     for path, body in before.items():
         assert raw(path) == body, (path, body, raw(path))
+    # Two batches, the second touching pairs the first one's publish
+    # already encoded (kittens from the journal, snakes from batch one).
+    for generation, documents in (
+        (4, ["Snakes are not cute."]),
+        (5, ["Kittens are cute.", "I doubt that snakes are cute."]),
+    ):
+        status, summary = post("/admin/ingest", {"documents": documents})
+        assert status == 200, summary
+        assert summary["generation"] == generation, summary
 
     proc.terminate()
     stderr = proc.communicate(timeout=10)[1]
@@ -732,8 +748,29 @@ finally:
     if proc.poll() is None:
         proc.kill()
         proc.wait(timeout=10)
-print("ingest lane OK")
 PYEOF
+# Re-encode what the live server wrote through a cold ledger: a
+# pipeline opened on a copy of the journal, advanced over nothing new.
+cp -r "$INGEST_DIR/journal" "$INGEST_DIR/cold-journal"
+python - "$INGEST_DIR" <<'PYEOF'
+import sys
+from repro.ingest import CorpusJournal, IngestPipeline
+from repro.kb.seeds import evaluation_kb
+
+ingest_dir = sys.argv[1]
+cold = IngestPipeline(
+    kb=evaluation_kb(),
+    journal=CorpusJournal(f"{ingest_dir}/cold-journal"),
+    occurrence_threshold=1,
+)
+report = cold.advance()
+assert report.documents == 0 and report.generation == 5, report
+cold.publish(report, f"{ingest_dir}/cold-opinions.json")
+PYEOF
+cmp "$INGEST_DIR/journal/state.json" "$INGEST_DIR/cold-journal/state.json"
+cmp "$INGEST_DIR/opinions.json.provenance.json" \
+    "$INGEST_DIR/cold-opinions.json.provenance.json"
+echo "ingest lane OK"
 
 # Ingestion benches carry their own gates (incremental CPU <= 25% of a
 # full re-run on a 10% append; ingest -> servable p50 under a second).

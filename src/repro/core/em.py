@@ -16,7 +16,8 @@ authors process 380,000 property-type pairs in ten minutes.
 
 The implementation is vectorized with numpy: the per-entity state is
 three aligned arrays (positive counts, negative counts,
-responsibilities).
+responsibilities), and the M-step scores the whole ``pA`` grid in one
+array pass, bit-identical to scanning it point by point.
 
 By default the E/M iterations run over *unique* ``<C+, C->`` rows with
 multiplicity weights rather than one row per entity — most entities of
@@ -323,59 +324,85 @@ class EMLearner:
         g_nn = _weighted_total(neg * anti, weights)
         g_pos = _weighted_total(resp, weights)
         g_neg = _weighted_total(anti, weights)
-
-        best: tuple[float, ModelParameters] | None = None
-        for p_a in self._grid:
-            denom_pos = g_neg + p_a * (g_pos - g_neg)
-            denom_neg = g_pos + p_a * (g_neg - g_pos)
-            rate_positive = float(
-                max(
-                    (g_pp + g_pn) / denom_pos if denom_pos > 0 else 0.0,
-                    _RATE_FLOOR,
-                )
-            )
-            rate_negative = float(
-                max(
-                    (g_np + g_nn) / denom_neg if denom_neg > 0 else 0.0,
-                    _RATE_FLOOR,
-                )
-            )
-            candidate = ModelParameters(
-                agreement=float(p_a),
-                rate_positive=rate_positive,
-                rate_negative=rate_negative,
-            )
-            score = _expected_q(
-                candidate, g_pp, g_np, g_pn, g_nn, g_pos, g_neg
-            )
-            if best is None or score > best[0]:
-                best = (score, candidate)
-        assert best is not None
-        return best[1], best[0]
+        return _grid_maximum(
+            self._grid, g_pp, g_np, g_pn, g_nn, g_pos, g_neg
+        )
 
 
-def _expected_q(
-    theta: ModelParameters,
+def _grid_maximum(
+    grid: np.ndarray,
     g_pp: float,
     g_np: float,
     g_pn: float,
     g_nn: float,
     g_pos: float,
     g_neg: float,
-) -> float:
-    """Evaluate Q'(theta) using the sufficient statistics.
+) -> tuple[ModelParameters, float]:
+    """The M-step's choice from the g statistics: the closed-form rates
+    and Q' at every ``pA`` of the grid, then the first maximum.
+
+    One vector pass; each element goes through the same IEEE
+    operations in the same order as a scalar scan of the grid would,
+    so the choice and its Q' are bit-identical to that scan's.
+    """
+    denom_pos = g_neg + grid * (g_pos - g_neg)
+    denom_neg = g_pos + grid * (g_neg - g_pos)
+    rate_positive = np.maximum(
+        _ratio(g_pp + g_pn, denom_pos), _RATE_FLOOR
+    )
+    rate_negative = np.maximum(
+        _ratio(g_np + g_nn, denom_neg), _RATE_FLOOR
+    )
+    scores = _expected_q(
+        grid, rate_positive, rate_negative,
+        g_pp, g_np, g_pn, g_nn, g_pos, g_neg,
+    )
+    best = _first_maximum(scores)
+    theta = ModelParameters(
+        agreement=float(grid[best]),
+        rate_positive=float(rate_positive[best]),
+        rate_negative=float(rate_negative[best]),
+    )
+    return theta, float(scores[best])
+
+
+def _ratio(numerator: float, denominator: np.ndarray) -> np.ndarray:
+    """``numerator / denominator`` where the denominator is positive,
+    0 elsewhere (NaN included), dividing only where it is used."""
+    return np.divide(
+        numerator,
+        denominator,
+        out=np.zeros_like(denominator),
+        where=denominator > 0,
+    )
+
+
+def _expected_q(
+    agreement: np.ndarray,
+    rate_positive: np.ndarray,
+    rate_negative: np.ndarray,
+    g_pp: float,
+    g_np: float,
+    g_pn: float,
+    g_nn: float,
+    g_pos: float,
+    g_neg: float,
+) -> np.ndarray:
+    """Q'(theta) from the sufficient statistics, elementwise over
+    parameter vectors given as aligned arrays.
 
     Q' = sum_i [ r_i (c+_i log l++ - l++ + c-_i log l-+ - l-+)
                + (1-r_i)(c+_i log l+- - l+- + c-_i log l-- - l--) ]
-    which collapses onto the g statistics.
+    which collapses onto the g statistics. The Poisson rates are
+    :meth:`ModelParameters.poisson_rates`'s, floored.
     """
-    rates = theta.poisson_rates()
+    disagreement = 1.0 - agreement
+    l_pp = np.maximum(agreement * rate_positive, _RATE_FLOOR)
+    l_np = np.maximum(disagreement * rate_negative, _RATE_FLOOR)
+    l_pn = np.maximum(disagreement * rate_positive, _RATE_FLOOR)
+    l_nn = np.maximum(agreement * rate_negative, _RATE_FLOOR)
     log = np.log
-    l_pp = max(rates.pos_given_pos, _RATE_FLOOR)
-    l_np = max(rates.neg_given_pos, _RATE_FLOOR)
-    l_pn = max(rates.pos_given_neg, _RATE_FLOOR)
-    l_nn = max(rates.neg_given_neg, _RATE_FLOOR)
-    return float(
+    return (
         g_pp * log(l_pp)
         - g_pos * l_pp
         + g_np * log(l_np)
@@ -385,6 +412,15 @@ def _expected_q(
         + g_nn * log(l_nn)
         - g_neg * l_nn
     )
+
+
+def _first_maximum(scores: np.ndarray) -> int:
+    """The index a scalar scan keeping the first strictly greater
+    score picks: NaN never wins, except at index 0, which nothing
+    beats."""
+    if np.isnan(scores[0]):
+        return 0
+    return int(np.argmax(np.where(np.isnan(scores), -np.inf, scores)))
 
 
 def _fit_is_degenerate(

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
+from typing import TYPE_CHECKING
 
 from ..core.types import Polarity
-from .correlation import PolarityPoint
+
+if TYPE_CHECKING:  # the harness and numpy stay unloaded for a sparkline
+    from .correlation import PolarityPoint
 
 _POLARITY_ROW = {Polarity.POSITIVE: 0, Polarity.NEUTRAL: 1,
                  Polarity.NEGATIVE: 2}

@@ -24,6 +24,13 @@ counts every statement — in one pass at reduce time
 (:meth:`ProvenanceLedger.seed_totals`). The per-statement hot path
 stays untouched; benchmarks/bench_provenance.py gates the residue.
 
+Reading the ledger costs what changed since the last read: the ledger
+keeps each clean pair's frozen :class:`PairProvenance` view, and a
+view keeps its canonical JSON text once encoded, so a live ingest
+cycle re-materializes and re-encodes only the pairs its batch touched
+(every mutator drops the views of the pairs it changes). A fresh
+ledger is the same path with every pair dirty.
+
 Determinism: workers visit sentences in document order within a
 shard, the seen-line marker is per-ledger (never shared state), and
 the runner merges shard ledgers in ``shard_id`` order — exactly the
@@ -42,11 +49,12 @@ surface serialize.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Iterator
 
 from ..core.params import ModelParameters
 from ..core.types import Polarity, PropertyTypeKey
+from ..storage.canonical import Encoded, encode
 from .statement import EvidenceStatement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -104,6 +112,38 @@ class PairProvenance:
     positive_seen: int
     negative_seen: int
     samples: tuple[ProvenanceSample, ...] = ()
+    #: The canonical JSON text, encoded on first use (views are
+    #: immutable, so it never goes stale).
+    _json: Encoded | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def to_dict(self) -> dict[str, Any]:
+        return {
+            "positive": int(self.positive_seen),
+            "negative": int(self.negative_seen),
+            "samples": [sample.to_dict() for sample in self.samples],
+        }
+
+    @classmethod
+    def from_dict(cls, row: dict[str, Any]) -> "PairProvenance":
+        return cls(
+            positive_seen=int(row["positive"]),
+            negative_seen=int(row["negative"]),
+            samples=tuple(
+                ProvenanceSample.from_dict(sample)
+                for sample in row.get("samples", ())
+            ),
+        )
+
+    def to_json(self) -> Encoded:
+        """:meth:`to_dict` as canonical JSON text, which the artefact
+        writer splices in place of the row."""
+        text = self._json
+        if text is None:
+            text = Encoded(encode(self.to_dict()))
+            object.__setattr__(self, "_json", text)
+        return text
 
 
 def _raw_from_sample(sample: ProvenanceSample) -> tuple:
@@ -190,6 +230,10 @@ class ProvenanceLedger:
         self._slots: defaultdict[tuple[Any, str, str], list[Any]] = (
             defaultdict(_empty_slot)
         )
+        # The frozen view of every pair unchanged since it was last
+        # read, under the same key. A mutator that changes a pair drops
+        # its view; a pair without one is dirty.
+        self._views: dict[tuple[Any, str, str], PairProvenance] = {}
         # Memoized statement-proto tuples already sampled, keyed by
         # identity. The value keeps a strong reference so the id can
         # never be recycled for a different live line. Repeat visits
@@ -200,9 +244,11 @@ class ProvenanceLedger:
     def __getstate__(self) -> dict[str, Any]:
         # Shard ledgers cross process-pool boundaries; the seen-line
         # pins are identity-scoped (meaningless after unpickling) and
-        # would drag full statement protos along — drop them.
+        # would drag full statement protos along — drop them, and the
+        # views, which the receiving side rebuilds on first read.
         state = self.__dict__.copy()
         state["seen_lines"] = {}
+        state["_views"] = {}
         return state
 
     def record(
@@ -215,9 +261,11 @@ class ProvenanceLedger:
         seen once. The fast path uses :meth:`sample_line` plus
         :meth:`seed_totals` instead.
         """
-        slot = self._slots[
+        pair_key = (
             statement.property, statement.entity_type, statement.entity_id
-        ]
+        )
+        self._views.pop(pair_key, None)
+        slot = self._slots[pair_key]
         if statement.polarity is Polarity.POSITIVE:
             slot[0] += 1
             samples: list[tuple] = slot[2]
@@ -248,11 +296,12 @@ class ProvenanceLedger:
         cap = self.samples_per_polarity
         slots = self._slots
         for statement in statements:
-            slot = slots[
+            pair_key = (
                 statement.property,
                 statement.entity_type,
                 statement.entity_id,
-            ]
+            )
+            slot = slots[pair_key]
             if statement.polarity is Polarity.POSITIVE:
                 samples: list[tuple] = slot[2]
                 polarity = "positive"
@@ -263,6 +312,7 @@ class ProvenanceLedger:
                 samples.append(
                     _sample(statement, sentence_index, polarity)
                 )
+                self._views.pop(pair_key, None)
 
     def seed_totals(self, counter: Any) -> None:
         """Copy exact per-pair totals from an ``EvidenceCounter``.
@@ -274,13 +324,20 @@ class ProvenanceLedger:
         which capture path (memoized or reference) recorded samples.
         """
         slots = self._slots
+        views = self._views
         for key, per_entity in counter.as_evidence().items():
             prop = key.property
             entity_type = key.entity_type
             for entity_id, counts in per_entity.items():
-                slot = slots[prop, entity_type, entity_id]
-                slot[0] = counts.positive
-                slot[1] = counts.negative
+                pair_key = (prop, entity_type, entity_id)
+                slot = slots[pair_key]
+                if (
+                    slot[0] != counts.positive
+                    or slot[1] != counts.negative
+                ):
+                    slot[0] = counts.positive
+                    slot[1] = counts.negative
+                    views.pop(pair_key, None)
 
     def seed_pair(
         self,
@@ -289,7 +346,9 @@ class ProvenanceLedger:
         pair: PairProvenance,
     ) -> None:
         """Load one pair's persisted lineage (checkpoint read path)."""
-        slot = self._slots[key.property, key.entity_type, entity_id]
+        pair_key = (key.property, key.entity_type, entity_id)
+        self._views.pop(pair_key, None)
+        slot = self._slots[pair_key]
         slot[0] = pair.positive_seen
         slot[1] = pair.negative_seen
         slot[2] = [
@@ -311,16 +370,22 @@ class ProvenanceLedger:
         deterministic because the runner merges shards sorted by id.
         """
         cap = self.samples_per_polarity
+        views = self._views
         for pair_key, (pos, neg, pos_s, neg_s) in other._slots.items():
             slot = self._slots[pair_key]
             slot[0] += pos
             slot[1] += neg
+            changed = pos or neg
             room = cap - len(slot[2])
-            if room > 0:
+            if room > 0 and pos_s:
                 slot[2].extend(pos_s[:room])
+                changed = True
             room = cap - len(slot[3])
-            if room > 0:
+            if room > 0 and neg_s:
                 slot[3].extend(neg_s[:room])
+                changed = True
+            if changed:
+                views.pop(pair_key, None)
 
     # ------------------------------------------------------------------
     # Views
@@ -336,27 +401,45 @@ class ProvenanceLedger:
             for slot in self._slots.values()
         )
 
+    def _view(self, pair_key: tuple[Any, str, str]) -> PairProvenance:
+        view = self._views.get(pair_key)
+        if view is None:
+            view = self._views[pair_key] = _pair_from_slot(
+                self._slots[pair_key]
+            )
+        return view
+
     def for_pair(
         self, key: PropertyTypeKey, entity_id: str
     ) -> PairProvenance | None:
-        slot = self._slots.get(
-            (key.property, key.entity_type, entity_id)
-        )
-        if slot is None:
+        pair_key = (key.property, key.entity_type, entity_id)
+        if pair_key not in self._slots:
             return None
-        return _pair_from_slot(slot)
+        return self._view(pair_key)
+
+    def combinations(
+        self,
+    ) -> dict[PropertyTypeKey, dict[str, PairProvenance]]:
+        """Every pair's view, grouped by combination: the views of
+        clean pairs are reused, dirty ones are built now."""
+        grouped: dict[tuple[Any, str], dict[str, PairProvenance]] = {}
+        for pair_key in self._slots:
+            prop, entity_type, entity_id = pair_key
+            per_entity = grouped.get((prop, entity_type))
+            if per_entity is None:
+                per_entity = grouped[prop, entity_type] = {}
+            per_entity[entity_id] = self._view(pair_key)
+        return {
+            PropertyTypeKey(property=prop, entity_type=entity_type): pairs
+            for (prop, entity_type), pairs in grouped.items()
+        }
 
     def pairs(
         self,
     ) -> Iterator[tuple[PropertyTypeKey, str, PairProvenance]]:
-        for (prop, entity_type, entity_id), slot in self._slots.items():
-            yield (
-                PropertyTypeKey(
-                    property=prop, entity_type=entity_type
-                ),
-                entity_id,
-                _pair_from_slot(slot),
-            )
+        for key, per_entity in self.combinations().items():
+            for entity_id, pair in per_entity.items():
+                yield key, entity_id, pair
 
 
 class ProvenanceIndex:
@@ -384,9 +467,7 @@ class ProvenanceIndex:
         convergence: "list[ConvergenceRecord] | None" = None,
     ) -> "ProvenanceIndex":
         """Link a run's ledger to its fits and convergence records."""
-        pairs: dict[PropertyTypeKey, dict[str, PairProvenance]] = {}
-        for key, entity_id, pair in ledger.pairs():
-            pairs.setdefault(key, {})[entity_id] = pair
+        pairs = ledger.combinations()
         models: dict[PropertyTypeKey, ModelParameters] = {}
         by_text: dict[str, PropertyTypeKey] = {}
         if result is not None:

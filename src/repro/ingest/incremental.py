@@ -22,13 +22,19 @@ opinion table without re-running the batch pipeline:
    are written with the same atomic writers the batch CLI uses; a
    server then pushes them through its validated hot-reload swap.
 
+Lineage costs what the batch touched: the running ledger keeps the
+frozen view and JSON text of every pair the batch left alone, so the
+state save, the sidecar and :meth:`ProvenanceIndex.from_run` rebuild
+and re-encode only the changed pairs, with the bytes of a cold encode
+(docs/ingestion.md, "Cost model").
+
 Warm starts (``warm_start=True``) seed a dirty combination's EM from
 its cached parameters. After a small append the cached point is near
-the new optimum, so EM converges in a handful of iterations — the
-speed the freshness budget is built on — but the stop point of a
-Δll-tolerance loop depends on its starting point, so warm-started
-posteriors can differ from a cold batch fit in the last few ulps. The
-default is off: exact bit-parity unless the operator trades it away.
+the new optimum, so EM stops after fewer iterations, but the stop
+point of a Δll-tolerance loop depends on its starting point, so
+warm-started posteriors can differ from a cold batch fit in the last
+few ulps. The default is off: exact bit-parity unless the operator
+trades it away.
 """
 
 from __future__ import annotations

@@ -13,6 +13,11 @@ stopped:
   trace summary — so clean combinations republish byte-identically
   without re-running EM.
 
+The ledger's part of the file is assembled from the pairs' cached
+JSON text (:meth:`~repro.extraction.provenance.PairProvenance.to_json`),
+so a save re-encodes only the lineage pairs changed since the last
+one; the bytes are those of encoding the decoded payload whole.
+
 The whole state is one atomic ``os.replace`` write: a crash between an
 advance and its publish leaves either the old state (the appended
 documents replay on the next advance — extraction is deterministic, so
@@ -37,10 +42,11 @@ from ..core.params import ModelParameters
 from ..core.surveyor import FittedCombination
 from ..core.types import PropertyTypeKey
 from ..extraction.extractor import ExtractionStats
-from ..extraction.provenance import ProvenanceLedger
+from ..extraction.provenance import PairProvenance, ProvenanceLedger
 from ..extraction.statement import EvidenceCounter
 from ..storage.serialize import (
     FORMAT_VERSION,
+    PairRow,
     _atomic_write_json,
     _key_from_str,
     _key_to_str,
@@ -110,7 +116,9 @@ class IngestState:
         """True before any document has ever been applied."""
         return self.applied_offset < 0 and self.generation == 0
 
-    def to_dict(self) -> dict[str, Any]:
+    def to_dict(
+        self, pair_row: PairRow = PairProvenance.to_dict
+    ) -> dict[str, Any]:
         return {
             "format": "ingest_state",
             "version": FORMAT_VERSION,
@@ -127,7 +135,7 @@ class IngestState:
             "ledger": (
                 None
                 if self.ledger is None
-                else ledger_to_dict(self.ledger)
+                else ledger_to_dict(self.ledger, pair_row)
             ),
             "fits": {
                 _key_to_str(key): _fit_to_dict(fit)
@@ -174,7 +182,8 @@ def state_path_for(journal_dir: str | Path) -> Path:
 
 def save_state(state: IngestState, journal_dir: str | Path) -> Path:
     return _atomic_write_json(
-        state_path_for(journal_dir), state.to_dict()
+        state_path_for(journal_dir),
+        state.to_dict(PairProvenance.to_json),
     )
 
 

@@ -10,8 +10,9 @@ here.
 Flag values are range-checked when the command line is parsed. What
 the flags name on disk is opened by :func:`run` before any socket is
 bound or worker forked: the opinions artefact and its lineage sidecar,
-and with ``--ingest-journal`` the knowledge base, the journal and its
-state. A bad path is then one ``repro: error:`` line in both run
+every serving process's ``--access-log`` file, and with
+``--ingest-journal`` the knowledge base, the journal and its state. A
+bad path is then one ``repro: error:`` line in both run
 modes, and the workers inherit what was read. Every serving process
 then builds its service (:func:`build_service`), serves until SIGTERM,
 and flushes its trace and access log after the drain. The startup
@@ -50,10 +51,18 @@ def run(args: argparse.Namespace) -> int:
     if args.ingest_journal:
         ingest_factory = _ingest_factory(args, registry)
         pipeline = ingest_factory()
+    access_logs = {}
+    if args.access_log:
+        for index in (None,) if args.workers == 1 else range(args.workers):
+            access_logs[index] = AccessLog(
+                _worker_path(args.access_log, index),
+                max_bytes=args.access_log_max_bytes,
+            )
 
     def service_for(index: int | None) -> OpinionService:
         return build_service(
-            args, table, provenance, registry, pipeline, index
+            args, table, provenance, registry, pipeline, index,
+            access_logs.get(index),
         )
 
     def banner(port: int) -> None:
@@ -171,11 +180,12 @@ def build_service(
     registry: MetricsRegistry,
     pipeline: object | None = None,
     index: int | None = None,
+    access_log: AccessLog | None = None,
 ) -> OpinionService:
     """One serving process's service over ``table``, recording into
-    ``registry`` and ingesting through ``pipeline`` (None without a
-    journal). Worker ``index`` writes its access log and trace under
-    ``.w<index>``."""
+    ``registry``, ingesting through ``pipeline`` (None without a
+    journal) and logging requests to ``access_log`` (opened before the
+    fork, at ``.w<index>`` for worker ``index``, as its trace is)."""
     if not index:  # the lone process, or worker 0
         if provenance is not None:
             print(
@@ -185,12 +195,6 @@ def build_service(
             )
         if pipeline is not None:
             _ingest_notice(pipeline)
-    access_log = None
-    if args.access_log:
-        access_log = AccessLog(
-            _worker_path(args.access_log, index),
-            max_bytes=args.access_log_max_bytes,
-        )
     return OpinionService(
         table,
         source_path=args.opinions,

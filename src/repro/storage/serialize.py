@@ -13,6 +13,13 @@ live in other layers (ingest state, EM convergence, run manifests,
 metrics), is written by :func:`_atomic_write_json` and opened by
 :func:`load`, which turns anything undecodable, malformed or of the
 wrong kind into one :class:`FormatError` naming the file.
+
+The codecs that carry lineage pairs (the sidecar, shard checkpoints
+and the ingest state) take a ``pair_row`` that renders each
+:class:`PairProvenance`: its decoded row by default, or its cached
+canonical text (:meth:`PairProvenance.to_json`) on the write path,
+which the writer splices. Both give the same bytes; the second
+encodes only the pairs that changed since they were last written.
 """
 
 from __future__ import annotations
@@ -20,6 +27,8 @@ from __future__ import annotations
 import importlib
 import json
 import os
+from collections.abc import Callable
+from functools import partial
 from operator import attrgetter
 from pathlib import Path
 from typing import Any
@@ -37,11 +46,14 @@ from ..extraction.provenance import (
     PairProvenance,
     ProvenanceIndex,
     ProvenanceLedger,
-    ProvenanceSample,
 )
 from ..extraction.statement import EvidenceCounter
 from ..kb.entity import Entity
 from ..kb.knowledge_base import KnowledgeBase
+from .canonical import encode
+
+#: Renders one lineage pair in a payload (see the module docstring).
+PairRow = Callable[[PairProvenance], Any]
 
 #: The one envelope version every artefact kind is written with.
 FORMAT_VERSION = 1
@@ -226,30 +238,13 @@ def parameters_from_dict(
 # linked to the combination's learned model parameters and convergence
 # verdict. Powers `repro explain` and the server's `/explain`.
 
-def _pair_to_dict(pair: PairProvenance) -> dict[str, Any]:
-    return {
-        "positive": int(pair.positive_seen),
-        "negative": int(pair.negative_seen),
-        "samples": [sample.to_dict() for sample in pair.samples],
-    }
-
-
-def _pair_from_dict(row: dict[str, Any]) -> PairProvenance:
-    return PairProvenance(
-        positive_seen=int(row["positive"]),
-        negative_seen=int(row["negative"]),
-        samples=tuple(
-            ProvenanceSample.from_dict(sample)
-            for sample in row.get("samples", ())
-        ),
-    )
-
-
-def provenance_to_dict(index: ProvenanceIndex) -> dict[str, Any]:
+def provenance_to_dict(
+    index: ProvenanceIndex, pair_row: PairRow = PairProvenance.to_dict
+) -> dict[str, Any]:
     pairs = {}
     for key in index.keys():
         pairs[_key_to_str(key)] = {
-            entity_id: _pair_to_dict(index.for_pair(key, entity_id))
+            entity_id: pair_row(index.for_pair(key, entity_id))
             for entity_id in index.entities_for(key)
         }
     return {
@@ -277,7 +272,7 @@ def provenance_from_dict(payload: dict[str, Any]) -> ProvenanceIndex:
     for key_text, per_entity in payload.get("pairs", {}).items():
         key = _key_from_str(key_text)
         pairs[key] = {
-            entity_id: _pair_from_dict(row)
+            entity_id: PairProvenance.from_dict(row)
             for entity_id, row in per_entity.items()
         }
     models = {
@@ -311,21 +306,24 @@ def provenance_path_for(artefact: str | Path) -> Path:
     return artefact.with_name(artefact.name + ".provenance.json")
 
 
-def ledger_to_dict(ledger: ProvenanceLedger) -> dict[str, Any]:
+def ledger_to_dict(
+    ledger: ProvenanceLedger, pair_row: PairRow = PairProvenance.to_dict
+) -> dict[str, Any]:
     """A provenance ledger as checkpoint-embeddable primitives.
 
     Used by shard checkpoints and by the ingest subsystem's persisted
     running state; the payload is not a standalone artefact (no
     format/version envelope) — embed it inside one.
     """
-    pairs: dict[str, dict[str, Any]] = {}
-    for key, entity_id, pair in ledger.pairs():
-        pairs.setdefault(_key_to_str(key), {})[entity_id] = (
-            _pair_to_dict(pair)
-        )
     return {
         "samples_per_polarity": ledger.samples_per_polarity,
-        "pairs": pairs,
+        "pairs": {
+            _key_to_str(key): {
+                entity_id: pair_row(pair)
+                for entity_id, pair in per_entity.items()
+            }
+            for key, per_entity in ledger.combinations().items()
+        },
     }
 
 
@@ -338,7 +336,9 @@ def ledger_from_dict(payload: dict[str, Any]) -> ProvenanceLedger:
     for key_text, per_entity in payload.get("pairs", {}).items():
         key = _key_from_str(key_text)
         for entity_id, row in per_entity.items():
-            ledger.seed_pair(key, entity_id, _pair_from_dict(row))
+            ledger.seed_pair(
+                key, entity_id, PairProvenance.from_dict(row)
+            )
     return ledger
 
 
@@ -357,6 +357,7 @@ def shard_checkpoint_to_dict(
     counter: EvidenceCounter,
     dead_letters: list[dict[str, str]] | tuple = (),
     provenance: ProvenanceLedger | None = None,
+    pair_row: PairRow = PairProvenance.to_dict,
 ) -> dict[str, Any]:
     payload = {
         "format": "shard_checkpoint",
@@ -366,7 +367,7 @@ def shard_checkpoint_to_dict(
         "dead_letters": [dict(letter) for letter in dead_letters],
     }
     if provenance is not None:
-        payload["provenance"] = ledger_to_dict(provenance)
+        payload["provenance"] = ledger_to_dict(provenance, pair_row)
     return payload
 
 
@@ -417,7 +418,11 @@ def save_shard_checkpoint(
     return _atomic_write_json(
         path,
         shard_checkpoint_to_dict(
-            shard_id, counter, dead_letters, provenance
+            shard_id,
+            counter,
+            dead_letters,
+            provenance,
+            PairProvenance.to_json,
         ),
     )
 
@@ -494,7 +499,9 @@ _SAVERS = {
     KnowledgeBase: kb_to_dict,
     EvidenceCounter: evidence_to_dict,
     OpinionTable: opinions_to_dict,
-    ProvenanceIndex: provenance_to_dict,
+    ProvenanceIndex: partial(
+        provenance_to_dict, pair_row=PairProvenance.to_json
+    ),
 }
 
 #: Every artefact kind :func:`load` opens: its ``format`` tag, what an
@@ -523,25 +530,15 @@ _KINDS: dict[str, tuple[str, Any]] = {
 def _atomic_write_json(path: str | Path, payload: Any) -> Path:
     """The one writer for durable machine artefacts.
 
-    Compact separators keep ``json.dumps`` on CPython's C encoder
-    (any ``indent`` drops it to the pure-Python one); sorted keys keep
-    the bytes deterministic. Payloads are fresh trees of primitives
-    built by the ``*_to_dict`` functions, so the encoder's per-container
-    cycle bookkeeping is skipped (``check_circular=False``, ~15% of
-    encode time). Written via a sibling temp file and rename, so
+    Writes the payload's canonical text
+    (:func:`~repro.storage.canonical.encode`: compact, sorted keys,
+    pre-encoded parts spliced) via a sibling temp file and rename, so
     readers never see a torn file even if the process dies mid-write.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(
-        json.dumps(
-            payload,
-            sort_keys=True,
-            separators=(",", ":"),
-            check_circular=False,
-        )
-    )
+    tmp.write_text(encode(payload))
     os.replace(tmp, path)
     return path
 

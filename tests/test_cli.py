@@ -465,6 +465,31 @@ class TestServeFlagValues:
         assert err.count("\n") == 1
         assert "File exists" in err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_unopenable_access_log_exits_2_before_forking(
+        self, tmp_path, monkeypatch, capsys, workers
+    ):
+        """Every process's `--access-log` file is opened before any
+        worker forks: one error line, exit 2, no banner."""
+        from repro.core import OpinionTable
+
+        def forked():
+            raise AssertionError("a worker forked before its log")
+
+        monkeypatch.setattr(os, "fork", forked)
+        table = save(OpinionTable(), tmp_path / "op.json")
+        rc = main(
+            [
+                "serve", str(table), "--port", "0", "--workers", workers,
+                "--access-log", str(tmp_path / "missing" / "a.log"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: ")
+        assert err.count("\n") == 1
+        assert "No such file or directory" in err
+
 
 class TestObservabilityFlags:
     def mine_with_telemetry(self, corpus_file, tmp_path):

@@ -21,8 +21,11 @@ from repro.core import (
     Surveyor,
     UserBehaviorModel,
 )
-from repro.core.em import _RATE_FLOOR, _expected_q
-from repro.core.params import DEFAULT_AGREEMENT_GRID
+from repro.core.em import _RATE_FLOOR, _grid_maximum, _weighted_total
+from repro.core.params import (
+    DEFAULT_AGREEMENT_GRID,
+    DEFAULT_INITIAL_PARAMETERS,
+)
 from repro.corpus import TrueParameters, sample_statement_counts
 
 
@@ -138,7 +141,7 @@ class TestMStep:
                     rate_positive=theta.rate_positive * factor_pos,
                     rate_negative=theta.rate_negative * factor_neg,
                 )
-                q_perturbed = _expected_q(
+                q_perturbed = scalar_q(
                     perturbed, g_pp, g_np, g_pn, g_nn, g_pos, g_neg
                 )
                 assert q_perturbed <= q_star + 1e-9
@@ -348,6 +351,169 @@ def brute_force_q(pos, neg, resp, agreement, rate_pos, rate_neg):
         + term(pos @ anti, anti.sum(), (1 - agreement) * rate_pos)
         + term(neg @ anti, anti.sum(), agreement * rate_neg)
     )
+
+
+def scalar_q(theta, g_pp, g_np, g_pn, g_nn, g_pos, g_neg):
+    """Q'(theta) for one parameter vector, from the g statistics, with
+    the learner's rate floor."""
+    rates = theta.poisson_rates()
+    l_pp = max(rates.pos_given_pos, _RATE_FLOOR)
+    l_np = max(rates.neg_given_pos, _RATE_FLOOR)
+    l_pn = max(rates.pos_given_neg, _RATE_FLOOR)
+    l_nn = max(rates.neg_given_neg, _RATE_FLOOR)
+    log = np.log
+    return float(
+        g_pp * log(l_pp)
+        - g_pos * l_pp
+        + g_np * log(l_np)
+        - g_pos * l_np
+        + g_pn * log(l_pn)
+        - g_neg * l_pn
+        + g_nn * log(l_nn)
+        - g_neg * l_nn
+    )
+
+
+def scalar_grid_scan(grid, g_pp, g_np, g_pn, g_nn, g_pos, g_neg):
+    """The M-step's grid maximum as a scalar scan, one ``pA`` at a
+    time: the reference the learner's vector pass must equal bit for
+    bit."""
+    best = None
+    for p_a in grid:
+        p_a = float(p_a)
+        denom_pos = g_neg + p_a * (g_pos - g_neg)
+        denom_neg = g_pos + p_a * (g_neg - g_pos)
+        candidate = ModelParameters(
+            agreement=p_a,
+            rate_positive=max(
+                (g_pp + g_pn) / denom_pos if denom_pos > 0 else 0.0,
+                _RATE_FLOOR,
+            ),
+            rate_negative=max(
+                (g_np + g_nn) / denom_neg if denom_neg > 0 else 0.0,
+                _RATE_FLOOR,
+            ),
+        )
+        score = scalar_q(candidate, g_pp, g_np, g_pn, g_nn, g_pos, g_neg)
+        if best is None or score > best[1]:
+            best = (candidate, score)
+    return best
+
+
+def same_bits(a: float, b: float) -> bool:
+    """Equal to the last bit, or both NaN."""
+    a, b = float(a), float(b)
+    return (np.isnan(a) and np.isnan(b)) or a.hex() == b.hex()
+
+
+GRID = np.asarray(DEFAULT_AGREEMENT_GRID, dtype=float)
+
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+g_statistic = st.floats(0.0, 1e6)
+
+
+class TestVectorMStep:
+    """The vector grid pass against the scalar scan it replaced."""
+
+    def assert_matches_scan(self, *g):
+        theta, q = _grid_maximum(GRID, *g)
+        reference, reference_q = scalar_grid_scan(GRID, *g)
+        assert theta.agreement == reference.agreement
+        assert same_bits(theta.rate_positive, reference.rate_positive)
+        assert same_bits(theta.rate_negative, reference.rate_negative)
+        assert same_bits(q, reference_q)
+        return theta
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(g=st.tuples(*[g_statistic] * 6))
+    def test_random_g_statistics(self, g):
+        self.assert_matches_scan(*g)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(g=st.tuples(*[any_float] * 6))
+    def test_any_floats_including_nan_and_inf(self, g):
+        with np.errstate(all="ignore"):
+            self.assert_matches_scan(*g)
+
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    @given(counts=small_evidence)
+    def test_statistics_of_real_posteriors(self, counts):
+        pos = np.array([p for p, _ in counts], dtype=float)
+        neg = np.array([n for _, n in counts], dtype=float)
+        resp = EMLearner()._e_step(pos, neg, DEFAULT_INITIAL_PARAMETERS)
+        anti = 1.0 - resp
+        self.assert_matches_scan(
+            *(
+                _weighted_total(terms, None)
+                for terms in (
+                    pos * resp, neg * resp, pos * anti, neg * anti,
+                    resp, anti,
+                )
+            )
+        )
+
+    def test_zero_denominators(self):
+        # No posterior mass at all: both denominators are 0 at every
+        # grid point, so every rate is floored.
+        theta = self.assert_matches_scan(3.0, 2.0, 1.0, 4.0, 0.0, 0.0)
+        assert theta.rate_positive == theta.rate_negative == _RATE_FLOOR
+
+    def test_floor_clamped_rates(self):
+        # No statements: the closed-form rates are 0, then floored.
+        theta = self.assert_matches_scan(0.0, 0.0, 0.0, 0.0, 5.0, 7.0)
+        assert theta.rate_positive == theta.rate_negative == _RATE_FLOOR
+
+    def test_exact_ties_keep_the_first_grid_point(self):
+        # Every rate floored and every Q' equal: the first pA wins.
+        for g in ((0.0,) * 6, (0.0, 0.0, 0.0, 0.0, 5.0, 7.0)):
+            theta = self.assert_matches_scan(*g)
+            assert theta.agreement == GRID[0]
+
+    def test_nan_statistics_pick_the_first_point(self):
+        with np.errstate(all="ignore"):
+            theta = self.assert_matches_scan(
+                float("nan"), 1.0, 1.0, 1.0, 2.0, 2.0
+            )
+        assert theta.agreement == GRID[0]
+        assert np.isnan(theta.rate_positive)
+
+    def test_nan_posteriors_fall_back_to_majority_vote(self):
+        class NaNPosteriors(EMLearner):
+            def _e_step(self, pos, neg, theta):
+                return np.full(pos.shape, np.nan)
+
+        evidence = [EvidenceCounts(5, 0), EvidenceCounts(0, 5)]
+        result = NaNPosteriors().fit(evidence)
+        assert result.trace.degraded
+        assert result.parameters == DEFAULT_INITIAL_PARAMETERS
+        assert result.responsibilities.tolist() == [1.0, 0.0]
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(counts=small_evidence)
+    def test_whole_fit_matches_a_scalar_scan_learner(self, counts):
+        class ScalarScan(EMLearner):
+            def _m_step(self, pos, neg, resp, weights=None):
+                anti = 1.0 - resp
+                return scalar_grid_scan(
+                    self._grid,
+                    *(
+                        _weighted_total(terms, weights)
+                        for terms in (
+                            pos * resp, neg * resp, pos * anti,
+                            neg * anti, resp, anti,
+                        )
+                    ),
+                )
+
+        evidence = [EvidenceCounts(p, n) for p, n in counts]
+        vector = EMLearner(record_path=True).fit(evidence)
+        scalar = ScalarScan(record_path=True).fit(evidence)
+        assert vector.trace == scalar.trace
+        assert vector.parameters == scalar.parameters
+        assert (
+            vector.responsibilities.tobytes()
+            == scalar.responsibilities.tobytes()
+        )
 
 
 class TestOracle:

@@ -91,3 +91,18 @@ def test_subpackages_are_attributes_of_the_package():
         """
     )
     assert names == ["repro.serve", "repro.core.em", False]
+
+
+def test_top_sparkline_loads_no_numpy_or_pipeline():
+    """Drawing `repro top`'s first burn-rate sparkline imports the
+    plot helper alone, not the evaluation harness behind the package."""
+    loaded = _loaded(
+        """
+        from repro.obs.live import BurnHistory
+        history = BurnHistory()
+        history.push({"slo": {"latency": {"burn_rates": {"fast": 2.0}}}})
+        assert history.spark("latency.fast")
+        """,
+        ("numpy", "scipy", "repro.pipeline"),
+    )
+    assert loaded == []

@@ -10,8 +10,10 @@ stat-cache, and the ``repro top`` ingest panel.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import os
+import random
 import shutil
 import signal
 import subprocess
@@ -27,16 +29,19 @@ from repro.evaluation.harness import (
     EVALUATION_TYPES,
     EvaluationHarness,
 )
+from repro.extraction.provenance import ProvenanceIndex, ProvenanceLedger
 from repro.ingest import (
     CorpusJournal,
     DuplicateOffsetError,
     IngestPipeline,
     JournalError,
     load_state,
+    save_state,
     state_path_for,
 )
 from repro.kb.seeds import evaluation_kb
 from repro.obs import MetricsRegistry
+from repro.obs.convergence import records_from_result
 from repro.obs.live import Sample, render_frame, render_ingest_panel
 from repro.obs.manifest import (
     git_describe,
@@ -583,6 +588,104 @@ class TestPipelineState:
 # repair it in place.
 
 INGEST_V1 = Path(__file__).parent / "data" / "ingest_v1"
+
+
+class TestLineageCacheCoherence:
+    """A live pipeline re-encodes only the lineage pairs its batches
+    touched; after every step, ``state.json`` and the sidecar it wrote
+    are byte-equal to a cold ledger's encoding of the same state."""
+
+    def pipeline(self, journal_dir, kb):
+        return IngestPipeline(
+            kb=kb,
+            journal=CorpusJournal(journal_dir),
+            occurrence_threshold=1,
+        )
+
+    def assert_cold_bytes(self, live, report, out, cold_dir):
+        # The same running state over a ledger that has never been
+        # read: every pair dirty, every view and text built afresh.
+        cold_ledger = ProvenanceLedger()
+        cold_ledger.merge(live.state.ledger)
+        cold_state = dataclasses.replace(
+            live.state, ledger=cold_ledger
+        )
+        live_dir = live.journal.directory
+        assert save_state(cold_state, cold_dir).read_bytes() == (
+            state_path_for(live_dir).read_bytes()
+        )
+        lineage = ProvenanceIndex.from_run(
+            cold_ledger, report.result, records_from_result(report.result)
+        )
+        assert save(lineage, cold_dir / "sidecar.json").read_bytes() == (
+            provenance_path_for(out).read_bytes()
+        )
+        # And a pipeline freshly loaded from what was written writes
+        # it back unchanged.
+        reloaded_dir = cold_dir / "reloaded"
+        shutil.copytree(live_dir, reloaded_dir)
+        reloaded = self.pipeline(reloaded_dir, live.kb)
+        idle = reloaded.advance()
+        assert idle.documents == 0
+        reloaded.publish(idle, cold_dir / "op.json")
+        assert state_path_for(reloaded_dir).read_bytes() == (
+            state_path_for(live_dir).read_bytes()
+        )
+        assert provenance_path_for(cold_dir / "op.json").read_bytes() == (
+            provenance_path_for(out).read_bytes()
+        )
+
+    def test_every_step_writes_cold_bytes(
+        self, tmp_path, small_kb, cute_scenario
+    ):
+        documents = list(cute_corpus(cute_scenario).documents)
+        random.Random(23).shuffle(documents)
+        third = len(documents) // 3
+        journal_dir = tmp_path / "journal"
+        out = tmp_path / "opinions.json"
+        live = self.pipeline(journal_dir, small_kb)
+        steps = iter(range(100))
+
+        def step(report):
+            live.publish(report, out)
+            self.assert_cold_bytes(
+                live, report, out, tmp_path / f"cold-{next(steps)}"
+            )
+            return report
+
+        step(live.ingest(documents[:third]))
+        # Nothing new: nothing re-encoded, the same bytes again.
+        step(live.advance())
+
+        # A batch about pairs no earlier document mentioned leaves
+        # every existing pair's view (and its cached text) in place.
+        views = {
+            (key, entity_id): pair
+            for key, entity_id, pair in live.state.ledger.pairs()
+        }
+        report = step(
+            live.ingest(
+                docs(
+                    "San Francisco is big.",
+                    "Palo Alto is a small city.",
+                    prefix="new",
+                )
+            )
+        )
+        assert report.statements > 0
+        after = {
+            (key, entity_id): pair
+            for key, entity_id, pair in live.state.ledger.pairs()
+        }
+        assert len(after) > len(views)
+        assert all(after[pair] is view for pair, view in views.items())
+
+        step(live.ingest(documents[third:2 * third]))
+
+        # Restart partway: a new process resumes from state.json.
+        live = self.pipeline(journal_dir, small_kb)
+        step(live.advance())
+        step(live.ingest(documents[2 * third:]))
 
 
 class TestIndentedLayoutResume:

@@ -150,6 +150,70 @@ class TestProvenanceLedger:
         with pytest.raises(ValueError):
             ProvenanceLedger(samples_per_polarity=0)
 
+    @pytest.mark.parametrize(
+        "mutate",
+        [
+            lambda ledger: ledger.record(statement(doc_id="d2"), 4),
+            lambda ledger: ledger.sample_line(
+                (statement(),),
+                [statement(polarity=Polarity.NEGATIVE, doc_id="d2")],
+                4,
+            ),
+            lambda ledger: ledger.seed_totals(_counter_of(7)),
+            lambda ledger: ledger.seed_pair(
+                CUTE, "/animal/kitten", PairProvenance(9, 9)
+            ),
+            lambda ledger: ledger.merge(_ledger_of(statement(doc_id="d3"))),
+            lambda ledger: ledger.merge(_sampled(statement(doc_id="d3"))),
+        ],
+        ids=[
+            "record", "sample_line", "seed_totals", "seed_pair",
+            "merge_counts", "merge_samples",
+        ],
+    )
+    def test_a_read_after_a_change_sees_the_change(self, mutate):
+        """A pair's view and its JSON text are kept between reads
+        only while the pair is unchanged."""
+        ledger = _ledger_of(statement())
+        kept = ledger.for_pair(CUTE, "/animal/kitten")
+        kept.to_json()
+        assert ledger.for_pair(CUTE, "/animal/kitten") is kept
+        mutate(ledger)
+        cold = ProvenanceLedger()
+        cold.merge(ledger)
+        fresh = ledger.for_pair(CUTE, "/animal/kitten")
+        assert fresh == cold.for_pair(CUTE, "/animal/kitten") != kept
+        assert fresh.to_json() == json.dumps(
+            fresh.to_dict(), sort_keys=True, separators=(",", ":")
+        )
+
+    def test_unchanged_pairs_keep_their_views(self):
+        ledger = _ledger_of(statement())
+        kept = ledger.for_pair(CUTE, "/animal/kitten")
+        ledger.seed_totals(_counter_of(1))  # the totals it already has
+        ledger.merge(_sampled(statement(entity="/animal/tiger")))
+        assert ledger.for_pair(CUTE, "/animal/kitten") is kept
+
+
+def _ledger_of(*statements) -> ProvenanceLedger:
+    ledger = ProvenanceLedger()
+    for index, item in enumerate(statements):
+        ledger.record(item, index)
+    return ledger
+
+
+def _sampled(*statements) -> ProvenanceLedger:
+    """A fast-path ledger: samples, no totals."""
+    ledger = ProvenanceLedger()
+    ledger.sample_line(statements, list(statements), 0)
+    return ledger
+
+
+def _counter_of(positive: int) -> EvidenceCounter:
+    counter = EvidenceCounter()
+    counter.seed_pair(CUTE, "/animal/kitten", positive, 0)
+    return counter
+
 
 @pytest.fixture()
 def mined(small_kb, cute_scenario):
