@@ -95,15 +95,32 @@ printf '%s\n' \
     "Tigers are not cute. The weather was nice." \
     "Tigers are dangerous animals. Nothing to see here." > \
     "$PARITY_DIR/docs.txt"
+# Every run maps the same two shards: lineage samples are kept in shard
+# order, so the provenance sidecar is comparable only at one shard count.
 python -m repro mine "$PARITY_DIR/docs.txt" \
     --out "$PARITY_DIR/opinions.json" --threshold 1 \
-    --strict --strict-parity > /dev/null
+    --strict --strict-parity --workers 2 > /dev/null
 # The same smoke through the process executor: shards mapped in worker
 # processes must give the serial run's bytes.
 python -m repro mine "$PARITY_DIR/docs.txt" \
     --out "$PARITY_DIR/opinions-process.json" --threshold 1 \
     --strict --strict-parity --executor process --workers 2 > /dev/null
-cmp "$PARITY_DIR/opinions.json" "$PARITY_DIR/opinions-process.json"
+# And so must a rerun resumed from the shard checkpoints a first run
+# wrote, whose lineage rows are reloaded for their samples only.
+for run in first resumed; do
+    python -m repro mine "$PARITY_DIR/docs.txt" \
+        --out "$PARITY_DIR/opinions-$run.json" --threshold 1 \
+        --strict --strict-parity --workers 2 \
+        --checkpoint-dir "$PARITY_DIR/ckpt" 2> "$PARITY_DIR/$run.err" \
+        > /dev/null
+done
+grep "checkpoints: resumed=2 written=0" "$PARITY_DIR/resumed.err" > /dev/null
+# Each run's table and its provenance sidecar match the serial run's.
+for run in process first resumed; do
+    cmp "$PARITY_DIR/opinions.json" "$PARITY_DIR/opinions-$run.json"
+    cmp "$PARITY_DIR/opinions.json.provenance.json" \
+        "$PARITY_DIR/opinions-$run.json.provenance.json"
+done
 
 echo "== reference parity on both mining worlds (stored digests) =="
 # The smoke above compares two paths built from the same code, so a bug

@@ -68,8 +68,8 @@ class EvidenceExtractor:
         cache line and later documents only re-stamp ``doc_id``. A
         ledger samples each cache line once (``seen_lines`` identity
         check), so repeat visits of a shared sentence pay no
-        provenance cost beyond that check; exact totals come from the
-        evidence counter via ``ProvenanceLedger.seed_totals``.
+        provenance cost beyond that check; the ledger counts nothing,
+        its readers take the totals from the evidence counter.
         """
         cache = annotated.extraction_cache
         if cache is not None:

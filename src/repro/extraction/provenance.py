@@ -2,34 +2,32 @@
 
 Every opinion Surveyor serves is a posterior distilled from ``<C+, C->``
 counts; this module keeps enough raw material to answer *why* — for each
-(entity, property-type) pair it records where the counts came from: a
-handful of sampled statements (doc id, sentence index, matched
-dependency pattern, polarity, negation count, sentence text) plus the
-exact number of positive/negative statements seen.
+(entity, property-type) pair it keeps a handful of sampled statements
+(doc id, sentence index, matched dependency pattern, polarity, negation
+count, sentence text) and reads the exact positive/negative totals from
+the :class:`~repro.extraction.statement.EvidenceCounter`, the one owner
+of ``<C+, C->``.
 
 The capture is deliberately bounded: at most ``samples_per_polarity``
 sampled statements per polarity per pair, with sentence text truncated
-to :data:`MAX_SENTENCE_CHARS`. On the paper's scale (Section 7.1) the
-counts dominate — the ledger stays a small constant factor of the
-evidence counter, never a copy of the corpus.
+to :data:`MAX_SENTENCE_CHARS`, so the ledger stays a small constant
+factor of the evidence counter, never a copy of the corpus.
 
 Cost model: the extraction fast path shares memoized statement protos
 across every document containing the same sentence, so the ledger
 samples *once per distinct sentence* (:meth:`ProvenanceLedger.sample_line`,
 guarded by an identity check that costs two dict probes on repeats)
-instead of doing per-statement bookkeeping, and the exact
-positive/negative totals are copied from the
-:class:`~repro.extraction.statement.EvidenceCounter` — which already
-counts every statement — in one pass at reduce time
-(:meth:`ProvenanceLedger.seed_totals`). The per-statement hot path
-stays untouched; benchmarks/bench_provenance.py gates the residue.
+and counts nothing: the counter already counts every statement, and
+every read takes the totals from it. The per-statement hot path stays
+untouched; benchmarks/bench_provenance.py gates the residue.
 
 Reading the ledger costs what changed since the last read: the ledger
-keeps each clean pair's frozen :class:`PairProvenance` view, and a
-view keeps its canonical JSON text once encoded, so a live ingest
-cycle re-materializes and re-encodes only the pairs its batch touched
-(every mutator drops the views of the pairs it changes). A fresh
-ledger is the same path with every pair dirty.
+keeps each pair's frozen :class:`PairProvenance` view, and a view
+keeps its canonical JSON text once encoded. A read reuses a view while
+its totals equal the counter's and its samples are unchanged (every
+mutator drops the views of the pairs whose samples it changes), so a
+live ingest cycle re-materializes and re-encodes only the pairs its
+batch touched. A fresh ledger is the same path with every pair dirty.
 
 Determinism: workers visit sentences in document order within a
 shard, the seen-line marker is per-ledger (never shared state), and
@@ -55,7 +53,7 @@ from typing import TYPE_CHECKING, Any, Iterator
 from ..core.params import ModelParameters
 from ..core.types import Polarity, PropertyTypeKey
 from ..storage.canonical import Encoded, encode
-from .statement import EvidenceStatement
+from .statement import EvidenceCounter, EvidenceStatement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..core.surveyor import SurveyorResult
@@ -105,8 +103,8 @@ class ProvenanceSample:
 class PairProvenance:
     """Lineage for one (entity, property-type) pair.
 
-    ``positive_seen``/``negative_seen`` are exact totals (they match
-    the evidence counter); ``samples`` is the bounded subset kept.
+    ``positive_seen``/``negative_seen`` are the evidence counter's
+    exact totals; ``samples`` is the bounded subset the ledger kept.
     """
 
     positive_seen: int
@@ -159,9 +157,9 @@ def _raw_from_sample(sample: ProvenanceSample) -> tuple:
 
 
 def _empty_slot() -> list[Any]:
-    """A pair's slot before any statement: ``[positive_seen,
-    negative_seen, pos_samples, neg_samples]``."""
-    return [0, 0, [], []]
+    """A pair's slot before any sample: ``[pos_samples, neg_samples,
+    view]``."""
+    return [[], [], None]
 
 
 def _sample(
@@ -178,33 +176,16 @@ def _sample(
     )
 
 
-def _pair_from_slot(slot: list[Any]) -> PairProvenance:
-    """Materialize a slot's raw tuples into the read-side view."""
-    return PairProvenance(
-        positive_seen=slot[0],
-        negative_seen=slot[1],
-        samples=tuple(
-            ProvenanceSample(
-                doc_id=raw[0],
-                sentence_index=int(raw[1]),
-                pattern=raw[2],
-                polarity=raw[3],
-                negations=raw[4],
-                sentence=raw[5],
-            )
-            for raw in (*slot[2], *slot[3])
-        ),
-    )
-
-
 class ProvenanceLedger:
-    """Accumulates bounded per-pair lineage during extraction.
+    """Accumulates bounded per-pair statement samples during extraction.
 
     Mirrors :class:`~repro.extraction.statement.EvidenceCounter`'s
     shape (plain nested dicts, picklable across process-pool workers)
     with a ``merge`` that is associative given the runner's sorted
     shard order: the first ``samples_per_polarity`` statements per
-    polarity in merge order win.
+    polarity in merge order win. The ledger counts nothing: every read
+    takes the counter and reports exactly the counter's pairs, with the
+    counter's totals.
     """
 
     def __init__(
@@ -218,22 +199,20 @@ class ProvenanceLedger:
             )
         self.samples_per_polarity = int(samples_per_polarity)
         # One flat dict keyed by (property, entity_type, entity_id),
-        # value [positive_seen, negative_seen, pos_samples,
-        # neg_samples], created empty on first touch. The flat tuple
-        # key hashes several times cheaper than constructing a
-        # PropertyTypeKey per statement, and the split sample lists
-        # turn the per-polarity cap check into one len(). Samples are
-        # held as plain field tuples (:class:`ProvenanceSample`
-        # construction costs ~5x a tuple; per-shard ledgers build
-        # several times more samples than survive the merge cap) and
-        # materialized by the views.
+        # value [pos_samples, neg_samples, view], created empty on
+        # first touch. The flat tuple key hashes several times cheaper
+        # than constructing a PropertyTypeKey per statement, and the
+        # split sample lists turn the per-polarity cap check into one
+        # len(). Samples are held as plain field tuples
+        # (:class:`ProvenanceSample` construction costs ~5x a tuple;
+        # per-shard ledgers build several times more samples than
+        # survive the merge cap) and materialized by the view: the
+        # frozen PairProvenance of the pair's last read. A mutator that
+        # changes a pair's samples drops its view; a read rebuilds one
+        # whose totals the counter has since moved.
         self._slots: defaultdict[tuple[Any, str, str], list[Any]] = (
             defaultdict(_empty_slot)
         )
-        # The frozen view of every pair unchanged since it was last
-        # read, under the same key. A mutator that changes a pair drops
-        # its view; a pair without one is dirty.
-        self._views: dict[tuple[Any, str, str], PairProvenance] = {}
         # Memoized statement-proto tuples already sampled, keyed by
         # identity. The value keeps a strong reference so the id can
         # never be recycled for a different live line. Repeat visits
@@ -248,34 +227,34 @@ class ProvenanceLedger:
         # views, which the receiving side rebuilds on first read.
         state = self.__dict__.copy()
         state["seen_lines"] = {}
-        state["_views"] = {}
+        state["_slots"] = defaultdict(_empty_slot, {
+            pair_key: [pos_s, neg_s, None]
+            for pair_key, (pos_s, neg_s, _) in self._slots.items()
+        })
         return state
 
     def record(
         self, statement: EvidenceStatement, sentence_index: int
     ) -> None:
-        """Account one statement exactly, sampling if room remains.
+        """Sample one statement if room remains.
 
-        This is the non-memoized (reference/slow) extraction path:
-        counts here are exact because every statement occurrence is
-        seen once. The fast path uses :meth:`sample_line` plus
-        :meth:`seed_totals` instead.
+        This is the non-memoized (reference/slow) extraction path,
+        which visits every statement occurrence; the fast path samples
+        each distinct sentence once through :meth:`sample_line`.
         """
         pair_key = (
             statement.property, statement.entity_type, statement.entity_id
         )
-        self._views.pop(pair_key, None)
         slot = self._slots[pair_key]
         if statement.polarity is Polarity.POSITIVE:
-            slot[0] += 1
-            samples: list[tuple] = slot[2]
+            samples: list[tuple] = slot[0]
             polarity = "positive"
         else:
-            slot[1] += 1
-            samples = slot[3]
+            samples = slot[1]
             polarity = "negative"
         if len(samples) < self.samples_per_polarity:
             samples.append(_sample(statement, sentence_index, polarity))
+            slot[2] = None
 
     def sample_line(
         self,
@@ -287,9 +266,8 @@ class ProvenanceLedger:
 
         ``line`` is the shared proto tuple (the identity marker);
         ``statements`` are the re-stamped copies carrying the current
-        document's id. Totals are *not* touched — they come from
-        :meth:`seed_totals` — so sampling dedupes across the documents
-        that share a sentence: samples are distinct sentences, each
+        document's id. Sampling dedupes across the documents that
+        share a sentence: samples are distinct sentences, each
         attributed to the first document (per shard) containing it.
         """
         self.seen_lines[id(line)] = line
@@ -303,41 +281,16 @@ class ProvenanceLedger:
             )
             slot = slots[pair_key]
             if statement.polarity is Polarity.POSITIVE:
-                samples: list[tuple] = slot[2]
+                samples: list[tuple] = slot[0]
                 polarity = "positive"
             else:
-                samples = slot[3]
+                samples = slot[1]
                 polarity = "negative"
             if len(samples) < cap:
                 samples.append(
                     _sample(statement, sentence_index, polarity)
                 )
-                self._views.pop(pair_key, None)
-
-    def seed_totals(self, counter: Any) -> None:
-        """Copy exact per-pair totals from an ``EvidenceCounter``.
-
-        The counter counts every statement occurrence already; doing
-        it again per statement in the ledger would double the hot-path
-        bookkeeping. The runner calls this once after the shard merge,
-        making ``positive_seen``/``negative_seen`` exact regardless of
-        which capture path (memoized or reference) recorded samples.
-        """
-        slots = self._slots
-        views = self._views
-        for key, per_entity in counter.as_evidence().items():
-            prop = key.property
-            entity_type = key.entity_type
-            for entity_id, counts in per_entity.items():
-                pair_key = (prop, entity_type, entity_id)
-                slot = slots[pair_key]
-                if (
-                    slot[0] != counts.positive
-                    or slot[1] != counts.negative
-                ):
-                    slot[0] = counts.positive
-                    slot[1] = counts.negative
-                    views.pop(pair_key, None)
+                slot[2] = None
 
     def seed_pair(
         self,
@@ -345,99 +298,110 @@ class ProvenanceLedger:
         entity_id: str,
         pair: PairProvenance,
     ) -> None:
-        """Load one pair's persisted lineage (checkpoint read path)."""
-        pair_key = (key.property, key.entity_type, entity_id)
-        self._views.pop(pair_key, None)
-        slot = self._slots[pair_key]
-        slot[0] = pair.positive_seen
-        slot[1] = pair.negative_seen
-        slot[2] = [
-            _raw_from_sample(s)
-            for s in pair.samples
-            if s.polarity == "positive"
-        ]
-        slot[3] = [
-            _raw_from_sample(s)
-            for s in pair.samples
-            if s.polarity == "negative"
+        """Load one pair's persisted samples (checkpoint read path);
+        its totals are the counter's, not the row's."""
+        self._slots[key.property, key.entity_type, entity_id] = [
+            [
+                _raw_from_sample(s)
+                for s in pair.samples
+                if s.polarity == "positive"
+            ],
+            [
+                _raw_from_sample(s)
+                for s in pair.samples
+                if s.polarity == "negative"
+            ],
+            None,
         ]
 
     def merge(self, other: "ProvenanceLedger") -> None:
         """Fold another ledger in (the reduce side of the pipeline).
 
-        Totals add; samples concatenate in merge order and re-truncate
-        per polarity, so the earliest-merged shards' samples win —
+        Samples concatenate in merge order and re-truncate per
+        polarity, so the earliest-merged shards' samples win —
         deterministic because the runner merges shards sorted by id.
         """
         cap = self.samples_per_polarity
-        views = self._views
-        for pair_key, (pos, neg, pos_s, neg_s) in other._slots.items():
+        for pair_key, (pos_s, neg_s, _) in other._slots.items():
             slot = self._slots[pair_key]
-            slot[0] += pos
-            slot[1] += neg
-            changed = pos or neg
-            room = cap - len(slot[2])
+            room = cap - len(slot[0])
             if room > 0 and pos_s:
-                slot[2].extend(pos_s[:room])
-                changed = True
-            room = cap - len(slot[3])
+                slot[0].extend(pos_s[:room])
+                slot[2] = None
+            room = cap - len(slot[1])
             if room > 0 and neg_s:
-                slot[3].extend(neg_s[:room])
-                changed = True
-            if changed:
-                views.pop(pair_key, None)
+                slot[1].extend(neg_s[:room])
+                slot[2] = None
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    @property
-    def n_pairs(self) -> int:
-        return len(self._slots)
-
-    @property
-    def n_samples(self) -> int:
-        return sum(
-            len(slot[2]) + len(slot[3])
-            for slot in self._slots.values()
-        )
-
-    def _view(self, pair_key: tuple[Any, str, str]) -> PairProvenance:
-        view = self._views.get(pair_key)
-        if view is None:
-            view = self._views[pair_key] = _pair_from_slot(
-                self._slots[pair_key]
+    def _view(
+        self, pair_key: tuple[Any, str, str], totals: list[int]
+    ) -> PairProvenance:
+        """The pair's kept view while its totals still equal the
+        counter's ``totals``; otherwise one built now."""
+        positive, negative = totals
+        slot = self._slots[pair_key]
+        view = slot[2]
+        if (
+            view is None
+            or view.positive_seen != positive
+            or view.negative_seen != negative
+        ):
+            pos_s, neg_s, _ = slot
+            view = slot[2] = PairProvenance(
+                positive_seen=positive,
+                negative_seen=negative,
+                samples=tuple(
+                    ProvenanceSample(
+                        doc_id=raw[0],
+                        sentence_index=int(raw[1]),
+                        pattern=raw[2],
+                        polarity=raw[3],
+                        negations=raw[4],
+                        sentence=raw[5],
+                    )
+                    for raw in (*pos_s, *neg_s)
+                ),
             )
         return view
 
     def for_pair(
-        self, key: PropertyTypeKey, entity_id: str
+        self,
+        key: PropertyTypeKey,
+        entity_id: str,
+        counter: EvidenceCounter,
     ) -> PairProvenance | None:
-        pair_key = (key.property, key.entity_type, entity_id)
-        if pair_key not in self._slots:
+        """One pair's view, or ``None`` when ``counter`` lacks it."""
+        totals = counter._counts.get(key, {}).get(entity_id)
+        if totals is None:
             return None
-        return self._view(pair_key)
+        return self._view(
+            (key.property, key.entity_type, entity_id), totals
+        )
 
     def combinations(
-        self,
+        self, counter: EvidenceCounter
     ) -> dict[PropertyTypeKey, dict[str, PairProvenance]]:
-        """Every pair's view, grouped by combination: the views of
-        clean pairs are reused, dirty ones are built now."""
-        grouped: dict[tuple[Any, str], dict[str, PairProvenance]] = {}
-        for pair_key in self._slots:
-            prop, entity_type, entity_id = pair_key
-            per_entity = grouped.get((prop, entity_type))
-            if per_entity is None:
-                per_entity = grouped[prop, entity_type] = {}
-            per_entity[entity_id] = self._view(pair_key)
+        """A view of every pair ``counter`` holds, grouped by
+        combination: the totals are the counter's, the samples the
+        ledger's."""
+        view = self._view
         return {
-            PropertyTypeKey(property=prop, entity_type=entity_type): pairs
-            for (prop, entity_type), pairs in grouped.items()
+            key: {
+                entity_id: view(
+                    (key.property, key.entity_type, entity_id), totals
+                )
+                for entity_id, totals in per_entity.items()
+            }
+            for key, per_entity in counter._counts.items()
         }
 
     def pairs(
-        self,
+        self, counter: EvidenceCounter
     ) -> Iterator[tuple[PropertyTypeKey, str, PairProvenance]]:
-        for key, per_entity in self.combinations().items():
+        for key, per_entity in self.combinations(counter).items():
             for entity_id, pair in per_entity.items():
                 yield key, entity_id, pair
 
@@ -463,11 +427,13 @@ class ProvenanceIndex:
     def from_run(
         cls,
         ledger: ProvenanceLedger,
+        evidence: EvidenceCounter,
         result: "SurveyorResult | None" = None,
         convergence: "list[ConvergenceRecord] | None" = None,
     ) -> "ProvenanceIndex":
-        """Link a run's ledger to its fits and convergence records."""
-        pairs = ledger.combinations()
+        """Link a run's ledger and evidence to its fits and
+        convergence records."""
+        pairs = ledger.combinations(evidence)
         models: dict[PropertyTypeKey, ModelParameters] = {}
         by_text: dict[str, PropertyTypeKey] = {}
         if result is not None:

@@ -175,12 +175,8 @@ class IngestPipeline:
                 delta.add_all(extractor.extract_document(annotated))
             self.state.evidence.merge(delta)
             self.state.stats.merge(extractor.stats)
-            if self.state.ledger is not None and delta_ledger is not None:
+            if delta_ledger is not None:
                 self.state.ledger.merge(delta_ledger)
-        if self.state.ledger is not None:
-            # Exact totals always come from the counter; the ledger's
-            # own tallies are sampling-path approximations.
-            self.state.ledger.seed_totals(self.state.evidence)
 
         dirty = tuple(sorted(delta.keys(), key=str))
         started = time.perf_counter()
@@ -192,10 +188,13 @@ class IngestPipeline:
             self.state.generation += 1
         save_state(self.state, self.journal.directory)
 
+        # With lineage off, a ledger persisted by an earlier run is
+        # saved unchanged but backs no index, so no sidecar is written.
         index = None
-        if self.state.ledger is not None:
+        if self.provenance:
             index = ProvenanceIndex.from_run(
-                self.state.ledger, result, records_from_result(result)
+                self.state.ledger, self.state.evidence,
+                result, records_from_result(result),
             )
         report = IngestReport(
             documents=len(records),

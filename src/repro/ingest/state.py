@@ -7,8 +7,8 @@ stopped:
 * the **applied offset** — the journal watermark below which evidence
   has already been folded in;
 * the running **evidence totals** (per-(entity,property) ⟨C+, C−⟩);
-* the running **provenance ledger** (exact totals plus bounded
-  statement samples);
+* the running **provenance ledger** (bounded statement samples; each
+  row also carries its pair's totals, read from the evidence);
 * cached **per-combination fits** — parameters and the convergence
   trace summary — so clean combinations republish byte-identically
   without re-running EM.
@@ -135,7 +135,7 @@ class IngestState:
             "ledger": (
                 None
                 if self.ledger is None
-                else ledger_to_dict(self.ledger, pair_row)
+                else ledger_to_dict(self.ledger, self.evidence, pair_row)
             ),
             "fits": {
                 _key_to_str(key): _fit_to_dict(fit)

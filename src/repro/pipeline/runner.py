@@ -347,7 +347,7 @@ class SurveyorPipeline:
                 Path(self.checkpoint_dir) / CONVERGENCE_BASENAME,
             )
         lineage = (
-            ProvenanceIndex.from_run(ledger, result, records)
+            ProvenanceIndex.from_run(ledger, evidence, result, records)
             if ledger is not None
             else None
         )
@@ -512,11 +512,6 @@ class SurveyorPipeline:
                 "repro_annotation_memo_evictions_total",
                 health.memo_evictions,
             )
-        if ledger is not None:
-            # Samples came from the ledgers; the exact per-pair
-            # totals come from the merged counter in one pass, so the
-            # per-statement extraction hot path never counts twice.
-            ledger.seed_totals(evidence)
         return evidence, ledger
 
     def _merge_telemetry(

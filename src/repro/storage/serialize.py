@@ -307,9 +307,12 @@ def provenance_path_for(artefact: str | Path) -> Path:
 
 
 def ledger_to_dict(
-    ledger: ProvenanceLedger, pair_row: PairRow = PairProvenance.to_dict
+    ledger: ProvenanceLedger,
+    evidence: EvidenceCounter,
+    pair_row: PairRow = PairProvenance.to_dict,
 ) -> dict[str, Any]:
-    """A provenance ledger as checkpoint-embeddable primitives.
+    """A provenance ledger as checkpoint-embeddable primitives: a row
+    per pair of ``evidence``, with its totals and the ledger's samples.
 
     Used by shard checkpoints and by the ingest subsystem's persisted
     running state; the payload is not a standalone artefact (no
@@ -322,12 +325,15 @@ def ledger_to_dict(
                 entity_id: pair_row(pair)
                 for entity_id, pair in per_entity.items()
             }
-            for key, per_entity in ledger.combinations().items()
+            for key, per_entity in ledger.combinations(evidence).items()
         },
     }
 
 
 def ledger_from_dict(payload: dict[str, Any]) -> ProvenanceLedger:
+    """The ledger of a :func:`ledger_to_dict` payload: each row is
+    parsed whole, but only its samples are kept (the totals are the
+    counter's, stored beside it)."""
     ledger = ProvenanceLedger(
         samples_per_polarity=int(
             payload.get("samples_per_polarity", 3)
@@ -367,7 +373,9 @@ def shard_checkpoint_to_dict(
         "dead_letters": [dict(letter) for letter in dead_letters],
     }
     if provenance is not None:
-        payload["provenance"] = ledger_to_dict(provenance, pair_row)
+        payload["provenance"] = ledger_to_dict(
+            provenance, counter, pair_row
+        )
     return payload
 
 

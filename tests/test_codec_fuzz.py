@@ -90,7 +90,7 @@ def _payloads():
     ])
     table.mark_degraded(VERY_BIG)
     pairs: dict = {}
-    for key, entity_id, pair in ledger.pairs():
+    for key, entity_id, pair in ledger.pairs(counter):
         pairs.setdefault(key, {})[entity_id] = pair
     lineage = ProvenanceIndex(
         pairs,

@@ -491,6 +491,49 @@ class TestPipelineState:
         assert config["provenance"] is True
         assert config["warm_start"] is True
 
+    def test_lineage_off_writes_no_sidecar_over_a_persisted_ledger(
+        self, tmp_path, small_kb, cute_scenario
+    ):
+        documents = cute_corpus(cute_scenario).documents
+        half = len(documents) // 2
+        journal = CorpusJournal(tmp_path / "j")
+        out = tmp_path / "op.json"
+        first = IngestPipeline(
+            kb=small_kb, journal=journal, occurrence_threshold=1
+        )
+        first.publish(first.ingest(documents[:half]), out)
+        sidecar = provenance_path_for(out).read_bytes()
+        ledger = json.loads(
+            state_path_for(journal.directory).read_bytes()
+        )["ledger"]
+
+        off = IngestPipeline(
+            kb=small_kb,
+            journal=journal,
+            occurrence_threshold=1,
+            provenance=False,
+        )
+        report = off.ingest(documents[half:])
+        assert report.statements > 0
+        assert report.provenance is None
+        off.publish(report, out)
+        assert provenance_path_for(out).read_bytes() == sidecar
+        manifest = read_manifest(manifest_path_for(out))
+        assert manifest["config"]["provenance"] is False
+        assert "provenance" not in manifest["outputs"]
+        # The persisted samples are kept as they were; only the totals
+        # beside them, read from the counter, moved.
+        state = json.loads(
+            state_path_for(journal.directory).read_bytes()
+        )
+        for key_text, per_entity in ledger["pairs"].items():
+            for entity_id, row in per_entity.items():
+                after = state["ledger"]["pairs"][key_text][entity_id]
+                assert after["samples"] == row["samples"]
+                assert [after["positive"], after["negative"]] == (
+                    state["evidence"]["combinations"][key_text][entity_id]
+                )
+
     def test_warm_start_refits_from_cached_parameters(
         self, tmp_path, small_kb, cute_scenario
     ):
@@ -615,7 +658,10 @@ class TestLineageCacheCoherence:
             state_path_for(live_dir).read_bytes()
         )
         lineage = ProvenanceIndex.from_run(
-            cold_ledger, report.result, records_from_result(report.result)
+            cold_ledger,
+            live.state.evidence,
+            report.result,
+            records_from_result(report.result),
         )
         assert save(lineage, cold_dir / "sidecar.json").read_bytes() == (
             provenance_path_for(out).read_bytes()
@@ -661,7 +707,9 @@ class TestLineageCacheCoherence:
         # every existing pair's view (and its cached text) in place.
         views = {
             (key, entity_id): pair
-            for key, entity_id, pair in live.state.ledger.pairs()
+            for key, entity_id, pair in live.state.ledger.pairs(
+                live.state.evidence
+            )
         }
         report = step(
             live.ingest(
@@ -675,7 +723,9 @@ class TestLineageCacheCoherence:
         assert report.statements > 0
         after = {
             (key, entity_id): pair
-            for key, entity_id, pair in live.state.ledger.pairs()
+            for key, entity_id, pair in live.state.ledger.pairs(
+                live.state.evidence
+            )
         }
         assert len(after) > len(views)
         assert all(after[pair] is view for pair, view in views.items())

@@ -52,15 +52,16 @@ def statement(
 
 
 class TestProvenanceLedger:
-    def test_record_counts_exactly_and_caps_samples(self):
+    def test_record_caps_samples(self):
         ledger = ProvenanceLedger(samples_per_polarity=2)
+        counter = EvidenceCounter()
         for i in range(5):
+            counter.add(statement(doc_id=f"d{i}"))
             ledger.record(statement(doc_id=f"d{i}"), sentence_index=i)
-        ledger.record(
-            statement(polarity=Polarity.NEGATIVE, negations=1),
-            sentence_index=9,
-        )
-        pair = ledger.for_pair(CUTE, "/animal/kitten")
+        negative = statement(polarity=Polarity.NEGATIVE, negations=1)
+        counter.add(negative)
+        ledger.record(negative, sentence_index=9)
+        pair = _kitten(ledger, counter)
         assert (pair.positive_seen, pair.negative_seen) == (5, 1)
         # Bounded: 2 positive samples kept (the first two), 1 negative.
         polarities = [s.polarity for s in pair.samples]
@@ -73,69 +74,90 @@ class TestProvenanceLedger:
         protos = (statement(),)
         ledger.sample_line(protos, [statement(doc_id="dX")], 3)
         assert id(protos) in ledger.seen_lines
-        pair = ledger.for_pair(CUTE, "/animal/kitten")
-        # Totals stay zero until seed_totals copies the counter.
-        assert (pair.positive_seen, pair.negative_seen) == (0, 0)
+        # One sample, yet the totals read are the counter's.
+        pair = _kitten(ledger, _counter_of(4))
+        assert (pair.positive_seen, pair.negative_seen) == (4, 0)
         assert [s.doc_id for s in pair.samples] == ["dX"]
         assert pair.samples[0].sentence_index == 3
 
-    def test_seed_totals_matches_counter(self):
+    def test_reads_exactly_the_counters_pairs(self):
         counter = EvidenceCounter()
         for i in range(4):
             counter.add(statement(doc_id=f"d{i}"))
         counter.add(statement(polarity=Polarity.NEGATIVE, negations=1))
         ledger = ProvenanceLedger()
         ledger.sample_line((object(),), [statement()], 0)
-        ledger.seed_totals(counter)
-        pair = ledger.for_pair(CUTE, "/animal/kitten")
+        # Sampled, but never counted: not a pair of the counter's.
+        ledger.sample_line(
+            (object(),), [statement(entity="/animal/tiger")], 1
+        )
+        pairs = ledger.combinations(counter)
+        assert list(pairs) == [CUTE]
+        assert list(pairs[CUTE]) == ["/animal/kitten"]
+        pair = pairs[CUTE]["/animal/kitten"]
         assert (pair.positive_seen, pair.negative_seen) == (4, 1)
-        # Pairs the sampler never saw are created counts-only.
+        assert ledger.for_pair(CUTE, "/animal/tiger", counter) is None
+        # A pair the sampler never saw reads with no samples.
         counter.add(statement(entity="/animal/snake"))
-        ledger.seed_totals(counter)
-        snake = ledger.for_pair(CUTE, "/animal/snake")
+        snake = ledger.combinations(counter)[CUTE]["/animal/snake"]
         assert (snake.positive_seen, snake.negative_seen) == (1, 0)
         assert snake.samples == ()
+        assert ledger.for_pair(CUTE, "/animal/snake", counter) is snake
 
-    def test_merge_sums_counts_and_caps_in_shard_order(self):
+    def test_merge_caps_in_shard_order(self):
         first = ProvenanceLedger(samples_per_polarity=2)
         second = ProvenanceLedger(samples_per_polarity=2)
+        counter = EvidenceCounter()
         for i in range(2):
-            first.record(statement(doc_id=f"a{i}"), sentence_index=i)
-            second.record(statement(doc_id=f"b{i}"), sentence_index=i)
+            for shard, prefix in ((first, "a"), (second, "b")):
+                item = statement(doc_id=f"{prefix}{i}")
+                counter.add(item)
+                shard.record(item, sentence_index=i)
+        reverse = ProvenanceLedger(samples_per_polarity=2)
+        reverse.merge(second)
+        reverse.merge(first)
         first.merge(second)
-        pair = first.for_pair(CUTE, "/animal/kitten")
+        pair = _kitten(first, counter)
         assert pair.positive_seen == 4
         # The earlier-merged ledger's samples win the bounded slots.
         assert [s.doc_id for s in pair.samples] == ["a0", "a1"]
+        reversed_pair = _kitten(reverse, counter)
+        assert [s.doc_id for s in reversed_pair.samples] == ["b0", "b1"]
 
     def test_merge_into_empty_preserves_samples(self):
         shard = ProvenanceLedger()
-        shard.record(
-            statement(polarity=Polarity.NEGATIVE, negations=1), 0
-        )
+        negative = statement(polarity=Polarity.NEGATIVE, negations=1)
+        shard.record(negative, 0)
+        counter = EvidenceCounter()
+        counter.add(negative)
         merged = ProvenanceLedger()
         merged.merge(shard)
-        pair = merged.for_pair(CUTE, "/animal/kitten")
+        pair = _kitten(merged, counter)
         assert pair.negative_seen == 1
         assert [s.polarity for s in pair.samples] == ["negative"]
         assert pair.samples[0].negations == 1
 
     def test_seed_pair_round_trips(self):
         source = ProvenanceLedger()
-        source.record(statement(), 0)
-        source.record(
-            statement(polarity=Polarity.NEGATIVE, negations=1), 1
-        )
-        pair = source.for_pair(CUTE, "/animal/kitten")
+        counter = EvidenceCounter()
+        for index, item in enumerate(
+            [statement(), statement(polarity=Polarity.NEGATIVE, negations=1)]
+        ):
+            counter.add(item)
+            source.record(item, index)
+        pair = _kitten(source, counter)
         restored = ProvenanceLedger()
-        restored.seed_pair(CUTE, "/animal/kitten", pair)
-        assert restored.for_pair(CUTE, "/animal/kitten") == pair
+        # Only the samples load; the totals stay the counter's.
+        restored.seed_pair(
+            CUTE, "/animal/kitten", PairProvenance(9, 9, pair.samples)
+        )
+        assert _kitten(restored, counter) == pair
 
     def test_sentences_truncated(self):
         ledger = ProvenanceLedger()
         long = "x" * (MAX_SENTENCE_CHARS * 2)
         ledger.record(statement(sentence=long), 0)
-        pair = ledger.for_pair(CUTE, "/animal/kitten")
+        pair = _kitten(ledger, _counter_of(1))
         assert len(pair.samples[0].sentence) == MAX_SENTENCE_CHARS
 
     def test_pickle_drops_seen_line_pins(self):
@@ -144,7 +166,9 @@ class TestProvenanceLedger:
         ledger.sample_line(protos, [statement()], 0)
         clone = pickle.loads(pickle.dumps(ledger))
         assert clone.seen_lines == {}
-        assert clone.n_samples == ledger.n_samples == 1
+        counter = _counter_of(1)
+        assert clone.combinations(counter) == ledger.combinations(counter)
+        assert len(_kitten(clone, counter).samples) == 1
 
     def test_rejects_zero_samples(self):
         with pytest.raises(ValueError):
@@ -153,46 +177,61 @@ class TestProvenanceLedger:
     @pytest.mark.parametrize(
         "mutate",
         [
-            lambda ledger: ledger.record(statement(doc_id="d2"), 4),
-            lambda ledger: ledger.sample_line(
+            lambda ledger, counter: ledger.record(
+                statement(doc_id="d2"), 4
+            ),
+            lambda ledger, counter: ledger.sample_line(
                 (statement(),),
                 [statement(polarity=Polarity.NEGATIVE, doc_id="d2")],
                 4,
             ),
-            lambda ledger: ledger.seed_totals(_counter_of(7)),
-            lambda ledger: ledger.seed_pair(
+            lambda ledger, counter: counter.add(statement(doc_id="d2")),
+            lambda ledger, counter: ledger.seed_pair(
                 CUTE, "/animal/kitten", PairProvenance(9, 9)
             ),
-            lambda ledger: ledger.merge(_ledger_of(statement(doc_id="d3"))),
-            lambda ledger: ledger.merge(_sampled(statement(doc_id="d3"))),
+            lambda ledger, counter: _merge_shard(
+                ledger, counter, statement(doc_id="d3")
+            ),
+            lambda ledger, counter: ledger.merge(
+                _sampled(statement(doc_id="d3"))
+            ),
         ],
         ids=[
-            "record", "sample_line", "seed_totals", "seed_pair",
+            "record", "sample_line", "counter_totals", "seed_pair",
             "merge_counts", "merge_samples",
         ],
     )
     def test_a_read_after_a_change_sees_the_change(self, mutate):
         """A pair's view and its JSON text are kept between reads
-        only while the pair is unchanged."""
+        only while its samples and the counter's totals are unchanged."""
         ledger = _ledger_of(statement())
-        kept = ledger.for_pair(CUTE, "/animal/kitten")
+        counter = _counter_of(1)
+        kept = _kitten(ledger, counter)
         kept.to_json()
-        assert ledger.for_pair(CUTE, "/animal/kitten") is kept
-        mutate(ledger)
+        assert _kitten(ledger, counter) is kept
+        mutate(ledger, counter)
         cold = ProvenanceLedger()
         cold.merge(ledger)
-        fresh = ledger.for_pair(CUTE, "/animal/kitten")
-        assert fresh == cold.for_pair(CUTE, "/animal/kitten") != kept
+        fresh = _kitten(ledger, counter)
+        assert fresh == _kitten(cold, counter) != kept
         assert fresh.to_json() == json.dumps(
             fresh.to_dict(), sort_keys=True, separators=(",", ":")
         )
 
     def test_unchanged_pairs_keep_their_views(self):
         ledger = _ledger_of(statement())
-        kept = ledger.for_pair(CUTE, "/animal/kitten")
-        ledger.seed_totals(_counter_of(1))  # the totals it already has
-        ledger.merge(_sampled(statement(entity="/animal/tiger")))
-        assert ledger.for_pair(CUTE, "/animal/kitten") is kept
+        counter = _counter_of(1)
+        kept = _kitten(ledger, counter)
+        _merge_shard(ledger, counter, statement(entity="/animal/tiger"))
+        assert _kitten(ledger, counter) is kept
+        # Another counter with the same totals reads the same view.
+        assert _kitten(ledger, _counter_of(1)) is kept
+
+
+def _kitten(
+    ledger: ProvenanceLedger, counter: EvidenceCounter
+) -> PairProvenance:
+    return ledger.combinations(counter)[CUTE]["/animal/kitten"]
 
 
 def _ledger_of(*statements) -> ProvenanceLedger:
@@ -203,10 +242,18 @@ def _ledger_of(*statements) -> ProvenanceLedger:
 
 
 def _sampled(*statements) -> ProvenanceLedger:
-    """A fast-path ledger: samples, no totals."""
+    """A fast-path ledger: samples of one memoized sentence."""
     ledger = ProvenanceLedger()
     ledger.sample_line(statements, list(statements), 0)
     return ledger
+
+
+def _merge_shard(ledger, counter, *statements) -> None:
+    """Fold in one shard's ledger and counter, as the reduce does."""
+    shard = EvidenceCounter()
+    shard.add_all(statements)
+    counter.merge(shard)
+    ledger.merge(_ledger_of(*statements))
 
 
 def _counter_of(positive: int) -> EvidenceCounter:
@@ -237,6 +284,33 @@ class TestPipelineLineage:
                 assert pair.positive_seen == counts.positive
                 assert pair.negative_seen == counts.negative
                 assert pair.samples, (key, entity_id)
+
+    @pytest.mark.parametrize(
+        "fast_path", [True, False], ids=["fast", "reference"]
+    )
+    def test_checkpoint_rows_carry_the_evidence_totals(
+        self, small_kb, cute_scenario, tmp_path, fast_path
+    ):
+        corpus = CorpusGenerator(seed=21).generate(cute_scenario)
+        SurveyorPipeline(
+            kb=small_kb,
+            occurrence_threshold=10,
+            n_workers=2,
+            fast_path=fast_path,
+            checkpoint_dir=tmp_path,
+        ).run(corpus)
+        checkpoints = sorted(tmp_path.glob("shard-*.json"))
+        assert len(checkpoints) == 2
+        for path in checkpoints:
+            payload = json.loads(path.read_text())
+            evidence = payload["evidence"]["combinations"]
+            rows = payload["provenance"]["pairs"]
+            assert rows.keys() == evidence.keys()
+            for key_text, per_entity in evidence.items():
+                assert rows[key_text].keys() == per_entity.keys()
+                for entity_id, totals in per_entity.items():
+                    row = rows[key_text][entity_id]
+                    assert [row["positive"], row["negative"]] == totals
 
     def test_every_evidenced_opinion_is_explainable(self, mined):
         # Entities with zero observed statements still get a model

@@ -26,6 +26,7 @@ from repro.core import (
 )
 from repro.core.query import QueryEngine, SubjectiveQuery
 from repro.extraction import (
+    EvidenceCounter,
     EvidenceStatement,
     ProvenanceIndex,
     ProvenanceLedger,
@@ -122,9 +123,11 @@ def demo_provenance() -> ProvenanceIndex:
             negations=1,
         )
     )
+    counter = EvidenceCounter()
     for index, statement in enumerate(statements):
+        counter.add(statement)
         ledger.record(statement, sentence_index=index)
-    return ProvenanceIndex.from_run(ledger)
+    return ProvenanceIndex.from_run(ledger, counter)
 
 
 # ---------------------------------------------------------------------------
