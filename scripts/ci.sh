@@ -614,8 +614,10 @@ echo "== ingest lane (journal bootstrap, live append, hot publish) =="
 # CLI-journal publish picked up by /admin/reload (which must re-read
 # the rewritten provenance sidecar), a restart on the same journal
 # that must come back at the same generation with the same answers, and
-# the restarted server's next publish, whose state.json and sidecar
-# must be the bytes a cold ledger encodes for the same state.
+# the restarted server's next publishes, whose state.json, sidecar and
+# opinions.json must be the bytes a cold pipeline encodes for the same
+# state (the last publish carries a clean combination's opinions from
+# the one before).
 INGEST_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_DIR" "$PARITY_DIR" "$SERVE_DIR" "$INGEST_DIR"' EXIT
 printf '%s\n' \
@@ -749,7 +751,8 @@ try:
     for path, body in before.items():
         assert raw(path) == body, (path, body, raw(path))
     # Two batches, the second touching pairs the first one's publish
-    # already encoded (kittens from the journal, snakes from batch one).
+    # already encoded (kittens from the journal, snakes from batch one)
+    # and leaving dangerous|animal clean, so its block is carried.
     for generation, documents in (
         (4, ["Snakes are not cute."]),
         (5, ["Kittens are cute.", "I doubt that snakes are cute."]),
@@ -766,8 +769,9 @@ finally:
         proc.kill()
         proc.wait(timeout=10)
 PYEOF
-# Re-encode what the live server wrote through a cold ledger: a
-# pipeline opened on a copy of the journal, advanced over nothing new.
+# Re-encode what the live server wrote through a cold pipeline: opened
+# on a copy of the journal, advanced over nothing new, so it has no
+# previous result to carry from and no ledger text to splice.
 cp -r "$INGEST_DIR/journal" "$INGEST_DIR/cold-journal"
 python - "$INGEST_DIR" <<'PYEOF'
 import sys
@@ -787,6 +791,7 @@ PYEOF
 cmp "$INGEST_DIR/journal/state.json" "$INGEST_DIR/cold-journal/state.json"
 cmp "$INGEST_DIR/opinions.json.provenance.json" \
     "$INGEST_DIR/cold-opinions.json.provenance.json"
+cmp "$INGEST_DIR/opinions.json" "$INGEST_DIR/cold-opinions.json"
 echo "ingest lane OK"
 
 # Ingestion benches carry their own gates (incremental CPU <= 25% of a

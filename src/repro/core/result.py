@@ -11,8 +11,7 @@ posterior confidence.
 
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, KeysView
 
 from .types import Opinion, Polarity, PropertyTypeKey
 
@@ -26,6 +25,14 @@ class OpinionTable:
     their opinions are hard votes rather than model posteriors. Query
     surfaces (CLI, HTTP server) expose the flag so consumers can treat
     those answers with suspicion.
+
+    A combination's opinions form one *block*. :meth:`add_block`
+    inserts a whole block at once and keeps the tuple it is given, so
+    two tables (say, two generations of an ingest) may hold the very
+    same block; consumers that see the same block object in two
+    tables reuse what they derived from it (:meth:`block`). A block is
+    never changed in place: :meth:`add` copies the block it writes to
+    first.
     """
 
     def __init__(
@@ -34,8 +41,12 @@ class OpinionTable:
         degraded_keys: Iterable[PropertyTypeKey] = (),
     ) -> None:
         self._by_pair: dict[tuple[str, PropertyTypeKey], Opinion] = {}
-        self._by_key: dict[PropertyTypeKey, list[Opinion]] = defaultdict(list)
-        self._by_entity: dict[str, list[Opinion]] = defaultdict(list)
+        # A tuple is a frozen block, possibly shared with another
+        # table; a list is this table's own, being built by add().
+        self._by_key: dict[
+            PropertyTypeKey, tuple[Opinion, ...] | list[Opinion]
+        ] = {}
+        self._by_entity: dict[str, list[Opinion]] = {}
         self._degraded: set[PropertyTypeKey] = set(degraded_keys)
         for opinion in opinions:
             self.add(opinion)
@@ -45,14 +56,37 @@ class OpinionTable:
     # ------------------------------------------------------------------
     def add(self, opinion: Opinion) -> None:
         """Insert an opinion, replacing any previous one for the pair."""
-        pair = (opinion.entity_id, opinion.key)
-        if pair in self._by_pair:
-            old = self._by_pair[pair]
-            self._by_key[old.key].remove(old)
+        key = opinion.key
+        pair = (opinion.entity_id, key)
+        block = self._by_key.get(key)
+        if type(block) is not list:
+            # Copy on write: a frozen block may sit in other tables.
+            block = self._by_key[key] = list(block or ())
+        old = self._by_pair.get(pair)
+        if old is not None:
+            block.remove(old)
             self._by_entity[old.entity_id].remove(old)
         self._by_pair[pair] = opinion
-        self._by_key[opinion.key].append(opinion)
-        self._by_entity[opinion.entity_id].append(opinion)
+        block.append(opinion)
+        self._by_entity.setdefault(opinion.entity_id, []).append(opinion)
+
+    def add_block(
+        self, key: PropertyTypeKey, block: tuple[Opinion, ...]
+    ) -> None:
+        """Insert one combination's opinions (each of ``key``, one per
+        entity) whole. The table must hold none of ``key`` yet. The
+        tuple is kept as is, so it may also sit in other tables; an
+        empty block inserts nothing."""
+        if key in self._by_key:
+            raise ValueError(f"{key} already holds opinions")
+        if not block:
+            return
+        self._by_key[key] = block
+        by_pair = self._by_pair
+        by_entity = self._by_entity
+        for opinion in block:
+            by_pair[(opinion.entity_id, key)] = opinion
+            by_entity.setdefault(opinion.entity_id, []).append(opinion)
 
     def update(self, opinions: Iterable[Opinion]) -> None:
         for opinion in opinions:
@@ -117,6 +151,20 @@ class OpinionTable:
 
     def keys(self) -> list[PropertyTypeKey]:
         return list(self._by_key)
+
+    def block(self, key: PropertyTypeKey) -> tuple[Opinion, ...]:
+        """One combination's opinions as a frozen block (``()`` when
+        the table has none). While neither table adds to it, the same
+        block object is returned each time, and by every table it was
+        inserted into."""
+        block = self._by_key.get(key, ())
+        if type(block) is list:
+            block = self._by_key[key] = tuple(block)
+        return block
+
+    def entities(self) -> KeysView[str]:
+        """A set-like view of the entities the table has opinions on."""
+        return self._by_entity.keys()
 
     @property
     def degraded_keys(self) -> frozenset[PropertyTypeKey]:

@@ -11,7 +11,7 @@ is itself informative.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Container, Iterable, Mapping
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Protocol
@@ -111,6 +111,8 @@ class Surveyor:
         self,
         evidence: Mapping[PropertyTypeKey, Mapping[str, EvidenceCounts]],
         fit: FitFunction | None = None,
+        previous: SurveyorResult | None = None,
+        dirty: Container[PropertyTypeKey] = frozenset(),
     ) -> SurveyorResult:
         """Interpret all combinations meeting the occurrence threshold.
 
@@ -121,8 +123,15 @@ class Surveyor:
         in place of :meth:`fit_combination` (the ingest refitter hands
         back cached fits for combinations whose evidence is unchanged);
         everything else about the run is the same.
+
+        ``previous`` is an earlier run of this surveyor's settings over
+        evidence that differs at most in the ``dirty`` combinations. A
+        combination outside ``dirty`` whose fit is the very object
+        ``previous`` used has the same opinions, so the new table takes
+        ``previous``'s block as is instead of emitting it again.
         """
         fit_one = self.fit_combination if fit is None else fit
+        carried = {} if previous is None else previous.fits
         table = OpinionTable()
         fits: dict[PropertyTypeKey, FittedCombination] = {}
         skipped: list[PropertyTypeKey] = []
@@ -143,7 +152,12 @@ class Surveyor:
                 span.set("n_statements", fitted.n_statements)
                 if fitted.trace.degraded:
                     degraded.append(key)
-                self._emit(table, key, fitted, per_entity)
+                    table.mark_degraded(key)
+                if key not in dirty and carried.get(key) is fitted:
+                    block = previous.opinions.block(key)
+                else:
+                    block = self._emit(key, fitted, per_entity)
+                table.add_block(key, block)
         return SurveyorResult(
             opinions=table,
             fits=fits,
@@ -153,12 +167,11 @@ class Surveyor:
 
     def _emit(
         self,
-        table: OpinionTable,
         key: PropertyTypeKey,
         fit: FittedCombination,
         per_entity: Mapping[str, EvidenceCounts],
-    ) -> None:
-        """Add one combination's opinion on every entity of its type.
+    ) -> tuple[Opinion, ...]:
+        """One combination's opinion on every entity of its type.
 
         A degenerate fit fell back to majority vote, so its opinions
         are hard votes instead of model posteriors. Either way the
@@ -166,12 +179,12 @@ class Surveyor:
         computed once per distinct ``<C+, C->`` of the combination.
         """
         if fit.trace.degraded:
-            table.mark_degraded(key)
             probability_of = _majority_probability
         else:
             probability_of = fit.model().posterior_positive
         probabilities: dict[EvidenceCounts, float] = {}
         emit_undecided = self.emit_undecided
+        block = []
         for entity_id, counts in self._full_evidence(key, per_entity):
             probability = probabilities.get(counts)
             if probability is None:
@@ -180,7 +193,8 @@ class Surveyor:
                 )
             # Exactly 0.5 is the undecided case the paper drops.
             if probability != 0.5 or emit_undecided:
-                table.add(Opinion(entity_id, key, probability, counts))
+                block.append(Opinion(entity_id, key, probability, counts))
+        return tuple(block)
 
     def _combination_span(self, key: PropertyTypeKey):
         if self.tracer is None:

@@ -33,8 +33,11 @@ Determinism: workers visit sentences in document order within a
 shard, the seen-line marker is per-ledger (never shared state), and
 the runner merges shard ledgers in ``shard_id`` order — exactly the
 order the evidence counters merge in — so two runs over the same
-corpus produce byte-identical sidecars whether the annotation memo
-was cold or warm.
+corpus with the same shard count produce byte-identical sidecars
+whether the annotation memo was cold or warm. Lineage samples are
+kept in shard order, and documents are dealt to shards round-robin,
+so a pair's samples, and the sidecar's bytes, depend on the shard
+count (``repro mine --workers``); ``opinions.json`` does not.
 
 The write side (:class:`ProvenanceLedger`) lives in the extraction
 workers and merges across shards; the read side

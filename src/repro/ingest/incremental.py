@@ -12,21 +12,27 @@ opinion table without re-running the batch pipeline:
    counter equals what a one-shot batch over all journaled documents
    would produce.
 3. **Dirty-set refit.** Only (property, type) combinations the delta
-   touched re-run EM; every clean combination reuses its cached fit
-   and recomputes opinions from the cached parameters. Because
-   ``EMLearner.fit`` is deterministic over the evidence multiset and
-   JSON float round-trips are ``repr``-exact, both paths are
-   bit-identical to a full batch run — the differential parity test in
-   ``tests/test_ingest.py`` proves it on every harness scenario.
+   touched re-run EM and emit their opinions again; every clean
+   combination reuses its cached fit, and the table takes its opinion
+   block unchanged from the pipeline's previous result (a fresh or
+   just-restarted pipeline has none, so it emits every block from the
+   cached parameters). Because ``EMLearner.fit`` is deterministic over
+   the evidence multiset and JSON float round-trips are
+   ``repr``-exact, every path is bit-identical to a full batch run —
+   the differential parity test in ``tests/test_ingest.py`` proves it
+   on every harness scenario.
 4. **Publish.** The rebuilt table + provenance sidecar + run manifest
    are written with the same atomic writers the batch CLI uses; a
    server then pushes them through its validated hot-reload swap.
 
-Lineage costs what the batch touched: the running ledger keeps the
-frozen view and JSON text of every pair the batch left alone, so the
-state save, the sidecar and :meth:`ProvenanceIndex.from_run` rebuild
-and re-encode only the changed pairs, with the bytes of a cold encode
-(docs/ingestion.md, "Cost model").
+Lineage and opinions cost what the batch touched: the running ledger
+keeps the frozen view and JSON text of every pair the batch left
+alone, so the state save, the sidecar and
+:meth:`ProvenanceIndex.from_run` rebuild and re-encode only the
+changed pairs; a carried opinion block is shared with the previous
+table, so the drift report, the serving index and the opinions file
+redo only the blocks that changed. Each writes the bytes of a cold
+encode (docs/ingestion.md, "Cost model").
 
 Warm starts (``warm_start=True``) seed a dirty combination's EM from
 its cached parameters. After a small append the cached point is near
@@ -66,7 +72,7 @@ from ..obs.manifest import (
     manifest_path_for,
     write_manifest,
 )
-from ..storage import provenance_path_for, save
+from ..storage import OpinionRows, provenance_path_for, save
 from .journal import CorpusJournal
 from .state import IngestState, load_state, save_state
 
@@ -141,6 +147,11 @@ class IngestPipeline:
             fast_path=self.fast_path,
             memo_size=self.annotation_memo_size,
         )
+        # The last advance's result, not the served table (a reload or
+        # rollback may have replaced that): its clean blocks carry.
+        self._previous: SurveyorResult | None = None
+        # The opinion rows publish last wrote, per block.
+        self._rows = OpinionRows()
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -217,13 +228,14 @@ class IngestPipeline:
     def _refit(
         self, dirty: frozenset[PropertyTypeKey]
     ) -> tuple[SurveyorResult, int, int]:
-        """Rebuild the full opinion table, running EM only where the
-        evidence changed.
+        """Rebuild the full opinion table, running EM and emitting
+        opinions only where the evidence changed.
 
         The table comes from ``Surveyor.run`` itself, fed cached fits
-        for clean combinations, so a table assembled from cached +
-        refitted combinations is byte-identical to a one-shot batch
-        over the same evidence.
+        for clean combinations and the previous result to carry their
+        blocks from, so a table assembled from carried + refitted
+        combinations is byte-identical to a one-shot batch over the
+        same evidence.
         """
         surveyor = Surveyor(
             catalog=self.kb,
@@ -241,7 +253,13 @@ class IngestPipeline:
             refitted += 1
             return self._fit_one(surveyor, key, per_entity, cached)
 
-        result = surveyor.run(self.state.evidence.as_evidence(), fit=fit)
+        result = surveyor.run(
+            self.state.evidence.as_evidence(),
+            fit=fit,
+            previous=self._previous,
+            dirty=dirty,
+        )
+        self._previous = result
         for key in result.skipped:
             cache.pop(key, None)
         cache.update(result.fits)
@@ -282,7 +300,7 @@ class IngestPipeline:
         """Write the table, its provenance sidecar, and a run manifest
         (all atomically) so a server can hot-reload them."""
         out = Path(out)
-        save(report.table, out)
+        save(report.table, out, rows=self._rows)
         outputs = {"opinions": str(out)}
         if report.provenance is not None:
             sidecar = provenance_path_for(out)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from ..core.result import OpinionTable
-from ..core.types import PropertyTypeKey
+from ..core.types import Opinion, PropertyTypeKey
 from .histogram import StreamingHistogram
 
 DRIFT_FORMAT = "generation_drift"
@@ -159,14 +159,12 @@ def compare_tables(
 
     Iteration follows the *after* table's sorted pair order, so flip
     examples and per-property rollups are stable run to run.
+
+    A combination whose block is the same object in both tables (an
+    ingest carried it forward) has every pair in common with a zero
+    delta and no flip, so it is counted in bulk; only the other
+    blocks are diffed pair by pair.
     """
-    before_pairs = {
-        (opinion.key, opinion.entity_id): opinion
-        for opinion in before
-    }
-    after_pairs = {
-        (opinion.key, opinion.entity_id): opinion for opinion in after
-    }
     histogram = StreamingHistogram()
     per_property: dict[str, PropertyDrift] = {}
 
@@ -179,6 +177,23 @@ def compare_tables(
         return drift
 
     common = flips = 0
+    after_pairs: dict[tuple[PropertyTypeKey, str], Opinion] = {}
+    for key in after.keys():
+        block = after.block(key)
+        if before.block(key) is block:
+            common += len(block)
+            rollup(key).common += len(block)
+            histogram.observe(0.0, count=len(block))
+        else:
+            for opinion in block:
+                after_pairs[(key, opinion.entity_id)] = opinion
+    before_pairs = {
+        (key, opinion.entity_id): opinion
+        for key in before.keys()
+        if (block := before.block(key)) is not after.block(key)
+        for opinion in block
+    }
+
     delta_max = 0.0
     flip_examples: list[dict[str, Any]] = []
     ordered = sorted(
@@ -221,18 +236,14 @@ def compare_tables(
         if pair not in after_pairs:
             removed += 1
             rollup(pair[0]).removed += 1
-    before_entities = {pair[1] for pair in before_pairs}
-    after_entities = {pair[1] for pair in after_pairs}
     return DriftReport(
-        pairs_before=len(before_pairs),
-        pairs_after=len(after_pairs),
+        pairs_before=len(before),
+        pairs_after=len(after),
         common=common,
-        added=len(after_pairs) - common,
+        added=len(after) - common,
         removed=removed,
         flips=flips,
-        entity_churn=len(
-            before_entities.symmetric_difference(after_entities)
-        ),
+        entity_churn=len(before.entities() ^ after.entities()),
         delta_max=delta_max,
         delta_histogram=histogram,
         flip_examples=flip_examples,

@@ -129,15 +129,22 @@ class StreamingHistogram:
     # Recording
     # ------------------------------------------------------------------
     def observe(
-        self, value: float, exemplar: str | None = None
+        self,
+        value: float,
+        exemplar: str | None = None,
+        count: int = 1,
     ) -> None:
+        """Record ``value`` ``count`` times (``sum`` gains
+        ``value * count``)."""
         value = float(value)
         if math.isnan(value):
             raise ValueError("cannot observe NaN")
+        if count < 1:
+            raise ValueError(f"count must be positive, got {count}")
         index = self.bucket_index(value)
-        self._counts[index] = self._counts.get(index, 0) + 1
-        self.count += 1
-        self.sum += value
+        self._counts[index] = self._counts.get(index, 0) + count
+        self.count += count
+        self.sum += value * count
         if self.min is None or value < self.min:
             self.min = value
         if self.max is None or value > self.max:

@@ -18,7 +18,10 @@ structures **once**:
 
 The index is immutable after construction: the server hot-reloads by
 building a fresh index off to the side and swapping one reference, so
-a reader always sees a wholly consistent generation.
+a reader always sees a wholly consistent generation. A new index built
+with the live one as ``previous`` shares its posting map and polarity
+lists for every combination block the two tables share (an ingest
+carries the blocks its batch left clean), so it builds only the rest.
 
 Results are bit-identical to :class:`QueryEngine` / ``OpinionTable``
 answers (same floats, same tie-breaks) — the CLI and the HTTP server
@@ -48,6 +51,7 @@ class OpinionIndex:
 
     __slots__ = (
         "_generation",
+        "_blocks",
         "_probability",
         "_by_polarity",
         "_entities_by_type",
@@ -56,11 +60,16 @@ class OpinionIndex:
     )
 
     def __init__(
-        self, table: OpinionTable, generation: int = 1
+        self,
+        table: OpinionTable,
+        generation: int = 1,
+        previous: OpinionIndex | None = None,
     ) -> None:
         self._generation = int(generation)
         self._n_opinions = len(table)
         self._degraded = table.degraded_keys
+        # The block each combination's postings were built from.
+        self._blocks: dict[PropertyTypeKey, tuple[Opinion, ...]] = {}
         # entity -> posterior, per combination (the posting map).
         self._probability: dict[
             PropertyTypeKey, dict[str, float]
@@ -70,26 +79,21 @@ class OpinionIndex:
         self._by_polarity: dict[
             PropertyTypeKey, dict[Polarity, tuple[Opinion, ...]]
         ] = {}
+        shared = {} if previous is None else previous._blocks
         entities_by_type: dict[str, set[str]] = {}
         for key in table.keys():
-            opinions = table.for_key(key)
-            self._probability[key] = {
-                op.entity_id: op.probability for op in opinions
-            }
+            opinions = self._blocks[key] = table.block(key)
+            if shared.get(key) is opinions:
+                self._probability[key] = previous._probability[key]
+                self._by_polarity[key] = previous._by_polarity[key]
+            else:
+                self._probability[key] = {
+                    op.entity_id: op.probability for op in opinions
+                }
+                self._by_polarity[key] = _partition(opinions)
             entities_by_type.setdefault(key.entity_type, set()).update(
-                op.entity_id for op in opinions
+                self._probability[key]
             )
-            partition: dict[Polarity, tuple[Opinion, ...]] = {}
-            for polarity in Polarity:
-                selected = [
-                    op for op in opinions if op.polarity is polarity
-                ]
-                selected.sort(
-                    key=lambda op: op.probability,
-                    reverse=polarity is Polarity.POSITIVE,
-                )
-                partition[polarity] = tuple(selected)
-            self._by_polarity[key] = partition
         self._entities_by_type: dict[str, tuple[str, ...]] = {
             entity_type: tuple(sorted(ids))
             for entity_type, ids in entities_by_type.items()
@@ -247,3 +251,19 @@ class OpinionIndex:
                 break
             result.append(opinion)
         return result
+
+
+def _partition(
+    opinions: tuple[Opinion, ...],
+) -> dict[Polarity, tuple[Opinion, ...]]:
+    """One combination's opinions split by polarity, each part sorted
+    as ``OpinionTable.entities_with`` sorts it."""
+    partition: dict[Polarity, tuple[Opinion, ...]] = {}
+    for polarity in Polarity:
+        selected = [op for op in opinions if op.polarity is polarity]
+        selected.sort(
+            key=lambda op: op.probability,
+            reverse=polarity is Polarity.POSITIVE,
+        )
+        partition[polarity] = tuple(selected)
+    return partition

@@ -380,8 +380,11 @@ class OpinionService:
         return self._live.index
 
     def _next_index(self, table: OpinionTable) -> OpinionIndex:
+        # Blocks the candidate shares with the live table (an ingest
+        # carried them forward) keep the live index's postings.
+        live = self._live.index
         return OpinionIndex(
-            table, generation=self._live.index.generation + 1
+            table, generation=live.generation + 1, previous=live
         )
 
     def swap(

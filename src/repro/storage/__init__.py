@@ -11,6 +11,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".serialize": (
         "FORMAT_VERSION",
         "FormatError",
+        "OpinionRows",
         "evidence_from_dict",
         "evidence_to_dict",
         "kb_from_dict",
@@ -39,6 +40,7 @@ __all__ = [
     "provenance_to_dict",
     "FORMAT_VERSION",
     "FormatError",
+    "OpinionRows",
     "evidence_from_dict",
     "evidence_to_dict",
     "kb_from_dict",

@@ -20,6 +20,8 @@ and the ingest state) take a ``pair_row`` that renders each
 canonical text (:meth:`PairProvenance.to_json`) on the write path,
 which the writer splices. Both give the same bytes; the second
 encodes only the pairs that changed since they were last written.
+:func:`opinions_to_dict` does the same per combination block when
+given an :class:`OpinionRows`.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import json
 import os
 from collections.abc import Callable
 from functools import partial
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any
 
@@ -50,7 +52,7 @@ from ..extraction.provenance import (
 from ..extraction.statement import EvidenceCounter
 from ..kb.entity import Entity
 from ..kb.knowledge_base import KnowledgeBase
-from .canonical import encode
+from .canonical import Encoded, encode
 
 #: Renders one lineage pair in a payload (see the module docstring).
 PairRow = Callable[[PairProvenance], Any]
@@ -455,23 +457,77 @@ def load_shard_checkpoint(
 # Opinion table
 # ---------------------------------------------------------------------------
 
-def opinions_to_dict(table: OpinionTable) -> dict[str, Any]:
-    rows = []
-    for opinion in table:
-        rows.append(
-            {
-                "entity": opinion.entity_id,
-                "key": _key_to_str(opinion.key),
-                "probability": opinion.probability,
-                "positive": opinion.evidence.positive,
-                "negative": opinion.evidence.negative,
-            }
+def _opinion_row(opinion: Opinion, key_text: str) -> dict[str, Any]:
+    return {
+        "entity": opinion.entity_id,
+        "key": key_text,
+        "probability": opinion.probability,
+        "positive": opinion.evidence.positive,
+        "negative": opinion.evidence.negative,
+    }
+
+
+class OpinionRows:
+    """Opinion rows as canonical text, for a writer that publishes one
+    generation after another (the ingest pipeline owns one).
+
+    Keeps each combination block's row text for the table it last
+    rendered. A block is never changed, so a later table that holds
+    the very block object (an ingest carried it forward) splices the
+    kept text; only the other blocks are encoded again.
+    """
+
+    def __init__(self) -> None:
+        self._kept: dict[
+            PropertyTypeKey, tuple[tuple[Opinion, ...], str]
+        ] = {}
+
+    def __call__(self, table: OpinionTable) -> Encoded | None:
+        """The ``opinions`` list of ``table`` as canonical text;
+        ``None`` when two combinations share a key text, since their
+        rows then interleave."""
+        keys = sorted(
+            ((_key_to_str(key), key) for key in table.keys()),
+            key=itemgetter(0),
         )
-    rows.sort(key=lambda row: (row["key"], row["entity"]))
+        if len({text for text, _ in keys}) < len(keys):
+            return None
+        kept, self._kept = self._kept, {}
+        texts = []
+        for key_text, key in keys:
+            block = table.block(key)
+            entry = kept.get(key)
+            if entry is None or entry[0] is not block:
+                rows = [
+                    _opinion_row(opinion, key_text)
+                    for opinion in sorted(
+                        block, key=attrgetter("entity_id")
+                    )
+                ]
+                entry = (block, encode(rows)[1:-1])
+            self._kept[key] = entry
+            texts.append(entry[1])
+        return Encoded("[" + ",".join(texts) + "]")
+
+
+def opinions_to_dict(
+    table: OpinionTable, rows: OpinionRows | None = None
+) -> dict[str, Any]:
+    """The ``opinions`` artefact: a row per opinion, sorted by
+    combination key text, then entity. With ``rows``, the rows come as
+    canonical text, block by block, which :func:`_atomic_write_json`
+    splices into the same bytes."""
+    opinions = None if rows is None else rows(table)
+    if opinions is None:
+        opinions = [
+            _opinion_row(opinion, _key_to_str(opinion.key))
+            for opinion in table
+        ]
+        opinions.sort(key=lambda row: (row["key"], row["entity"]))
     return {
         "format": "opinions",
         "version": FORMAT_VERSION,
-        "opinions": rows,
+        "opinions": opinions,
         # Combinations whose EM fit fell back to majority vote; query
         # surfaces flag their answers as degraded.
         "degraded": sorted(
@@ -506,7 +562,6 @@ def opinions_from_dict(payload: dict[str, Any]) -> OpinionTable:
 _SAVERS = {
     KnowledgeBase: kb_to_dict,
     EvidenceCounter: evidence_to_dict,
-    OpinionTable: opinions_to_dict,
     ProvenanceIndex: partial(
         provenance_to_dict, pair_row=PairProvenance.to_json
     ),
@@ -551,11 +606,17 @@ def _atomic_write_json(path: str | Path, payload: Any) -> Path:
     return path
 
 
-def save(obj: Any, path: str | Path) -> Path:
+def save(
+    obj: Any, path: str | Path, rows: OpinionRows | None = None
+) -> Path:
     """Serialize a KB, evidence counter, opinion table, or a
-    ``{key: ModelParameters}`` mapping to a JSON file."""
+    ``{key: ModelParameters}`` mapping to a JSON file. An opinion
+    table's rows go through ``rows`` when given (a writer of one
+    generation after another passes its own)."""
     if isinstance(obj, dict):
         payload = parameters_to_dict(obj)
+    elif isinstance(obj, OpinionTable):
+        payload = opinions_to_dict(obj, rows)
     else:
         for cls, saver in _SAVERS.items():
             if isinstance(obj, cls):

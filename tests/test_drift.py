@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 import urllib.request
+from typing import Any
 
 import pytest
 
+import repro.obs.drift as drift_module
 from repro.cli import main
 from repro.core import (
     EvidenceCounts,
@@ -19,8 +22,11 @@ from repro.obs import MetricsRegistry, parse_exposition
 from repro.obs.drift import (
     DRIFT_FORMAT,
     MAX_FLIP_EXAMPLES,
+    DriftReport,
+    PropertyDrift,
     compare_tables,
 )
+from repro.obs.histogram import StreamingHistogram
 from repro.serve import OpinionService
 from repro.storage import save
 
@@ -168,6 +174,251 @@ class TestCompareTables:
         first = compare_tables(BEFORE, after).to_dict()
         second = compare_tables(BEFORE, after).to_dict()
         assert first == second
+
+
+def reference_compare(
+    before: OpinionTable,
+    after: OpinionTable,
+    max_examples: int = MAX_FLIP_EXAMPLES,
+) -> DriftReport:
+    """``compare_tables`` as it was before shared blocks: every pair
+    of both tables diffed one by one. The shortcut must agree."""
+    before_pairs = {
+        (opinion.key, opinion.entity_id): opinion
+        for opinion in before
+    }
+    after_pairs = {
+        (opinion.key, opinion.entity_id): opinion for opinion in after
+    }
+    histogram = StreamingHistogram()
+    per_property: dict[str, PropertyDrift] = {}
+
+    def rollup(key: PropertyTypeKey) -> PropertyDrift:
+        text = f"{key.property.text}|{key.entity_type}"
+        drift = per_property.get(text)
+        if drift is None:
+            drift = PropertyDrift()
+            per_property[text] = drift
+        return drift
+
+    def order(pair):
+        key, entity = pair
+        return (f"{key.property.text}|{key.entity_type}", entity)
+
+    common = flips = 0
+    delta_max = 0.0
+    flip_examples: list[dict[str, Any]] = []
+    for pair in sorted(after_pairs, key=order):
+        old = before_pairs.get(pair)
+        new = after_pairs[pair]
+        drift = rollup(pair[0])
+        if old is None:
+            drift.added += 1
+            continue
+        common += 1
+        drift.common += 1
+        delta = abs(new.probability - old.probability)
+        drift.delta_sum += delta
+        histogram.observe(delta)
+        if delta > delta_max:
+            delta_max = delta
+        if new.polarity is not old.polarity:
+            flips += 1
+            drift.flips += 1
+            if len(flip_examples) < max_examples:
+                flip_examples.append(
+                    {
+                        "entity": pair[1],
+                        "key": order(pair)[0],
+                        "before": round(old.probability, 6),
+                        "after": round(new.probability, 6),
+                        "before_polarity": str(old.polarity),
+                        "after_polarity": str(new.polarity),
+                    }
+                )
+    removed = 0
+    for pair in sorted(before_pairs, key=order):
+        if pair not in after_pairs:
+            removed += 1
+            rollup(pair[0]).removed += 1
+    before_entities = {pair[1] for pair in before_pairs}
+    after_entities = {pair[1] for pair in after_pairs}
+    return DriftReport(
+        pairs_before=len(before_pairs),
+        pairs_after=len(after_pairs),
+        common=common,
+        added=len(after_pairs) - common,
+        removed=removed,
+        flips=flips,
+        entity_churn=len(
+            before_entities.symmetric_difference(after_entities)
+        ),
+        delta_max=delta_max,
+        delta_histogram=histogram,
+        flip_examples=flip_examples,
+        per_property=per_property,
+    )
+
+
+KEYS = [
+    PropertyTypeKey(SubjectiveProperty(adjective), entity_type)
+    for adjective in ("cute", "big", "calm", "young")
+    for entity_type in ("animal", "city")
+]
+
+
+def block_of(key, entries) -> tuple[Opinion, ...]:
+    return tuple(
+        Opinion(entity, key, p, EvidenceCounts(1, 0))
+        for entity, p in entries
+    )
+
+
+def carried(before: OpinionTable, changes) -> OpinionTable:
+    """The next generation of ``before``: each key in ``changes`` gets
+    the given block (``()`` empties it), every other block is shared."""
+    after = OpinionTable()
+    for key in before.keys():
+        if key not in changes:
+            after.add_block(key, before.block(key))
+    for key, block in changes.items():
+        after.add_block(key, block)
+    return after
+
+
+def random_entries(rng: random.Random, n: int) -> list[tuple[str, float]]:
+    entities = rng.sample(range(40), n)
+    return [
+        (f"/e/{entity:02d}", rng.choice((0.1, 0.3, 0.7, 0.9, 1.0)))
+        for entity in entities
+    ]
+
+
+class TestSharedBlockShortcut:
+    """``compare_tables`` counts a block both tables share in bulk;
+    its report must equal the pair-by-pair reference's."""
+
+    def assert_matches_reference(self, before, after):
+        report = compare_tables(before, after)
+        reference = reference_compare(before, after)
+        assert report.to_dict() == reference.to_dict()
+        assert report.summary() == reference.summary()
+        assert report.render() == reference.render()
+        return report
+
+    def table(self) -> OpinionTable:
+        table = OpinionTable()
+        for i, key in enumerate(KEYS):
+            table.add_block(
+                key,
+                block_of(
+                    key,
+                    [(f"/e/{j:02d}", 0.9 if (i + j) % 3 else 0.2)
+                     for j in range(i, i + 6)],
+                ),
+            )
+        return table
+
+    def test_every_block_shared(self):
+        before = self.table()
+        report = self.assert_matches_reference(before, carried(before, {}))
+        assert report.common == len(before)
+
+    def test_no_block_shared(self):
+        before = self.table()
+        after = carried(
+            before,
+            {key: block_of(key, [("/e/07", 0.6)]) for key in KEYS},
+        )
+        self.assert_matches_reference(before, after)
+
+    def test_some_blocks_shared_with_adds_removes_and_empties(self):
+        before = self.table()
+        cute, big = KEYS[0], KEYS[2]
+        fresh = PropertyTypeKey(SubjectiveProperty("loud"), "city")
+        after = carried(
+            before,
+            {
+                cute: block_of(cute, [("/e/00", 0.1), ("/e/99", 0.8)]),
+                big: (),  # emptied: every pair removed
+                fresh: block_of(fresh, [("/e/50", 0.7)]),  # added
+            },
+        )
+        report = self.assert_matches_reference(before, after)
+        assert report.added and report.removed and report.entity_churn
+        assert "big|animal" in report.per_property
+
+    def test_many_flips_pin_the_example_order(self):
+        before = self.table()
+        changes = {
+            key: tuple(
+                Opinion(op.entity_id, key, 1.0 - op.probability)
+                for op in before.block(key)
+            )
+            for key in KEYS[::2]
+        }
+        report = self.assert_matches_reference(
+            before, carried(before, changes)
+        )
+        assert report.flips > MAX_FLIP_EXAMPLES
+        assert len(report.flip_examples) == MAX_FLIP_EXAMPLES
+
+    def test_equal_blocks_that_are_not_shared_go_pair_by_pair(
+        self, monkeypatch
+    ):
+        observed = []
+
+        class Spy(StreamingHistogram):
+            def observe(self, value, exemplar=None, count=1):
+                observed.append(count)
+                super().observe(value, exemplar, count)
+
+        monkeypatch.setattr(drift_module, "StreamingHistogram", Spy)
+        before = self.table()
+        # Equal blocks, but rebuilt: no object is shared.
+        rebuilt = OpinionTable(list(before))
+        assert all(
+            rebuilt.block(key) == before.block(key)
+            and rebuilt.block(key) is not before.block(key)
+            for key in KEYS
+        )
+        self.assert_matches_reference(before, rebuilt)
+        assert observed == [1] * len(before)
+        observed.clear()
+        # A carried table shares every block: one bulk count each.
+        self.assert_matches_reference(before, carried(before, {}))
+        assert observed == [len(before.block(key)) for key in KEYS]
+
+    def test_tables_built_by_add_compare_as_before(self):
+        before = self.table()
+        after = carried(before, {})
+        # add copies the shared block first, so only after changes.
+        after.add(Opinion("/e/00", KEYS[0], 0.95))
+        assert before.get("/e/00", KEYS[0]).probability == 0.2
+        assert after.block(KEYS[0]) is not before.block(KEYS[0])
+        report = self.assert_matches_reference(before, after)
+        assert report.flips == 1
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_random_generations_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        before = OpinionTable()
+        for key in rng.sample(KEYS, 6):
+            before.add_block(
+                key,
+                block_of(key, random_entries(rng, rng.randint(1, 12))),
+            )
+        changes = {}
+        for key in rng.sample(KEYS, rng.randint(0, len(KEYS))):
+            if rng.random() < 0.2:
+                changes[key] = ()
+            else:
+                changes[key] = block_of(
+                    key, random_entries(rng, rng.randint(1, 12))
+                )
+        after = carried(before, changes)
+        self.assert_matches_reference(before, after)
+        self.assert_matches_reference(after, before)
 
 
 class TestDiffCLI:

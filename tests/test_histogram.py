@@ -126,6 +126,16 @@ class TestObserve:
         assert histogram.min == 0.1
         assert histogram.max == 0.9
 
+    def test_bulk_count_equals_repeated_observes(self):
+        bulk, repeated = StreamingHistogram(), StreamingHistogram()
+        for value in (0.25, 0.0, 3.0):
+            bulk.observe(value, count=4)
+            for _ in range(4):
+                repeated.observe(value)
+        assert bulk.to_dict() == repeated.to_dict()
+        with pytest.raises(ValueError, match="count"):
+            bulk.observe(1.0, count=0)
+
     def test_constructor_validation(self):
         with pytest.raises(ValueError):
             StreamingHistogram(error=0.0)

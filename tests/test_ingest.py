@@ -39,9 +39,11 @@ from repro.ingest import (
     save_state,
     state_path_for,
 )
+from repro.core import OpinionTable, Polarity
 from repro.kb.seeds import evaluation_kb
 from repro.obs import MetricsRegistry
 from repro.obs.convergence import records_from_result
+from repro.obs.drift import compare_tables
 from repro.obs.live import Sample, render_frame, render_ingest_panel
 from repro.obs.manifest import (
     git_describe,
@@ -51,6 +53,7 @@ from repro.obs.manifest import (
 from repro.pipeline import SurveyorPipeline
 from repro.pipeline.faults import FaultInjector, InjectedFault
 from repro.serve import (
+    OpinionIndex,
     OpinionService,
     ServeError,
     documents_from_payload,
@@ -736,6 +739,210 @@ class TestLineageCacheCoherence:
         live = self.pipeline(journal_dir, small_kb)
         step(live.advance())
         step(live.ingest(documents[2 * third:]))
+
+
+OTHER_COMBINATIONS = (
+    "San Francisco is big.",
+    "Chicago is a big city.",
+    "Palo Alto is a small city.",
+    "Tigers are dangerous.",
+    "Snakes are dangerous.",
+    "Soccer is exciting.",
+)
+
+
+def index_answers(index) -> tuple:
+    """Everything an :class:`OpinionIndex` answers, in a fixed order."""
+    keys = sorted(index._probability, key=str)
+    return (
+        index.generation,
+        index.n_opinions,
+        index.n_keys,
+        index.degraded_keys,
+        {
+            entity_type: index.entities_of_type(entity_type)
+            for entity_type in index.entity_types()
+        },
+        [
+            (key, polarity, index.entities_with(key, polarity))
+            for key in keys
+            for polarity in Polarity
+        ],
+        [
+            index.answer(text, top=50)
+            for text in (
+                "cute animals", "not cute animals",
+                "dangerous cute animals", "big cities",
+                "small not big cities", "exciting sports",
+            )
+        ],
+    )
+
+
+def rebuilt(table):
+    """An equal table sharing no block with ``table``."""
+    return OpinionTable(list(table), table.degraded_keys)
+
+
+def whole_bytes(table) -> bytes:
+    """The opinions file of ``table``, encoded whole from its rows."""
+    return json.dumps(
+        opinions_to_dict(table), sort_keys=True, separators=(",", ":")
+    ).encode()
+
+
+class TestCarryCoherence:
+    """An ingest carries the opinion blocks its batch left clean from
+    the pipeline's previous result. Through reloads, rollbacks, an
+    unservable ingest and a restart, the live service must write,
+    report and answer exactly what a cold rebuild does: a twin whose
+    every ingest runs on a fresh pipeline (no previous result, so
+    every block is emitted), and a pair-by-pair diff, a fresh index
+    and a whole encode of tables that share no block."""
+
+    def pipeline(self, journal_dir, kb):
+        return IngestPipeline(
+            kb=kb,
+            journal=CorpusJournal(journal_dir),
+            occurrence_threshold=1,
+        )
+
+    def start(self, root, kb, bootstrap):
+        out = root / "opinions.json"
+        pipeline = self.pipeline(root / "journal", kb)
+        pipeline.publish(pipeline.ingest(bootstrap), out)
+        return self.restart(root, kb)
+
+    def restart(self, root, kb):
+        out = root / "opinions.json"
+        return OpinionService(
+            load(out),
+            source_path=out,
+            ingest_pipeline=self.pipeline(root / "journal", kb),
+        )
+
+    def test_carried_tables_match_a_cold_rebuild(
+        self, tmp_path, small_kb, cute_scenario, monkeypatch
+    ):
+        documents = list(cute_corpus(cute_scenario).documents)
+        random.Random(25).shuffle(documents)
+        batches = iter(
+            documents[i:i + 6] for i in range(12, len(documents), 6)
+        )
+        bootstrap = documents[:12] + docs(
+            *OTHER_COMBINATIONS[:3], prefix="boot"
+        )
+        live = self.start(tmp_path / "live", small_kb, bootstrap)
+        cold = self.start(tmp_path / "cold", small_kb, bootstrap)
+        live_out = tmp_path / "live" / "opinions.json"
+        older = tmp_path / "older.json"
+        shutil.copyfile(live_out, older)
+        written = [live_out.read_bytes()]
+
+        def cold_step(action):
+            # A fresh pipeline has no previous result to carry from.
+            cold.ingest_pipeline = self.pipeline(
+                tmp_path / "cold" / "journal", small_kb
+            )
+            answer = action(cold)
+            if cold.ingest_pipeline._previous is not None:
+                written[0] = whole_bytes(
+                    cold.ingest_pipeline._previous.opinions
+                )
+            return answer
+
+        def both(action):
+            retiring = live._live.table
+            answers = [action(live), cold_step(action)]
+            for answer in answers:
+                if isinstance(answer, dict):
+                    answer.pop("freshness_seconds", None)
+                    answer.pop("source", None)  # each twin's own path
+            assert answers[0] == answers[1]
+            assert live_out.read_bytes() == written[0]
+            serving = live._live.table
+            drift = dict(live.healthz()["drift"])
+            assert drift == cold.healthz()["drift"]
+            if serving is not retiring:
+                drift.pop("trigger")
+                assert drift == compare_tables(
+                    rebuilt(retiring), rebuilt(serving)
+                ).summary()
+            served = index_answers(live.index)
+            assert served == index_answers(cold.index)
+            assert served == index_answers(
+                OpinionIndex(
+                    rebuilt(serving), generation=live.index.generation
+                )
+            )
+            return answers[0]
+
+        def ingest(*texts, prefix):
+            batch = docs(*texts, prefix=prefix) if texts else next(batches)
+            return both(lambda service: service.ingest(batch))
+
+        ingest(prefix="a")
+        first = live.ingest_pipeline._previous.opinions
+        summary = ingest(OTHER_COMBINATIONS[3], prefix="b")
+        assert summary["dirty_combinations"] == 1
+        second = live.ingest_pipeline._previous.opinions
+        carried = [
+            key for key in second.keys()
+            if second.block(key) is first.block(key)
+        ]
+        assert len(carried) == len(second.keys()) - 1
+        # A reload of an older file: the live table shares no block
+        # with the pipeline's previous result.
+        both(lambda service: service.reload(older))
+        ingest(prefix="c")
+        ingest(OTHER_COMBINATIONS[0], prefix="d")
+        both(lambda service: service.rollback())
+        ingest(prefix="e")
+
+        # An ingest whose table is refused: published, never live.
+        def unservable(table, source):
+            raise ValueError("refused for the test")
+
+        def refused(service):
+            with monkeypatch.context() as patch:
+                patch.setattr(service, "_validate_candidate", unservable)
+                with pytest.raises(ServeError, match="unservable"):
+                    service.ingest(refused_batch)
+
+        refused_batch = next(batches)
+        both(refused)
+        ingest(OTHER_COMBINATIONS[2], prefix="f")
+        ingest(prefix="g")
+
+        # A restart from state.json: no previous result to carry.
+        live = self.restart(tmp_path / "live", small_kb)
+        cold = self.restart(tmp_path / "cold", small_kb)
+        ingest(OTHER_COMBINATIONS[4], prefix="h")
+        ingest(OTHER_COMBINATIONS[5], prefix="i")
+        ingest(prefix="j")
+
+    def test_add_on_a_carried_table_leaves_the_older_unchanged(
+        self, tmp_path, small_kb
+    ):
+        pipeline = self.pipeline(tmp_path / "journal", small_kb)
+        older = pipeline.ingest(
+            docs(*OTHER_COMBINATIONS, "Kittens are cute.", prefix="a")
+        ).table
+        newer = pipeline.ingest(docs("Kittens are cute.", prefix="b")).table
+        carried = [
+            key for key in newer.keys()
+            if newer.block(key) is older.block(key)
+        ]
+        assert carried
+        before = save(older, tmp_path / "older.json").read_bytes()
+        for key in carried:
+            (first, *_) = newer.block(key)
+            newer.add(dataclasses.replace(first, probability=0.5))
+            newer.add(dataclasses.replace(first, entity_id="/new/e"))
+        assert save(older, tmp_path / "older.json").read_bytes() == before
+        for key in carried:
+            assert newer.block(key) is not older.block(key)
+            assert older.get("/new/e", key) is None
 
 
 class TestIndentedLayoutResume:

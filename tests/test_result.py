@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pytest
+
 from repro.core import (
     EvidenceCounts,
     Opinion,
@@ -106,3 +108,59 @@ class TestQueries:
             ]
         )
         assert len(table) == 2
+
+
+class TestBlocks:
+    def test_add_block_is_kept_and_indexed(self):
+        block = (
+            opinion("/animal/kitten", CUTE, 0.9),
+            opinion("/animal/snake", CUTE, 0.1),
+        )
+        table = OpinionTable()
+        table.add_block(CUTE, block)
+        assert table.block(CUTE) is block
+        assert len(table) == 2
+        assert table.get("/animal/snake", CUTE) is block[1]
+        assert table.for_entity("/animal/kitten") == [block[0]]
+        assert set(table.entities()) == {"/animal/kitten", "/animal/snake"}
+        assert [op.entity_id for op in table] == [
+            "/animal/kitten", "/animal/snake",
+        ]
+
+    def test_empty_block_adds_no_key(self):
+        table = OpinionTable()
+        table.add_block(CUTE, ())
+        assert table.keys() == []
+        assert table.block(CUTE) == ()
+
+    def test_a_key_takes_one_block(self):
+        table = OpinionTable([opinion("/animal/kitten", CUTE, 0.9)])
+        with pytest.raises(ValueError):
+            table.add_block(CUTE, (opinion("/animal/snake", CUTE, 0.1),))
+
+    def test_block_freezes_what_add_built_once(self):
+        table = OpinionTable([opinion("/animal/kitten", CUTE, 0.9)])
+        block = table.block(CUTE)
+        assert block == (opinion("/animal/kitten", CUTE, 0.9),)
+        assert table.block(CUTE) is block
+
+    def test_add_copies_a_shared_block_before_writing(self):
+        older = OpinionTable()
+        older.add_block(
+            CUTE,
+            (
+                opinion("/animal/kitten", CUTE, 0.9),
+                opinion("/animal/snake", CUTE, 0.1),
+            ),
+        )
+        newer = OpinionTable()
+        newer.add_block(CUTE, older.block(CUTE))
+        newer.add(opinion("/animal/snake", CUTE, 0.8))
+        newer.add(opinion("/animal/tiger", CUTE, 0.7))
+        assert [op.probability for op in older.for_key(CUTE)] == [0.9, 0.1]
+        assert len(older) == 2
+        assert older.polarity("/animal/snake", CUTE) is Polarity.NEGATIVE
+        assert [op.probability for op in newer.for_key(CUTE)] == [
+            0.9, 0.8, 0.7,
+        ]
+        assert newer.block(CUTE) is not older.block(CUTE)

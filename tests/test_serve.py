@@ -167,6 +167,37 @@ class TestOpinionIndex:
                         key, polarity, floor
                     ) == index.entities_with(key, polarity, floor)
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shared_blocks_reuse_the_previous_postings(self, seed):
+        older = random_table(seed)
+        newer = OpinionTable()
+        fresh = random_table(seed + 100)
+        keys = older.keys()
+        for key in keys[::2]:
+            newer.add_block(key, older.block(key))
+        for key in keys[1::2]:
+            newer.add_block(key, fresh.block(key))
+        previous = OpinionIndex(older)
+        index = OpinionIndex(newer, previous=previous)
+        cold = OpinionIndex(newer)
+        for key in keys:
+            shared = key in keys[::2]
+            assert (
+                index._probability[key] is previous._probability[key]
+            ) is shared
+            for polarity in Polarity:
+                assert index.entities_with(
+                    key, polarity
+                ) == cold.entities_with(key, polarity)
+        for text in self.QUERIES:
+            assert index.answer(text, top=100) == cold.answer(
+                text, top=100
+            )
+        for entity_type in cold.entity_types():
+            assert index.entities_of_type(
+                entity_type
+            ) == cold.entities_of_type(entity_type)
+
     def test_unknown_type_empty(self):
         index = OpinionIndex(demo_table())
         assert index.answer("exciting jobs") == []

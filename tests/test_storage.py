@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
@@ -20,12 +21,15 @@ from repro.core.errors import CheckpointError
 from repro.kb import Entity, KnowledgeBase
 from repro.storage import (
     FormatError,
+    OpinionRows,
     evidence_from_dict,
     evidence_to_dict,
     load,
     load_shard_checkpoint,
+    opinions_to_dict,
     save,
 )
+from repro.storage.canonical import encode
 
 CUTE = PropertyTypeKey(SubjectiveProperty("cute"), "animal")
 VERY_BIG = PropertyTypeKey(
@@ -249,6 +253,69 @@ class TestOpinionsRoundTrip:
         path.write_text(json.dumps(payload))
         loaded = load(path)
         assert loaded.degraded_keys == frozenset()
+
+
+class TestOpinionRowsSplice:
+    """``OpinionRows`` splices each block's kept row text; the bytes
+    must be those of encoding the decoded rows whole."""
+
+    @staticmethod
+    def whole(table) -> bytes:
+        return json.dumps(
+            opinions_to_dict(table), sort_keys=True, separators=(",", ":")
+        ).encode()
+
+    @staticmethod
+    def spliced(table, rows) -> bytes:
+        return encode(opinions_to_dict(table, rows)).encode()
+
+    @staticmethod
+    def table(seed: int) -> OpinionTable:
+        rng = random.Random(seed)
+        table = OpinionTable()
+        for adjective in ("cute", "big", "calm", "loud"):
+            key = PropertyTypeKey(SubjectiveProperty(adjective), "animal")
+            entities = rng.sample(range(30), rng.randint(1, 8))
+            table.add_block(key, tuple(
+                Opinion(
+                    f"/animal/a{entity}", key, rng.random(),
+                    EvidenceCounts(rng.randint(0, 9), rng.randint(0, 9)),
+                )
+                for entity in entities
+            ))
+        return table
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_carried_generations_write_whole_bytes(self, seed):
+        rows = OpinionRows()
+        older, fresh = self.table(seed), self.table(seed + 50)
+        assert self.spliced(older, rows) == self.whole(older)
+        newer = OpinionTable(degraded_keys=[CUTE])
+        for i, key in enumerate(older.keys()):
+            source = older if i % 2 else fresh
+            newer.add_block(key, source.block(key))
+        assert self.spliced(newer, rows) == self.whole(newer)
+        # A table built by add, then changed after a write.
+        newer.add(Opinion("/animal/zebra", CUTE, 0.3))
+        assert self.spliced(newer, rows) == self.whole(newer)
+        empty = OpinionTable()
+        assert self.spliced(empty, rows) == self.whole(empty)
+
+    def test_keys_sharing_a_text_interleave_their_rows(self):
+        # "very big" as one adjective and as adverb + adjective: two
+        # keys, one key text, so rows sort across both blocks.
+        odd = PropertyTypeKey(SubjectiveProperty("very big"), "city")
+        table = OpinionTable([
+            Opinion("/city/b", VERY_BIG, 0.9),
+            Opinion("/city/a", odd, 0.2),
+            Opinion("/city/c", odd, 0.7),
+        ])
+        data = self.spliced(table, OpinionRows())
+        assert data == self.whole(table)
+        rows = json.loads(data)["opinions"]
+        assert [row["entity"] for row in rows] == [
+            "/city/a", "/city/b", "/city/c",
+        ]
 
 
 class TestErrors:

@@ -171,3 +171,63 @@ class TestEmitUndecided:
         )
         result = surveyor.run(evidence)
         assert len(result.opinions) == 3
+
+
+class TestCarryForward:
+    """A run given the previous result takes a clean combination's
+    block unchanged when its fit is the very object used last time."""
+
+    def build(self):
+        catalog = StubCatalog(
+            {
+                "animal": ["/animal/kitten", "/animal/snake"],
+                "city": ["/city/tokyo", "/city/bruges"],
+            }
+        )
+        evidence = dict(strong_evidence())
+        evidence[BIG] = {
+            "/city/tokyo": EvidenceCounts(80, 2),
+            "/city/bruges": EvidenceCounts(3, 9),
+        }
+        surveyor = Surveyor(catalog=catalog, occurrence_threshold=1)
+        return surveyor, evidence, surveyor.run(evidence)
+
+    def test_clean_blocks_carry_and_dirty_ones_are_emitted(self):
+        surveyor, evidence, first = self.build()
+        evidence[CUTE] = {
+            **evidence[CUTE], "/animal/kitten": EvidenceCounts(70, 1),
+        }
+        fits = dict(first.fits)
+        fits[CUTE] = surveyor.fit_combination(CUTE, evidence[CUTE])
+        second = surveyor.run(
+            evidence,
+            fit=lambda key, _: fits[key],
+            previous=first,
+            dirty={CUTE},
+        )
+        assert second.opinions.block(BIG) is first.opinions.block(BIG)
+        assert second.opinions.block(CUTE) is not first.opinions.block(
+            CUTE
+        )
+        cold = surveyor.run(evidence)
+        for key in (CUTE, BIG):
+            assert second.opinions.block(key) == cold.opinions.block(key)
+
+    def test_no_carry_for_a_dirty_key_or_a_new_fit(self):
+        surveyor, evidence, first = self.build()
+        # The same fit object, but the key is dirty: emitted again.
+        dirty = surveyor.run(
+            evidence,
+            fit=lambda key, _: first.fits[key],
+            previous=first,
+            dirty={CUTE},
+        )
+        assert dirty.opinions.block(CUTE) is not first.opinions.block(CUTE)
+        assert dirty.opinions.block(BIG) is first.opinions.block(BIG)
+        # A clean key with a fresh (equal) fit: emitted again.
+        refit = surveyor.run(evidence, previous=first)
+        for key in (CUTE, BIG):
+            assert refit.opinions.block(key) is not first.opinions.block(
+                key
+            )
+            assert refit.opinions.block(key) == first.opinions.block(key)
