@@ -59,6 +59,13 @@ for artefact in kb.json latin1.json; do
 done
 expect_exit_2 stats "$OBS_DIR/trace.jsonl" \
     --convergence "$OBS_DIR/opinions.json"
+# Text modes answer through the HTTP routes, so input a route rejects
+# is one "repro <cmd>:" line and exit 2 in either mode.
+expect_exit_2 query "$OBS_DIR/opinions.json" ' ' animal
+expect_exit_2 ask "$OBS_DIR/opinions.json" 'cute animals' --top 0
+expect_exit_2 calibrate "$OBS_DIR/opinions.json" ' ' animal population
+expect_exit_2 mine "$OBS_DIR/docs.txt" --out "$OBS_DIR/unused.json" \
+    --threshold 0
 # An ingest journal path that is a regular file fails before any worker
 # is forked, as it does with one worker.
 expect_exit_2 serve "$OBS_DIR/opinions.json" --port 0 --workers 2 \

@@ -16,7 +16,12 @@ Subcommands::
 
 ``mine`` reads documents from a file (one document per line) or a
 directory of ``.txt`` files, against a knowledge base saved with
-:mod:`repro.storage` (or the built-in evaluation KB).
+:mod:`repro.storage` (or the built-in evaluation KB). ``mine`` and
+``ingest`` publish through one writer,
+:func:`~repro.obs.manifest.publish_table`. ``query``, ``ask`` and
+``explain`` answer through the HTTP routes' own methods in both output
+modes, with the routes' exit codes: 2 for a rejected input, 1 for
+nothing found.
 
 ``demo``, ``mine``, and ``reproduce`` accept the observability flags
 ``--trace`` (JSONL span trace), ``--metrics-out`` (metric registry as
@@ -35,7 +40,7 @@ import time
 from pathlib import Path
 
 from .core.errors import ReproError
-from .core.types import Polarity, PropertyTypeKey, SubjectiveProperty
+from .core.types import PropertyTypeKey, SubjectiveProperty
 from .corpus.document import Document, WebCorpus
 from .kb.knowledge_base import KnowledgeBase
 from .kb.seeds import evaluation_kb
@@ -43,10 +48,9 @@ from .obs import (
     CATALOG,
     MetricsRegistry,
     Tracer,
-    build_manifest,
     load_convergence,
     load_metrics_file,
-    manifest_path_for,
+    publish_table,
     read_trace,
     records_to_payload,
     render_convergence,
@@ -54,7 +58,6 @@ from .obs import (
     render_trace,
     validate_metrics_payload,
     validate_spans,
-    write_manifest,
 )
 from .pipeline.mapreduce import EXECUTORS
 from .storage import load, provenance_path_for, save
@@ -232,8 +235,6 @@ def cmd_mine(args: argparse.Namespace) -> int:
 
     kb = _load_kb(args.kb)
     corpus = _read_corpus(Path(args.corpus), region=args.region)
-    if args.region:
-        corpus = corpus.restricted_to_region(args.region)
     tracer, registry = _build_obs(args)
     started_unix = time.time()
     started = time.perf_counter()
@@ -260,19 +261,9 @@ def cmd_mine(args: argparse.Namespace) -> int:
     report = pipeline.run(corpus)
     _finish_obs(args, tracer, registry, report.convergence)
     print(report.summary(), file=sys.stderr)
-    save(report.opinions, args.out)
-    print(f"wrote {len(report.opinions)} opinions to {args.out}")
-    sidecar_path = None
-    if report.provenance is not None:
-        sidecar_path = provenance_path_for(args.out)
-        save(report.provenance, sidecar_path)
-        print(
-            f"wrote evidence lineage ({report.provenance.n_pairs} "
-            f"pairs, {report.provenance.n_samples} samples) to "
-            f"{sidecar_path}",
-            file=sys.stderr,
-        )
-    manifest = build_manifest(
+    manifest_path = publish_table(
+        report.opinions,
+        args.out,
         command="mine",
         config={
             "corpus": str(args.corpus),
@@ -292,25 +283,24 @@ def cmd_mine(args: argparse.Namespace) -> int:
         },
         started_unix=started_unix,
         duration_seconds=time.perf_counter() - started,
+        provenance=report.provenance,
         health=report.health,
         outputs={
-            "opinions": str(args.out),
-            **(
-                {"provenance": str(sidecar_path)}
-                if sidecar_path is not None
-                else {}
-            ),
-            **({"trace": args.trace} if args.trace else {}),
-            **(
-                {"metrics": args.metrics_out}
-                if args.metrics_out
-                else {}
-            ),
+            role: path
+            for role, path in (
+                ("trace", args.trace), ("metrics", args.metrics_out)
+            )
+            if path
         },
     )
-    manifest_path = write_manifest(
-        manifest_path_for(args.out), manifest
-    )
+    print(f"wrote {len(report.opinions)} opinions to {args.out}")
+    if report.provenance is not None:
+        print(
+            f"wrote evidence lineage ({report.provenance.n_pairs} "
+            f"pairs, {report.provenance.n_samples} samples) to "
+            f"{provenance_path_for(args.out)}",
+            file=sys.stderr,
+        )
     print(f"wrote run manifest to {manifest_path}", file=sys.stderr)
     if args.params_out:
         save(
@@ -382,108 +372,58 @@ def _service(opinions: str, *, lineage: bool = False):
     )
 
 
-def _print_json(answer) -> int:
-    """``--format json``: print what the HTTP route would send for
-    ``answer()``, the answer's body or the envelope of its 4xx. Exit
-    code 2 for a bad request, 1 for nothing found."""
+def _answer(args: argparse.Namespace, answer, text_lines) -> int:
+    """Print the route's ``answer()``: its bytes (body or 4xx envelope)
+    with ``--format json``, else ``text_lines(response)``, or one
+    ``repro <cmd>: <message>`` stderr line for a rejected request."""
     from .serve import ServeError, error_response
     from .serve.schema import render
 
+    as_json = args.format == "json"
     try:
         entry, _ = answer()
     except ServeError as error:
-        print(render(error_response(error.code, str(error))).decode())
+        if as_json:
+            print(render(error_response(error.code, str(error))).decode())
+        else:
+            print(f"repro {args.command}: {error}", file=sys.stderr)
         return 1 if error.code == "not_found" else EXIT_USAGE
-    print(entry.body.decode())
-    return 0 if entry.response.get("hits", True) else 1
+    response = entry.response
+    if as_json:
+        print(entry.body.decode())
+    else:
+        for line in text_lines(response):
+            print(line)
+    return 0 if response.get("hits", True) else 1
 
 
-def cmd_query(args: argparse.Namespace) -> int:
-    if args.format == "json":
-        service = _service(args.opinions)
-        return _print_json(
-            lambda: service.listing_entry(
-                args.property,
-                args.type,
-                negative=args.negative,
-                min_probability=args.min_probability,
-                top=args.top,
-            )
+def _listing_lines(response: dict):
+    if not response["hits"]:
+        yield "no matching entities"
+    for hit in response["hits"]:
+        yield (
+            f"{hit['entity']:30s} p={hit['probability']:.3f} "
+            f"(+{hit['positive']}/-{hit['negative']})"
         )
-    table = load(args.opinions, "opinions")
-    key = PropertyTypeKey(
-        property=SubjectiveProperty.parse(args.property),
-        entity_type=args.type,
-    )
-    polarity = Polarity.NEGATIVE if args.negative else Polarity.POSITIVE
-    hits = table.entities_with(
-        key, polarity, min_probability=args.min_probability
-    )
-    if not hits:
-        print("no matching entities")
-        return 1
-    for opinion in hits[: args.top]:
-        print(
-            f"{opinion.entity_id:30s} p={opinion.probability:.3f} "
-            f"(+{opinion.evidence.positive}/-{opinion.evidence.negative})"
-        )
-    return 0
 
 
-def cmd_ask(args: argparse.Namespace) -> int:
-    from .core.query import QueryEngine, QueryError
-
-    if args.format == "json":
-        service = _service(args.opinions)
-        return _print_json(
-            lambda: service.ask_entry(args.query, top=args.top)
-        )
-    table = load(args.opinions, "opinions")
-    try:
-        hits = QueryEngine(table).answer(args.query, top=args.top)
-    except QueryError as error:
-        raise SystemExit(f"cannot parse query: {error}") from None
-    if not hits:
-        print("no answers")
-        return 1
-    for hit in hits:
-        marker = "*" if hit.confident else " "
-        terms = " ".join(f"{p:.2f}" for p in hit.per_term)
-        print(
-            f"{marker} {hit.entity_id:30s} score={hit.score:.3f} "
+def _ask_lines(response: dict):
+    if not response["hits"]:
+        yield "no answers"
+    for hit in response["hits"]:
+        marker = "*" if hit["confident"] else " "
+        terms = " ".join(f"{p:.2f}" for p in hit["per_term"])
+        yield (
+            f"{marker} {hit['entity']:30s} score={hit['score']:.3f} "
             f"[{terms}]"
         )
-    return 0
 
 
-def cmd_explain(args: argparse.Namespace) -> int:
-    """Full lineage for one (entity, property) answer.
-
-    Both modes answer through ``GET /explain``'s own method, so JSON
-    mode prints its bytes (tested). Exit codes: 0 found, 1 no such
-    answer, 2 bad request (e.g. ambiguous entity type).
-    """
-    from .serve import ServeError
-
-    service = _service(args.opinions, lineage=True)
-
-    def answer():
-        return service.explain_entry(
-            args.entity, args.property, args.type
-        )
-
-    if args.format == "json":
-        return _print_json(answer)
-    try:
-        entry, _ = answer()
-    except ServeError as error:
-        print(f"repro explain: {error}", file=sys.stderr)
-        return 1 if error.code == "not_found" else EXIT_USAGE
-    payload = entry.response
+def _explain_lines(payload: dict):
     lineage = payload["lineage"]
     evidence = payload["evidence"]
-    print(
-        f"{args.entity} / {payload['property']} "
+    yield (
+        f"{payload['entity']} / {payload['property']} "
         f"({payload['entity_type']}): "
         f"p={payload['posterior']:.3f} "
         f"polarity={payload['polarity']} "
@@ -492,29 +432,29 @@ def cmd_explain(args: argparse.Namespace) -> int:
     )
     model = payload["model"]
     if model is not None:
-        print(
+        yield (
             f"  model: pA={model['agreement']:.3f} "
             f"p+S={model['rate_positive']:.3f} "
             f"p-S={model['rate_negative']:.3f}"
         )
     conv = payload["convergence"]
     if conv is not None:
-        print(
+        yield (
             f"  em: {conv.get('verdict', 'unknown')} after "
             f"{conv.get('iterations', 0)} iteration(s)"
         )
     if not lineage["available"]:
-        print(
+        yield (
             "  lineage: unavailable (no provenance sidecar next to "
             "the opinion table)"
         )
-        return 0
-    print(
+        return
+    yield (
         f"  lineage: {lineage['positive_seen'] or 0} positive / "
         f"{lineage['negative_seen'] or 0} negative statements seen"
     )
     for sample in lineage["samples"]:
-        print(
+        yield (
             f"    [{sample['polarity']}] {sample['doc_id']}#"
             f"{sample['sentence_index']} via {sample['pattern']}"
             + (
@@ -524,8 +464,38 @@ def cmd_explain(args: argparse.Namespace) -> int:
             )
         )
         if sample["sentence"]:
-            print(f"      {sample['sentence']}")
-    return 0
+            yield f"      {sample['sentence']}"
+
+
+def cmd_query(args: argparse.Namespace) -> int:
+    service = _service(args.opinions)
+    return _answer(
+        args,
+        lambda: service.listing_entry(
+            args.property, args.type, negative=args.negative,
+            min_probability=args.min_probability, top=args.top,
+        ),
+        _listing_lines,
+    )
+
+
+def cmd_ask(args: argparse.Namespace) -> int:
+    service = _service(args.opinions)
+    return _answer(
+        args,
+        lambda: service.ask_entry(args.query, top=args.top),
+        _ask_lines,
+    )
+
+
+def cmd_explain(args: argparse.Namespace) -> int:
+    """Full lineage for one (entity, property) answer."""
+    service = _service(args.opinions, lineage=True)
+    return _answer(
+        args,
+        lambda: service.explain_entry(args.entity, args.property, args.type),
+        _explain_lines,
+    )
 
 
 def cmd_diff(args: argparse.Namespace) -> int:
@@ -642,12 +612,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
 def cmd_calibrate(args: argparse.Namespace) -> int:
     from .core.calibration import fit_link
 
+    try:
+        prop = SubjectiveProperty.parse(args.property)
+    except ValueError as error:
+        raise ReproError(str(error)) from None
     table = load(args.opinions, "opinions")
     kb = _load_kb(args.kb)
-    key = PropertyTypeKey(
-        property=SubjectiveProperty.parse(args.property),
-        entity_type=args.type,
-    )
+    key = PropertyTypeKey(property=prop, entity_type=args.type)
     link = fit_link(
         table, key, kb.entities_of_type(args.type), args.attribute
     )
@@ -697,12 +668,13 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--kb", help="knowledge-base JSON (default: built-in)")
     mine.add_argument("--out", default="opinions.json")
     mine.add_argument("--params-out", help="also save fitted parameters")
-    mine.add_argument("--threshold", type=int, default=100,
+    mine.add_argument("--threshold", type=_AT_LEAST_1, default=100,
                       help="occurrence threshold rho (default 100)")
     mine.add_argument("--patterns", type=int, choices=(1, 2, 3, 4),
                       default=4, help="extraction pattern version")
     mine.add_argument("--region", default="",
-                      help="restrict to documents of this region")
+                      help="tag documents with this region (kept in "
+                           "the manifest)")
     mine.add_argument("--workers", type=_AT_LEAST_1, default=4)
     mine.add_argument("--strict", action="store_true",
                       help="fail fast: no retries, no document "

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..kb.entity import Entity
+from .errors import ReproError
 from .result import OpinionTable
 from .types import Polarity, PropertyTypeKey
 
@@ -71,7 +72,7 @@ class SubjectiveObjectiveLink:
         return 10.0 ** (-self.intercept / self.slope)
 
 
-class CalibrationError(ValueError):
+class CalibrationError(ReproError, ValueError):
     """Raised when the opinions cannot support a calibration."""
 
 

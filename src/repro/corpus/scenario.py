@@ -77,12 +77,6 @@ class Scenario:
     def type_noun(self) -> str:
         return self.entity_type
 
-    def entity_by_id(self, entity_id: str) -> Entity:
-        for entity in self.entities:
-            if entity.id == entity_id:
-                return entity
-        raise KeyError(entity_id)
-
 
 def covariate_scenario(
     name: str,

@@ -22,8 +22,9 @@ opinion table without re-running the batch pipeline:
    the differential parity test in ``tests/test_ingest.py`` proves it
    on every harness scenario.
 4. **Publish.** The rebuilt table + provenance sidecar + run manifest
-   are written with the same atomic writers the batch CLI uses; a
-   server then pushes them through its validated hot-reload swap.
+   are written by the writer ``repro mine`` uses
+   (:func:`~repro.obs.manifest.publish_table`); a server then pushes
+   them through its validated hot-reload swap.
 
 Lineage and opinions cost what the batch touched: the running ledger
 keeps the frozen view and JSON text of every pair the batch left
@@ -67,12 +68,8 @@ from ..kb.knowledge_base import KnowledgeBase
 from ..nlp.annotate import Annotator
 from ..nlp.prefilter import DEFAULT_MEMO_SIZE
 from ..obs.convergence import records_from_result
-from ..obs.manifest import (
-    build_manifest,
-    manifest_path_for,
-    write_manifest,
-)
-from ..storage import OpinionRows, provenance_path_for, save
+from ..obs.manifest import publish_table
+from ..storage import OpinionRows
 from .journal import CorpusJournal
 from .state import IngestState, load_state, save_state
 
@@ -298,15 +295,12 @@ class IngestPipeline:
         duration_seconds: float | None = None,
     ) -> Path:
         """Write the table, its provenance sidecar, and a run manifest
-        (all atomically) so a server can hot-reload them."""
+        (all atomically, through the batch CLI's writer) so a server
+        can hot-reload them."""
         out = Path(out)
-        save(report.table, out, rows=self._rows)
-        outputs = {"opinions": str(out)}
-        if report.provenance is not None:
-            sidecar = provenance_path_for(out)
-            save(report.provenance, sidecar)
-            outputs["provenance"] = str(sidecar)
-        manifest = build_manifest(
+        publish_table(
+            report.table,
+            out,
             command="ingest",
             config={
                 "journal": str(self.journal.directory),
@@ -326,9 +320,9 @@ class IngestPipeline:
                 if duration_seconds is None
                 else duration_seconds
             ),
-            outputs=outputs,
+            provenance=report.provenance,
+            rows=self._rows,
         )
-        write_manifest(manifest_path_for(out), manifest)
         return out
 
     # ------------------------------------------------------------------

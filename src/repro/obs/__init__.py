@@ -44,6 +44,7 @@ from .manifest import (
     build_manifest,
     git_describe,
     manifest_path_for,
+    publish_table,
     read_manifest,
     write_manifest,
 )
@@ -101,6 +102,7 @@ __all__ = [
     "load_convergence",
     "load_metrics_file",
     "manifest_path_for",
+    "publish_table",
     "parse_exposition",
     "read_trace",
     "rss_peak_bytes",

@@ -26,6 +26,7 @@ from typing import Any
 
 from ..core.result import OpinionTable
 from ..core.types import Opinion, PropertyTypeKey
+from ..storage.serialize import _key_to_str
 from .histogram import StreamingHistogram
 
 DRIFT_FORMAT = "generation_drift"
@@ -33,12 +34,6 @@ DRIFT_VERSION = 1
 
 #: Flip examples kept on a report (the gauges carry the totals).
 MAX_FLIP_EXAMPLES = 10
-
-
-def _key_str(key: PropertyTypeKey) -> str:
-    # Matches the storage layer's combination key ("cute|animal") so
-    # drift reports join against serialized artefacts.
-    return f"{key.property.text}|{key.entity_type}"
 
 
 @dataclass(slots=True)
@@ -169,7 +164,7 @@ def compare_tables(
     per_property: dict[str, PropertyDrift] = {}
 
     def rollup(key: PropertyTypeKey) -> PropertyDrift:
-        text = _key_str(key)
+        text = _key_to_str(key)
         drift = per_property.get(text)
         if drift is None:
             drift = PropertyDrift()
@@ -198,7 +193,7 @@ def compare_tables(
     flip_examples: list[dict[str, Any]] = []
     ordered = sorted(
         after_pairs,
-        key=lambda pair: (_key_str(pair[0]), pair[1]),
+        key=lambda pair: (_key_to_str(pair[0]), pair[1]),
     )
     for pair in ordered:
         old = before_pairs.get(pair)
@@ -221,7 +216,7 @@ def compare_tables(
                 flip_examples.append(
                     {
                         "entity": pair[1],
-                        "key": _key_str(pair[0]),
+                        "key": _key_to_str(pair[0]),
                         "before": round(old.probability, 6),
                         "after": round(new.probability, 6),
                         "before_polarity": str(old.polarity),
@@ -231,7 +226,7 @@ def compare_tables(
     removed = 0
     for pair in sorted(
         before_pairs,
-        key=lambda pair: (_key_str(pair[0]), pair[1]),
+        key=lambda pair: (_key_to_str(pair[0]), pair[1]),
     ):
         if pair not in after_pairs:
             removed += 1

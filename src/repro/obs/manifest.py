@@ -5,7 +5,8 @@ table misbehaves later, the first question is "what run made this?".
 The manifest — written next to the opinion table — answers it: the
 resolved configuration, the code version (``git describe`` when
 available), wall-clock start and duration, and the run's health
-summary.
+summary. :func:`publish_table` writes a table, its sidecar and its
+manifest, for ``repro mine`` and every ingest cycle alike.
 """
 
 from __future__ import annotations
@@ -17,6 +18,9 @@ import time
 from pathlib import Path
 from typing import Any
 
+from ..core.result import OpinionTable
+from ..extraction.provenance import ProvenanceIndex
+from ..storage import serialize
 from ..storage.serialize import FORMAT_VERSION, _atomic_write_json, load
 
 
@@ -97,6 +101,40 @@ def write_manifest(
     """Atomically write a manifest (temp file + rename), so a reader
     racing a publish never sees a torn file."""
     return _atomic_write_json(path, payload)
+
+
+def publish_table(
+    table: OpinionTable,
+    out: str | Path,
+    *,
+    command: str,
+    config: dict[str, Any],
+    started_unix: float,
+    duration_seconds: float,
+    provenance: ProvenanceIndex | None = None,
+    rows: serialize.OpinionRows | None = None,
+    health: Any = None,
+    outputs: dict[str, str] | None = None,
+) -> Path:
+    """Write ``table`` at ``out`` (through ``rows`` when given), its
+    lineage sidecar when there is ``provenance``, and last the run
+    manifest, whose ``outputs`` lists those files plus ``outputs``.
+    Each write is atomic. Returns the manifest's path."""
+    written = {"opinions": str(out)}
+    serialize.save(table, out, rows=rows)
+    if provenance is not None:
+        sidecar = serialize.provenance_path_for(out)
+        serialize.save(provenance, sidecar)
+        written["provenance"] = str(sidecar)
+    manifest = build_manifest(
+        command=command,
+        config=config,
+        started_unix=started_unix,
+        duration_seconds=duration_seconds,
+        health=health,
+        outputs={**written, **(outputs or {})},
+    )
+    return write_manifest(manifest_path_for(out), manifest)
 
 
 def read_manifest(path: str | Path) -> dict[str, Any]:

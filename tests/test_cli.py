@@ -8,6 +8,15 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.core import (
+    OpinionTable,
+    Polarity,
+    PropertyTypeKey,
+    QueryEngine,
+    SubjectiveProperty,
+)
+from repro.nlp.lexicon import TYPE_NOUNS
+from repro.obs import manifest_path_for, read_manifest
 from repro.storage import load, save
 
 
@@ -179,8 +188,7 @@ class TestAsk:
         from repro.core import OpinionTable
 
         out = save(OpinionTable(), tmp_path / "empty.json")
-        with pytest.raises(SystemExit):
-            main(["ask", str(out), "blorp gadgets"])
+        assert main(["ask", str(out), "blorp gadgets"]) == 2
 
     def test_ask_no_answers_returns_one(self, tmp_path):
         from repro.core import OpinionTable
@@ -214,6 +222,194 @@ class TestAsk:
         )
 
 
+def reference_query_text(
+    table: OpinionTable,
+    property_text: str,
+    entity_type: str,
+    *,
+    negative: bool,
+    min_probability: float,
+    top: int,
+) -> tuple[str, int]:
+    """`repro query`'s text mode as it was written before it answered
+    through the HTTP route: stdout and exit code."""
+    key = PropertyTypeKey(
+        SubjectiveProperty.parse(property_text), entity_type
+    )
+    polarity = Polarity.NEGATIVE if negative else Polarity.POSITIVE
+    hits = table.entities_with(
+        key, polarity, min_probability=min_probability
+    )
+    if not hits:
+        return "no matching entities\n", 1
+    return "".join(
+        f"{opinion.entity_id:30s} p={opinion.probability:.3f} "
+        f"(+{opinion.evidence.positive}/-{opinion.evidence.negative})\n"
+        for opinion in hits[:top]
+    ), 0
+
+
+def reference_ask_text(
+    table: OpinionTable, query: str, top: int
+) -> tuple[str, int]:
+    """`repro ask`'s text mode as it was written before it answered
+    through the HTTP route: stdout and exit code."""
+    hits = QueryEngine(table).answer(query, top=top)
+    if not hits:
+        return "no answers\n", 1
+    lines = []
+    for hit in hits:
+        marker = "*" if hit.confident else " "
+        terms = " ".join(f"{p:.2f}" for p in hit.per_term)
+        lines.append(
+            f"{marker} {hit.entity_id:30s} score={hit.score:.3f} "
+            f"[{terms}]\n"
+        )
+    return "".join(lines), 0
+
+
+class TestTextAnswersMatchReference:
+    """The text modes print the route's answer; on valid input that
+    is the same stdout the table-scanning renderers printed."""
+
+    @pytest.fixture()
+    def mined(self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "opinions.json"
+        main(
+            ["mine", str(corpus_file), "--out", str(out), "--threshold", "1"]
+        )
+        capsys.readouterr()
+        return out, load(out, "opinions")
+
+    def run(self, capsys, argv) -> tuple[str, int]:
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        assert err == ""
+        return out, rc
+
+    def test_query_text_identical(self, mined, capsys):
+        path, table = mined
+        keys = sorted(table.keys(), key=str)
+        assert len(keys) >= 2
+        for key in keys:
+            for negative in (False, True):
+                for min_probability in (0.0, 0.5):
+                    for top in (1, 10, 1000):
+                        argv = [
+                            "query", str(path), key.property.text,
+                            key.entity_type,
+                            "--min-probability", str(min_probability),
+                            "--top", str(top),
+                        ]
+                        if negative:
+                            argv.append("--negative")
+                        assert self.run(capsys, argv) == (
+                            reference_query_text(
+                                table,
+                                key.property.text,
+                                key.entity_type,
+                                negative=negative,
+                                min_probability=min_probability,
+                                top=top,
+                            )
+                        ), argv
+
+    def test_ask_text_identical(self, mined, capsys):
+        path, table = mined
+        by_type: dict[str, list[str]] = {}
+        for key in sorted(table.keys(), key=str):
+            by_type.setdefault(key.entity_type, []).append(
+                key.property.text
+            )
+        queries = []
+        for entity_type, properties in by_type.items():
+            noun = next(
+                noun
+                for noun, kind in TYPE_NOUNS.items()
+                if kind == entity_type and noun != entity_type
+            )
+            terms = [
+                f"{negation}{prop}"
+                for prop in properties
+                for negation in ("", "not ")
+            ]
+            queries += [f"{term} {noun}" for term in terms]
+            queries += [
+                f"{first} {second} {noun}"
+                for first in terms
+                for second in terms
+                if first.split()[-1] != second.split()[-1]
+            ]
+        assert len(queries) >= 8
+        for query in queries:
+            for top in (1, 10, 1000):
+                argv = ["ask", str(path), query, "--top", str(top)]
+                assert self.run(capsys, argv) == reference_ask_text(
+                    table, query, top
+                ), argv
+
+
+class TestPublishedOutputs:
+    """The manifest's ``outputs`` lists exactly the files a publish
+    wrote: each listed file exists, and each file is listed."""
+
+    def assert_outputs_complete(self, directory: Path, out: Path):
+        manifest_path = manifest_path_for(out)
+        outputs = read_manifest(manifest_path)["outputs"]
+        listed = {Path(path) for path in outputs.values()}
+        assert all(path.is_file() for path in listed)
+        published = {
+            path for path in directory.iterdir() if path.is_file()
+        }
+        assert published == listed | {manifest_path}
+        return outputs
+
+    def test_mine_lists_every_output(self, corpus_file, tmp_path):
+        directory = tmp_path / "published"
+        out = directory / "opinions.json"
+        rc = main(
+            [
+                "mine", str(corpus_file), "--out", str(out),
+                "--threshold", "1",
+                "--trace", str(directory / "trace.jsonl"),
+                "--metrics-out", str(directory / "metrics.json"),
+            ]
+        )
+        assert rc == 0
+        outputs = self.assert_outputs_complete(directory, out)
+        assert set(outputs) == {
+            "opinions", "provenance", "trace", "metrics",
+        }
+
+    def test_ingest_lists_every_output(self, corpus_file, tmp_path):
+        directory = tmp_path / "published"
+        out = directory / "opinions.json"
+        rc = main(
+            [
+                "ingest", str(corpus_file),
+                "--journal", str(tmp_path / "journal"),
+                "--out", str(out), "--threshold", "1",
+            ]
+        )
+        assert rc == 0
+        outputs = self.assert_outputs_complete(directory, out)
+        assert set(outputs) == {"opinions", "provenance"}
+
+    def test_mine_without_lineage_lists_no_sidecar(
+        self, corpus_file, tmp_path
+    ):
+        directory = tmp_path / "published"
+        out = directory / "opinions.json"
+        main(
+            [
+                "mine", str(corpus_file), "--out", str(out),
+                "--threshold", "1", "--no-provenance",
+            ]
+        )
+        outputs = self.assert_outputs_complete(directory, out)
+        assert set(outputs) == {"opinions"}
+
+
 class TestCalibrate:
     def test_calibrate_prints_threshold(self, tmp_path, capsys):
         from repro.baselines import SurveyorInterpreter
@@ -237,6 +433,59 @@ class TestCalibrate:
         )
         assert rc == 0
         assert "applies above" in capsys.readouterr().out
+
+
+class TestUsageErrors:
+    """Bad arguments that argparse cannot see are one stderr line and
+    exit 2, never a traceback."""
+
+    @pytest.fixture()
+    def opinions(self):
+        return str(
+            Path(__file__).parent / "data" / "ingest_v1" / "opinions.json"
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["calibrate", "{op}", " ", "animal", "population"],
+                "repro: error: property text must be non-empty\n",
+            ),
+            (
+                ["calibrate", "{op}", "cute", "animal", "population"],
+                "repro: error: need both polarities to calibrate cute "
+                "animal; got 0+ / 0-\n",
+            ),
+        ],
+    )
+    def test_calibrate_error_is_one_line(
+        self, opinions, capsys, argv, message
+    ):
+        argv = [arg.replace("{op}", opinions) for arg in argv]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == message
+
+    @pytest.mark.parametrize("threshold", ["0", "-5"])
+    def test_mine_threshold_below_one_is_a_usage_error(
+        self, corpus_file, tmp_path, capsys, threshold
+    ):
+        out = tmp_path / "opinions.json"
+        with pytest.raises(SystemExit) as exit_:
+            main(
+                [
+                    "mine", str(corpus_file), "--out", str(out),
+                    "--threshold", threshold,
+                ]
+            )
+        assert exit_.value.code == 2
+        assert (
+            "argument --threshold: must be at least 1"
+            in capsys.readouterr().err
+        )
+        assert not out.exists()
 
 
 class TestArtefactErrors:

@@ -1109,6 +1109,27 @@ class TestServeIngest:
             "config"
         ]["generation"] == 2
 
+    def test_post_ingest_manifest_lists_every_output(
+        self, served_ingest
+    ):
+        """Each file the live publish wrote beside the journal is in
+        the manifest's ``outputs``, and each listed file exists."""
+        _, base, leftover, path = served_ingest
+        status, _ = post(
+            f"{base}/admin/ingest",
+            {"documents": [doc.text for doc in leftover]},
+        )
+        assert status == 200
+        manifest = manifest_path_for(path)
+        outputs = read_manifest(manifest)["outputs"]
+        assert set(outputs) == {"opinions", "provenance"}
+        listed = {Path(value) for value in outputs.values()}
+        assert all(value.is_file() for value in listed)
+        published = {
+            entry for entry in path.parent.iterdir() if entry.is_file()
+        }
+        assert published == listed | {manifest}
+
     def test_served_answer_reflects_appended_evidence(
         self, served_ingest
     ):

@@ -776,6 +776,52 @@ class TestBatchRequestIds:
 # CLI/HTTP schema identity (the --format json satellite)
 # ---------------------------------------------------------------------------
 
+#: Inputs the routes reject (or, for -0.0, accept), as ``repro`` argv
+#: after the table path and as the HTTP route that gets the same input.
+EDGE_INPUTS = [
+    pytest.param(
+        ["query", "big", "animal", "--top", "0"],
+        "/query?property=big&type=animal&top=0",
+        id="query-top-0",
+    ),
+    pytest.param(
+        ["query", "big", "animal", "--top", "5000"],
+        "/query?property=big&type=animal&top=5000",
+        id="query-top-5000",
+    ),
+    pytest.param(
+        ["ask", "cute animals", "--top", "0"],
+        "/query?q=cute+animals&top=0",
+        id="ask-top-0",
+    ),
+    pytest.param(
+        ["ask", "cute animals", "--top", "5000"],
+        "/query?q=cute+animals&top=5000",
+        id="ask-top-5000",
+    ),
+    pytest.param(
+        ["query", "big", "animal", "--min-probability", "-0.0"],
+        "/query?property=big&type=animal&min_probability=-0.0",
+        id="query-min-probability-negative-zero",
+    ),
+    pytest.param(
+        ["query", "big", "animal", "--min-probability", "1.5"],
+        "/query?property=big&type=animal&min_probability=1.5",
+        id="query-min-probability-1.5",
+    ),
+    pytest.param(
+        ["query", " ", "animal"],
+        "/query?property=+&type=animal",
+        id="query-unparsable-property",
+    ),
+    pytest.param(
+        ["explain", "/animal/kitten", " "],
+        "/explain?entity=/animal/kitten&property=+",
+        id="explain-unparsable-property",
+    ),
+]
+
+
 class TestCLIServerParity:
     def test_ask_json_identical_to_http(
         self, served, tmp_path, capsys
@@ -830,51 +876,7 @@ class TestCLIServerParity:
         assert cli_body == http_body.decode()
         assert json.loads(cli_body)["lineage"]["samples"]
 
-    @pytest.mark.parametrize(
-        "argv, route",
-        [
-            pytest.param(
-                ["query", "big", "animal", "--top", "0"],
-                "/query?property=big&type=animal&top=0",
-                id="query-top-0",
-            ),
-            pytest.param(
-                ["query", "big", "animal", "--top", "5000"],
-                "/query?property=big&type=animal&top=5000",
-                id="query-top-5000",
-            ),
-            pytest.param(
-                ["ask", "cute animals", "--top", "0"],
-                "/query?q=cute+animals&top=0",
-                id="ask-top-0",
-            ),
-            pytest.param(
-                ["ask", "cute animals", "--top", "5000"],
-                "/query?q=cute+animals&top=5000",
-                id="ask-top-5000",
-            ),
-            pytest.param(
-                ["query", "big", "animal", "--min-probability", "-0.0"],
-                "/query?property=big&type=animal&min_probability=-0.0",
-                id="query-min-probability-negative-zero",
-            ),
-            pytest.param(
-                ["query", "big", "animal", "--min-probability", "1.5"],
-                "/query?property=big&type=animal&min_probability=1.5",
-                id="query-min-probability-1.5",
-            ),
-            pytest.param(
-                ["query", " ", "animal"],
-                "/query?property=+&type=animal",
-                id="query-unparsable-property",
-            ),
-            pytest.param(
-                ["explain", "/animal/kitten", " "],
-                "/explain?entity=/animal/kitten&property=+",
-                id="explain-unparsable-property",
-            ),
-        ],
-    )
+    @pytest.mark.parametrize("argv, route", EDGE_INPUTS)
     def test_edge_input_identical_to_http(
         self, served, tmp_path, capsys, argv, route
     ):
@@ -894,6 +896,41 @@ class TestCLIServerParity:
             http_body = json.dumps(payload, sort_keys=True).encode()
         assert rc == (2 if status == 400 else 0)
         assert cli_body == http_body.decode()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *[case.values[0] for case in EDGE_INPUTS],
+            ["ask", "cute animals", "--top", "-3"],
+            ["ask", ""],
+            ["explain", "/animal/slug", "cute"],
+        ],
+        ids=[
+            *[case.id for case in EDGE_INPUTS],
+            "ask-top-negative",
+            "ask-empty",
+            "explain-not-found",
+        ],
+    )
+    def test_edge_input_text_mode_exits_as_json_mode(
+        self, tmp_path, capsys, argv
+    ):
+        """Text mode answers through the same route: the JSON mode's
+        exit code, and for a rejected request one ``repro <cmd>:``
+        line on stderr carrying the envelope's message, no traceback
+        and nothing on stdout."""
+        path = save(demo_table(), tmp_path / "cli.json")
+        json_rc = main([argv[0], str(path), *argv[1:], "--format", "json"])
+        envelope = json.loads(capsys.readouterr().out)
+        rc = main([argv[0], str(path), *argv[1:]])
+        out, err = capsys.readouterr()
+        assert rc == json_rc
+        if rc == 0:
+            assert out and not err
+            return
+        assert rc == (1 if envelope["code"] == "not_found" else 2)
+        assert out == ""
+        assert err == f"repro {argv[0]}: {envelope['error']}\n"
 
 
 # ---------------------------------------------------------------------------
