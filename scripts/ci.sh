@@ -621,10 +621,11 @@ echo "== ingest lane (journal bootstrap, live append, hot publish) =="
 # CLI-journal publish picked up by /admin/reload (which must re-read
 # the rewritten provenance sidecar), a restart on the same journal
 # that must come back at the same generation with the same answers, and
-# the restarted server's next publishes, whose state.json, sidecar and
-# opinions.json must be the bytes a cold pipeline encodes for the same
-# state (the last publish carries a clean combination's opinions from
-# the one before).
+# the restarted server's next publishes, a SIGKILL and a boot that must
+# replay back to the last published generation, and a drain whose
+# state.json, sidecar and opinions.json must be the bytes a cold
+# pipeline encodes for the same state (the last publish carries a clean
+# combination's opinions from the one before).
 INGEST_DIR="$(mktemp -d)"
 trap 'rm -rf "$OBS_DIR" "$PARITY_DIR" "$SERVE_DIR" "$INGEST_DIR"' EXIT
 printf '%s\n' \
@@ -768,6 +769,18 @@ try:
         assert status == 200, summary
         assert summary["generation"] == generation, summary
 
+    # A kill skips the drain's checkpoint: the next boot replays the
+    # journal above state.json and must come back at the generation
+    # the last publish recorded, with the same answers.
+    before = {path: raw(path) for path in before}
+    proc.kill()
+    proc.wait(timeout=10)
+    proc, base = boot()
+    status, health = get("/healthz")
+    assert health["generation"] == 5, health
+    for path, body in before.items():
+        assert raw(path) == body, (path, body, raw(path))
+
     proc.terminate()
     stderr = proc.communicate(timeout=10)[1]
     assert proc.returncode == 0, (proc.returncode, stderr)
@@ -793,6 +806,9 @@ cold = IngestPipeline(
 )
 report = cold.advance()
 assert report.documents == 0 and report.generation == 5, report
+# Re-encode the decoded state: an advance over nothing writes no
+# checkpoint, and cmp would compare the copied file with itself.
+cold.checkpoint()
 cold.publish(report, f"{ingest_dir}/cold-opinions.json")
 PYEOF
 cmp "$INGEST_DIR/journal/state.json" "$INGEST_DIR/cold-journal/state.json"

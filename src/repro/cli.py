@@ -335,6 +335,7 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         fast_path=not args.no_fast_path,
         provenance=not args.no_provenance,
         warm_start=args.warm_start,
+        published=args.out,
     )
     started_unix = time.time()
     started = time.perf_counter()
@@ -345,6 +346,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
         started_unix=started_unix,
         duration_seconds=time.perf_counter() - started,
     )
+    # The journal passes to whatever process opens it next.
+    if pipeline.pending:
+        pipeline.checkpoint()
     print(
         f"appended {report.documents} documents "
         f"(+{report.statements} statements; journal offset "

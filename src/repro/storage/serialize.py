@@ -590,19 +590,45 @@ _KINDS: dict[str, tuple[str, Any]] = {
 }
 
 
-def _atomic_write_json(path: str | Path, payload: Any) -> Path:
+def _atomic_write_json(
+    path: str | Path, payload: Any, *, durable: bool = False
+) -> Path:
     """The one writer for durable machine artefacts.
 
     Writes the payload's canonical text
     (:func:`~repro.storage.canonical.encode`: compact, sorted keys,
     pre-encoded parts spliced) via a sibling temp file and rename, so
     readers never see a torn file even if the process dies mid-write.
+
+    A failed step removes the temp file and leaves the old file in
+    place. ``durable`` also survives an OS crash: the temp file is
+    fsynced before the rename and the directory after it, so the name
+    points at the old bytes or at the new ones, never at an empty file.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(encode(payload))
-    os.replace(tmp, path)
+    data = encode(payload).encode()
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            view = memoryview(data)
+            while view:
+                view = view[os.write(fd, view):]
+            if durable:
+                os.fsync(fd)
+        finally:
+            os.close(fd)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    if durable:
+        directory = os.open(path.parent, os.O_RDONLY)
+        try:
+            os.fsync(directory)
+        finally:
+            os.close(directory)
     return path
 
 
