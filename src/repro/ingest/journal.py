@@ -255,6 +255,9 @@ class CorpusJournal:
         self._idx_segment: list[int] = []
         self._idx_position: list[int] = []
         self._segment_list: list[Path] = []
+        # (name, size) of the tail segment as this instance last saw
+        # it on disk, None while there is no segment.
+        self._tail: tuple[str, int] | None = None
         self._open()
 
     # ------------------------------------------------------------------
@@ -300,6 +303,8 @@ class CorpusJournal:
         self._segment_list = segments
         self._last_offset = last_offset
         self._n_records = total
+        if segments:
+            self._tail = (segments[-1].name, segments[-1].stat().st_size)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -316,6 +321,16 @@ class CorpusJournal:
     @property
     def n_segments(self) -> int:
         return len(self._segments())
+
+    def behind_disk(self) -> bool:
+        """Whether the segments on disk changed since this instance
+        last opened or appended to them: another writer appended, so
+        this view's offsets are stale and it must be reopened before
+        it appends."""
+        segments = self._segments()
+        if not segments:
+            return self._tail is not None
+        return self._tail != (segments[-1].name, segments[-1].stat().st_size)
 
     # ------------------------------------------------------------------
     # Append
@@ -414,6 +429,7 @@ class CorpusJournal:
             handle.flush()
             if self.fsync:
                 os.fsync(handle.fileno())
+            self._tail = (segment.name, handle.tell())
         for offset, position in zip(offsets, positions):
             self._idx_offsets.append(offset)
             self._idx_segment.append(segment_ordinal)
