@@ -56,7 +56,7 @@ from .params import (
     DEFAULT_INITIAL_PARAMETERS,
     ModelParameters,
 )
-from .types import EvidenceCounts
+from .types import EvidenceBlock, EvidenceCounts
 
 _RATE_FLOOR = 1e-9
 
@@ -190,12 +190,14 @@ class EMLearner:
     # ------------------------------------------------------------------
     # Public API
     # ------------------------------------------------------------------
-    def fit(self, evidence: Iterable[EvidenceCounts]) -> EMResult:
+    def fit(
+        self, evidence: Iterable[EvidenceCounts] | EvidenceBlock
+    ) -> EMResult:
         """Run EM over the evidence of all entities of one type.
 
-        The iterable must contain one tuple per entity *including*
-        entities with zero counts — the paper stresses that absence of
-        mentions is itself evidence.
+        The evidence (tuples, or a block's columns) must cover every
+        entity *including* entities with zero counts — the paper
+        stresses that absence of mentions is itself evidence.
         """
         pos, neg = _counts_to_arrays(evidence)
         if pos.size == 0:
@@ -538,25 +540,18 @@ def _weighted_totals(
 
 
 def _counts_to_arrays(
-    evidence: Iterable[EvidenceCounts],
+    evidence: Iterable[EvidenceCounts] | EvidenceBlock,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Evidence tuples to aligned (positive, negative) float arrays.
-
-    Fills one pre-allocated array per column instead of materializing
-    an intermediate list of pairs plus a 2-D array.
-    """
-    items = (
-        evidence
-        if isinstance(evidence, Sequence)
-        else list(evidence)
-    )
-    n = len(items)
-    pos = np.empty(n, dtype=float)
-    neg = np.empty(n, dtype=float)
-    for i, counts in enumerate(items):
-        pos[i] = counts.positive
-        neg[i] = counts.negative
-    return pos, neg
+    """Evidence to aligned (positive, negative) float arrays: a
+    block's columns, or the tuples' counts in order."""
+    if isinstance(evidence, EvidenceBlock):
+        pos, neg = evidence.positive, evidence.negative
+    else:
+        pos, neg = [], []
+        for counts in evidence:
+            pos.append(counts.positive)
+            neg.append(counts.negative)
+    return np.array(pos, dtype=float), np.array(neg, dtype=float)
 
 
 def _poisson_log_pmf_vec(

@@ -21,7 +21,13 @@ from .errors import ModelFitError
 from .model import UserBehaviorModel
 from .params import ModelParameters
 from .result import OpinionTable
-from .types import EvidenceCounts, Opinion, Polarity, PropertyTypeKey
+from .types import (
+    EvidenceBlock,
+    EvidenceCounts,
+    Opinion,
+    Polarity,
+    PropertyTypeKey,
+)
 
 #: The paper filters property-type pairs with fewer than 100 evidence
 #: sentences before running EM (Section 7.1).
@@ -54,10 +60,11 @@ class FittedCombination:
         return UserBehaviorModel(self.parameters)
 
 
-#: A source of per-combination fits: ``(key, per_entity) -> fit``.
-FitFunction = Callable[
-    [PropertyTypeKey, Mapping[str, EvidenceCounts]], FittedCombination
-]
+#: A combination's evidence: its block, or per-entity tuples.
+Evidence = EvidenceBlock | Mapping[str, EvidenceCounts]
+
+#: A source of per-combination fits: ``(key, block) -> fit``.
+FitFunction = Callable[[PropertyTypeKey, EvidenceBlock], FittedCombination]
 
 
 @dataclass(frozen=True, slots=True)
@@ -109,17 +116,18 @@ class Surveyor:
 
     def run(
         self,
-        evidence: Mapping[PropertyTypeKey, Mapping[str, EvidenceCounts]],
+        evidence: Mapping[PropertyTypeKey, Evidence],
         fit: FitFunction | None = None,
         previous: SurveyorResult | None = None,
         dirty: Container[PropertyTypeKey] = frozenset(),
     ) -> SurveyorResult:
         """Interpret all combinations meeting the occurrence threshold.
 
-        ``evidence`` maps each property-type combination to the per
-        entity evidence tuples gathered during extraction; entities of
-        the type that are absent from the inner mapping are treated as
-        ``<0, 0>``. ``fit`` supplies each interpreted combination's fit
+        ``evidence`` maps each property-type combination to the
+        evidence gathered during extraction, as its block
+        (:meth:`EvidenceCounter.blocks`) or as per-entity tuples;
+        entities of the type that it lacks are treated as ``<0, 0>``.
+        ``fit`` supplies each interpreted combination's fit
         in place of :meth:`fit_combination` (the ingest refitter hands
         back cached fits for combinations whose evidence is unchanged);
         everything else about the run is the same.
@@ -138,13 +146,14 @@ class Surveyor:
         degraded: list[PropertyTypeKey] = []
 
         for key in sorted(evidence, key=str):
-            per_entity = evidence[key]
-            n_statements = sum(c.total for c in per_entity.values())
-            if n_statements < self.occurrence_threshold:
+            evidence_block = evidence[key]
+            if not isinstance(evidence_block, EvidenceBlock):
+                evidence_block = self._full_evidence(key, evidence_block)
+            if evidence_block.total < self.occurrence_threshold:
                 skipped.append(key)
                 continue
             with self._combination_span(key) as span:
-                fitted = fit_one(key, per_entity)
+                fitted = fit_one(key, evidence_block)
                 fits[key] = fitted
                 span.set("verdict", fitted.trace.verdict)
                 span.set("iterations", fitted.trace.iterations)
@@ -156,7 +165,7 @@ class Surveyor:
                 if key not in dirty and carried.get(key) is fitted:
                     block = previous.opinions.block(key)
                 else:
-                    block = self._emit(key, fitted, per_entity)
+                    block = self._emit(key, fitted, evidence_block)
                 table.add_block(key, block)
         return SurveyorResult(
             opinions=table,
@@ -169,28 +178,32 @@ class Surveyor:
         self,
         key: PropertyTypeKey,
         fit: FittedCombination,
-        per_entity: Mapping[str, EvidenceCounts],
+        evidence: EvidenceBlock,
     ) -> tuple[Opinion, ...]:
         """One combination's opinion on every entity of its type.
 
         A degenerate fit fell back to majority vote, so its opinions
         are hard votes instead of model posteriors. Either way the
         probability depends on the evidence tuple alone, so it is
-        computed once per distinct ``<C+, C->`` of the combination.
+        computed once per distinct ``<C+, C->`` of the combination,
+        and the opinions with that tuple share one object of it.
         """
         if fit.trace.degraded:
             probability_of = _majority_probability
         else:
             probability_of = fit.model().posterior_positive
-        probabilities: dict[EvidenceCounts, float] = {}
+        distinct: dict[tuple[int, int], tuple[EvidenceCounts, float]] = {}
         emit_undecided = self.emit_undecided
+        full = self._full_evidence(key, evidence)
         block = []
-        for entity_id, counts in self._full_evidence(key, per_entity):
-            probability = probabilities.get(counts)
-            if probability is None:
-                probability = probabilities[counts] = probability_of(
-                    counts
-                )
+        for entity_id, pair in zip(
+            full.ids, zip(full.positive, full.negative)
+        ):
+            entry = distinct.get(pair)
+            if entry is None:
+                counts = EvidenceCounts(*pair)
+                entry = distinct[pair] = (counts, probability_of(counts))
+            counts, probability = entry
             # Exactly 0.5 is the undecided case the paper drops.
             if probability != 0.5 or emit_undecided:
                 block.append(Opinion(entity_id, key, probability, counts))
@@ -204,43 +217,41 @@ class Surveyor:
         )
 
     def fit_combination(
-        self,
-        key: PropertyTypeKey,
-        per_entity: Mapping[str, EvidenceCounts],
+        self, key: PropertyTypeKey, evidence: Evidence
     ) -> FittedCombination:
         """Fit the model for one combination (no thresholding)."""
-        entities = list(self._full_evidence(key, per_entity))
-        if not entities:
+        full = self._full_evidence(key, evidence)
+        if not full.ids:
             raise ModelFitError(
                 f"no entities of type {key.entity_type!r} in the catalog "
                 "or the evidence"
             )
-        result = self.learner.fit(counts for _, counts in entities)
+        result = self.learner.fit(full)
         return FittedCombination(
             key=key,
             parameters=result.parameters,
             trace=result.trace,
-            n_entities=len(entities),
-            n_statements=sum(c.total for _, c in entities),
+            n_entities=len(full.ids),
+            n_statements=full.total,
         )
 
     def _full_evidence(
-        self,
-        key: PropertyTypeKey,
-        per_entity: Mapping[str, EvidenceCounts],
-    ) -> list[tuple[str, EvidenceCounts]]:
+        self, key: PropertyTypeKey, evidence: Evidence
+    ) -> EvidenceBlock:
         """Join evidence with the catalog, padding absentees with zeros.
 
         Entities appearing in the evidence but not in the catalog (e.g.
         a linker matched an alias of an entity filed under another most
         notable type) are still interpreted.
         """
-        known = set(self.catalog.entity_ids_of_type(key.entity_type))
-        ids = sorted(known | set(per_entity))
-        return [
-            (entity_id, per_entity.get(entity_id, EvidenceCounts.ZERO))
-            for entity_id in ids
-        ]
+        if not isinstance(evidence, EvidenceBlock):
+            evidence = EvidenceBlock.of({
+                entity_id: (counts.positive, counts.negative)
+                for entity_id, counts in evidence.items()
+            })
+        return evidence.padded(
+            self.catalog.entity_ids_of_type(key.entity_type)
+        )
 
 
 def _majority_probability(counts: EvidenceCounts) -> float:

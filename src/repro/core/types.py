@@ -14,6 +14,7 @@ The paper's central objects are:
 from __future__ import annotations
 
 import enum
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 
@@ -77,6 +78,10 @@ class SubjectiveProperty:
         return self.text
 
 
+#: A field computed on first use and left out of init, repr and eq.
+_CACHED = dict(default=None, init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True, slots=True)
 class PropertyTypeKey:
     """Identifies one property-type combination, the unit of model fitting.
@@ -84,16 +89,44 @@ class PropertyTypeKey:
     The paper learns one parameter vector per combination such as
     ``(cute, animal)`` because biases do not generalize across either
     axis (Section 2).
+
+    A key is looked up in every dict of the pipeline, so it keeps its
+    hash (the value the dataclass would compute, so no dict or set
+    order depends on the cache) and its two texts once built. String
+    hashes are seeded per process, so a pickled key carries its fields
+    only and the copy computes its own hash.
     """
 
     property: SubjectiveProperty
     entity_type: str
+    _hash: int = field(init=False, repr=False, compare=False)
+    _str: str | None = field(**_CACHED)
+    _text: str | None = field(**_CACHED)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entity_type", self.entity_type.lower())
+        entity_type = self.entity_type.lower()
+        object.__setattr__(self, "entity_type", entity_type)
+        object.__setattr__(self, "_hash", hash((self.property, entity_type)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return PropertyTypeKey, (self.property, self.entity_type)
 
     def __str__(self) -> str:
-        return f"{self.property.text} {self.entity_type}"
+        if self._str is None:
+            text = f"{self.property} {self.entity_type}"
+            object.__setattr__(self, "_str", text)
+        return self._str
+
+    @property
+    def text(self) -> str:
+        """The artefacts' key text, ``very big|animal``."""
+        if self._text is None:
+            text = f"{self.property}|{self.entity_type}"
+            object.__setattr__(self, "_text", text)
+        return self._text
 
 
 @dataclass(frozen=True, slots=True)
@@ -123,6 +156,41 @@ class EvidenceCounts:
 #: Shared zero-evidence tuple (set as a plain class attribute so it is
 #: not mistaken for a dataclass field).
 EvidenceCounts.ZERO = EvidenceCounts(0, 0)  # type: ignore[attr-defined]
+
+
+@dataclass(frozen=True, slots=True, eq=False)
+class EvidenceBlock:
+    """One combination's evidence tuples as columns: entity ids in
+    sorted order, their ``C+`` and ``C-`` counts, and the block's
+    total.
+
+    A block never changes. The evidence counter replaces a
+    combination's block when a merge touches it, so a consumer that
+    sees the same block object again may reuse what it derived from it.
+    """
+
+    ids: tuple[str, ...]
+    positive: tuple[int, ...]
+    negative: tuple[int, ...]
+    total: int
+
+    @classmethod
+    def of(cls, counts: Mapping[str, Sequence[int]]) -> "EvidenceBlock":
+        """The block of ``{entity_id: (C+, C-)}``."""
+        ids = tuple(sorted(counts))
+        positive = tuple([counts[entity_id][0] for entity_id in ids])
+        negative = tuple([counts[entity_id][1] for entity_id in ids])
+        return cls(ids, positive, negative, sum(positive) + sum(negative))
+
+    def padded(self, ids: Iterable[str]) -> "EvidenceBlock":
+        """This block over its own ids and ``ids``; the entities only
+        ``ids`` names read ``<0, 0>`` (the never-mentioned entities of
+        the combination's type)."""
+        absent = set(ids).difference(self.ids)
+        if not absent:
+            return self
+        counts = dict(zip(self.ids, zip(self.positive, self.negative)))
+        return EvidenceBlock.of(counts | dict.fromkeys(absent, (0, 0)))
 
 
 @dataclass(frozen=True, slots=True)

@@ -21,13 +21,17 @@ and counts nothing: the counter already counts every statement, and
 every read takes the totals from it. The per-statement hot path stays
 untouched; benchmarks/bench_provenance.py gates the residue.
 
-Reading the ledger costs what changed since the last read: the ledger
-keeps each pair's frozen :class:`PairProvenance` view, and a view
-keeps its canonical JSON text once encoded. A read reuses a view while
-its totals equal the counter's and its samples are unchanged (every
-mutator drops the views of the pairs whose samples it changes), so a
-live ingest cycle re-materializes and re-encodes only the pairs its
-batch touched. A fresh ledger is the same path with every pair dirty.
+Reading the ledger costs what changed since the last read, one
+combination at a time. Every mutator stamps the combinations whose
+samples it changed, and :meth:`ProvenanceIndex.from_run` given the
+previous index keeps a combination's lineage block (the very dict of
+its pair views) while its evidence block
+(:meth:`EvidenceCounter.blocks`) and its stamp are the ones that block
+was built from. A live ingest cycle therefore rebuilds only the
+combinations its batch touched, and the sidecar writer
+(:class:`~repro.storage.LineageRows`) splices the kept text of the
+others, and of the unchanged pairs of those. A fresh index is the same
+path with every combination rebuilt.
 
 Determinism: workers visit sentences in document order within a
 shard, the seen-line marker is per-ledger (never shared state), and
@@ -50,12 +54,11 @@ surface serialize.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Iterator
+from functools import partial
+from typing import TYPE_CHECKING, Any, NamedTuple
 
 from ..core.params import ModelParameters
-from ..core.types import Polarity, PropertyTypeKey
-from ..storage.canonical import Encoded, encode
+from ..core.types import EvidenceBlock, Polarity, PropertyTypeKey
 from .statement import EvidenceCounter, EvidenceStatement
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -69,9 +72,10 @@ DEFAULT_SAMPLES_PER_POLARITY = 3
 MAX_SENTENCE_CHARS = 240
 
 
-@dataclass(frozen=True, slots=True)
-class ProvenanceSample:
-    """One sampled statement supporting or refuting a pair."""
+class ProvenanceSample(NamedTuple):
+    """One sampled statement supporting or refuting a pair. A named
+    tuple: the ledger keeps thousands of them per shard, and a read
+    passes them on as they are."""
 
     doc_id: str
     sentence_index: int
@@ -81,14 +85,7 @@ class ProvenanceSample:
     sentence: str
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "doc_id": self.doc_id,
-            "sentence_index": self.sentence_index,
-            "pattern": self.pattern,
-            "polarity": self.polarity,
-            "negations": self.negations,
-            "sentence": self.sentence,
-        }
+        return self._asdict()
 
     @classmethod
     def from_dict(cls, payload: dict[str, Any]) -> "ProvenanceSample":
@@ -102,8 +99,7 @@ class ProvenanceSample:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class PairProvenance:
+class PairProvenance(NamedTuple):
     """Lineage for one (entity, property-type) pair.
 
     ``positive_seen``/``negative_seen`` are the evidence counter's
@@ -113,11 +109,6 @@ class PairProvenance:
     positive_seen: int
     negative_seen: int
     samples: tuple[ProvenanceSample, ...] = ()
-    #: The canonical JSON text, encoded on first use (views are
-    #: immutable, so it never goes stale).
-    _json: Encoded | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -137,46 +128,22 @@ class PairProvenance:
             ),
         )
 
-    def to_json(self) -> Encoded:
-        """:meth:`to_dict` as canonical JSON text, which the artefact
-        writer splices in place of the row."""
-        text = self._json
-        if text is None:
-            text = Encoded(encode(self.to_dict()))
-            object.__setattr__(self, "_json", text)
-        return text
-
-
-def _raw_from_sample(sample: ProvenanceSample) -> tuple:
-    """Internal slot entry for one sample (field order matches)."""
-    return (
-        sample.doc_id,
-        sample.sentence_index,
-        sample.pattern,
-        sample.polarity,
-        sample.negations,
-        sample.sentence,
-    )
-
 
 def _empty_slot() -> list[Any]:
-    """A pair's slot before any sample: ``[pos_samples, neg_samples,
-    view]``."""
-    return [[], [], None]
+    """A pair's slot before any sample: ``[pos_samples, neg_samples]``."""
+    return [[], []]
 
 
-def _sample(
-    statement: EvidenceStatement, sentence_index: int, polarity: str
-) -> tuple:
-    """Internal slot entry for one statement (field order matches)."""
-    return (
-        statement.doc_id,
-        sentence_index,
-        statement.pattern,
-        polarity,
-        statement.negations,
-        statement.sentence[:MAX_SENTENCE_CHARS],
-    )
+def _empty_combination() -> list[Any]:
+    """A combination's entry before any sample: ``[stamp, slots]``."""
+    return [None, defaultdict(_empty_slot)]
+
+
+#: Build a sample or a pair view from its field tuple, skipping the
+#: named tuple's keyword-handling constructor (extraction and a
+#: lineage read make one per statement or pair).
+_new_sample = partial(tuple.__new__, ProvenanceSample)
+_new_pair = partial(tuple.__new__, PairProvenance)
 
 
 class ProvenanceLedger:
@@ -201,20 +168,15 @@ class ProvenanceLedger:
                 f"{samples_per_polarity}"
             )
         self.samples_per_polarity = int(samples_per_polarity)
-        # One flat dict keyed by (property, entity_type, entity_id),
-        # value [pos_samples, neg_samples, view], created empty on
-        # first touch. The flat tuple key hashes several times cheaper
-        # than constructing a PropertyTypeKey per statement, and the
-        # split sample lists turn the per-polarity cap check into one
-        # len(). Samples are held as plain field tuples
-        # (:class:`ProvenanceSample` construction costs ~5x a tuple;
-        # per-shard ledgers build several times more samples than
-        # survive the merge cap) and materialized by the view: the
-        # frozen PairProvenance of the pair's last read. A mutator that
-        # changes a pair's samples drops its view; a read rebuilds one
-        # whose totals the counter has since moved.
-        self._slots: defaultdict[tuple[Any, str, str], list[Any]] = (
-            defaultdict(_empty_slot)
+        # (property, entity_type) -> [stamp, {entity_id: [pos_samples,
+        # neg_samples]}], created empty on first touch. The tuple key
+        # hashes several times cheaper than constructing a
+        # PropertyTypeKey per statement, and the split sample lists
+        # turn the per-polarity cap check into one len(). The stamp is
+        # a token replaced whenever a sample of the combination
+        # changes (see ProvenanceIndex.from_run).
+        self._slots: defaultdict[tuple[Any, str], list[Any]] = (
+            defaultdict(_empty_combination)
         )
         # Memoized statement-proto tuples already sampled, keyed by
         # identity. The value keeps a strong reference so the id can
@@ -226,15 +188,27 @@ class ProvenanceLedger:
     def __getstate__(self) -> dict[str, Any]:
         # Shard ledgers cross process-pool boundaries; the seen-line
         # pins are identity-scoped (meaningless after unpickling) and
-        # would drag full statement protos along — drop them, and the
-        # views, which the receiving side rebuilds on first read.
+        # would drag full statement protos along.
         state = self.__dict__.copy()
         state["seen_lines"] = {}
-        state["_slots"] = defaultdict(_empty_slot, {
-            pair_key: [pos_s, neg_s, None]
-            for pair_key, (pos_s, neg_s, _) in self._slots.items()
-        })
         return state
+
+    def _add(self, statement: EvidenceStatement, index: int) -> None:
+        """Sample one statement if its pair has room left."""
+        combination = self._slots[statement.property, statement.entity_type]
+        slot = combination[1][statement.entity_id]
+        if statement.polarity is Polarity.POSITIVE:
+            samples: list[tuple] = slot[0]
+            polarity = "positive"
+        else:
+            samples = slot[1]
+            polarity = "negative"
+        if len(samples) < self.samples_per_polarity:
+            samples.append(_new_sample((
+                statement.doc_id, index, statement.pattern, polarity,
+                statement.negations, statement.sentence[:MAX_SENTENCE_CHARS],
+            )))
+            combination[0] = object()
 
     def record(
         self, statement: EvidenceStatement, sentence_index: int
@@ -245,19 +219,7 @@ class ProvenanceLedger:
         which visits every statement occurrence; the fast path samples
         each distinct sentence once through :meth:`sample_line`.
         """
-        pair_key = (
-            statement.property, statement.entity_type, statement.entity_id
-        )
-        slot = self._slots[pair_key]
-        if statement.polarity is Polarity.POSITIVE:
-            samples: list[tuple] = slot[0]
-            polarity = "positive"
-        else:
-            samples = slot[1]
-            polarity = "negative"
-        if len(samples) < self.samples_per_polarity:
-            samples.append(_sample(statement, sentence_index, polarity))
-            slot[2] = None
+        self._add(statement, sentence_index)
 
     def sample_line(
         self,
@@ -274,26 +236,8 @@ class ProvenanceLedger:
         attributed to the first document (per shard) containing it.
         """
         self.seen_lines[id(line)] = line
-        cap = self.samples_per_polarity
-        slots = self._slots
         for statement in statements:
-            pair_key = (
-                statement.property,
-                statement.entity_type,
-                statement.entity_id,
-            )
-            slot = slots[pair_key]
-            if statement.polarity is Polarity.POSITIVE:
-                samples: list[tuple] = slot[0]
-                polarity = "positive"
-            else:
-                samples = slot[1]
-                polarity = "negative"
-            if len(samples) < cap:
-                samples.append(
-                    _sample(statement, sentence_index, polarity)
-                )
-                slot[2] = None
+            self._add(statement, sentence_index)
 
     def seed_pair(
         self,
@@ -303,19 +247,12 @@ class ProvenanceLedger:
     ) -> None:
         """Load one pair's persisted samples (checkpoint read path);
         its totals are the counter's, not the row's."""
-        self._slots[key.property, key.entity_type, entity_id] = [
-            [
-                _raw_from_sample(s)
-                for s in pair.samples
-                if s.polarity == "positive"
-            ],
-            [
-                _raw_from_sample(s)
-                for s in pair.samples
-                if s.polarity == "negative"
-            ],
-            None,
+        combination = self._slots[key.property, key.entity_type]
+        combination[1][entity_id] = [
+            [s for s in pair.samples if s.polarity == "positive"],
+            [s for s in pair.samples if s.polarity == "negative"],
         ]
+        combination[0] = object()
 
     def merge(self, other: "ProvenanceLedger") -> None:
         """Fold another ledger in (the reduce side of the pipeline).
@@ -325,94 +262,63 @@ class ProvenanceLedger:
         deterministic because the runner merges shards sorted by id.
         """
         cap = self.samples_per_polarity
-        for pair_key, (pos_s, neg_s, _) in other._slots.items():
-            slot = self._slots[pair_key]
-            room = cap - len(slot[0])
-            if room > 0 and pos_s:
-                slot[0].extend(pos_s[:room])
-                slot[2] = None
-            room = cap - len(slot[1])
-            if room > 0 and neg_s:
-                slot[1].extend(neg_s[:room])
-                slot[2] = None
+        stamp = object()
+        for combination_key, (_, theirs) in other._slots.items():
+            combination = self._slots[combination_key]
+            slots = combination[1]
+            for entity_id, (pos_s, neg_s) in theirs.items():
+                slot = slots[entity_id]
+                for mine, samples in ((slot[0], pos_s), (slot[1], neg_s)):
+                    room = cap - len(mine)
+                    if room > 0 and samples:
+                        mine.extend(samples[:room])
+                        combination[0] = stamp
 
     # ------------------------------------------------------------------
     # Views
     # ------------------------------------------------------------------
-    def _view(
-        self, pair_key: tuple[Any, str, str], totals: list[int]
-    ) -> PairProvenance:
-        """The pair's kept view while its totals still equal the
-        counter's ``totals``; otherwise one built now."""
-        positive, negative = totals
-        slot = self._slots[pair_key]
-        view = slot[2]
-        if (
-            view is None
-            or view.positive_seen != positive
-            or view.negative_seen != negative
-        ):
-            pos_s, neg_s, _ = slot
-            view = slot[2] = PairProvenance(
-                positive_seen=positive,
-                negative_seen=negative,
-                samples=tuple(
-                    ProvenanceSample(
-                        doc_id=raw[0],
-                        sentence_index=int(raw[1]),
-                        pattern=raw[2],
-                        polarity=raw[3],
-                        negations=raw[4],
-                        sentence=raw[5],
-                    )
-                    for raw in (*pos_s, *neg_s)
-                ),
-            )
-        return view
+    def stamp(self, key: PropertyTypeKey) -> object | None:
+        """The token of the combination's samples as they are now
+        (``None`` before any): equal tokens, unchanged samples."""
+        combination = self._slots.get((key.property, key.entity_type))
+        return None if combination is None else combination[0]
 
-    def for_pair(
-        self,
-        key: PropertyTypeKey,
-        entity_id: str,
-        counter: EvidenceCounter,
-    ) -> PairProvenance | None:
-        """One pair's view, or ``None`` when ``counter`` lacks it."""
-        totals = counter._counts.get(key, {}).get(entity_id)
-        if totals is None:
-            return None
-        return self._view(
-            (key.property, key.entity_type, entity_id), totals
-        )
+    def lineage(
+        self, key: PropertyTypeKey, evidence: EvidenceBlock
+    ) -> dict[str, PairProvenance]:
+        """One combination's lineage block: a view per pair of its
+        evidence block, with the block's totals and the ledger's
+        samples."""
+        combination = self._slots.get((key.property, key.entity_type))
+        slots = {} if combination is None else combination[1]
+        block = {}
+        for entity_id, positive, negative in zip(
+            evidence.ids, evidence.positive, evidence.negative
+        ):
+            slot = slots.get(entity_id)
+            block[entity_id] = _new_pair((
+                positive,
+                negative,
+                () if slot is None else (*slot[0], *slot[1]),
+            ))
+        return block
 
     def combinations(
         self, counter: EvidenceCounter
     ) -> dict[PropertyTypeKey, dict[str, PairProvenance]]:
-        """A view of every pair ``counter`` holds, grouped by
-        combination: the totals are the counter's, the samples the
-        ledger's."""
-        view = self._view
+        """The lineage block of every combination ``counter`` holds:
+        the totals are the counter's, the samples the ledger's."""
         return {
-            key: {
-                entity_id: view(
-                    (key.property, key.entity_type, entity_id), totals
-                )
-                for entity_id, totals in per_entity.items()
-            }
-            for key, per_entity in counter._counts.items()
+            key: self.lineage(key, block)
+            for key, block in counter.blocks().items()
         }
-
-    def pairs(
-        self, counter: EvidenceCounter
-    ) -> Iterator[tuple[PropertyTypeKey, str, PairProvenance]]:
-        for key, per_entity in self.combinations(counter).items():
-            for entity_id, pair in per_entity.items():
-                yield key, entity_id, pair
 
 
 class ProvenanceIndex:
     """Read-side lineage: pairs linked to their fitted model and
     convergence verdict — the object the sidecar file serializes and
-    ``/explain`` reads."""
+    ``/explain`` reads. Its pairs come in one block (a dict that is
+    never changed) per combination."""
 
     def __init__(
         self,
@@ -425,6 +331,9 @@ class ProvenanceIndex:
         self._models = models or {}
         self._convergence = convergence or {}
         self.samples_per_polarity = int(samples_per_polarity)
+        # Per combination, the (evidence block, ledger stamp) its
+        # block was built from (from_run's indexes only).
+        self._sources: dict[PropertyTypeKey, tuple[Any, Any]] = {}
 
     @classmethod
     def from_run(
@@ -433,10 +342,25 @@ class ProvenanceIndex:
         evidence: EvidenceCounter,
         result: "SurveyorResult | None" = None,
         convergence: "list[ConvergenceRecord] | None" = None,
+        previous: "ProvenanceIndex | None" = None,
     ) -> "ProvenanceIndex":
         """Link a run's ledger and evidence to its fits and
-        convergence records."""
-        pairs = ledger.combinations(evidence)
+        convergence records.
+
+        ``previous`` is an earlier index of ``ledger``: a combination
+        whose evidence block and sample stamp are still the very ones
+        its block there was built from keeps that block, so only the
+        combinations that changed since are built again."""
+        carried = {} if previous is None else previous._sources
+        pairs = {}
+        sources = {}
+        for key, block in evidence.blocks().items():
+            # Blocks and stamps compare by identity.
+            sources[key] = source = (block, ledger.stamp(key))
+            if carried.get(key) == source:
+                pairs[key] = previous._pairs[key]
+            else:
+                pairs[key] = ledger.lineage(key, block)
         models: dict[PropertyTypeKey, ModelParameters] = {}
         by_text: dict[str, PropertyTypeKey] = {}
         if result is not None:
@@ -456,12 +380,19 @@ class ProvenanceIndex:
                 "converged": record.converged,
                 "degraded": record.degraded,
             }
-        return cls(
+        index = cls(
             pairs,
             models,
             summaries,
             samples_per_polarity=ledger.samples_per_polarity,
         )
+        index._sources = sources
+        return index
+
+    def block(self, key: PropertyTypeKey) -> dict[str, PairProvenance]:
+        """One combination's pairs, ``{entity_id: pair}``; the same
+        object while the combination is carried (do not change it)."""
+        return self._pairs.get(key, {})
 
     # ------------------------------------------------------------------
     # Lookups
@@ -482,9 +413,6 @@ class ProvenanceIndex:
 
     def keys(self) -> list[PropertyTypeKey]:
         return list(self._pairs)
-
-    def entities_for(self, key: PropertyTypeKey) -> list[str]:
-        return sorted(self._pairs.get(key, {}))
 
     def models(self) -> dict[PropertyTypeKey, ModelParameters]:
         return dict(self._models)

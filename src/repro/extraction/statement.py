@@ -13,6 +13,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..core.types import (
+    EvidenceBlock,
     EvidenceCounts,
     Polarity,
     PropertyTypeKey,
@@ -50,17 +51,25 @@ class EvidenceStatement:
 
 
 class EvidenceCounter:
-    """Accumulates statements into per-pair evidence tuples.
+    """Accumulates statements into per-pair evidence tuples, one block
+    per combination.
 
-    Plain nested dicts (not defaultdicts with closures) so counters
-    pickle cleanly across process-pool workers.
+    Writes land in plain nested dicts (cheap per statement, and they
+    pickle cleanly across process-pool workers). Each combination's
+    :class:`~repro.core.types.EvidenceBlock` is built on first read
+    and kept until a write touches the combination, so a merge
+    replaces exactly the blocks of the combinations it touched: the
+    same block object read twice means an unchanged combination.
     """
 
     def __init__(self) -> None:
         self._counts: dict[PropertyTypeKey, dict[str, list[int]]] = {}
+        self._blocks: dict[PropertyTypeKey, EvidenceBlock] = {}
         self._n_statements = 0
 
     def _slot(self, key: PropertyTypeKey, entity_id: str) -> list[int]:
+        if self._blocks:
+            self._blocks.pop(key, None)
         per_entity = self._counts.get(key)
         if per_entity is None:
             per_entity = {}
@@ -143,8 +152,21 @@ class EvidenceCounter:
     def as_evidence(
         self,
     ) -> dict[PropertyTypeKey, dict[str, EvidenceCounts]]:
-        """The full nested mapping Surveyor's driver consumes."""
+        """The full nested mapping of per-pair tuples (the mining
+        reduce's grouping; the ingest cycle reads :meth:`blocks`)."""
         return {key: self.counts_for(key) for key in self._counts}
+
+    def blocks(self) -> dict[PropertyTypeKey, EvidenceBlock]:
+        """Every combination's evidence block, in :meth:`keys` order;
+        only the blocks a write dropped since the last read are built."""
+        blocks = self._blocks
+        view = {}
+        for key, per_entity in self._counts.items():
+            block = blocks.get(key)
+            if block is None:
+                block = blocks[key] = EvidenceBlock.of(per_entity)
+            view[key] = block
+        return view
 
     def get(self, key: PropertyTypeKey, entity_id: str) -> EvidenceCounts:
         pos, neg = self._counts.get(key, {}).get(entity_id, (0, 0))
@@ -152,7 +174,4 @@ class EvidenceCounter:
 
     def statements_per_key(self) -> dict[PropertyTypeKey, int]:
         """Total statement count per property-type combination."""
-        return {
-            key: sum(pos + neg for pos, neg in per_entity.values())
-            for key, per_entity in self._counts.items()
-        }
+        return {key: block.total for key, block in self.blocks().items()}

@@ -39,14 +39,17 @@ opinion table without re-running the batch pipeline:
    fails part way takes the running state back to the checkpoint the
    same way, so no document is folded twice.
 
-Lineage and opinions cost what the batch touched: the running ledger
-keeps the frozen view and JSON text of every pair the batch left
-alone, so the state save, the sidecar and
-:meth:`ProvenanceIndex.from_run` rebuild and re-encode only the
-changed pairs; a carried opinion block is shared with the previous
-table, so the drift report, the serving index and the opinions file
-redo only the blocks that changed. Each writes the bytes of a cold
-encode (docs/ingestion.md, "Cost model").
+A cycle costs what its batch touched, one combination block at a
+time. The merge replaces the evidence blocks of the combinations the
+batch touched and keeps the others by identity
+(:meth:`EvidenceCounter.blocks`). ``Surveyor.run`` reads a clean
+combination's total from its block and takes its cached fit and its
+opinion block unchanged; :meth:`ProvenanceIndex.from_run` keeps the
+lineage block of every combination whose evidence block and samples
+are unchanged; the drift report, the serving index, the opinions file
+and the sidecar redo only the blocks that changed. Each writes the
+bytes of a cold encode (docs/ingestion.md, "Cost model"). Only the
+checkpoint encodes the running state whole.
 
 Warm starts (``warm_start=True``) seed a dirty combination's EM from
 its cached parameters. After a small append the cached point is near
@@ -84,7 +87,7 @@ from ..nlp.annotate import Annotator
 from ..nlp.prefilter import DEFAULT_MEMO_SIZE
 from ..obs.convergence import records_from_result
 from ..obs.manifest import manifest_path_for, publish_table, read_manifest
-from ..storage import OpinionRows
+from ..storage import LineageRows, OpinionRows
 from .journal import CorpusJournal, JournalRecord
 from .state import IngestState, load_state, save_state
 
@@ -167,8 +170,10 @@ class IngestPipeline:
             fast_path=self.fast_path,
             memo_size=self.annotation_memo_size,
         )
-        # The opinion rows publish last wrote, per block.
+        # The opinion rows and lineage pairs publish last wrote, per
+        # combination block.
         self._rows = OpinionRows()
+        self._lineage = LineageRows()
         self._restore(self._published_point())
 
     def _restore(self, point: tuple[int, int] | None) -> None:
@@ -186,8 +191,10 @@ class IngestPipeline:
             point = None
         self._resume = point
         # The last advance's result, not the served table (a reload or
-        # rollback may have replaced that): its clean blocks carry.
+        # rollback may have replaced that), and its lineage: their
+        # clean blocks carry.
         self._previous: SurveyorResult | None = None
+        self._index: ProvenanceIndex | None = None
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -311,9 +318,9 @@ class IngestPipeline:
         # written.
         index = None
         if self.provenance:
-            index = ProvenanceIndex.from_run(
+            index = self._index = ProvenanceIndex.from_run(
                 self.state.ledger, self.state.evidence,
-                result, records_from_result(result),
+                result, records_from_result(result), self._index,
             )
         return IngestReport(
             documents=len(records),
@@ -351,16 +358,21 @@ class IngestPipeline:
         cache = self.state.fits
         refitted = 0
 
-        def fit(key, per_entity) -> FittedCombination:
+        def fit(key, block) -> FittedCombination:
             nonlocal refitted
             cached = cache.get(key)
             if cached is not None and key not in dirty:
                 return cached
             refitted += 1
-            return self._fit_one(surveyor, key, per_entity, cached)
+            fitter = surveyor
+            if self.warm_start and cached and not cached.trace.degraded:
+                fitter = replace(surveyor, learner=replace(
+                    self.learner, initial_parameters=cached.parameters
+                ))
+            return fitter.fit_combination(key, block)
 
         result = surveyor.run(
-            self.state.evidence.as_evidence(),
+            self.state.evidence.blocks(),
             fit=fit,
             previous=self._previous,
             dirty=dirty,
@@ -370,27 +382,6 @@ class IngestPipeline:
             cache.pop(key, None)
         cache.update(result.fits)
         return result, refitted, len(result.fits) - refitted
-
-    def _fit_one(
-        self,
-        surveyor: Surveyor,
-        key: PropertyTypeKey,
-        per_entity: dict,
-        cached: FittedCombination | None,
-    ) -> FittedCombination:
-        if (
-            self.warm_start
-            and cached is not None
-            and not cached.trace.degraded
-        ):
-            warm = replace(
-                surveyor,
-                learner=replace(
-                    self.learner, initial_parameters=cached.parameters
-                ),
-            )
-            return warm.fit_combination(key, per_entity)
-        return surveyor.fit_combination(key, per_entity)
 
     # ------------------------------------------------------------------
     # Publication
@@ -431,6 +422,7 @@ class IngestPipeline:
             ),
             provenance=report.provenance,
             rows=self._rows,
+            lineage=self._lineage,
         )
         return out
 

@@ -19,8 +19,10 @@ single-node WAL uses:
 * **Monotonic offsets.** Every record carries the next integer offset;
   ``replay(after=n)`` resumes exactly where a consumer's applied
   watermark left off. Appending at-or-below the committed tail raises
-  :class:`DuplicateOffsetError` — the guard that catches two writers
-  (or one writer with a stale view) sharing a journal directory.
+  :class:`DuplicateOffsetError`; appending through a view that another
+  writer has since overtaken (the tail segment on disk is not what
+  this instance last saw) raises :class:`JournalError`, so two writers
+  sharing a directory never commit the same offset twice.
 
 Record wire format (one record)::
 
@@ -193,6 +195,13 @@ def _corrupt(context: str, position: int, reason: str) -> JournalError:
     )
 
 
+def _disk_tail(segments: list[Path]) -> tuple[str, int] | None:
+    """(name, size) of the last of ``segments``; None when empty."""
+    if not segments:
+        return None
+    return segments[-1].name, segments[-1].stat().st_size
+
+
 def _fsync_dir(directory: Path) -> None:
     fd = os.open(directory, os.O_RDONLY)
     try:
@@ -303,8 +312,7 @@ class CorpusJournal:
         self._segment_list = segments
         self._last_offset = last_offset
         self._n_records = total
-        if segments:
-            self._tail = (segments[-1].name, segments[-1].stat().st_size)
+        self._tail = _disk_tail(segments)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -326,32 +334,27 @@ class CorpusJournal:
         """Whether the segments on disk changed since this instance
         last opened or appended to them: another writer appended, so
         this view's offsets are stale and it must be reopened before
-        it appends."""
-        segments = self._segments()
-        if not segments:
-            return self._tail is not None
-        return self._tail != (segments[-1].name, segments[-1].stat().st_size)
+        it appends (:meth:`append` refuses until then)."""
+        return _disk_tail(self._segments()) != self._tail
 
     # ------------------------------------------------------------------
     # Append
     # ------------------------------------------------------------------
     def _tail_segment(self) -> Path:
         segments = self._segments()
-        if segments:
-            tail = segments[-1]
-            if tail.stat().st_size < self.max_segment_bytes:
-                return tail
-            next_index = (
-                int(
-                    tail.name[
-                        len(JOURNAL_SEGMENT_PREFIX):
-                        -len(JOURNAL_SEGMENT_SUFFIX)
-                    ]
-                )
-                + 1
+        tail = _disk_tail(segments)
+        if tail != self._tail:
+            raise JournalError(
+                f"{self.directory}: the segments on disk changed since "
+                "this journal was opened (another writer appended); "
+                "reopen it before appending"
             )
-        else:
-            next_index = 0
+        next_index = 0
+        if tail is not None:
+            if tail[1] < self.max_segment_bytes:
+                return segments[-1]
+            number = tail[0][len(JOURNAL_SEGMENT_PREFIX):]
+            next_index = int(number[:-len(JOURNAL_SEGMENT_SUFFIX)]) + 1
         fresh = self.directory / _segment_name(next_index)
         fresh.touch()
         if self.fsync:
@@ -369,7 +372,9 @@ class CorpusJournal:
         ``offsets`` (normally omitted) lets a replicating caller pin
         explicit offsets; they must be strictly increasing and above
         the committed tail, otherwise :class:`DuplicateOffsetError` —
-        nothing is written in that case.
+        nothing is written in that case. Nothing is written either,
+        and :class:`JournalError` raised, when another writer appended
+        since this instance opened or last appended (:meth:`behind_disk`).
         """
         if self._dirty:
             raise JournalError(
@@ -453,11 +458,12 @@ class CorpusJournal:
         while start < total:
             ordinal = self._idx_segment[start]
             segment = self._segment_list[ordinal]
+            # Read from the first wanted record on, not the segment.
+            with segment.open("rb") as handle:
+                handle.seek(self._idx_position[start])
+                data = handle.read()
             entries, _ = _scan_segment(
-                segment.read_bytes(),
-                str(segment),
-                allow_torn_tail=True,
-                start=self._idx_position[start],
+                data, str(segment), allow_torn_tail=True
             )
             for _, record in entries:
                 yield record

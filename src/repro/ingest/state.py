@@ -76,11 +76,6 @@ a reloaded :class:`~repro.core.params.ModelParameters` is bit-identical
 to the fitted one, and opinions recomputed from it match a fresh batch
 run byte for byte. The only lossy field is the EM ``parameters_path``
 (recorded-path debugging data, empty by default), which is dropped.
-
-The ledger's part of the file is assembled from the pairs' cached
-JSON text (:meth:`~repro.extraction.provenance.PairProvenance.to_json`),
-so a save re-encodes only the lineage pairs changed since the last
-one; the bytes are those of encoding the decoded payload whole.
 """
 
 from __future__ import annotations
@@ -94,14 +89,12 @@ from ..core.params import ModelParameters
 from ..core.surveyor import FittedCombination
 from ..core.types import PropertyTypeKey
 from ..extraction.extractor import ExtractionStats
-from ..extraction.provenance import PairProvenance, ProvenanceLedger
+from ..extraction.provenance import ProvenanceLedger
 from ..extraction.statement import EvidenceCounter
 from ..storage.serialize import (
     FORMAT_VERSION,
-    PairRow,
     _atomic_write_json,
     _key_from_str,
-    _key_to_str,
     evidence_from_dict,
     evidence_to_dict,
     ledger_from_dict,
@@ -168,9 +161,7 @@ class IngestState:
         """True before any document has ever been applied."""
         return self.applied_offset < 0 and self.generation == 0
 
-    def to_dict(
-        self, pair_row: PairRow = PairProvenance.to_dict
-    ) -> dict[str, Any]:
+    def to_dict(self) -> dict[str, Any]:
         return {
             "format": "ingest_state",
             "version": FORMAT_VERSION,
@@ -187,10 +178,10 @@ class IngestState:
             "ledger": (
                 None
                 if self.ledger is None
-                else ledger_to_dict(self.ledger, self.evidence, pair_row)
+                else ledger_to_dict(self.ledger, self.evidence)
             ),
             "fits": {
-                _key_to_str(key): _fit_to_dict(fit)
+                key.text: _fit_to_dict(fit)
                 for key, fit in sorted(
                     self.fits.items(), key=lambda item: str(item[0])
                 )
@@ -236,7 +227,7 @@ def save_state(state: IngestState, journal_dir: str | Path) -> Path:
     """Checkpoint ``state`` into ``journal_dir`` (fsynced, atomic)."""
     return _atomic_write_json(
         state_path_for(journal_dir),
-        state.to_dict(PairProvenance.to_json),
+        state.to_dict(),
         durable=True,
     )
 

@@ -22,11 +22,10 @@ on two artefact files offline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any
 
 from ..core.result import OpinionTable
-from ..core.types import Opinion, PropertyTypeKey
-from ..storage.serialize import _key_to_str
 from .histogram import StreamingHistogram
 
 DRIFT_FORMAT = "generation_drift"
@@ -152,85 +151,60 @@ def compare_tables(
 ) -> DriftReport:
     """Diff two opinion tables; deterministic for given inputs.
 
-    Iteration follows the *after* table's sorted pair order, so flip
-    examples and per-property rollups are stable run to run.
+    Combinations are diffed one block at a time, in key-text order,
+    by entity id within the block, so flip examples and per-property
+    rollups are stable run to run.
 
     A combination whose block is the same object in both tables (an
     ingest carried it forward) has every pair in common with a zero
-    delta and no flip, so it is counted in bulk; only the other
-    blocks are diffed pair by pair.
+    delta and no flip, so it is counted in bulk.
     """
     histogram = StreamingHistogram()
     per_property: dict[str, PropertyDrift] = {}
-
-    def rollup(key: PropertyTypeKey) -> PropertyDrift:
-        text = _key_to_str(key)
-        drift = per_property.get(text)
-        if drift is None:
-            drift = PropertyDrift()
-            per_property[text] = drift
-        return drift
-
-    common = flips = 0
-    after_pairs: dict[tuple[PropertyTypeKey, str], Opinion] = {}
-    for key in after.keys():
-        block = after.block(key)
-        if before.block(key) is block:
-            common += len(block)
-            rollup(key).common += len(block)
-            histogram.observe(0.0, count=len(block))
-        else:
-            for opinion in block:
-                after_pairs[(key, opinion.entity_id)] = opinion
-    before_pairs = {
-        (key, opinion.entity_id): opinion
-        for key in before.keys()
-        if (block := before.block(key)) is not after.block(key)
-        for opinion in block
-    }
-
+    common = flips = removed = 0
     delta_max = 0.0
     flip_examples: list[dict[str, Any]] = []
-    ordered = sorted(
-        after_pairs,
-        key=lambda pair: (_key_to_str(pair[0]), pair[1]),
-    )
-    for pair in ordered:
-        old = before_pairs.get(pair)
-        new = after_pairs[pair]
-        drift = rollup(pair[0])
-        if old is None:
-            drift.added += 1
+    keys = dict.fromkeys((*after.keys(), *before.keys()))
+    for key in sorted(keys, key=attrgetter("text")):
+        key_text = key.text
+        drift = per_property.get(key_text)
+        if drift is None:
+            drift = per_property[key_text] = PropertyDrift()
+        block, prior = after.block(key), before.block(key)
+        if block is prior:
+            common += len(block)
+            drift.common += len(block)
+            histogram.observe(0.0, count=len(block))
             continue
-        common += 1
-        drift.common += 1
-        delta = abs(new.probability - old.probability)
-        drift.delta_sum += delta
-        histogram.observe(delta)
-        if delta > delta_max:
-            delta_max = delta
-        if new.polarity is not old.polarity:
-            flips += 1
-            drift.flips += 1
-            if len(flip_examples) < max_examples:
-                flip_examples.append(
-                    {
-                        "entity": pair[1],
-                        "key": _key_to_str(pair[0]),
-                        "before": round(old.probability, 6),
-                        "after": round(new.probability, 6),
-                        "before_polarity": str(old.polarity),
-                        "after_polarity": str(new.polarity),
-                    }
-                )
-    removed = 0
-    for pair in sorted(
-        before_pairs,
-        key=lambda pair: (_key_to_str(pair[0]), pair[1]),
-    ):
-        if pair not in after_pairs:
-            removed += 1
-            rollup(pair[0]).removed += 1
+        olds = {opinion.entity_id: opinion for opinion in prior}
+        for new in sorted(block, key=attrgetter("entity_id")):
+            old = olds.pop(new.entity_id, None)
+            if old is None:
+                drift.added += 1
+                continue
+            common += 1
+            drift.common += 1
+            delta = abs(new.probability - old.probability)
+            drift.delta_sum += delta
+            histogram.observe(delta)
+            if delta > delta_max:
+                delta_max = delta
+            if new.polarity is not old.polarity:
+                flips += 1
+                drift.flips += 1
+                if len(flip_examples) < max_examples:
+                    flip_examples.append(
+                        {
+                            "entity": new.entity_id,
+                            "key": key_text,
+                            "before": round(old.probability, 6),
+                            "after": round(new.probability, 6),
+                            "before_polarity": str(old.polarity),
+                            "after_polarity": str(new.polarity),
+                        }
+                    )
+        removed += len(olds)
+        drift.removed += len(olds)
     return DriftReport(
         pairs_before=len(before),
         pairs_after=len(after),

@@ -113,18 +113,20 @@ def publish_table(
     duration_seconds: float,
     provenance: ProvenanceIndex | None = None,
     rows: serialize.OpinionRows | None = None,
+    lineage: serialize.LineageRows | None = None,
     health: Any = None,
     outputs: dict[str, str] | None = None,
 ) -> Path:
     """Write ``table`` at ``out`` (through ``rows`` when given), its
-    lineage sidecar when there is ``provenance``, and last the run
+    lineage sidecar when there is ``provenance`` (through
+    ``lineage``), and last the run
     manifest, whose ``outputs`` lists those files plus ``outputs``.
     Each write is atomic. Returns the manifest's path."""
     written = {"opinions": str(out)}
     serialize.save(table, out, rows=rows)
     if provenance is not None:
         sidecar = serialize.provenance_path_for(out)
-        serialize.save(provenance, sidecar)
+        serialize.save(provenance, sidecar, rows=lineage)
         written["provenance"] = str(sidecar)
     manifest = build_manifest(
         command=command,

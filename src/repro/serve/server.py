@@ -379,13 +379,17 @@ class OpinionService:
         """The live snapshot (one atomic attribute read)."""
         return self._live.index
 
-    def _next_index(self, table: OpinionTable) -> OpinionIndex:
+    def _next_index(
+        self, table: OpinionTable, generation: int = 0
+    ) -> OpinionIndex:
         # Blocks the candidate shares with the live table (an ingest
-        # carried them forward) keep the live index's postings.
+        # carried them forward) keep the live index's postings. An
+        # ingest passes its pipeline's generation (siblings under
+        # --workers N advance it too); the index is never numbered
+        # below live + 1, so no cached answer of the live one is kept.
         live = self._live.index
-        return OpinionIndex(
-            table, generation=live.generation + 1, previous=live
-        )
+        generation = max(generation, live.generation + 1)
+        return OpinionIndex(table, generation=generation, previous=live)
 
     def swap(
         self,
@@ -493,7 +497,7 @@ class OpinionService:
         )
 
     def _validate_candidate(
-        self, table: OpinionTable, source: Path
+        self, table: OpinionTable, source: Path, generation: int = 0
     ) -> OpinionIndex:
         """Vet a candidate artefact before it can touch live traffic.
 
@@ -518,7 +522,7 @@ class OpinionService:
                     f"{source} has a posterior outside [0, 1] for "
                     f"entity {opinion.entity_id!r}"
                 )
-        index = self._next_index(table)
+        index = self._next_index(table, generation)
         smoke_key = table.keys()[0]
         if not (
             index.entities_with(smoke_key, Polarity.POSITIVE)
@@ -755,6 +759,7 @@ class OpinionService:
                                 if out is not None
                                 else pipeline.journal.directory
                             ),
+                            generation=report.generation,
                         )
                     except ValueError as error:
                         raise ServeError(

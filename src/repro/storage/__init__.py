@@ -1,8 +1,7 @@
 """Versioned JSON persistence for mined artefacts.
 
 The re-exports resolve on first access, so importing
-``repro.storage.canonical`` (as the lineage layer does, which
-``serialize`` itself imports) runs no codec import and no cycle.
+``repro.storage.canonical`` runs no codec import and no cycle.
 """
 
 from .._exports import lazy_exports
@@ -11,6 +10,7 @@ __getattr__, __dir__ = lazy_exports(__name__, {
     ".serialize": (
         "FORMAT_VERSION",
         "FormatError",
+        "LineageRows",
         "OpinionRows",
         "evidence_from_dict",
         "evidence_to_dict",
@@ -40,6 +40,7 @@ __all__ = [
     "provenance_to_dict",
     "FORMAT_VERSION",
     "FormatError",
+    "LineageRows",
     "OpinionRows",
     "evidence_from_dict",
     "evidence_to_dict",

@@ -14,14 +14,13 @@ metrics), is written by :func:`_atomic_write_json` and opened by
 :func:`load`, which turns anything undecodable, malformed or of the
 wrong kind into one :class:`FormatError` naming the file.
 
-The codecs that carry lineage pairs (the sidecar, shard checkpoints
-and the ingest state) take a ``pair_row`` that renders each
-:class:`PairProvenance`: its decoded row by default, or its cached
-canonical text (:meth:`PairProvenance.to_json`) on the write path,
-which the writer splices. Both give the same bytes; the second
-encodes only the pairs that changed since they were last written.
-:func:`opinions_to_dict` does the same per combination block when
-given an :class:`OpinionRows`.
+A writer that publishes one generation after another (the ingest
+pipeline) passes a :class:`BlockText` per artefact:
+:func:`opinions_to_dict` takes an :class:`OpinionRows` and
+:func:`provenance_to_dict` a :class:`LineageRows`. Each keeps the
+canonical text of every combination block it rendered, and a later
+generation holding the very same block object splices that text. The
+bytes are those of encoding the decoded payload whole.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from __future__ import annotations
 import importlib
 import json
 import os
-from collections.abc import Callable
-from functools import partial
+from collections.abc import Iterable
 from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import Any
@@ -53,9 +51,6 @@ from ..extraction.statement import EvidenceCounter
 from ..kb.entity import Entity
 from ..kb.knowledge_base import KnowledgeBase
 from .canonical import Encoded, encode
-
-#: Renders one lineage pair in a payload (see the module docstring).
-PairRow = Callable[[PairProvenance], Any]
 
 #: The one envelope version every artefact kind is written with.
 FORMAT_VERSION = 1
@@ -82,10 +77,6 @@ def _check_version(payload: dict, kind: str) -> None:
         raise FormatError(
             f"{kind}: unsupported version {payload.get('version')!r}"
         )
-
-
-def _key_to_str(key: PropertyTypeKey) -> str:
-    return f"{key.property.text}|{key.entity_type}"
 
 
 def _key_from_str(text: str) -> PropertyTypeKey:
@@ -142,18 +133,18 @@ def kb_from_dict(payload: dict[str, Any]) -> KnowledgeBase:
 # ---------------------------------------------------------------------------
 
 def evidence_to_dict(counter: EvidenceCounter) -> dict[str, Any]:
-    combinations = {}
-    for key in counter.keys():
-        combinations[_key_to_str(key)] = {
-            entity_id: [counts.positive, counts.negative]
-            for entity_id, counts in sorted(
-                counter.counts_for(key).items()
-            )
-        }
     return {
         "format": "evidence",
         "version": FORMAT_VERSION,
-        "combinations": combinations,
+        "combinations": {
+            key.text: {
+                entity_id: [positive, negative]
+                for entity_id, positive, negative in zip(
+                    block.ids, block.positive, block.negative
+                )
+            }
+            for key, block in counter.blocks().items()
+        },
     }
 
 
@@ -207,7 +198,7 @@ def parameters_to_dict(
         "format": "parameters",
         "version": FORMAT_VERSION,
         "combinations": {
-            _key_to_str(key): {
+            key.text: {
                 "agreement": value.agreement,
                 "rate_positive": value.rate_positive,
                 "rate_negative": value.rate_negative,
@@ -241,32 +232,34 @@ def parameters_from_dict(
 # verdict. Powers `repro explain` and the server's `/explain`.
 
 def provenance_to_dict(
-    index: ProvenanceIndex, pair_row: PairRow = PairProvenance.to_dict
+    index: ProvenanceIndex, rows: LineageRows | None = None
 ) -> dict[str, Any]:
-    pairs = {}
-    for key in index.keys():
-        pairs[_key_to_str(key)] = {
-            entity_id: pair_row(index.for_pair(key, entity_id))
-            for entity_id in index.entities_for(key)
-        }
+    """The sidecar payload; with ``rows``, each combination's pairs
+    come as canonical text, which :func:`_atomic_write_json` splices
+    into the same bytes."""
+    keys = index.keys()
+    if rows is None:
+        blocks = [_lineage_row(index.block(key)) for key in keys]
+    else:
+        blocks = [
+            Encoded(text)
+            for text in rows((key.text, index.block(key)) for key in keys)
+        ]
     return {
         "format": "provenance",
         "version": FORMAT_VERSION,
         "samples_per_polarity": index.samples_per_polarity,
-        "pairs": pairs,
-        "models": {
-            _key_to_str(key): {
-                "agreement": value.agreement,
-                "rate_positive": value.rate_positive,
-                "rate_negative": value.rate_negative,
-            }
-            for key, value in index.models().items()
-        },
+        "pairs": dict(zip([key.text for key in keys], blocks)),
+        "models": parameters_to_dict(index.models())["combinations"],
         "convergence": {
-            _key_to_str(key): summary
+            key.text: summary
             for key, summary in index.convergence().items()
         },
     }
+
+
+def _lineage_row(pairs: dict[str, PairProvenance]) -> dict[str, Any]:
+    return {entity_id: pair.to_dict() for entity_id, pair in pairs.items()}
 
 
 def provenance_from_dict(payload: dict[str, Any]) -> ProvenanceIndex:
@@ -277,14 +270,9 @@ def provenance_from_dict(payload: dict[str, Any]) -> ProvenanceIndex:
             entity_id: PairProvenance.from_dict(row)
             for entity_id, row in per_entity.items()
         }
-    models = {
-        _key_from_str(key_text): ModelParameters(
-            agreement=row["agreement"],
-            rate_positive=row["rate_positive"],
-            rate_negative=row["rate_negative"],
-        )
-        for key_text, row in payload.get("models", {}).items()
-    }
+    models = parameters_from_dict(
+        {"combinations": payload.get("models", {})}
+    )
     convergence = {
         _key_from_str(key_text): dict(summary)
         for key_text, summary in payload.get(
@@ -309,9 +297,7 @@ def provenance_path_for(artefact: str | Path) -> Path:
 
 
 def ledger_to_dict(
-    ledger: ProvenanceLedger,
-    evidence: EvidenceCounter,
-    pair_row: PairRow = PairProvenance.to_dict,
+    ledger: ProvenanceLedger, evidence: EvidenceCounter
 ) -> dict[str, Any]:
     """A provenance ledger as checkpoint-embeddable primitives: a row
     per pair of ``evidence``, with its totals and the ledger's samples.
@@ -323,11 +309,8 @@ def ledger_to_dict(
     return {
         "samples_per_polarity": ledger.samples_per_polarity,
         "pairs": {
-            _key_to_str(key): {
-                entity_id: pair_row(pair)
-                for entity_id, pair in per_entity.items()
-            }
-            for key, per_entity in ledger.combinations(evidence).items()
+            key.text: _lineage_row(pairs)
+            for key, pairs in ledger.combinations(evidence).items()
         },
     }
 
@@ -365,7 +348,6 @@ def shard_checkpoint_to_dict(
     counter: EvidenceCounter,
     dead_letters: list[dict[str, str]] | tuple = (),
     provenance: ProvenanceLedger | None = None,
-    pair_row: PairRow = PairProvenance.to_dict,
 ) -> dict[str, Any]:
     payload = {
         "format": "shard_checkpoint",
@@ -375,9 +357,7 @@ def shard_checkpoint_to_dict(
         "dead_letters": [dict(letter) for letter in dead_letters],
     }
     if provenance is not None:
-        payload["provenance"] = ledger_to_dict(
-            provenance, counter, pair_row
-        )
+        payload["provenance"] = ledger_to_dict(provenance, counter)
     return payload
 
 
@@ -427,13 +407,7 @@ def save_shard_checkpoint(
     """
     return _atomic_write_json(
         path,
-        shard_checkpoint_to_dict(
-            shard_id,
-            counter,
-            dead_letters,
-            provenance,
-            PairProvenance.to_json,
-        ),
+        shard_checkpoint_to_dict(shard_id, counter, dead_letters, provenance),
     )
 
 
@@ -467,47 +441,82 @@ def _opinion_row(opinion: Opinion, key_text: str) -> dict[str, Any]:
     }
 
 
-class OpinionRows:
-    """Opinion rows as canonical text, for a writer that publishes one
-    generation after another (the ingest pipeline owns one).
+class BlockText:
+    """Canonical text per combination block, for a writer that
+    publishes one generation after another (the ingest pipeline keeps
+    one per artefact).
 
-    Keeps each combination block's row text for the table it last
-    rendered. A block is never changed, so a later table that holds
-    the very block object (an ingest carried it forward) splices the
-    kept text; only the other blocks are encoded again.
+    Keeps the text of each block it rendered (a subclass's
+    ``render(key_text, block)``) against the block object. A block is
+    never changed, so a later generation that holds the very same
+    object (an ingest carried it forward) splices the kept text.
     """
 
     def __init__(self) -> None:
-        self._kept: dict[
-            PropertyTypeKey, tuple[tuple[Opinion, ...], str]
-        ] = {}
+        self._kept: dict[str, tuple[Any, str]] = {}
 
-    def __call__(self, table: OpinionTable) -> Encoded | None:
+    def __call__(self, blocks: Iterable[tuple[str, Any]]) -> list[str]:
+        """The text of each ``(key_text, block)``, in order; only
+        these blocks are kept for the next call."""
+        kept, self._kept = self._kept, {}
+        texts = []
+        for key_text, block in blocks:
+            entry = kept.get(key_text)
+            if entry is None or entry[0] is not block:
+                entry = (block, self.render(key_text, block))
+            self._kept[key_text] = entry
+            texts.append(entry[1])
+        return texts
+
+
+class OpinionRows(BlockText):
+    """An opinion block's rows, as items of the ``opinions`` list."""
+
+    def render(self, key_text: str, block: tuple[Opinion, ...]) -> str:
+        return encode([
+            _opinion_row(opinion, key_text)
+            for opinion in sorted(block, key=attrgetter("entity_id"))
+        ])[1:-1]
+
+    def table(self, table: OpinionTable) -> Encoded | None:
         """The ``opinions`` list of ``table`` as canonical text;
         ``None`` when two combinations share a key text, since their
         rows then interleave."""
         keys = sorted(
-            ((_key_to_str(key), key) for key in table.keys()),
-            key=itemgetter(0),
+            ((key.text, key) for key in table.keys()), key=itemgetter(0)
         )
         if len({text for text, _ in keys}) < len(keys):
             return None
-        kept, self._kept = self._kept, {}
-        texts = []
-        for key_text, key in keys:
-            block = table.block(key)
-            entry = kept.get(key)
-            if entry is None or entry[0] is not block:
-                rows = [
-                    _opinion_row(opinion, key_text)
-                    for opinion in sorted(
-                        block, key=attrgetter("entity_id")
-                    )
-                ]
-                entry = (block, encode(rows)[1:-1])
-            self._kept[key] = entry
-            texts.append(entry[1])
-        return Encoded("[" + ",".join(texts) + "]")
+        return Encoded("[" + ",".join(self(
+            (text, table.block(key)) for text, key in keys
+        )) + "]")
+
+
+class LineageRows(BlockText):
+    """A lineage block's ``{entity_id: row}`` object of the sidecar.
+
+    A batch rebuilds the lineage block of each combination it touched
+    but changes few of its pairs (~6 of ~77 a cycle on the
+    ``ingest_live`` world), so a pair equal to the one the
+    combination's last render held splices that row's text.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._rows: dict[str, dict[str, tuple[PairProvenance, str]]] = {}
+
+    def render(
+        self, key_text: str, block: dict[str, PairProvenance]
+    ) -> str:
+        kept = self._rows.get(key_text, {})
+        rows = {}
+        for entity_id, pair in block.items():
+            row = kept.get(entity_id)
+            if row is None or row[0] != pair:
+                row = (pair, Encoded(encode(pair.to_dict())))
+            rows[entity_id] = row
+        self._rows[key_text] = rows
+        return encode({entity_id: row[1] for entity_id, row in rows.items()})
 
 
 def opinions_to_dict(
@@ -517,10 +526,10 @@ def opinions_to_dict(
     combination key text, then entity. With ``rows``, the rows come as
     canonical text, block by block, which :func:`_atomic_write_json`
     splices into the same bytes."""
-    opinions = None if rows is None else rows(table)
+    opinions = None if rows is None else rows.table(table)
     if opinions is None:
         opinions = [
-            _opinion_row(opinion, _key_to_str(opinion.key))
+            _opinion_row(opinion, opinion.key.text)
             for opinion in table
         ]
         opinions.sort(key=lambda row: (row["key"], row["entity"]))
@@ -531,7 +540,7 @@ def opinions_to_dict(
         # Combinations whose EM fit fell back to majority vote; query
         # surfaces flag their answers as degraded.
         "degraded": sorted(
-            _key_to_str(key) for key in table.degraded_keys
+            key.text for key in table.degraded_keys
         ),
     }
 
@@ -562,9 +571,8 @@ def opinions_from_dict(payload: dict[str, Any]) -> OpinionTable:
 _SAVERS = {
     KnowledgeBase: kb_to_dict,
     EvidenceCounter: evidence_to_dict,
-    ProvenanceIndex: partial(
-        provenance_to_dict, pair_row=PairProvenance.to_json
-    ),
+    OpinionTable: opinions_to_dict,
+    ProvenanceIndex: provenance_to_dict,
 }
 
 #: Every artefact kind :func:`load` opens: its ``format`` tag, what an
@@ -633,20 +641,20 @@ def _atomic_write_json(
 
 
 def save(
-    obj: Any, path: str | Path, rows: OpinionRows | None = None
+    obj: Any, path: str | Path, rows: BlockText | None = None
 ) -> Path:
-    """Serialize a KB, evidence counter, opinion table, or a
-    ``{key: ModelParameters}`` mapping to a JSON file. An opinion
-    table's rows go through ``rows`` when given (a writer of one
-    generation after another passes its own)."""
+    """Serialize a KB, evidence counter, opinion table, lineage index,
+    or a ``{key: ModelParameters}`` mapping to a JSON file. A table's
+    or an index's blocks go through ``rows`` when given (a writer of
+    one generation after another passes its own)."""
     if isinstance(obj, dict):
         payload = parameters_to_dict(obj)
-    elif isinstance(obj, OpinionTable):
-        payload = opinions_to_dict(obj, rows)
     else:
         for cls, saver in _SAVERS.items():
             if isinstance(obj, cls):
-                payload = saver(obj)
+                payload = (
+                    saver(obj) if rows is None else saver(obj, rows)
+                )
                 break
         else:
             raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -89,11 +89,8 @@ def _payloads():
         Opinion("/city/tokyo", VERY_BIG, 0.12, EvidenceCounts(0, 4)),
     ])
     table.mark_degraded(VERY_BIG)
-    pairs: dict = {}
-    for key, entity_id, pair in ledger.pairs(counter):
-        pairs.setdefault(key, {})[entity_id] = pair
     lineage = ProvenanceIndex(
-        pairs,
+        ledger.combinations(counter),
         {CUTE: model},
         {CUTE: {"verdict": "converged", "iterations": 4}},
     )

@@ -225,6 +225,41 @@ class TestJournal:
         assert journal.last_offset == 1
         assert journal.n_records == 2
 
+    def test_a_second_writer_makes_the_first_refuse(self, tmp_path, small_kb):
+        def pipeline():
+            return IngestPipeline(
+                kb=small_kb,
+                journal=CorpusJournal(tmp_path / "j"),
+                occurrence_threshold=1,
+            )
+
+        first = pipeline()
+        first.ingest(docs("Kittens are cute.", prefix="a"))
+        second = pipeline()
+        second.ingest(docs("Snakes are not cute.", prefix="b"))
+        before = journal_bytes(first.journal)
+        with pytest.raises(JournalError, match="another writer"):
+            first.ingest(docs("Bunnies are cute.", prefix="c"))
+        assert journal_bytes(first.journal) == before
+        reopened = CorpusJournal(tmp_path / "j")
+        assert [r.offset for r in reopened.replay()] == [0, 1]
+        assert not reopened.behind_disk()
+
+    def test_replay_reads_from_the_first_wanted_record(
+        self, tmp_path, monkeypatch
+    ):
+        journal = CorpusJournal(tmp_path / "j", max_segment_bytes=200)
+        journal.append(docs(*(f"document {i}" for i in range(12))))
+        journal.append(docs("late"))
+        assert journal.n_segments > 1
+        monkeypatch.setattr(
+            Path, "read_bytes", lambda path: pytest.fail("whole read")
+        )
+        for after in range(-1, 13):
+            replayed = list(journal.replay(after=after))
+            assert [r.offset for r in replayed] == list(range(after + 1, 13))
+        assert replayed == []
+
     def test_explicit_offsets_must_line_up(self, tmp_path):
         journal = CorpusJournal(tmp_path / "j")
         with pytest.raises(JournalError, match="offsets"):
@@ -639,9 +674,10 @@ INGEST_V1 = Path(__file__).parent / "data" / "ingest_v1"
 
 
 class TestLineageCacheCoherence:
-    """A live pipeline re-encodes only the lineage pairs its batches
-    touched; after every step, ``state.json`` and the sidecar it wrote
-    are byte-equal to a cold ledger's encoding of the same state."""
+    """A live pipeline rebuilds and re-encodes only the lineage blocks
+    of the combinations its batches touched; after every step,
+    ``state.json`` and the sidecar it wrote are byte-equal to a cold
+    ledger's encoding of the same state."""
 
     def pipeline(self, journal_dir, kb):
         return IngestPipeline(
@@ -710,14 +746,9 @@ class TestLineageCacheCoherence:
         # Nothing new: nothing re-encoded, the same bytes again.
         step(live.advance())
 
-        # A batch about pairs no earlier document mentioned leaves
-        # every existing pair's view (and its cached text) in place.
-        views = {
-            (key, entity_id): pair
-            for key, entity_id, pair in live.state.ledger.pairs(
-                live.state.evidence
-            )
-        }
+        # A batch about combinations no earlier document mentioned
+        # leaves every existing combination's lineage block in place.
+        before = live._index
         report = step(
             live.ingest(
                 docs(
@@ -727,15 +758,13 @@ class TestLineageCacheCoherence:
                 )
             )
         )
-        assert report.statements > 0
-        after = {
-            (key, entity_id): pair
-            for key, entity_id, pair in live.state.ledger.pairs(
-                live.state.evidence
-            )
-        }
-        assert len(after) > len(views)
-        assert all(after[pair] is view for pair, view in views.items())
+        assert report.statements > 0 and report.dirty
+        assert set(report.dirty).isdisjoint(before.keys())
+        assert all(
+            report.provenance.block(key) is before.block(key)
+            for key in before.keys()
+        )
+        assert all(key in report.provenance.keys() for key in report.dirty)
 
         step(live.ingest(documents[third:2 * third]))
 
@@ -874,6 +903,18 @@ class TestCarryCoherence:
                 assert drift == compare_tables(
                     rebuilt(retiring), rebuilt(serving)
                 ).summary()
+            # The sidecar spliced from carried lineage blocks is a
+            # whole encode of a fresh index of the same state.
+            pipeline = live.ingest_pipeline
+            fresh = ProvenanceIndex.from_run(
+                pipeline.state.ledger,
+                pipeline.state.evidence,
+                pipeline._previous,
+                records_from_result(pipeline._previous),
+            )
+            assert provenance_path_for(live_out).read_bytes() == json.dumps(
+                provenance_to_dict(fresh), sort_keys=True, separators=(",", ":")
+            ).encode()
             served = index_answers(live.index)
             assert served == index_answers(cold.index)
             assert served == index_answers(
@@ -906,7 +947,7 @@ class TestCarryCoherence:
         ingest(prefix="e")
 
         # An ingest whose table is refused: published, never live.
-        def unservable(table, source):
+        def unservable(table, source, **_):
             raise ValueError("refused for the test")
 
         def refused(service):
@@ -1258,6 +1299,22 @@ class TestCheckpointRestart:
             assert (worker.service.ingest_pipeline is kept) == (step == 0)
             self.assert_published_like(out, reference, tmp_path, batch)
             assert not worker.service.ingest_pipeline.pending
+
+    def test_workers_answer_the_generation_they_publish(
+        self, tmp_path, small_kb, cute_scenario
+    ):
+        # Back-to-back ingests on alternate workers, with no reload of
+        # the sibling's publish in between: each answer is the
+        # published manifest's generation, strictly increasing.
+        first, *rest = self.batches(cute_scenario)
+        workers, _, out = self.two_workers(tmp_path, small_kb, first)
+        answered = []
+        for step, batch in enumerate(rest[:3]):
+            summary = workers[step % 2].run_ingest(batch[:1], None)
+            config = read_manifest(manifest_path_for(out))["config"]
+            assert summary["generation"] == config["generation"]
+            answered.append(summary["generation"])
+        assert answered == sorted(set(answered)) and len(answered) == 3
 
     def test_a_refused_table_still_hands_the_journal_over(
         self, tmp_path, small_kb, cute_scenario, monkeypatch

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import pickle
 
@@ -29,6 +30,7 @@ from repro.storage import (
 )
 
 CUTE = PropertyTypeKey(SubjectiveProperty("cute"), "animal")
+LOUD = PropertyTypeKey(SubjectiveProperty("loud"), "animal")
 
 
 def statement(
@@ -96,13 +98,11 @@ class TestProvenanceLedger:
         assert list(pairs[CUTE]) == ["/animal/kitten"]
         pair = pairs[CUTE]["/animal/kitten"]
         assert (pair.positive_seen, pair.negative_seen) == (4, 1)
-        assert ledger.for_pair(CUTE, "/animal/tiger", counter) is None
         # A pair the sampler never saw reads with no samples.
         counter.add(statement(entity="/animal/snake"))
         snake = ledger.combinations(counter)[CUTE]["/animal/snake"]
         assert (snake.positive_seen, snake.negative_seen) == (1, 0)
         assert snake.samples == ()
-        assert ledger.for_pair(CUTE, "/animal/snake", counter) is snake
 
     def test_merge_caps_in_shard_order(self):
         first = ProvenanceLedger(samples_per_polarity=2)
@@ -202,30 +202,50 @@ class TestProvenanceLedger:
         ],
     )
     def test_a_read_after_a_change_sees_the_change(self, mutate):
-        """A pair's view and its JSON text are kept between reads
-        only while its samples and the counter's totals are unchanged."""
+        """An index keeps a combination's lineage block from the
+        previous index only while the evidence block and the samples
+        are the ones that block was built from."""
         ledger = _ledger_of(statement())
         counter = _counter_of(1)
-        kept = _kitten(ledger, counter)
-        kept.to_json()
-        assert _kitten(ledger, counter) is kept
+        kept = ProvenanceIndex.from_run(ledger, counter)
+        again = ProvenanceIndex.from_run(ledger, counter, previous=kept)
+        assert again.block(CUTE) is kept.block(CUTE)
         mutate(ledger, counter)
         cold = ProvenanceLedger()
         cold.merge(ledger)
-        fresh = _kitten(ledger, counter)
-        assert fresh == _kitten(cold, counter) != kept
-        assert fresh.to_json() == json.dumps(
-            fresh.to_dict(), sort_keys=True, separators=(",", ":")
+        fresh = ProvenanceIndex.from_run(ledger, counter, previous=again)
+        assert fresh.block(CUTE) == (
+            ProvenanceIndex.from_run(cold, counter).block(CUTE)
         )
+        assert fresh.block(CUTE) != kept.block(CUTE)
 
     def test_unchanged_pairs_keep_their_views(self):
+        """A change to one combination rebuilds that combination's
+        block only; another counter is other evidence, even with the
+        same totals."""
         ledger = _ledger_of(statement())
         counter = _counter_of(1)
-        kept = _kitten(ledger, counter)
+        kept = ProvenanceIndex.from_run(ledger, counter)
         _merge_shard(ledger, counter, statement(entity="/animal/tiger"))
-        assert _kitten(ledger, counter) is kept
-        # Another counter with the same totals reads the same view.
-        assert _kitten(ledger, _counter_of(1)) is kept
+        loud = statement(entity="/animal/tiger", sentence="Tigers are loud.")
+        loud = dataclasses.replace(loud, property=SubjectiveProperty("loud"))
+        _merge_shard(ledger, counter, loud)
+        fresh = ProvenanceIndex.from_run(ledger, counter, previous=kept)
+        assert fresh.block(CUTE) is not kept.block(CUTE)
+        assert set(fresh.keys()) == {CUTE, LOUD}
+        later = ProvenanceIndex.from_run(ledger, counter, previous=fresh)
+        assert all(
+            later.block(key) is fresh.block(key) for key in later.keys()
+        )
+        _merge_shard(ledger, counter, loud)
+        after = ProvenanceIndex.from_run(ledger, counter, previous=later)
+        assert after.block(CUTE) is later.block(CUTE)
+        assert after.block(LOUD) is not later.block(LOUD)
+        twin = EvidenceCounter()
+        twin.merge(counter)
+        other = ProvenanceIndex.from_run(ledger, twin, previous=after)
+        assert other.block(CUTE) == after.block(CUTE)
+        assert other.block(CUTE) is not after.block(CUTE)
 
 
 def _kitten(

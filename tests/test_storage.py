@@ -15,18 +15,25 @@ from repro.core import (
     PropertyTypeKey,
     SubjectiveProperty,
 )
-from repro.extraction import EvidenceCounter, EvidenceStatement
+from repro.extraction import (
+    EvidenceCounter,
+    EvidenceStatement,
+    ProvenanceIndex,
+    ProvenanceLedger,
+)
 from repro.core.types import Polarity
 from repro.core.errors import CheckpointError
 from repro.kb import Entity, KnowledgeBase
 from repro.storage import (
     FormatError,
+    LineageRows,
     OpinionRows,
     evidence_from_dict,
     evidence_to_dict,
     load,
     load_shard_checkpoint,
     opinions_to_dict,
+    provenance_to_dict,
     save,
 )
 from repro.storage.canonical import encode
@@ -316,6 +323,51 @@ class TestOpinionRowsSplice:
         assert [row["entity"] for row in rows] == [
             "/city/a", "/city/b", "/city/c",
         ]
+
+
+class TestLineageRowsSplice:
+    """``LineageRows`` splices the kept text of every lineage block an
+    index carried; the bytes must be those of encoding the decoded
+    sidecar payload whole, and only the changed blocks render."""
+
+    def test_carried_generations_write_whole_bytes(self, monkeypatch):
+        rendered = []
+        render = LineageRows.render
+        monkeypatch.setattr(
+            LineageRows, "render",
+            lambda rows, text, block: rendered.append(text)
+            or render(rows, text, block),
+        )
+        counter, ledger, rows = EvidenceCounter(), ProvenanceLedger(), (
+            LineageRows()
+        )
+        index = None
+        steps = [
+            ("cute", "/animal/a"), ("big", "/animal/a"),
+            ("cute", "/animal/b"), ("cute", "/animal/b"),
+            ("loud", "/animal/c"), ("big", "/animal/b"),
+        ]
+        for step, (adjective, entity) in enumerate(steps):
+            statement = EvidenceStatement(
+                entity_id=entity,
+                entity_type="animal",
+                property=SubjectiveProperty(adjective),
+                polarity=Polarity.POSITIVE,
+                pattern="pred_adj",
+                doc_id=f"d{step}",
+                sentence=f"{entity} is {adjective}.",
+            )
+            counter.add(statement)
+            ledger.record(statement, step)
+            index = ProvenanceIndex.from_run(ledger, counter, previous=index)
+            rendered.clear()
+            spliced = encode(provenance_to_dict(index, rows))
+            assert spliced == json.dumps(
+                provenance_to_dict(index),
+                sort_keys=True,
+                separators=(",", ":"),
+            )
+            assert rendered == [f"{adjective}|animal"]
 
 
 class TestErrors:
