@@ -221,6 +221,29 @@ try:
     hits = json.loads(body)["hits"]
     assert hits and hits[0]["entity"] == "/animal/kitten", hits
 
+    # Multi-term and negated answers come off the index's posterior
+    # columns; their bytes must be the reference engine's, rendered.
+    from urllib.parse import quote_plus
+    from repro.core.query import QueryEngine, SubjectiveQuery
+    from repro.serve import OpinionIndex
+    from repro.serve.schema import ask_response, render
+    from repro.storage import load
+
+    table = load(opinions)
+    for text in ("not cute animals", "cute dangerous animals",
+                 "dangerous not cute animals",
+                 "not cute not dangerous animals",
+                 "very cute not green animals"):
+        query = SubjectiveQuery.parse(text)
+        for top in (1, 10):
+            status, body = get(f"/query?q={quote_plus(text)}&top={top}")
+            assert status == 200, body
+            expected = render(ask_response(
+                query, QueryEngine(table).answer(query, top),
+                OpinionIndex(table),
+            ))
+            assert body == expected, (text, top, body, expected)
+
     # Answer provenance: /explain joins the posterior with the
     # lineage sidecar `repro mine` wrote next to the table, and the
     # CLI renders the very same payload byte for byte.
@@ -815,6 +838,60 @@ cmp "$INGEST_DIR/journal/state.json" "$INGEST_DIR/cold-journal/state.json"
 cmp "$INGEST_DIR/opinions.json.provenance.json" \
     "$INGEST_DIR/cold-opinions.json.provenance.json"
 cmp "$INGEST_DIR/opinions.json" "$INGEST_DIR/cold-opinions.json"
+# A single-process server whose journal `repro ingest` appended to
+# between two POSTs reopens it for the second one instead of refusing
+# the append.
+mkdir "$INGEST_DIR/shared"
+python -m repro ingest "$INGEST_DIR/bootstrap.txt" \
+    --journal "$INGEST_DIR/shared/journal" \
+    --out "$INGEST_DIR/shared/opinions.json" --threshold 1 > /dev/null
+python - "$INGEST_DIR" <<'PYEOF'
+import json, subprocess, sys, urllib.request
+
+ingest_dir = sys.argv[1]
+shared = f"{ingest_dir}/shared"
+proc = subprocess.Popen(
+    [sys.executable, "-m", "repro", "serve", f"{shared}/opinions.json",
+     "--port", "0", "--ingest-journal", f"{shared}/journal",
+     "--ingest-threshold", "1"],
+    stderr=subprocess.PIPE, text=True,
+)
+try:
+    for _ in range(5):
+        banner = proc.stderr.readline()
+        if "repro serve: serving" in banner:
+            break
+    assert "repro serve: serving" in banner, banner
+    base = "http://127.0.0.1:" + banner.rsplit(":", 1)[1].strip()
+
+    def post(documents):
+        req = urllib.request.Request(
+            base + "/admin/ingest",
+            data=json.dumps({"documents": documents}).encode(),
+            method="POST",
+        )
+        with urllib.request.urlopen(req, timeout=60) as r:
+            return r.status, json.loads(r.read())
+
+    status, summary = post(["Tigers are dangerous animals."])
+    assert status == 200 and summary["generation"] == 2, summary
+    cli = subprocess.run(
+        [sys.executable, "-m", "repro", "ingest",
+         f"{ingest_dir}/later.txt", "--journal", f"{shared}/journal",
+         "--out", f"{shared}/opinions.json", "--threshold", "1"],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert cli.returncode == 0, cli.stderr
+    status, summary = post(["Snakes are not cute."])
+    assert status == 200 and summary["generation"] == 4, summary
+    proc.terminate()
+    stderr = proc.communicate(timeout=10)[1]
+    assert proc.returncode == 0, (proc.returncode, stderr)
+finally:
+    if proc.poll() is None:
+        proc.kill()
+        proc.wait(timeout=10)
+PYEOF
 echo "ingest lane OK"
 
 # Ingestion benches carry their own gates (incremental CPU <= 25% of a

@@ -2,7 +2,7 @@
 
 Mine once with ``repro mine``, then serve many low-latency subjective
 queries: :class:`OpinionIndex` answers conjunctive/negated top-k queries
-from pre-built posting structures (bit-identical to the one-shot
+from pre-built posterior columns (bit-identical to the one-shot
 :class:`~repro.core.query.QueryEngine`), :class:`QueryCache` absorbs
 repeated queries, and :class:`OpinionService` puts both behind a JSON
 HTTP API with admission control (per-client token buckets + bounded

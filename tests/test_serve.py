@@ -156,6 +156,86 @@ class TestOpinionIndex:
                     text, top=top
                 ), f"{text!r} top={top} seed={seed}"
 
+    @pytest.mark.parametrize("seed", range(2))
+    def test_answer_matches_query_engine_on_a_long_tail(self, seed):
+        # >= 300 entities per type, each pair present 30% of the time,
+        # on a coarse grid with 0.5 in it: ties, exactly-0.5 scores and
+        # absent pairs everywhere, and a top above the universe.
+        rng = random.Random(f"long-tail/{seed}")
+        properties = {
+            "animal": ("cute", "big", "very big", "dangerous"),
+            "city": ("calm", "cheap", "really cheap"),
+        }
+        table = OpinionTable()
+        for entity_type, texts in properties.items():
+            keys = [
+                PropertyTypeKey(SubjectiveProperty.parse(text), entity_type)
+                for text in texts
+            ]
+            for i in range(320 + 7 * seed):
+                # Each entity holds at least one pair of its type.
+                forced = rng.choice(keys)
+                for key in keys:
+                    if key == forced or rng.random() < 0.3:
+                        table.add(Opinion(
+                            f"/{entity_type}/e{i:03d}", key,
+                            rng.choice((0.0, 0.2, 0.5, 0.8, 1.0, 0.25)),
+                            EvidenceCounts(1, 1),
+                        ))
+        nouns = {"animal": "animals", "city": "cities"}
+        # Terms the table lacks (green, huge, very cute) as well.
+        vocabulary = {
+            "animal": properties["animal"] + ("green", "very cute"),
+            "city": properties["city"] + ("huge",),
+        }
+        engine = QueryEngine(table)
+        index = OpinionIndex(table)
+        for entity_type in properties:
+            assert len(index.entities_of_type(entity_type)) >= 320
+        queries = []
+        for _ in range(60):
+            entity_type = rng.choice(sorted(vocabulary))
+            chosen = rng.sample(vocabulary[entity_type], rng.randint(1, 3))
+            words = []
+            for text in chosen:
+                words += ["not", text] if rng.random() < 0.4 else [text]
+            queries.append(" ".join([*words, nouns[entity_type]]))
+        for text in queries:
+            for top in (1, 10, 1000):
+                assert engine.answer(text, top=top) == index.answer(
+                    text, top=top
+                ), f"{text!r} top={top} seed={seed}"
+        assert any(
+            hit.score == 0.5
+            for text in queries
+            for hit in index.answer(text, top=1000)
+        )
+
+    def test_deadline_fires_mid_scoring(self):
+        from repro.serve.admission import Deadline, DeadlineExceeded
+        from repro.serve.index import DEADLINE_CHECK_EVERY
+
+        table = OpinionTable(
+            Opinion(f"/animal/e{i:04d}", CUTE, 0.75)
+            for i in range(2 * DEADLINE_CHECK_EVERY + 1)
+        )
+        index = OpinionIndex(table)
+        now = [0.0]
+
+        def clock():
+            # Every read moves time on; the budget runs out at the
+            # fourth checkpoint: collection, then the scoring of rows
+            # 0, 256 and 512.
+            now[0] += 1.0
+            return now[0]
+
+        with pytest.raises(DeadlineExceeded, match="at scoring"):
+            index.answer(
+                "cute big animals", top=3, deadline=Deadline(3.5, clock)
+            )
+        assert now[0] == 5.0
+        assert len(index.answer("cute big animals", top=3)) == 3
+
     @pytest.mark.parametrize("seed", range(3))
     def test_entities_with_matches_table(self, seed):
         table = random_table(seed)
@@ -167,24 +247,14 @@ class TestOpinionIndex:
                         key, polarity, floor
                     ) == index.entities_with(key, polarity, floor)
 
-    @pytest.mark.parametrize("seed", range(3))
-    def test_shared_blocks_reuse_the_previous_postings(self, seed):
-        older = random_table(seed)
-        newer = OpinionTable()
-        fresh = random_table(seed + 100)
-        keys = older.keys()
-        for key in keys[::2]:
-            newer.add_block(key, older.block(key))
-        for key in keys[1::2]:
-            newer.add_block(key, fresh.block(key))
-        previous = OpinionIndex(older)
-        index = OpinionIndex(newer, previous=previous)
-        cold = OpinionIndex(newer)
-        for key in keys:
-            shared = key in keys[::2]
-            assert (
-                index._probability[key] is previous._probability[key]
-            ) is shared
+    @staticmethod
+    def columns(index, key):
+        """The (column, complement) pair ``index`` scores ``key`` by."""
+        return index._columns[key.entity_type][key.property]
+
+    def assert_like_cold(self, index, table):
+        cold = OpinionIndex(table)
+        for key in table.keys():
             for polarity in Polarity:
                 assert index.entities_with(
                     key, polarity
@@ -193,10 +263,72 @@ class TestOpinionIndex:
             assert index.answer(text, top=100) == cold.answer(
                 text, top=100
             )
+        assert index.entity_types() == cold.entity_types()
         for entity_type in cold.entity_types():
             assert index.entities_of_type(
                 entity_type
             ) == cold.entities_of_type(entity_type)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shared_blocks_reuse_the_previous_postings(self, seed):
+        older = random_table(seed)
+        keys = older.keys()
+
+        def refit(key, extra=()):
+            # A dirty block over the same entities, new posteriors.
+            return tuple(
+                Opinion(op.entity_id, key, 1.0 - op.probability,
+                        op.evidence)
+                for op in older.block(key)
+            ) + extra
+
+        newer = OpinionTable()
+        for key in keys[::2]:
+            newer.add_block(key, older.block(key))
+        for key in keys[1::2]:
+            newer.add_block(key, refit(key))
+        previous = OpinionIndex(older)
+        index = OpinionIndex(newer, previous=previous)
+        # Every type's universe is unchanged: a shared block carries
+        # its column (and polarity lists), a refitted one is rebuilt.
+        for entity_type in previous.entity_types():
+            assert index.entities_of_type(
+                entity_type
+            ) is previous.entities_of_type(entity_type)
+        for key in keys:
+            shared = key in keys[::2]
+            assert (
+                self.columns(index, key) is self.columns(previous, key)
+            ) is shared
+            assert (
+                index._by_polarity[key] is previous._by_polarity[key]
+            ) is shared
+        self.assert_like_cold(index, newer)
+
+        # An ingest that adds an entity of one type shifts that type's
+        # rows: its shared blocks keep their polarity lists but get new
+        # columns, while the other type's shared columns still carry.
+        grown_key = next(k for k in keys[1::2] if k.entity_type == "animal")
+        grown = OpinionTable()
+        for key in keys:
+            block = newer.block(key)
+            if key == grown_key:
+                block = refit(key, (
+                    Opinion("/animal/new", key, 0.75, EvidenceCounts(3, 1)),
+                ))
+            grown.add_block(key, block)
+        after = OpinionIndex(grown, previous=index)
+        assert "/animal/new" in after.entities_of_type("animal")
+        for key in keys:
+            shared = key != grown_key
+            carried = shared and key.entity_type != "animal"
+            assert (
+                self.columns(after, key) is self.columns(index, key)
+            ) is carried
+            assert (
+                after._by_polarity[key] is index._by_polarity[key]
+            ) is shared
+        self.assert_like_cold(after, grown)
 
     def test_unknown_type_empty(self):
         index = OpinionIndex(demo_table())
@@ -770,6 +902,47 @@ class TestBatchRequestIds:
         response, was_cached = service.ask("cute animals")
         assert was_cached
         assert "request_id" not in response
+
+
+class TestRequestIds:
+    def test_fresh_ids_are_unique_within_a_process(self, served):
+        from repro.serve.server import _REQUEST_ID_RE, new_request_id
+
+        _, base = served
+        ids = [
+            get(f"{base}/query?q=cute+animals")[1]["X-Request-Id"]
+            for _ in range(20)
+        ]
+        ids += [new_request_id() for _ in range(5000)]
+        assert len(set(ids)) == len(ids)
+        assert all(_REQUEST_ID_RE.match(value) for value in ids)
+        assert all(len(value) == 16 for value in ids)
+        # One process, one prefix; the counter part counts up.
+        assert len({value[:8] for value in ids}) == 1
+        counters = [int(value[8:], 16) for value in ids]
+        assert counters == sorted(counters)
+
+    def test_fresh_ids_are_unique_across_workers(self, tmp_path):
+        path = save(demo_table(), tmp_path / "op.json")
+        process = _spawn_serve(path, "--workers", "2")
+        try:
+            base, _ = _read_banner(process)
+            ids = []
+            # Each urlopen is a new connection, which SO_REUSEPORT
+            # hands to either worker.
+            while len({value[:8] for value in ids}) < 2:
+                assert len(ids) < 400, "one worker answered everything"
+                ids.append(
+                    get(f"{base}/query?q=cute+animals")[1]["X-Request-Id"]
+                )
+            assert len(set(ids)) == len(ids)
+            process.terminate()
+            process.communicate(timeout=20)
+            assert process.returncode == 0
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.wait(timeout=10)
 
 
 # ---------------------------------------------------------------------------
