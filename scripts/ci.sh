@@ -33,6 +33,20 @@ python -m repro demo \
 # missing from repro.obs.metrics.CATALOG
 python -m repro stats "$OBS_DIR/trace.jsonl" \
     --metrics "$OBS_DIR/metrics.json" --validate > /dev/null
+# Per-document histograms are observed only for a run with a registry:
+# the demo's must count every document it mined (its document spans).
+python - "$OBS_DIR/trace.jsonl" "$OBS_DIR/metrics.json" <<'PY'
+import json, sys
+from repro.obs import read_trace
+mined = sum(span["kind"] == "document" for span in read_trace(sys.argv[1]))
+with open(sys.argv[2]) as handle:
+    metrics = json.load(handle)["metrics"]
+observed = metrics["repro_document_seconds"]["count"]
+counted = metrics["repro_documents_total"]["value"]
+if not mined or not observed == counted == mined:
+    sys.exit(f"repro_document_seconds count {observed}, "
+             f"repro_documents_total {counted}, document spans {mined}")
+PY
 # An artefact of the wrong kind or with non-UTF-8 bytes is one
 # "repro: error:" line and exit 2 (exit 1 means "ran fine, found
 # nothing"), never a traceback.

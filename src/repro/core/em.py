@@ -43,12 +43,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln
 
+from ..obs.trace import NULL_SPAN
 from .errors import ModelFitError
 from .model import UserBehaviorModel
 from .params import (
@@ -69,18 +69,6 @@ _SPLIT = 134217729.0
 #: bit-identical; on web-shaped evidence the crossover is at ~150-250
 #: entities.
 _COLLAPSE_MIN_ENTITIES = 192
-
-
-class _NullSpan:
-    """No-op span for untraced runs (duck-types SpanHandle.set)."""
-
-    __slots__ = ()
-
-    def set(self, key, value):  # pragma: no cover - trivial
-        pass
-
-
-_NULL_SPAN = _NullSpan()
 
 
 @dataclass(frozen=True, slots=True)
@@ -285,7 +273,7 @@ class EMLearner:
 
     def _iteration_span(self, iteration: int):
         if self.tracer is None:
-            return nullcontext(_NULL_SPAN)
+            return NULL_SPAN
         return self.tracer.span(
             "em_iteration", kind="em_iteration", iteration=iteration
         )

@@ -38,10 +38,18 @@ class QueryTerm:
 
 @dataclass(frozen=True, slots=True)
 class SubjectiveQuery:
-    """A parsed query: property terms over one entity type."""
+    """A parsed query: property terms over one entity type.
+
+    A query names at least one property; one with no terms is refused
+    here, so no engine has to rank an empty product.
+    """
 
     entity_type: str
     terms: tuple[QueryTerm, ...]
+
+    def __post_init__(self) -> None:
+        if not self.terms:
+            raise QueryError("query needs at least one property")
 
     @classmethod
     def parse(cls, text: str) -> "SubjectiveQuery":
@@ -112,8 +120,6 @@ class SubjectiveQuery:
             raise QueryError(
                 f"dangling 'not' before the type noun {tokens[-1]!r}"
             )
-        if not terms:
-            raise QueryError("query needs at least one property")
         return cls(entity_type=entity_type, terms=tuple(terms))
 
     def text(self) -> str:

@@ -12,11 +12,11 @@ is itself informative.
 from __future__ import annotations
 
 from collections.abc import Callable, Container, Iterable, Mapping
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Protocol
 
-from .em import _NULL_SPAN, EMLearner, EMTrace
+from ..obs.trace import NULL_SPAN
+from .em import EMLearner, EMTrace
 from .errors import ModelFitError
 from .model import UserBehaviorModel
 from .params import ModelParameters
@@ -211,7 +211,7 @@ class Surveyor:
 
     def _combination_span(self, key: PropertyTypeKey):
         if self.tracer is None:
-            return nullcontext(_NULL_SPAN)
+            return NULL_SPAN
         return self.tracer.span(
             "combination", kind="combination", key=str(key)
         )

@@ -8,9 +8,8 @@ probabilistic model consumes (Section 3).
 
 from __future__ import annotations
 
-
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from ..core.types import (
     EvidenceBlock,
@@ -19,6 +18,9 @@ from ..core.types import (
     PropertyTypeKey,
     SubjectiveProperty,
 )
+
+_new = object.__new__
+_set = object.__setattr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -38,16 +40,30 @@ class EvidenceStatement:
     #: did. A pure function of the parsed sentence, so it is safe to
     #: cache across documents alongside the rest of the proto.
     negations: int = 0
+    #: The statement's property-type combination, built once here and
+    #: shared by every :meth:`restamp` copy; not part of equality.
+    key: PropertyTypeKey = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.polarity is Polarity.NEUTRAL:
             raise ValueError("statements are positive or negative")
+        _set(self, "key", PropertyTypeKey(self.property, self.entity_type))
 
-    @property
-    def key(self) -> PropertyTypeKey:
-        return PropertyTypeKey(
-            property=self.property, entity_type=self.entity_type
-        )
+    def restamp(self, doc_id: str) -> EvidenceStatement:
+        """This statement as found in document ``doc_id``: equal to
+        ``dataclasses.replace(self, doc_id=doc_id)``, sharing this
+        statement's key, and built without re-running ``__init__``."""
+        clone = _new(EvidenceStatement)
+        _set(clone, "entity_id", self.entity_id)
+        _set(clone, "entity_type", self.entity_type)
+        _set(clone, "property", self.property)
+        _set(clone, "polarity", self.polarity)
+        _set(clone, "pattern", self.pattern)
+        _set(clone, "doc_id", doc_id)
+        _set(clone, "sentence", self.sentence)
+        _set(clone, "negations", self.negations)
+        _set(clone, "key", self.key)
+        return clone
 
 
 class EvidenceCounter:

@@ -14,9 +14,9 @@ Design constraints:
   and the parent :meth:`Tracer.adopt`\\ s them — assigning fresh span
   ids and re-parenting the worker's root spans under the parent span of
   the caller's choosing.
-* **Near-zero cost when disabled.** ``Tracer(enabled=False)`` hands out
-  a shared null span through :data:`NULL_SPAN`; instrumented code pays
-  one attribute check and an empty context manager.
+* **Near-zero cost when disabled.** ``Tracer(enabled=False).span(...)``
+  returns :data:`NULL_SPAN` itself, a shared no-op context manager, so
+  instrumented code pays one call and builds no generator.
 * **Deterministic schema.** Spans serialize to JSONL with a leading
   header record (:data:`TRACE_SCHEMA_VERSION`), validated by
   :func:`validate_trace`.
@@ -27,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -83,17 +83,25 @@ class SpanHandle:
 
 
 class _NullSpan:
-    """Shared no-op span handed out by disabled tracers."""
+    """Shared no-op span handed out by disabled tracers; it is its own
+    context manager, so ``with NULL_SPAN as span`` binds it again."""
 
     __slots__ = ()
     span_id = -1
+
+    def __enter__(self) -> "_NullSpan":
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        pass
 
     def set(self, key: str, value: Any) -> None:
         pass
 
 
-#: The singleton null span; also usable by modules that duck-type the
-#: tracer and need a stand-in when no tracer is configured.
+#: The singleton null span and context manager; also usable by modules
+#: that duck-type the tracer and need a stand-in when no tracer is
+#: configured.
 NULL_SPAN = _NullSpan()
 
 
@@ -144,18 +152,23 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._spans)
 
-    @contextmanager
     def span(
         self, name: str, kind: str = "span", **attrs: Any
-    ) -> Iterator[SpanHandle | _NullSpan]:
+    ) -> AbstractContextManager[SpanHandle | _NullSpan]:
         """Open a span; nests under the innermost open span.
 
         A body that raises marks the span ``status="error"`` with the
-        exception type in ``error`` and re-raises.
+        exception type in ``error`` and re-raises. A disabled tracer
+        returns :data:`NULL_SPAN`.
         """
         if not self.enabled:
-            yield NULL_SPAN
-            return
+            return NULL_SPAN
+        return self._span(name, kind, attrs)
+
+    @contextmanager
+    def _span(
+        self, name: str, kind: str, attrs: dict[str, Any]
+    ) -> Iterator[SpanHandle]:
         span_id = self._next_id
         self._next_id += 1
         record: dict[str, Any] = {

@@ -88,8 +88,13 @@ class _CollectorPause:
     every automatic full collection would re-walk that heap for
     nothing.
     Entries are counted under a lock: concurrent runs share one pause,
-    and the last one out restores the state the first one found — a
-    caller that had disabled the collector keeps it disabled.
+    and the last one out runs one ``gc.collect(1)`` for all of them,
+    then restores the state the first one found — a caller that had
+    disabled the collector keeps it disabled. With the collector off
+    nothing is promoted, so everything allocated inside the pause is
+    still in generations 0–1: that collection reaches every cycle a
+    run made, without walking the older heap (the world, the KB, the
+    caller's previous report) a full collection would.
     """
 
     def __init__(self) -> None:
@@ -107,8 +112,10 @@ class _CollectorPause:
     def __exit__(self, *exc_info) -> None:
         with self._lock:
             self._inside -= 1
-            if self._inside == 0 and self._resume:
-                gc.enable()
+            if self._inside == 0:
+                gc.collect(1)
+                if self._resume:
+                    gc.enable()
 
 
 _COLLECTOR_PAUSE = _CollectorPause()
@@ -246,9 +253,11 @@ class SurveyorPipeline:
     def run(self, corpus: WebCorpus) -> PipelineReport:
         """Process a corpus end to end.
 
-        The automatic cyclic collector is paused for the run and one
-        explicit collection closes it, so the run pays for that
-        collection once, inside its own wall time.
+        The automatic cyclic collector is paused for the run. The last
+        run to leave the pause closes it with one collection of the
+        young generations, which hold everything allocated inside it,
+        so the run pays for collecting only its own allocations, once,
+        inside its own wall time.
         """
         started = time.perf_counter()
         metrics = PipelineMetrics(tracer=self.tracer)
@@ -266,7 +275,6 @@ class SurveyorPipeline:
                     span.set("healthy", report.health.healthy)
             else:
                 report = self._run_stages(corpus, metrics)
-            gc.collect()
         if self.registry is not None:
             self.registry.set_gauge(
                 "repro_run_wall_seconds",
@@ -555,10 +563,12 @@ class SurveyorPipeline:
         fault injector needs it to make flaky-then-succeed decisions
         that survive the ``process`` executor's memory isolation.
 
-        The worker also traces itself (shard and document spans) and
-        counts its work; both ride back on the returned
-        :class:`ShardEvidence` as :class:`WorkerTelemetry`, because a
-        worker process cannot reach the parent's tracer or registry.
+        The worker also traces itself (shard and document spans, when
+        the run is traced), counts its work, and observes per-document
+        histograms (when the pipeline has a registry); all of it rides
+        back on the returned :class:`ShardEvidence` as
+        :class:`WorkerTelemetry`, because a worker process cannot reach
+        the parent's tracer or registry.
         """
         injector = self.fault_injector
         if injector is not None:
@@ -594,7 +604,9 @@ class SurveyorPipeline:
                 self.tracer, "profile_memory", False
             ),
         )
-        observations: list[tuple[str, float]] = []
+        # Only the parent's registry reads these; it is pickled with
+        # the pipeline, so a process-pool worker decides alike.
+        observations = [] if self.registry is not None else None
         counter = EvidenceCounter()
         dead: list[DeadLetter] = []
         with worker_tracer.span(
@@ -634,10 +646,11 @@ class SurveyorPipeline:
                             text=str(document.text),
                         )
                     )
-                    observations.append((
-                        "repro_document_seconds",
-                        time.perf_counter() - doc_started,
-                    ))
+                    if observations is not None:
+                        observations.append((
+                            "repro_document_seconds",
+                            time.perf_counter() - doc_started,
+                        ))
                     continue
                 if parity:
                     ref_statements = ref_extractor.extract_document(
@@ -654,18 +667,19 @@ class SurveyorPipeline:
                         )
                     ref_counter.add_all(ref_statements)
                 counter.add_all(statements)
-                observations.append((
-                    "repro_document_seconds",
-                    time.perf_counter() - doc_started,
-                ))
-                observations.append((
-                    "repro_statements_per_document",
-                    float(len(statements)),
-                ))
-                observations.append((
-                    "repro_sentences_per_document",
-                    float(len(annotated.sentences)),
-                ))
+                if observations is not None:
+                    observations.append((
+                        "repro_document_seconds",
+                        time.perf_counter() - doc_started,
+                    ))
+                    observations.append((
+                        "repro_statements_per_document",
+                        float(len(statements)),
+                    ))
+                    observations.append((
+                        "repro_sentences_per_document",
+                        float(len(annotated.sentences)),
+                    ))
             shard_span.set("documents", extractor.stats.documents)
             shard_span.set("quarantined", len(dead))
             fastpath = annotator.fastpath_stats
@@ -704,7 +718,7 @@ class SurveyorPipeline:
                 "statements_negative": extractor.stats.negative,
                 "quarantined": len(dead),
             },
-            observations=tuple(observations),
+            observations=tuple(observations or ()),
             spans=tuple(worker_tracer.export_spans()),
             prefilter=(
                 annotator.fastpath_stats.as_counters()

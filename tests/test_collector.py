@@ -166,8 +166,60 @@ class TestClosingCollection:
         assert report.health.quarantined
         assert report.health.memo_evictions > 0
         # The automatic collector stayed out of the run: the closing
-        # collection is the only one, and it finds no cycles.
-        assert collections == [(2, 0)]
+        # collection of the young generations is the only one, and it
+        # finds no cycles; nothing a run made escaped it into the old
+        # generation, where only a full collection would find it.
+        assert collections == [(1, 0)]
+        assert gc.collect() == 0
+
+    def test_overlapping_runs_collect_once_on_last_exit(
+        self, small_kb, cute_scenario, collections
+    ):
+        """Two runs in threads overlap inside the pause: only the one
+        that leaves last collects, for both, and neither leaves
+        anything for a later full collection."""
+        corpus = CorpusGenerator(seed=45).generate(cute_scenario)
+        both_inside = threading.Barrier(2, timeout=60)
+
+        class MeetInside(FaultInjector):
+            def on_shard_start(self, shard_id: int, attempt: int) -> None:
+                if shard_id == 0:
+                    both_inside.wait()
+
+        errors: list[BaseException] = []
+
+        def run() -> None:
+            try:
+                SurveyorPipeline(
+                    kb=small_kb,
+                    occurrence_threshold=10,
+                    fault_injector=MeetInside(),
+                ).run(corpus)
+            except BaseException as error:  # pragma: no cover
+                errors.append(error)
+
+        gc.collect()
+        collections.clear()
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert collections == [(1, 0)]
+        assert gc.isenabled()
+        assert gc.collect() == 0
+
+    def test_overlapping_runs_keep_a_disabled_collector_disabled(
+        self, collector_disabled, collections
+    ):
+        with _COLLECTOR_PAUSE:
+            with _COLLECTOR_PAUSE:
+                pass
+            assert collections == []
+        assert collections == [(1, 0)]
+        assert not gc.isenabled()
 
 
 class TestCollectorPause:

@@ -77,6 +77,15 @@ class TestTracer:
         assert len(tracer) == 0
         assert tracer.export_spans() == []
 
+    def test_disabled_span_is_one_shared_object(self):
+        tracer = Tracer(enabled=False)
+        first = tracer.span("run", kind="run")
+        assert first is NULL_SPAN
+        assert tracer.span("document", kind="document", doc_id="d") is first
+        with pytest.raises(KeyError):
+            with tracer.span("doomed"):
+                raise KeyError("boom")
+
     def test_adopt_reparents_worker_roots(self):
         parent = Tracer()
         with parent.span("map", kind="stage"):

@@ -7,6 +7,7 @@ import pytest
 from repro.core import Polarity, PropertyTypeKey, SubjectiveProperty
 from repro.corpus import CorpusGenerator
 from repro.pipeline import (
+    FaultInjector,
     MapReduceJob,
     PipelineMetrics,
     SurveyorPipeline,
@@ -301,3 +302,50 @@ class TestObservabilityIntegration:
             kb=small_kb, occurrence_threshold=10
         ).run(corpus)
         assert report.convergence == []
+
+
+class TestWorkerTelemetry:
+    """Per-document telemetry is built only for a consumer: spans for
+    a traced run, histogram observations for a run with a registry."""
+
+    PER_DOCUMENT = (
+        "repro_document_seconds",
+        "repro_statements_per_document",
+        "repro_sentences_per_document",
+    )
+
+    def test_untraced_run_without_registry_ships_nothing(
+        self, small_kb, cute_scenario
+    ):
+        corpus = CorpusGenerator(seed=31).generate(cute_scenario)
+        pipeline = SurveyorPipeline(kb=small_kb, n_workers=1)
+        (shard,) = corpus.shards(1)
+        telemetry = pipeline._map_shard(shard, 1).telemetry
+        assert telemetry.counters["documents"] == len(corpus)
+        assert telemetry.observations == ()
+        assert telemetry.spans == ()
+
+    def test_registry_observes_each_document(
+        self, small_kb, cute_scenario
+    ):
+        from repro.obs import MetricsRegistry
+
+        corpus = CorpusGenerator(seed=31).generate(cute_scenario)
+        registry = MetricsRegistry()
+        report = SurveyorPipeline(
+            kb=small_kb,
+            occurrence_threshold=10,
+            n_workers=2,
+            registry=registry,
+            fault_injector=FaultInjector(seed=3, fail_every_nth=7),
+        ).run(corpus)
+        quarantined = len(report.health.quarantined)
+        assert quarantined
+        metrics = registry.to_dict()["metrics"]
+        counts = {name: metrics[name]["count"] for name in self.PER_DOCUMENT}
+        # A quarantined document records its latency only.
+        assert counts == {
+            "repro_document_seconds": len(corpus),
+            "repro_statements_per_document": len(corpus) - quarantined,
+            "repro_sentences_per_document": len(corpus) - quarantined,
+        }

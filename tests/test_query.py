@@ -19,6 +19,7 @@ from repro.core.query import (
     SubjectiveQuery,
 )
 from repro.nlp import lexicon
+from repro.serve import OpinionIndex
 
 CALM = PropertyTypeKey(SubjectiveProperty("calm"), "city")
 CHEAP = PropertyTypeKey(SubjectiveProperty("cheap"), "city")
@@ -163,6 +164,23 @@ class TestAnswer:
             h for h in hits if h.entity_id == "/city/bruges"
         )
         assert not bruges.confident  # cheap is only 0.30
+
+
+class TestEmptyQuery:
+    """A query with no property is refused when it is built, so the
+    reference engine and the serving index agree on it."""
+
+    def test_refused_at_construction(self):
+        with pytest.raises(QueryError, match="at least one property"):
+            SubjectiveQuery(entity_type="city", terms=())
+
+    @pytest.mark.parametrize("engine", [QueryEngine, OpinionIndex])
+    def test_both_engines_refuse_it_alike(self, engine):
+        answer = engine(table()).answer
+        with pytest.raises(QueryError, match="at least one property"):
+            answer(SubjectiveQuery(entity_type="city", terms=()))
+        with pytest.raises(QueryError, match="at least one property"):
+            answer("cities")
 
 
 class TestParseHardening:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.core import Polarity, PropertyTypeKey, SubjectiveProperty
@@ -31,6 +33,28 @@ class TestEvidenceStatement:
     def test_neutral_polarity_rejected(self):
         with pytest.raises(ValueError):
             statement(polarity=Polarity.NEUTRAL)
+
+    @pytest.mark.parametrize("polarity", [Polarity.POSITIVE, Polarity.NEGATIVE])
+    def test_restamp_equals_replace_and_shares_the_key(self, polarity):
+        proto = dataclasses.replace(
+            statement(polarity=polarity),
+            doc_id="d0",
+            sentence="Kittens are cute.",
+            negations=int(polarity is Polarity.NEGATIVE),
+        )
+        copy = proto.restamp("d7")
+        expected = dataclasses.replace(proto, doc_id="d7")
+        assert copy == expected
+        assert repr(copy) == repr(expected)
+        assert hash(copy) == hash(expected)
+        assert copy.key is proto.key
+        assert copy != proto
+
+    def test_key_is_not_part_of_equality(self):
+        other = statement()
+        assert other.key is not statement().key
+        assert other == statement()
+        assert "key" not in repr(other)
 
 
 class TestEvidenceCounter:
