@@ -80,10 +80,15 @@ expect_exit_2 ask "$OBS_DIR/opinions.json" 'cute animals' --top 0
 expect_exit_2 calibrate "$OBS_DIR/opinions.json" ' ' animal population
 expect_exit_2 mine "$OBS_DIR/docs.txt" --out "$OBS_DIR/unused.json" \
     --threshold 0
-# An ingest journal path that is a regular file fails before any worker
-# is forked, as it does with one worker.
+# An ingest journal takes one writer: with --workers 2 it is refused
+# before the journal is opened or any worker is forked, whether the
+# path is a regular file or a fresh directory (left empty).
 expect_exit_2 serve "$OBS_DIR/opinions.json" --port 0 --workers 2 \
     --ingest-journal "$OBS_DIR/docs.txt"
+mkdir "$OBS_DIR/journal-w2"
+expect_exit_2 serve "$OBS_DIR/opinions.json" --port 0 --workers 2 \
+    --ingest-journal "$OBS_DIR/journal-w2"
+[ -z "$(ls -A "$OBS_DIR/journal-w2")" ]
 # So is every worker's access log in a directory that does not exist.
 for workers in 1 2; do
     expect_exit_2 serve "$OBS_DIR/opinions.json" --port 0 \

@@ -869,7 +869,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="attach a corpus journal and accept "
                             "documents on POST /admin/ingest; "
                             "accepted batches refit incrementally "
-                            "and hot-swap the live table")
+                            "and hot-swap the live table (needs "
+                            "--workers 1)")
     serve.add_argument("--ingest-kb",
                        help="knowledge base for incremental "
                             "extraction (default: built-in)")

@@ -30,8 +30,8 @@ opinion table without re-running the batch pipeline:
    rewrite: :meth:`IngestPipeline.checkpoint` writes it once the
    documents applied since the last one reach ``1/CHECKPOINT_SHARE``
    of the journal's records, and callers write it wherever the journal
-   passes to another process (``repro ingest``'s end, a server's drain,
-   a worker's release of the cross-process ingest lock). A pipeline
+   passes to another process (``repro ingest``'s end, a server's boot
+   catch-up and its drain). A pipeline
    opened on an older checkpoint replays the journal forward through
    the same advance, and resumes at the generation its last publish
    recorded (``published``), so a kill costs a replay and nothing else
@@ -217,6 +217,19 @@ class IngestPipeline:
         )
         self._observe(report)
         return report
+
+    def reopen(self) -> "IngestPipeline":
+        """A new pipeline with this one's settings over its journal as
+        it is on disk, for after another writer (a ``repro ingest``
+        run) appended and checkpointed: this view's offsets are stale
+        (:meth:`CorpusJournal.behind_disk`)."""
+        journal = self.journal
+        return replace(self, journal=CorpusJournal(
+            journal.directory,
+            max_segment_bytes=journal.max_segment_bytes,
+            fault_injector=journal.fault_injector,
+            fsync=journal.fsync,
+        ))
 
     def catch_up(self) -> IngestReport | None:
         """Replay the journal from the checkpoint up to what the last

@@ -41,10 +41,8 @@ Invariants
   checkpoints once the documents applied since the last checkpoint
   reach 1/16 of the journal's records. Callers also checkpoint
   wherever the journal passes to another process: at the end of
-  ``repro ingest``, after a server's drain (unless the file on disk is
-  already further ahead), and before a worker of
-  ``repro serve --workers N`` releases the cross-process ingest lock,
-  whether or not its cycle succeeded.
+  ``repro ingest``, after a server's boot catch-up, and after its
+  drain (unless the file on disk is already further ahead).
 - ``generation`` counts the advances that applied documents. A
   pipeline restarted on an older checkpoint resumes at the generation
   its last publish recorded in the run manifest, not at the

@@ -27,8 +27,8 @@ gauges. This module adds the wire-level parts:
   the transport; everything else completes inline.
 * **Multi-worker hooks** — with a :class:`~repro.serve.workers.WorkerRuntime`
   attached, ``/metrics`` merges every worker's pickled registry
-  snapshot, and successful reload/ingest swaps bump the shared epoch
-  and nudge the supervisor to SIGHUP the sibling workers (see
+  snapshot, and a successful ``/admin/reload`` bumps the shared epoch
+  and nudges the supervisor to SIGHUP the sibling workers (see
   :mod:`repro.serve.workers`).
 """
 
@@ -40,7 +40,6 @@ import math
 import signal
 import socket
 import sys
-import threading
 import time
 from typing import Any, Callable, NamedTuple
 from urllib.parse import parse_qs
@@ -845,8 +844,9 @@ class AsyncReproServer:
     """The asyncio server: one listener, one service, N connections.
 
     Owns the loop-side plumbing the protocol instances share: the
-    lock-free admission controller, the reload/ingest bridges (with
-    multi-worker epoch hooks), and the merged ``/metrics`` view.
+    lock-free admission controller, the reload bridge (with the
+    multi-worker epoch hook), the ingest bridge, and the merged
+    ``/metrics`` view.
     Start with :meth:`start`; stop with :meth:`close_listener` +
     :meth:`wait_connections_closed`.
     """
@@ -856,13 +856,10 @@ class AsyncReproServer:
         service: OpinionService,
         *,
         runtime: Any | None = None,
-        ingest_factory: Callable[[], Any] | None = None,
     ) -> None:
         self.service = service
         self.admission = service.admission
         self.runtime = runtime
-        self.ingest_factory = ingest_factory
-        self._ingest_cycle = threading.Lock()
         self.connections: set[HttpProtocol] = set()
         self.loop: asyncio.AbstractEventLoop | None = None
         self._server: asyncio.base_events.Server | None = None
@@ -916,64 +913,19 @@ class AsyncReproServer:
                 status=500,
                 code="reload_failed",
             ) from None
-        self._after_swap("reload", path)
+        if self.runtime is not None:
+            # Publish the new epoch and ask the supervisor to SIGHUP
+            # the sibling workers.
+            self.runtime.publish_epoch("reload", path)
+            self.runtime.notify_parent()
         return summary
 
     def run_ingest(
         self, documents: list, request_id: str | None
     ) -> dict[str, Any]:
-        """``/admin/ingest`` body, one cycle at a time: a lone process
-        holds ``_ingest_cycle``, a worker the cross-process journal
-        lock. A pipeline whose journal another writer appended to is
-        rebuilt from disk first (a stale view would append offsets
-        already on disk); a worker also rebuilds on a moved checkpoint
-        and checkpoints before it releases the lock."""
-        service = self.service
-        pipeline = service.ingest_pipeline
-        workers = self.runtime is not None and pipeline is not None
-        with self.runtime.ingest_lock() if workers else self._ingest_cycle:
-            if pipeline is not None:
-                self._resync_pipeline()
-                pipeline = service.ingest_pipeline
-            try:
-                summary = service.ingest(documents, request_id)
-            finally:
-                # The sibling that takes the lock next reads
-                # state.json, also after a cycle that advanced and was
-                # then refused (publish failed, or the table did not
-                # validate).
-                if workers and pipeline.pending:
-                    pipeline.checkpoint()
-        self._after_swap("ingest", None)
-        return summary
-
-    def _resync_pipeline(self) -> None:
-        from ..ingest.state import load_state
-
-        pipeline = self.service.ingest_pipeline
-        stale = pipeline.journal.behind_disk()
-        if not stale and self.runtime is not None:
-            disk = load_state(pipeline.journal.directory)
-            stale = (disk.applied_offset, disk.generation) != (
-                pipeline.state.applied_offset, pipeline.state.generation
-            )
-        if stale:
-            if self.ingest_factory is None:  # pragma: no cover
-                raise ServeError(
-                    "ingest state changed on disk and no factory "
-                    "is attached to rebuild the pipeline",
-                    status=500,
-                    code="ingest_failed",
-                )
-            self.service.ingest_pipeline = self.ingest_factory()
-
-    def _after_swap(self, kind: str, path: str | None) -> None:
-        """A successful local swap in multi-worker mode: publish the
-        new epoch and ask the supervisor to SIGHUP the siblings."""
-        if self.runtime is None:
-            return
-        self.runtime.publish_epoch(kind, path)
-        self.runtime.notify_parent()
+        """``/admin/ingest`` body: one cycle of the lone process's
+        ingest pipeline (see :meth:`OpinionService.ingest`)."""
+        return self.service.ingest(documents, request_id)
 
     # -- metrics --------------------------------------------------------
     def render_metrics(self) -> str:
@@ -1004,7 +956,6 @@ async def serve_async(
     sock: socket.socket | None = None,
     drain_timeout: float = 5.0,
     runtime: Any | None = None,
-    ingest_factory: Callable[[], Any] | None = None,
     on_started: Callable[[int], None] | None = None,
 ) -> int:
     """Run the async core until SIGTERM/SIGINT, with graceful drain.
@@ -1017,11 +968,7 @@ async def serve_async(
     for ``--port 0``). A worker (``runtime`` attached) prints no drain
     notices: its supervisor speaks for the fleet.
     """
-    server = AsyncReproServer(
-        service,
-        runtime=runtime,
-        ingest_factory=ingest_factory,
-    )
+    server = AsyncReproServer(service, runtime=runtime)
     await server.start(host, port, sock=sock)
     loop = asyncio.get_running_loop()
     stop = asyncio.Event()

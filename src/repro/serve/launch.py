@@ -5,7 +5,8 @@ process with no supervisor, so a benchmark wrapping the process sees
 every request and reads the server's own RSS. ``--workers N`` forks N
 asyncio workers on ``SO_REUSEPORT`` sockets under
 :func:`~repro.serve.workers.supervise`; they serve the table loaded
-here.
+here. An ingest journal has one writer: ``--ingest-journal`` needs
+``--workers 1`` and is refused otherwise, before anything is opened.
 
 Flag values are range-checked when the command line is parsed. What
 the flags name on disk is opened by :func:`run` before any socket is
@@ -18,8 +19,8 @@ catches up to the generation its last publish recorded before any
 socket is bound (:meth:`~repro.ingest.IngestPipeline.catch_up`).
 Every serving process then builds its service (:func:`build_service`),
 serves until SIGTERM, and after the drain flushes its trace and
-access log and checkpoints its ingest state (unless another process
-has checkpointed the journal further). The startup
+access log and checkpoints its ingest state (unless a ``repro ingest``
+run has checkpointed the journal further). The startup
 notices print once, from the lone process or worker 0; the banner
 prints once, when the address accepts connections.
 """
@@ -31,9 +32,9 @@ import asyncio
 import os
 import socket
 import sys
-from contextlib import nullcontext
 from typing import Callable
 
+from ..core.errors import ReproError
 from ..core.result import OpinionTable
 from ..extraction.provenance import ProvenanceIndex
 from ..kb.seeds import evaluation_kb
@@ -48,17 +49,21 @@ from .workers import WorkerRuntime, make_reuseport_socket, supervise
 
 def run(args: argparse.Namespace) -> int:
     """Serve ``args.opinions`` until SIGTERM/Ctrl-C; the exit code."""
+    if args.ingest_journal and args.workers > 1:
+        raise ReproError(
+            f"--ingest-journal needs --workers 1 (got {args.workers}): "
+            "a journal takes one writer"
+        )
     table = load(args.opinions, "opinions")
     provenance = load_provenance_sidecar(args.opinions)
     # One registry per process: each worker gets its own copy at fork.
     registry = MetricsRegistry()
-    ingest_factory = pipeline = None
+    pipeline = None
     if args.ingest_journal:
-        ingest_factory = _ingest_factory(args, registry)
-        pipeline = ingest_factory()
+        pipeline = _ingest_pipeline(args, registry)
         # Serve the published generation with the state behind it:
         # replay what the checkpoint lacks now, not in the first POST,
-        # and checkpoint it for the workers to read.
+        # and checkpoint it so the next restart does not replay it.
         pipeline.catch_up()
         if pipeline.pending:
             pipeline.checkpoint()
@@ -87,16 +92,14 @@ def run(args: argparse.Namespace) -> int:
         )
 
     if args.workers == 1:
-        return _serve_process(
-            args, service_for(None), ingest_factory, on_started=banner
-        )
+        return _serve_process(args, service_for(None), on_started=banner)
     parent_pid = os.getpid()
 
     def child_main(
         index: int, port: int, runtime_dir: str, ready_fd: int
     ) -> int:
         return _serve_process(
-            args, service_for(index), ingest_factory,
+            args, service_for(index),
             index=index,
             runtime=WorkerRuntime(
                 runtime_dir, index, args.workers, parent_pid
@@ -111,40 +114,29 @@ def run(args: argparse.Namespace) -> int:
     )
 
 
-def _ingest_factory(
-    args: argparse.Namespace, registry: MetricsRegistry
-) -> Callable[[], object]:
-    """The factory that builds, and after a sibling's ingest rebuilds,
-    the pipeline over ``--ingest-journal``; the knowledge base is read
-    once, here."""
+def _ingest_pipeline(args: argparse.Namespace, registry: MetricsRegistry):
+    """The pipeline over ``--ingest-journal``; it rebuilds itself from
+    the journal directory when a ``repro ingest`` run has appended
+    (:meth:`~repro.ingest.IngestPipeline.reopen`)."""
     from ..ingest import CorpusJournal, IngestPipeline
 
-    kb = (
-        load(args.ingest_kb, "knowledge_base")
-        if args.ingest_kb
-        else evaluation_kb()
+    return IngestPipeline(
+        kb=(
+            load(args.ingest_kb, "knowledge_base")
+            if args.ingest_kb
+            else evaluation_kb()
+        ),
+        journal=CorpusJournal(args.ingest_journal),
+        occurrence_threshold=args.ingest_threshold,
+        warm_start=args.ingest_warm_start,
+        registry=registry,
+        published=args.opinions,
     )
-
-    def ingest_factory() -> IngestPipeline:
-        # Rebuilds pick their persisted state back up from the
-        # journal directory (a sibling worker may have advanced it;
-        # see AsyncReproServer._resync_pipeline).
-        return IngestPipeline(
-            kb=kb,
-            journal=CorpusJournal(args.ingest_journal),
-            occurrence_threshold=args.ingest_threshold,
-            warm_start=args.ingest_warm_start,
-            registry=registry,
-            published=args.opinions,
-        )
-
-    return ingest_factory
 
 
 def _serve_process(
     args: argparse.Namespace,
     service: OpinionService,
-    ingest_factory: Callable[[], object] | None,
     *,
     on_started: Callable[[int], object],
     index: int | None = None,
@@ -161,7 +153,6 @@ def _serve_process(
                 sock=sock,
                 drain_timeout=args.drain_timeout,
                 runtime=runtime,
-                ingest_factory=ingest_factory,
                 on_started=on_started,
             )
         )
@@ -176,25 +167,22 @@ def _serve_process(
             service.access_log.close()
         # After the drain (asyncio.run has joined the ingest threads):
         # the next process starts from this checkpoint.
-        _drain_checkpoint(service.ingest_pipeline, runtime)
+        _drain_checkpoint(service.ingest_pipeline)
         if runtime is None:  # a supervisor says so for its workers
             print("repro serve: shut down cleanly", file=sys.stderr)
 
 
-def _drain_checkpoint(pipeline, runtime: WorkerRuntime | None) -> None:
+def _drain_checkpoint(pipeline) -> None:
     """Checkpoint what ``pipeline`` applied since its last checkpoint,
-    unless another process (a sibling worker, a ``repro ingest`` run)
-    has since checkpointed the journal further: an older state must
-    not overwrite a newer one."""
+    unless a ``repro ingest`` run has since checkpointed the journal
+    further: an older state must not overwrite a newer one."""
     from ..ingest.state import load_state
 
     if pipeline is None or not pipeline.pending:
         return
-    lock = runtime.ingest_lock() if runtime is not None else nullcontext()
-    with lock:
-        disk = load_state(pipeline.journal.directory)
-        if disk.applied_offset <= pipeline.state.applied_offset:
-            pipeline.checkpoint()
+    disk = load_state(pipeline.journal.directory)
+    if disk.applied_offset <= pipeline.state.applied_offset:
+        pipeline.checkpoint()
 
 
 def _worker_path(path: str | None, index: int | None) -> str | None:

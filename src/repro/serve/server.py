@@ -326,8 +326,8 @@ class OpinionService:
         self._trace_seen = itertools.count(1)
         self._swap_lock = threading.Lock()
         self._trace_lock = threading.Lock()
-        # Serializes whole ingest cycles (journal append -> refit ->
-        # publish); _swap_lock is still taken for the swap itself so
+        # Serializes whole ingest cycles (resync -> journal append ->
+        # refit -> publish); _swap_lock is still taken for the swap itself so
         # ingests and file reloads interleave safely.
         self._ingest_lock = threading.Lock()
         self.ingest_pipeline = ingest_pipeline
@@ -397,9 +397,10 @@ class OpinionService:
     ) -> OpinionIndex:
         # Blocks the candidate shares with the live table (an ingest
         # carried them forward) keep the live index's columns. An
-        # ingest passes its pipeline's generation (siblings under
-        # --workers N advance it too); the index is never numbered
-        # below live + 1, so no cached answer of the live one is kept.
+        # ingest passes its pipeline's generation (a `repro ingest` run
+        # beside the server advances it too); the index is never
+        # numbered below live + 1, so no cached answer of the live one
+        # is kept.
         live = self._live.index
         generation = max(generation, live.generation + 1)
         return OpinionIndex(table, generation=generation, previous=live)
@@ -720,15 +721,17 @@ class OpinionService:
 
         Requires an attached :class:`~repro.ingest.IngestPipeline`
         (``repro serve --ingest-journal``); 409 otherwise. The whole
-        cycle — durable append, incremental extract, dirty-set refit,
-        artefact publish, validated swap — runs under ``_ingest_lock``
-        so concurrent posts serialize; the swap itself still takes
-        ``_swap_lock``, interleaving safely with file reloads. The
-        published artefacts land at the configured opinions path, so a
-        restart reloads the latest generation from disk.
+        cycle — resync, durable append, incremental extract, dirty-set
+        refit, artefact publish, validated swap — runs under
+        ``_ingest_lock`` so concurrent posts serialize; the swap itself
+        still takes ``_swap_lock``, interleaving safely with file
+        reloads. A pipeline whose journal another writer (a ``repro
+        ingest`` run) appended to is rebuilt from disk first: its view
+        would append offsets already on disk. The published artefacts
+        land at the configured opinions path, so a restart reloads the
+        latest generation from disk.
         """
-        pipeline = self.ingest_pipeline
-        if pipeline is None:
+        if self.ingest_pipeline is None:
             raise ServeError(
                 "no ingest journal attached to this server "
                 "(start with --ingest-journal)",
@@ -740,6 +743,9 @@ class OpinionService:
         started = time.perf_counter()
         started_unix = time.time()
         with self._ingest_lock:
+            pipeline = self.ingest_pipeline
+            if pipeline.journal.behind_disk():
+                pipeline = self.ingest_pipeline = pipeline.reopen()
             report = pipeline.ingest(documents)
             out = self.source_path
             swapped = False

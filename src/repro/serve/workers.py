@@ -18,20 +18,20 @@ supervises:
   every worker hot-swaps from the artefact path and lands on the same
   generation.
 * **SIGUSR1** (from a worker) — a worker that just swapped via
-  ``POST /admin/reload`` or ``POST /admin/ingest`` already published
-  the new epoch; the supervisor re-broadcasts SIGHUP so the sibling
-  workers converge. The initiating worker recognises its own epoch
-  and skips the redundant reload.
+  ``POST /admin/reload`` already published the new epoch; the
+  supervisor re-broadcasts SIGHUP so the sibling workers converge.
+  The initiating worker recognises its own epoch and skips the
+  redundant reload.
 
 Cross-worker state lives in a throwaway runtime directory: the epoch
-file (fcntl-locked read-modify-write), pickled per-worker
+file (fcntl-locked read-modify-write) and pickled per-worker
 :class:`~repro.obs.metrics.MetricsRegistry` snapshots that any worker
-merges on a ``/metrics`` scrape, and the ingest lock that serialises
-``/admin/ingest`` cycles over the one shared corpus journal.
-Generations stay in lockstep because every worker performs the same
-number of swaps, each one validated through the usual snapshot-swap
-path. ``/admin/rollback`` stays per-worker (an operator escape
-hatch, documented in docs/serving.md).
+merges on a ``/metrics`` scrape. Workers take no ingest journal
+(``--ingest-journal`` needs ``--workers 1``). Generations stay in
+lockstep because every worker performs the same number of swaps, each
+one validated through the usual snapshot-swap path.
+``/admin/rollback`` stays per-worker (an operator escape hatch,
+documented in docs/serving.md).
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def make_reuseport_socket(host: str, port: int) -> socket.socket:
 
 
 # ---------------------------------------------------------------------------
-# Shared runtime directory (epoch file + metrics snapshots + locks)
+# Shared runtime directory (epoch file + metrics snapshots)
 # ---------------------------------------------------------------------------
 
 def _epoch_path(directory: Path) -> Path:
@@ -115,7 +115,7 @@ def publish_epoch(
 ) -> int:
     """Atomically advance the reload epoch; returns the new value.
 
-    ``kind`` records what triggered the swap (``reload`` / ``ingest``)
+    ``kind`` records what triggered the swap (``reload``)
     and ``path`` an explicit artefact path when the trigger named one,
     so sibling workers reload the same source the initiator did.
     """
@@ -195,13 +195,6 @@ class WorkerRuntime:
             os.kill(self.parent_pid, signal.SIGUSR1)
         except (ProcessLookupError, PermissionError):
             pass
-
-    # -- ingest serialisation ------------------------------------------
-    @contextlib.contextmanager
-    def ingest_lock(self) -> Iterator[None]:
-        """Cross-process exclusive lock around one ingest cycle."""
-        with _locked(self.directory / "ingest.lock"):
-            yield
 
 
 # ---------------------------------------------------------------------------

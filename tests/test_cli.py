@@ -687,12 +687,12 @@ class TestServeFlagValues:
         assert "Traceback" not in err
         assert "serving" not in err
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("workers", ["1"])
     def test_unusable_ingest_journal_exits_2_before_forking(
         self, tmp_path, monkeypatch, capsys, workers
     ):
         """An `--ingest-journal` path that is a regular file is opened
-        before any worker forks: one error line, exit 2, no banner."""
+        before the server starts: one error line, exit 2, no banner."""
         from repro.core import OpinionTable
 
         def forked():
@@ -713,6 +713,35 @@ class TestServeFlagValues:
         assert err.startswith("repro: error: ")
         assert err.count("\n") == 1
         assert "File exists" in err
+
+    def test_ingest_journal_with_workers_2_exits_2_before_opening_it(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """A journal takes one writer: `--ingest-journal` with
+        `--workers 2` is refused before the journal is opened or a
+        worker forks: one error line, exit 2, no banner, nothing
+        written under the journal directory."""
+        from repro.core import OpinionTable
+
+        def forked():
+            raise AssertionError("a worker forked")
+
+        monkeypatch.setattr(os, "fork", forked)
+        table = save(OpinionTable(), tmp_path / "op.json")
+        journal = tmp_path / "journal"
+        journal.mkdir()
+        rc = main(
+            [
+                "serve", str(table), "--port", "0", "--workers", "2",
+                "--ingest-journal", str(journal),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("repro: error: --ingest-journal needs")
+        assert err.count("\n") == 1
+        assert "serving" not in err
+        assert list(journal.iterdir()) == []
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     def test_unopenable_access_log_exits_2_before_forking(

@@ -1249,15 +1249,10 @@ class TestCheckpointRestart:
         assert pipeline.pending
         assert pipeline.checkpoint().read_bytes() == new
 
-    def two_workers(self, tmp_path, small_kb, first):
-        """Two ``--workers 2`` servers on one journal, bootstrapped
-        from ``first``, and one pipeline that takes every batch."""
+    def one_process(self, tmp_path, small_kb, first):
+        """A single-process server on a journal bootstrapped from
+        ``first``, and one pipeline that takes every batch."""
         from repro.serve.aio import AsyncReproServer
-        from repro.serve.workers import WorkerRuntime
-
-        class Runtime(WorkerRuntime):
-            def notify_parent(self):  # no supervisor in this test
-                pass
 
         journal_dir = tmp_path / "journal"
         out = tmp_path / "opinions.json"
@@ -1265,21 +1260,14 @@ class TestCheckpointRestart:
         boot.publish(boot.ingest(first), out)
         reference = self.pipeline(tmp_path / "one", small_kb)
         reference.ingest(first)
-
-        def factory():
-            return self.pipeline(journal_dir, small_kb, out)
-
-        workers = [
-            AsyncReproServer(
-                OpinionService(
-                    load(out), source_path=out, ingest_pipeline=factory()
-                ),
-                runtime=Runtime(tmp_path / "runtime", index, 2, 0),
-                ingest_factory=factory,
+        server = AsyncReproServer(
+            OpinionService(
+                load(out),
+                source_path=out,
+                ingest_pipeline=self.pipeline(journal_dir, small_kb, out),
             )
-            for index in range(2)
-        ]
-        return workers, reference, out
+        )
+        return server, reference, out
 
     def assert_published_like(self, out, reference, tmp_path, batch):
         """``out`` holds what ``reference`` publishes after ``batch``."""
@@ -1291,63 +1279,34 @@ class TestCheckpointRestart:
         assert config["generation"] == expected.generation
         assert config["journal_offset"] == expected.journal_offset
 
-    def test_workers_hand_the_journal_over_through_state_json(
-        self, tmp_path, small_kb, cute_scenario
-    ):
-        first, *rest = self.batches(cute_scenario)
-        workers, reference, out = self.two_workers(
-            tmp_path, small_kb, first
-        )
-        for step, batch in enumerate(rest):
-            worker = workers[step % 2]
-            kept = worker.service.ingest_pipeline
-            summary = worker.run_ingest(batch, None)
-            # The sibling's checkpoint was current: a rebuild, no replay.
-            assert summary["documents"] == len(batch)
-            assert (worker.service.ingest_pipeline is kept) == (step == 0)
-            self.assert_published_like(out, reference, tmp_path, batch)
-            assert not worker.service.ingest_pipeline.pending
-
-    def test_workers_answer_the_generation_they_publish(
-        self, tmp_path, small_kb, cute_scenario
-    ):
-        # Back-to-back ingests on alternate workers, with no reload of
-        # the sibling's publish in between: each answer is the
-        # published manifest's generation, strictly increasing.
-        first, *rest = self.batches(cute_scenario)
-        workers, _, out = self.two_workers(tmp_path, small_kb, first)
-        answered = []
-        for step, batch in enumerate(rest[:3]):
-            summary = workers[step % 2].run_ingest(batch[:1], None)
-            config = read_manifest(manifest_path_for(out))["config"]
-            assert summary["generation"] == config["generation"]
-            answered.append(summary["generation"])
-        assert answered == sorted(set(answered)) and len(answered) == 3
-
     def test_a_refused_table_still_hands_the_journal_over(
         self, tmp_path, small_kb, cute_scenario, monkeypatch
     ):
         first, refused, after, *_ = self.batches(cute_scenario)
-        workers, reference, out = self.two_workers(
+        server, reference, out = self.one_process(
             tmp_path, small_kb, first
         )
 
         def unservable(**_):
             raise ValueError("injected validation failure")
 
-        # Worker 0 advances and publishes, then its table is refused.
+        # The cycle advances and publishes, then its table is refused.
         with monkeypatch.context() as context:
             context.setattr(
-                workers[0].service, "_validate_candidate", unservable
+                server.service, "_validate_candidate", unservable
             )
             with pytest.raises(ServeError, match="unservable"):
-                workers[0].run_ingest(refused, None)
+                server.run_ingest(refused, None)
         self.assert_published_like(out, reference, tmp_path, refused)
-        assert not workers[0].service.ingest_pipeline.pending
+        assert server.service.index.generation == 1
 
-        summary = workers[1].run_ingest(after, None)
+        # The refused advance is kept: the next POST applies only its
+        # own batch and publishes what one pipeline publishes.
+        summary = server.run_ingest(after, None)
         assert summary["documents"] == len(after)
         self.assert_published_like(out, reference, tmp_path, after)
+        config = read_manifest(manifest_path_for(out))["config"]
+        assert summary["generation"] == config["generation"]
         journal = CorpusJournal(tmp_path / "journal")
         assert [r.document for r in journal.replay()] == (
             first + refused + after
@@ -1483,35 +1442,33 @@ class TestCheckpointRestart:
         self, tmp_path, small_kb, cute_scenario, monkeypatch
     ):
         first, failed, after, *_ = self.batches(cute_scenario)
-        workers, reference, out = self.two_workers(
+        server, reference, out = self.one_process(
             tmp_path, small_kb, first
         )
+        kept = server.service.ingest_pipeline
 
         def broken(*_):
             raise RuntimeError("injected extraction failure")
 
-        # Worker 0 journals the batch, then fails before applying it:
+        # The cycle journals the batch, then fails before applying it:
         # state.json does not move, but the journal did.
         with monkeypatch.context() as context:
-            context.setattr(
-                workers[0].service.ingest_pipeline._annotator,
-                "annotate",
-                broken,
-            )
+            context.setattr(kept._annotator, "annotate", broken)
             with pytest.raises(RuntimeError, match="injected"):
-                workers[0].run_ingest(failed, None)
+                server.run_ingest(failed, None)
         assert load_state(tmp_path / "journal").applied_offset == (
             len(first) - 1
         )
 
-        kept = workers[1].service.ingest_pipeline
-        summary = workers[1].run_ingest(after, None)
-        # Rebuilt on the journal as it is on disk: the failed batch is
-        # applied with this one, under the next generation.
-        assert workers[1].service.ingest_pipeline is not kept
+        summary = server.run_ingest(after, None)
+        # The failed batch is applied with this one, under the next
+        # generation, by the same pipeline.
+        assert server.service.ingest_pipeline is kept
         assert summary["documents"] == len(failed) + len(after)
         reference.append(failed)
         self.assert_published_like(out, reference, tmp_path, after)
+        config = read_manifest(manifest_path_for(out))["config"]
+        assert summary["generation"] == config["generation"]
         journal = CorpusJournal(tmp_path / "journal")
         assert [r.document for r in journal.replay()] == (
             first + failed + after
@@ -1568,12 +1525,12 @@ class TestCheckpointRestart:
         other.ingest(third)
         newer = other.checkpoint().read_bytes()
 
-        _drain_checkpoint(server, None)
+        _drain_checkpoint(server)
         assert state_path_for(journal_dir).read_bytes() == newer
         # With nothing newer on disk, the drain writes its own state.
         other.ingest(fourth)
         assert other.pending
-        _drain_checkpoint(other, None)
+        _drain_checkpoint(other)
         assert not other.pending
         assert load_state(journal_dir).generation == 3
 
