@@ -185,6 +185,20 @@ if worlds.table_digest(report.opinions) != worlds.stored_digest(
     "mine_longtail", 7
 ):
     sys.exit("reference parity failed under the process executor")
+
+# Strict parity on the long-tail world with a small memo: every
+# document is checked against the reference path, across pronoun pairs
+# and tens of thousands of memo evictions.
+report = SurveyorPipeline(
+    kb=kb,
+    occurrence_threshold=worlds.OCCURRENCE_THRESHOLD,
+    strict_parity=True,
+    annotation_memo_size=64,
+).run(corpus)
+if worlds.table_digest(report.opinions) != worlds.stored_digest(
+    "mine_longtail", 7
+):
+    sys.exit("strict parity run diverged from the reference digest")
 PYEOF
 
 echo "== serve lane (async core smoke: boot, query, observability, reload, shutdown) =="

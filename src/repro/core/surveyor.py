@@ -152,6 +152,12 @@ class Surveyor:
             if evidence_block.total < self.occurrence_threshold:
                 skipped.append(key)
                 continue
+            # Padded once, for the fit and the emit both; a clean
+            # combination a previous run fitted is likely carried and
+            # padded only if it is not.
+            padded = key in dirty or key not in carried
+            if padded:
+                evidence_block = self._full_evidence(key, evidence_block)
             with self._combination_span(key) as span:
                 fitted = fit_one(key, evidence_block)
                 fits[key] = fitted
@@ -165,7 +171,10 @@ class Surveyor:
                 if key not in dirty and carried.get(key) is fitted:
                     block = previous.opinions.block(key)
                 else:
-                    block = self._emit(key, fitted, evidence_block)
+                    block = self._emit(key, fitted, (
+                        evidence_block if padded
+                        else self._full_evidence(key, evidence_block)
+                    ))
                 table.add_block(key, block)
         return SurveyorResult(
             opinions=table,
@@ -180,7 +189,8 @@ class Surveyor:
         fit: FittedCombination,
         evidence: EvidenceBlock,
     ) -> tuple[Opinion, ...]:
-        """One combination's opinion on every entity of its type.
+        """One combination's opinion on every entity of its type
+        (``evidence`` is the combination's padded block).
 
         A degenerate fit fell back to majority vote, so its opinions
         are hard votes instead of model posteriors. Either way the
@@ -194,10 +204,9 @@ class Surveyor:
             probability_of = fit.model().posterior_positive
         distinct: dict[tuple[int, int], tuple[EvidenceCounts, float]] = {}
         emit_undecided = self.emit_undecided
-        full = self._full_evidence(key, evidence)
         block = []
         for entity_id, pair in zip(
-            full.ids, zip(full.positive, full.negative)
+            evidence.ids, zip(evidence.positive, evidence.negative)
         ):
             entry = distinct.get(pair)
             if entry is None:

@@ -1,7 +1,7 @@
 """Evidence extraction: patterns, polarity, filters, and the driver."""
 
 from .antonyms import ANTONYMS, antonym_of, expand_with_antonyms
-from .extractor import EvidenceExtractor, ExtractionStats, extract_from_texts
+from .extractor import EvidenceExtractor, ExtractionStats
 from .patterns import (
     DEFAULT_PATTERNS,
     PATTERN_VERSIONS,
@@ -36,7 +36,6 @@ __all__ = [
     "PATTERN_VERSIONS",
     "PatternConfig",
     "PatternMatch",
-    "extract_from_texts",
     "find_matches",
     "negation_count",
     "statement_polarity",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 from ..core.errors import ExtractionError
 from ..core.types import Polarity
-from ..nlp.annotate import AnnotatedDocument, AnnotatedSentence, Annotator
+from ..nlp.annotate import AnnotatedDocument, AnnotatedSentence, line_mentions
 from .patterns import DEFAULT_PATTERNS, PatternConfig, find_matches
 from .polarity import negation_count
 from .provenance import ProvenanceLedger
@@ -29,6 +29,12 @@ class ExtractionStats:
     positive: int = 0
     negative: int = 0
 
+    def count(self, positive: int, negative: int) -> None:
+        """Account extracted statements by polarity."""
+        self.statements += positive + negative
+        self.positive += positive
+        self.negative += negative
+
     def merge(self, other: "ExtractionStats") -> None:
         self.documents += other.documents
         self.sentences += other.sentences
@@ -43,8 +49,8 @@ class EvidenceExtractor:
 
     config: PatternConfig = DEFAULT_PATTERNS
     stats: ExtractionStats = field(default_factory=ExtractionStats)
-    #: Optional lineage capture: when set, :meth:`extract_sentence`
-    #: samples each distinct sentence's statements (doc id, sentence
+    #: Optional lineage capture: when set, extraction samples each
+    #: distinct sentence's statements (doc id, sentence
     #: index, pattern, polarity) into the ledger. ``None`` (the
     #: default) keeps extraction byte-identical to the pre-provenance
     #: behaviour at zero cost.
@@ -62,42 +68,38 @@ class EvidenceExtractor:
         :class:`ExtractionError` with document/sentence context so the
         pipeline can quarantine the document.
 
-        When the annotator attached an ``extraction_cache`` (the
-        sentence's matches are a pure function of its text and link
-        context), the pattern matching and polarity work runs once per
-        cache line and later documents only re-stamp ``doc_id``
-        (:meth:`EvidenceStatement.restamp` keeps the proto's key). A
-        ledger samples each cache line once (``seen_lines`` identity
-        check), so repeat visits of a shared sentence pay no
-        provenance cost beyond that check; the ledger counts nothing,
-        its readers take the totals from the evidence counter.
+        A sentence that carries its memo line's ``extraction_cache``
+        (its matches are then a pure function of its text and link
+        context) is matched once per line and pattern config, into the
+        line's protos; every visit returns them re-stamped with its
+        ``doc_id`` (:meth:`EvidenceStatement.restamp` keeps the proto's
+        key).
         """
         cache = annotated.extraction_cache
-        if cache is not None:
-            protos = cache.get(self.config)
-            if protos is None:
-                protos = tuple(self._match_sentence(annotated, doc_id))
-                cache[self.config] = protos
-            if not protos:
-                return []
-            found = [
-                s if s.doc_id == doc_id else s.restamp(doc_id)
-                for s in protos
-            ]
-            ledger = self.provenance
-            if (
-                ledger is not None
-                and id(protos) not in ledger.seen_lines
-            ):
-                ledger.sample_line(protos, found, sentence_index)
-            return found
-        found = self._match_sentence(annotated, doc_id)
-        if found:
-            ledger = self.provenance
+        ledger = self.provenance
+        if cache is None:
+            found = self._match_sentence(annotated, doc_id)
             if ledger is not None:
                 for statement in found:
                     ledger.record(statement, sentence_index)
-        return found
+            return found
+        protos = cache.get(self.config)
+        if protos is None:
+            protos = tuple(self._match_sentence(annotated, doc_id))
+            cache[self.config] = protos
+        if protos and ledger is not None and id(protos) not in ledger.seen_lines:
+            self._sample_line(protos, doc_id, sentence_index)
+        return [s if s.doc_id == doc_id else s.restamp(doc_id) for s in protos]
+
+    def _sample_line(self, protos: tuple, doc_id: str, index: int) -> None:
+        """Sample a memo line's statements into the ledger, re-stamped
+        to the first document of this ledger reaching the line; later
+        visits cost only the ``seen_lines`` identity check. The ledger
+        counts nothing, its readers take the totals from the evidence
+        counter."""
+        self.provenance.sample_line(protos, [
+            s if s.doc_id == doc_id else s.restamp(doc_id) for s in protos
+        ], index)
 
     def _match_sentence(
         self, annotated: AnnotatedSentence, doc_id: str
@@ -135,23 +137,55 @@ class EvidenceExtractor:
         return statements
 
     def extract_document(
-        self, document: AnnotatedDocument
-    ) -> list[EvidenceStatement]:
-        """All evidence statements in one document."""
-        statements: list[EvidenceStatement] = []
-        self.stats.documents += 1
+        self,
+        document: AnnotatedDocument,
+        counter: EvidenceCounter | None = None,
+    ) -> list[EvidenceStatement] | int:
+        """All evidence statements in one document, as a list; or, with
+        ``counter``, counted into it (nothing if the document raises),
+        returning their number. Counted statements are left for the
+        caller to account by polarity, once per counter
+        (:meth:`ExtractionStats.count`).
+
+        A fast-path document held as memo lines is counted from its
+        lines: a line's protos go straight into the counter, so no
+        sentence or statement object is built once the line has been
+        matched (its first visit runs :meth:`extract_sentence`).
+        """
+        stats = self.stats
+        stats.documents += 1
         doc_id = document.doc_id
-        for sentence_index, annotated in enumerate(
-            document.sentences
-        ):
-            self.stats.sentences += 1
-            statements.extend(
-                self.extract_sentence(
-                    annotated, doc_id, sentence_index
-                )
-            )
-        self._account(statements)
-        return statements
+        lines = document.lines
+        if counter is None or lines is None:
+            statements: list[EvidenceStatement] = []
+            for index, annotated in enumerate(document.sentences):
+                stats.sentences += 1
+                statements += self.extract_sentence(annotated, doc_id, index)
+            if counter is not None:
+                counter.add_all(statements)
+                return len(statements)
+            positive = sum(s.polarity is Polarity.POSITIVE for s in statements)
+            stats.count(positive, len(statements) - positive)
+            return statements
+        stats.sentences += len(lines)
+        config = self.config
+        ledger = self.provenance
+        found = []
+        for index, line in enumerate(lines):
+            if line is None:
+                continue
+            protos = line[0].get(config)
+            if protos is None:
+                protos = self.extract_sentence(AnnotatedSentence(
+                    document.records[index], line_mentions(line), line[0]
+                ), doc_id, index)
+            elif protos and ledger is not None and id(protos) not in ledger.seen_lines:
+                self._sample_line(protos, doc_id, index)
+            if protos:
+                found.append(protos)
+        for protos in found:
+            counter.add_all(protos)
+        return sum(map(len, found))
 
     def extract_corpus(
         self, documents: Iterable[AnnotatedDocument]
@@ -162,24 +196,3 @@ class EvidenceExtractor:
             counter.add_all(self.extract_document(document))
         return counter
 
-    def _account(self, statements: list[EvidenceStatement]) -> None:
-        self.stats.statements += len(statements)
-        for statement in statements:
-            if statement.polarity is Polarity.POSITIVE:
-                self.stats.positive += 1
-            else:
-                self.stats.negative += 1
-
-
-def extract_from_texts(
-    annotator: Annotator,
-    texts: Iterable[tuple[str, str]],
-    config: PatternConfig = DEFAULT_PATTERNS,
-) -> tuple[EvidenceCounter, ExtractionStats]:
-    """Convenience path: raw ``(doc_id, text)`` pairs to evidence counts."""
-    extractor = EvidenceExtractor(config=config)
-    counter = EvidenceCounter()
-    for doc_id, text in texts:
-        document = annotator.annotate(doc_id, text)
-        counter.add_all(extractor.extract_document(document))
-    return counter, extractor.stats

@@ -97,16 +97,22 @@ class EvidenceCounter:
         return slot
 
     def add(self, statement: EvidenceStatement) -> None:
-        slot = self._slot(statement.key, statement.entity_id)
-        if statement.polarity is Polarity.POSITIVE:
-            slot[0] += 1
-        else:
-            slot[1] += 1
-        self._n_statements += 1
+        self.add_all((statement,))
 
     def add_all(self, statements: Iterable[EvidenceStatement]) -> None:
+        """Count statements: each one's key, entity and polarity pick
+        the slot; its document plays no part, so memoized protos count
+        as the statements they stand for."""
+        slot_of = self._slot
+        n = 0
         for statement in statements:
-            self.add(statement)
+            slot = slot_of(statement.key, statement.entity_id)
+            if statement.polarity is Polarity.POSITIVE:
+                slot[0] += 1
+            else:
+                slot[1] += 1
+            n += 1
+        self._n_statements += n
 
     def seed_pair(
         self,
@@ -153,6 +159,15 @@ class EvidenceCounter:
     @property
     def n_pairs(self) -> int:
         return sum(len(v) for v in self._counts.values())
+
+    def polarity_totals(self) -> tuple[int, int]:
+        """(positive, negative) statements over every pair."""
+        positive = sum(
+            slot[0]
+            for per_entity in self._counts.values()
+            for slot in per_entity.values()
+        )
+        return positive, self._n_statements - positive
 
     def keys(self) -> list[PropertyTypeKey]:
         return list(self._counts)

@@ -81,12 +81,12 @@ from ..core.types import PropertyTypeKey
 from ..corpus.document import Document
 from ..extraction.extractor import EvidenceExtractor
 from ..extraction.provenance import ProvenanceIndex, ProvenanceLedger
-from ..extraction.statement import EvidenceCounter
 from ..kb.knowledge_base import KnowledgeBase
 from ..nlp.annotate import Annotator
 from ..nlp.prefilter import DEFAULT_MEMO_SIZE
 from ..obs.convergence import records_from_result
 from ..obs.manifest import manifest_path_for, publish_table, read_manifest
+from ..pipeline.runner import mine_documents
 from ..storage import LineageRows, OpinionRows
 from .journal import CorpusJournal, JournalRecord
 from .state import IngestState, load_state, save_state
@@ -296,18 +296,16 @@ class IngestPipeline:
             raise
 
     def _fold(self, records: list[JournalRecord]) -> IngestReport:
-        delta = EvidenceCounter()
         delta_ledger = (
             ProvenanceLedger() if self.provenance else None
         )
+        extractor = EvidenceExtractor(provenance=delta_ledger)
+        delta, _ = mine_documents(
+            [record.document for record in records],
+            self._annotator,
+            extractor,
+        )
         if records:
-            annotator = self._annotator
-            extractor = EvidenceExtractor(provenance=delta_ledger)
-            for record in records:
-                annotated = annotator.annotate(
-                    record.document.doc_id, record.document.text
-                )
-                delta.add_all(extractor.extract_document(annotated))
             self.state.evidence.merge(delta)
             self.state.stats.merge(extractor.stats)
             if delta_ledger is not None:

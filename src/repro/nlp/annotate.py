@@ -14,7 +14,15 @@ Two execution paths produce bit-identical output:
   :mod:`repro.nlp.prefilter` and memoizes per-sentence work, so
   sentences that cannot yield evidence skip tagging, linking,
   coreference, and parsing entirely, and repeated sentences are
-  annotated once per shard.
+  annotated once per shard. A document without a coreference pronoun
+  comes back as its memo lines only: each sentence's shared record and,
+  where the sentence has alias matches, its link line (one flat tuple:
+  extraction scratch, linked and dropped counts, then five fields per
+  mention). Extraction counts straight from the lines; the
+  per-sentence :class:`AnnotatedSentence` view is built only when a
+  caller reads :attr:`AnnotatedDocument.sentences`. A document with a
+  pronoun is resolved sentence by sentence and holds its sentences as
+  built.
 
 The skip decisions are proven sound case by case:
 
@@ -35,8 +43,10 @@ both paths and asserts identical output.
 from __future__ import annotations
 
 import weakref
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain
 
 from ..core.errors import ExtractionError
 from ..kb.knowledge_base import KnowledgeBase
@@ -84,12 +94,38 @@ class AnnotatedSentence:
         return None
 
 
+def line_mentions(line: tuple) -> list[EntityMention]:
+    """The mentions a memo link line holds (see the module docstring)."""
+    return [EntityMention._make(line[i:i + 5]) for i in range(3, len(line), 5)]
+
+
 @dataclass(slots=True)
 class AnnotatedDocument:
-    """One fully annotated document."""
+    """One annotated document: its sentences as built (the reference
+    path, or a fast-path document with a coreference pronoun), or a
+    fast-path document's memo lines, each sentence's shared record in
+    ``records`` and its link line in ``lines`` (``None`` without alias
+    matches). Reading :attr:`sentences` builds the lines' view."""
 
     doc_id: str
-    sentences: list[AnnotatedSentence] = field(default_factory=list)
+    _sentences: list[AnnotatedSentence] | None = None
+    records: list[Sentence] | None = None
+    lines: list[tuple | None] | None = None
+
+    def __len__(self) -> int:
+        """The number of sentences, without building their view."""
+        return len(self._sentences if self.lines is None else self.lines)
+
+    @property
+    def sentences(self) -> list[AnnotatedSentence]:
+        if self._sentences is None:
+            self._sentences = [
+                AnnotatedSentence(record, [])
+                if line is None
+                else AnnotatedSentence(record, line_mentions(line), line[0])
+                for record, line in zip(self.records, self.lines)
+            ]
+        return self._sentences
 
     def mention_count(self) -> int:
         return sum(len(s.mentions) for s in self.sentences)
@@ -208,16 +244,14 @@ class Annotator:
         """
         try:
             if self.fast_path:
-                sentences = self._annotate_fast(text)
-            else:
-                sentences = self._annotate_reference(text)
+                return self._annotate_fast(doc_id, text)
+            return AnnotatedDocument(doc_id, self._annotate_reference(text))
         except ExtractionError:
             raise
         except Exception as error:
             raise ExtractionError(
                 f"annotation failed for document {doc_id!r}: {error}"
             ) from error
-        return AnnotatedDocument(doc_id=doc_id, sentences=sentences)
 
     # ------------------------------------------------------------------
     # Reference path
@@ -242,11 +276,12 @@ class Annotator:
     # ------------------------------------------------------------------
     # Fast path
     # ------------------------------------------------------------------
-    def _annotate_fast(self, text: str) -> list[AnnotatedSentence]:
+    def _annotate_fast(self, doc_id: str, text: str) -> AnnotatedDocument:
         memo = self.memo
         stats = self._stats
         raws = split_sentences(text)
         records: list[Sentence] = []
+        pronoun = ambiguous = False
         for raw in raws:
             record = memo.get(raw)
             if record is None:
@@ -257,53 +292,44 @@ class Annotator:
             else:
                 stats.memo_hits += 1
             records.append(record)
+            pronoun = pronoun or record.pron_possible
+            ambiguous = ambiguous or bool(record.ambiguous_types)
         stats.sentences += len(records)
 
         # The document type context must cover *all* sentences —
         # including skipped ones — because any sentence's
-        # disambiguation may read it.
-        context: dict[str, int] = {}
-        for record in records:
-            for indicated in record.type_nouns:
-                context[indicated] = context.get(indicated, 0) + 1
+        # disambiguation may read it; only ambiguous matches do.
+        context = document_type_context(records) if ambiguous else None
 
-        # A resolver only has observable effects when some sentence in
-        # the document contains a resolvable pronoun — otherwise it
-        # would merely accumulate antecedent state nothing reads.
-        resolver = (
-            PronounResolver()
-            if self.resolve_pronouns
-            and any(record.pron_possible for record in records)
-            else None
-        )
-        annotated: list[AnnotatedSentence] = []
+        lines: list[tuple | None] = []
+        linker_stats = self.linker.stats
         for raw, record in zip(raws, records):
-            if not (record.matches or record.pron_possible):
+            line = None
+            if record.matches:
+                line = self._link_line(raw, record, context)
+                linker_stats.linked += line[1]
+                linker_stats.ambiguous_dropped += line[2]
+            elif not record.pron_possible:
                 # Nothing to link and no pronoun to resolve.
                 stats.skipped += 1
-                annotated.append(AnnotatedSentence(record))
-                continue
-            mentions: list[EntityMention] = []
-            extraction_cache = None
-            if record.matches:
-                cached, linked, dropped, cache = self._memoized_links(
-                    raw, record, context
-                )
-                mentions.extend(cached)
-                self.linker.stats.linked += linked
-                self.linker.stats.ambiguous_dropped += dropped
-                if not record.pron_possible:
-                    extraction_cache = cache
-            # Coreference runs whenever linked mentions may update the
-            # antecedent state, or a resolvable pronoun could gain a
-            # mention (which counts toward mention telemetry even when
-            # no adjective pattern can use it).
-            if resolver is not None:
-                resolver.resolve_sentence(record, mentions)
-            annotated.append(
-                AnnotatedSentence(record, mentions, extraction_cache)
-            )
-        return annotated
+            lines.append(line)
+        document = AnnotatedDocument(doc_id, None, records, lines)
+        if not pronoun:
+            return document
+        # Coreference runs whenever linked mentions may update the
+        # antecedent state, or a resolvable pronoun could gain a
+        # mention (which counts toward mention telemetry even when no
+        # adjective pattern can use it). A sentence keeps its line's
+        # extraction scratch only while coreference cannot add to its
+        # mentions.
+        resolver = PronounResolver()
+        for annotated in document.sentences:
+            record = annotated.sentence
+            if record.pron_possible:
+                annotated.extraction_cache = None
+            if record.matches or record.pron_possible:
+                resolver.resolve_sentence(record, annotated.mentions)
+        return AnnotatedDocument(doc_id, document.sentences)
 
     def _build_record(self, raw: str) -> Sentence:
         """Do the text-determined annotation work for one sentence."""
@@ -328,21 +354,19 @@ class Annotator:
         record.pron_possible = pron_possible
         return record
 
-    def _memoized_links(
-        self,
-        raw: str,
-        record: Sentence,
-        context: dict[str, int],
-    ) -> tuple[tuple, int, int, dict]:
-        """Link results for one sentence under one document context.
+    def _link_line(
+        self, raw: str, record: Sentence, context: Counter | None
+    ) -> tuple:
+        """The memo's link line for one sentence under one document
+        context: ``(scratch, linked, dropped, *mention fields)``, the
+        scratch dict keeping the line's extraction protos per pattern
+        config.
 
         Keyed on the raw text plus the clamped context counts of the
         types disambiguation would actually consult, so documents with
         irrelevant context differences share cache lines; a sentence
-        without ambiguous matches is keyed on its text alone.
-
-        The fourth element is the shared extraction scratch dict for
-        this (sentence, context) cache line.
+        without ambiguous matches is keyed on its text alone (and
+        disambiguation never reads the context).
         """
         key = (
             (
@@ -355,12 +379,12 @@ class Annotator:
             if record.ambiguous_types
             else raw
         )
-        cached = self.memo.get_links(key)
-        if cached is None:
+        line = self.memo.get_links(key)
+        if line is None:
             mentions, linked, dropped = self.linker.resolve(
                 record, record.matches, context
             )
-            cached = (tuple(mentions), linked, dropped, {})
-            if self.memo.put_links(key, cached):
+            line = ({}, linked, dropped, *chain.from_iterable(mentions))
+            if self.memo.put_links(key, line):
                 self._stats.memo_evictions += 1
-        return cached
+        return line

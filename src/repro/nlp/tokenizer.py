@@ -14,6 +14,8 @@ import re
 from .tokens import Sentence
 
 _SENTENCE_BOUNDARY = re.compile(r"(?<=[.!?])\s+")
+#: Where a boundary can be; most documents have none (one sentence).
+_SENTENCE_END = re.compile(r"[.!?]\s")
 _TOKEN = re.compile(
     r"n't|'s|'re|'ve|'ll|'d|[A-Za-z]+(?:-[A-Za-z]+)*|\d+(?:[.,]\d+)*|[.,!?;:()\"']"
 )
@@ -22,8 +24,10 @@ _CLITIC_SPLIT = re.compile(r"(?i)^([a-z]+)(n't)$")
 
 def split_sentences(text: str) -> list[str]:
     """Split raw text into sentence strings."""
-    parts = _SENTENCE_BOUNDARY.split(text.strip())
-    return [part for part in (p.strip() for p in parts) if part]
+    text = text.strip()
+    if _SENTENCE_END.search(text) is None:
+        return [text] if text else []
+    return list(filter(None, map(str.strip, _SENTENCE_BOUNDARY.split(text))))
 
 
 def tokenize(sentence_text: str) -> Sentence:

@@ -36,6 +36,7 @@ from __future__ import annotations
 import gc
 import threading
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -46,7 +47,7 @@ from ..core.surveyor import (
     Surveyor,
     SurveyorResult,
 )
-from ..corpus.document import CorpusShard, WebCorpus
+from ..corpus.document import CorpusShard, Document, WebCorpus
 from ..extraction.extractor import EvidenceExtractor
 from ..extraction.patterns import DEFAULT_PATTERNS, PatternConfig
 from ..extraction.provenance import ProvenanceIndex, ProvenanceLedger
@@ -61,7 +62,7 @@ from ..obs.convergence import (
     save_convergence,
 )
 from ..obs.metrics import MetricsRegistry
-from ..obs.trace import Tracer
+from ..obs.trace import NULL_SPAN, Tracer
 from ..storage.serialize import (
     load_shard_checkpoint,
     save_shard_checkpoint,
@@ -119,6 +120,94 @@ class _CollectorPause:
 
 
 _COLLECTOR_PAUSE = _CollectorPause()
+
+
+def mine_documents(
+    documents: Iterable[Document],
+    annotator: Annotator,
+    extractor: EvidenceExtractor,
+    *,
+    strict: bool = True,
+    injector: FaultInjector | None = None,
+    tracer: Tracer | None = None,
+    observations: list | None = None,
+    reference: tuple | None = None,
+) -> tuple[EvidenceCounter, list[DeadLetter]]:
+    """The one loop from raw documents to evidence, for a mining shard
+    and an ingest fold alike: each document is annotated and counted
+    into a fresh counter, from which the extractor's statement totals
+    are accounted once.
+
+    A document that raises adds nothing to the counter; it is
+    quarantined as a dead letter unless ``strict``. ``injector`` may
+    fail documents first, ``tracer`` spans each document, and
+    ``observations`` gathers the per-document histogram values.
+    ``reference`` is the reference path's ``(annotator, extractor,
+    counter)``: each document's statement list must then equal its
+    own, or :class:`ParityError` is raised.
+    """
+    counter = EvidenceCounter()
+    dead: list[DeadLetter] = []
+    tracing = tracer is not None and tracer.enabled
+    for document in documents:
+        doc_id = document.doc_id
+        stage = "annotate"
+        started = time.perf_counter() if observations is not None else 0
+        try:
+            with (
+                tracer.span("document", kind="document", doc_id=doc_id)
+                if tracing
+                else NULL_SPAN
+            ) as span:
+                if injector is not None:
+                    stage = "inject"
+                    injector.on_document(doc_id)
+                    stage = "annotate"
+                annotated = annotator.annotate(doc_id, document.text)
+                stage = "extract"
+                if reference is None:
+                    found = extractor.extract_document(annotated, counter)
+                else:
+                    statements = extractor.extract_document(annotated)
+                    found = len(statements)
+                if tracing:
+                    span.set("statements", found)
+                    span.set("sentences", len(annotated))
+        except Exception as error:
+            if strict:
+                raise
+            dead.append(DeadLetter.from_exception(
+                doc_id, stage, error, text=str(document.text)
+            ))
+            annotated = None
+        else:
+            if reference is not None:
+                ref_annotator, ref_extractor, ref_counter = reference
+                ref_statements = ref_extractor.extract_document(
+                    ref_annotator.annotate(doc_id, document.text)
+                )
+                if ref_statements != statements:
+                    raise ParityError(
+                        "fast path diverged from reference on "
+                        f"document {doc_id!r}: {len(statements)} vs "
+                        f"{len(ref_statements)} statements"
+                    )
+                ref_counter.add_all(ref_statements)
+                counter.add_all(statements)
+        if observations is not None:
+            observations.append((
+                "repro_document_seconds", time.perf_counter() - started
+            ))
+            if annotated is not None:
+                observations.append((
+                    "repro_statements_per_document", float(found)
+                ))
+                observations.append((
+                    "repro_sentences_per_document", float(len(annotated))
+                ))
+    if reference is None:
+        extractor.stats.count(*counter.polarity_totals())
+    return counter, dead
 
 
 @dataclass
@@ -297,19 +386,19 @@ class SurveyorPipeline:
                     "repro_kb_entities", stats.get("entities", 0)
                 )
         with metrics.timed("group") as stage:
-            grouped = evidence.as_evidence()
+            grouped = evidence.blocks()
             stage.bump("pairs", evidence.n_pairs)
             stage.bump("combinations", len(grouped))
             if registry is not None:
-                for per_entity in grouped.values():
-                    for counts in per_entity.values():
+                for block in grouped.values():
+                    for positive, negative in zip(
+                        block.positive, block.negative
+                    ):
                         registry.observe(
-                            "repro_evidence_positive_magnitude",
-                            counts.positive,
+                            "repro_evidence_positive_magnitude", positive
                         )
                         registry.observe(
-                            "repro_evidence_negative_magnitude",
-                            counts.negative,
+                            "repro_evidence_negative_magnitude", negative
                         )
         with metrics.timed("em") as stage:
             surveyor = Surveyor(
@@ -473,53 +562,38 @@ class SurveyorPipeline:
         map_stage.bump("statements", evidence.n_statements)
         if registry is not None:
             counters = map_stage.counters
-            registry.inc(
-                "repro_statements_total", evidence.n_statements
-            )
-            registry.inc(
-                "repro_documents_total", counters.get("documents", 0)
-            )
-            registry.inc(
-                "repro_sentences_total", counters.get("sentences", 0)
-            )
-            registry.inc(
-                "repro_mentions_total", counters.get("mentions", 0)
-            )
-            registry.inc(
-                "repro_statements_positive_total",
-                counters.get("statements_positive", 0),
-            )
-            registry.inc(
-                "repro_statements_negative_total",
-                counters.get("statements_negative", 0),
-            )
-            registry.inc(
-                "repro_shards_total", counters.get("shards", 0)
-            )
-            registry.inc("repro_shard_retries_total", health.retries)
-            registry.inc(
-                "repro_quarantined_documents_total",
-                len(health.quarantined),
-            )
-            registry.inc(
-                "repro_prefilter_sentences_total",
-                health.prefilter_sentences,
-            )
-            registry.inc(
-                "repro_prefilter_skipped_total",
-                health.prefilter_skipped,
-            )
-            registry.inc(
-                "repro_annotation_memo_hits_total", health.memo_hits
-            )
-            registry.inc(
-                "repro_annotation_memo_misses_total",
-                health.memo_misses,
-            )
-            registry.inc(
-                "repro_annotation_memo_evictions_total",
-                health.memo_evictions,
-            )
+            for name, value in (
+                ("repro_statements_total", evidence.n_statements),
+                ("repro_documents_total", counters.get("documents", 0)),
+                ("repro_sentences_total", counters.get("sentences", 0)),
+                ("repro_mentions_total", counters.get("mentions", 0)),
+                (
+                    "repro_statements_positive_total",
+                    counters.get("statements_positive", 0),
+                ),
+                (
+                    "repro_statements_negative_total",
+                    counters.get("statements_negative", 0),
+                ),
+                ("repro_shards_total", counters.get("shards", 0)),
+                ("repro_shard_retries_total", health.retries),
+                (
+                    "repro_quarantined_documents_total",
+                    len(health.quarantined),
+                ),
+                (
+                    "repro_prefilter_sentences_total",
+                    health.prefilter_sentences,
+                ),
+                ("repro_prefilter_skipped_total", health.prefilter_skipped),
+                ("repro_annotation_memo_hits_total", health.memo_hits),
+                ("repro_annotation_memo_misses_total", health.memo_misses),
+                (
+                    "repro_annotation_memo_evictions_total",
+                    health.memo_evictions,
+                ),
+            ):
+                registry.inc(name, value)
         return evidence, ledger
 
     def _merge_telemetry(
@@ -553,11 +627,11 @@ class SurveyorPipeline:
 
         Each worker builds its own annotator/extractor (workers share
         nothing, as on a real cluster) and returns a per-shard
-        evidence counter — the combine step of the dataflow. A
-        document that raises is quarantined as a dead letter unless
-        the pipeline is strict; shard-level failures propagate to the
-        executor's retry loop. On success the shard checkpoints its
-        own output, so a later resume skips it.
+        evidence counter — the combine step of the dataflow — from
+        :func:`mine_documents`. A document that raises is quarantined
+        as a dead letter unless the pipeline is strict; shard-level
+        failures propagate to the executor's retry loop. On success the
+        shard checkpoints its own output, so a later resume skips it.
 
         ``attempt`` is the executor's 1-based attempt number; the
         fault injector needs it to make flaky-then-succeed decisions
@@ -586,16 +660,16 @@ class SurveyorPipeline:
                 ProvenanceLedger() if self.provenance else None
             ),
         )
-        parity = self.strict_parity
-        if parity:
+        reference = None
+        if self.strict_parity:
             # The reference extractor gets no ledger: lineage is not
             # part of the statement-equality contract, and a second
             # ledger would double-record every pair.
-            ref_annotator = Annotator(self.kb, fast_path=False)
-            ref_extractor = EvidenceExtractor(
-                config=self.pattern_config
+            reference = (
+                Annotator(self.kb, fast_path=False),
+                EvidenceExtractor(config=self.pattern_config),
+                EvidenceCounter(),
             )
-            ref_counter = EvidenceCounter()
         # Workers profile memory iff the parent does: spans shipped
         # back then carry rss/tracemalloc attrs like local ones.
         worker_tracer = Tracer(
@@ -607,79 +681,19 @@ class SurveyorPipeline:
         # Only the parent's registry reads these; it is pickled with
         # the pipeline, so a process-pool worker decides alike.
         observations = [] if self.registry is not None else None
-        counter = EvidenceCounter()
-        dead: list[DeadLetter] = []
         with worker_tracer.span(
             "shard", kind="shard", shard_id=shard.shard_id
         ) as shard_span:
-            for document in shard:
-                stage = "annotate"
-                statements = []
-                doc_started = time.perf_counter()
-                try:
-                    with worker_tracer.span(
-                        "document",
-                        kind="document",
-                        doc_id=document.doc_id,
-                    ) as doc_span:
-                        if injector is not None:
-                            stage = "inject"
-                            injector.on_document(document.doc_id)
-                            stage = "annotate"
-                        annotated = annotator.annotate(
-                            document.doc_id, document.text
-                        )
-                        stage = "extract"
-                        statements = extractor.extract_document(
-                            annotated
-                        )
-                        doc_span.set("statements", len(statements))
-                        doc_span.set(
-                            "sentences", len(annotated.sentences)
-                        )
-                except Exception as error:
-                    if self.strict:
-                        raise
-                    dead.append(
-                        DeadLetter.from_exception(
-                            document.doc_id, stage, error,
-                            text=str(document.text),
-                        )
-                    )
-                    if observations is not None:
-                        observations.append((
-                            "repro_document_seconds",
-                            time.perf_counter() - doc_started,
-                        ))
-                    continue
-                if parity:
-                    ref_statements = ref_extractor.extract_document(
-                        ref_annotator.annotate(
-                            document.doc_id, document.text
-                        )
-                    )
-                    if ref_statements != statements:
-                        raise ParityError(
-                            "fast path diverged from reference on "
-                            f"document {document.doc_id!r}: "
-                            f"{len(statements)} vs "
-                            f"{len(ref_statements)} statements"
-                        )
-                    ref_counter.add_all(ref_statements)
-                counter.add_all(statements)
-                if observations is not None:
-                    observations.append((
-                        "repro_document_seconds",
-                        time.perf_counter() - doc_started,
-                    ))
-                    observations.append((
-                        "repro_statements_per_document",
-                        float(len(statements)),
-                    ))
-                    observations.append((
-                        "repro_sentences_per_document",
-                        float(len(annotated.sentences)),
-                    ))
+            counter, dead = mine_documents(
+                shard,
+                annotator,
+                extractor,
+                strict=self.strict,
+                injector=injector,
+                tracer=worker_tracer,
+                observations=observations,
+                reference=reference,
+            )
             shard_span.set("documents", extractor.stats.documents)
             shard_span.set("quarantined", len(dead))
             fastpath = annotator.fastpath_stats
@@ -691,7 +705,8 @@ class SurveyorPipeline:
                         "skip_rate": round(fastpath.skip_rate, 4),
                     },
                 )
-        if parity:
+        if reference is not None:
+            ref_annotator, ref_extractor, ref_counter = reference
             if ref_counter != counter:
                 raise ParityError(
                     f"shard {shard.shard_id}: evidence counters "

@@ -916,7 +916,7 @@ class AsyncReproServer:
         if self.runtime is not None:
             # Publish the new epoch and ask the supervisor to SIGHUP
             # the sibling workers.
-            self.runtime.publish_epoch("reload", path)
+            self.runtime.publish_epoch(path)
             self.runtime.notify_parent()
         return summary
 

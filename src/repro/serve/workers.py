@@ -110,14 +110,11 @@ def _locked(path: Path) -> Iterator[None]:
             fcntl.flock(handle, fcntl.LOCK_UN)
 
 
-def publish_epoch(
-    directory: str | Path, kind: str, path: str | None = None
-) -> int:
+def publish_epoch(directory: str | Path, path: str | None = None) -> int:
     """Atomically advance the reload epoch; returns the new value.
 
-    ``kind`` records what triggered the swap (``reload``)
-    and ``path`` an explicit artefact path when the trigger named one,
-    so sibling workers reload the same source the initiator did.
+    ``path`` records an explicit artefact path when the reload named
+    one, so sibling workers reload the same source the initiator did.
     """
     directory = Path(directory)
     with _locked(directory / "epoch.lock"):
@@ -125,7 +122,7 @@ def publish_epoch(
         epoch = (current.get("epoch", 0) if current else 0) + 1
         _atomic_write_json(
             _epoch_path(directory),
-            {"epoch": epoch, "kind": kind, "path": path},
+            {"epoch": epoch, "path": path},
         )
     return epoch
 
@@ -182,10 +179,8 @@ class WorkerRuntime:
     def read_epoch(self) -> dict[str, Any] | None:
         return read_epoch(self.directory)
 
-    def publish_epoch(
-        self, kind: str, path: str | None = None
-    ) -> int:
-        epoch = publish_epoch(self.directory, kind, path)
+    def publish_epoch(self, path: str | None = None) -> int:
+        epoch = publish_epoch(self.directory, path)
         self.last_epoch = epoch
         return epoch
 
@@ -321,7 +316,7 @@ def supervise(
                 )
             if flags["hup"]:
                 flags["hup"] = False
-                publish_epoch(runtime_dir, "reload")
+                publish_epoch(runtime_dir)
                 for child in list(children):
                     _kill(child, signal.SIGHUP)
             if flags["usr1"]:

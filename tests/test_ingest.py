@@ -1329,14 +1329,12 @@ class TestCheckpointRestart:
         reference = self.pipeline(tmp_path / "one", small_kb)
         reference.ingest(first)
 
-        def factory():
-            return self.pipeline(journal_dir, small_kb, out)
-
         service = OpinionService(
-            load(out), source_path=out, ingest_pipeline=factory()
+            load(out),
+            source_path=out,
+            ingest_pipeline=self.pipeline(journal_dir, small_kb, out),
         )
         with AsyncHarness(service) as harness:
-            harness.server.ingest_factory = factory
             url = f"{harness.url}/admin/ingest"
             status, summary = post(url, {"documents": as_rows(mine)})
             assert status == 200
@@ -1388,16 +1386,14 @@ class TestCheckpointRestart:
         boot = self.pipeline(journal_dir, small_kb)
         boot.publish(boot.ingest(first), out)
 
-        def factory():
-            return self.pipeline(journal_dir, small_kb, out)
-
         service = OpinionService(
-            load(out), source_path=out, ingest_pipeline=factory()
+            load(out),
+            source_path=out,
+            ingest_pipeline=self.pipeline(journal_dir, small_kb, out),
         )
         kept = service.ingest_pipeline
         with AsyncHarness(service) as harness:
             server = harness.server
-            server.ingest_factory = factory
             stalled, entered = threading.Event(), threading.Event()
             run_ingest = server.run_ingest
 

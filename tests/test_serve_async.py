@@ -743,17 +743,14 @@ class TestWorkerRuntime:
     def test_epoch_publish_and_read(self, tmp_path):
         directory = str(tmp_path)
         assert read_epoch(directory) is None
-        first = publish_epoch(directory, "reload")
-        second = publish_epoch(directory, "ingest", path="/x.json")
+        first = publish_epoch(directory)
+        second = publish_epoch(directory, path="/x.json")
         assert (first, second) == (1, 2)
-        record = read_epoch(directory)
-        assert record["epoch"] == 2
-        assert record["kind"] == "ingest"
-        assert record["path"] == "/x.json"
+        assert read_epoch(directory) == {"epoch": 2, "path": "/x.json"}
 
     def test_runtime_tracks_last_seen_epoch(self, tmp_path):
         runtime = WorkerRuntime(str(tmp_path), 0, 2, 12345)
-        epoch = runtime.publish_epoch("reload")
+        epoch = runtime.publish_epoch()
         assert epoch == 1
         assert runtime.last_epoch == 1
         assert runtime.read_epoch()["epoch"] == 1
