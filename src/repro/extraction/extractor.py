@@ -87,7 +87,11 @@ class EvidenceExtractor:
         if protos is None:
             protos = tuple(self._match_sentence(annotated, doc_id))
             cache[self.config] = protos
-        if protos and ledger is not None and id(protos) not in ledger.seen_lines:
+        if (
+            protos
+            and ledger is not None
+            and id(protos) not in ledger.seen_lines
+        ):
             self._sample_line(protos, doc_id, sentence_index)
         return [s if s.doc_id == doc_id else s.restamp(doc_id) for s in protos]
 
@@ -179,7 +183,11 @@ class EvidenceExtractor:
                 protos = self.extract_sentence(AnnotatedSentence(
                     document.records[index], line_mentions(line), line[0]
                 ), doc_id, index)
-            elif protos and ledger is not None and id(protos) not in ledger.seen_lines:
+            elif (
+                protos
+                and ledger is not None
+                and id(protos) not in ledger.seen_lines
+            ):
                 self._sample_line(protos, doc_id, index)
             if protos:
                 found.append(protos)
